@@ -99,24 +99,35 @@ def beta_logpdf(y, params: BetaParams):
     return out if out.ndim else float(out)
 
 
+def require_open_simplex(x: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every row of x has entries in (0, 1) and
+    sums to one within 1e-9 (the domain of the Dirichlet density)."""
+    if not np.all((x > 0) & (x < 1)):
+        raise ValueError(f"{what} must have components inside (0,1)")
+    if not np.all(np.abs(x.sum(axis=-1) - 1.0) <= 1e-9):
+        raise ValueError(f"{what} must sum to 1 within 1e-9")
+
+
+def _dirichlet_log_kernel(log_x, conc: np.ndarray):
+    """Dirichlet log density from log(x), with no domain check: the one
+    implementation, called by dirichlet_logpdf after its check and by the
+    particle engine with a log(x) it checked and took once per pass."""
+    return (
+        gammaln(conc.sum(axis=-1))
+        - gammaln(conc).sum(axis=-1)
+        + ((conc - 1) * log_x).sum(axis=-1)
+    )
+
+
 def dirichlet_logpdf(x, params: DirichletParams):
     """Log density of Dirichlet(concentration) at simplex point(s) x.
 
-    x must lie on the open simplex (entries in (0,1), summing to one
-    within 1e-12 ... well inside float tolerance).  Broadcasts over
-    leading axes of x and the concentration.
+    x must lie on the open simplex: entries in (0,1), summing to one
+    within 1e-9.  Broadcasts over leading axes of x and the concentration.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all((x > 0) & (x < 1)):
-        raise ValueError("Dirichlet density requires components inside (0,1)")
-    if not np.all(np.abs(x.sum(axis=-1) - 1.0) <= 1e-9):
-        raise ValueError("Dirichlet density requires x on the simplex")
-    conc = params.concentration
-    out = (
-        gammaln(conc.sum(axis=-1))
-        - gammaln(conc).sum(axis=-1)
-        + ((conc - 1) * np.log(x)).sum(axis=-1)
-    )
+    require_open_simplex(x, "Dirichlet density argument")
+    out = _dirichlet_log_kernel(np.log(x), params.concentration)
     return out if np.ndim(out) else float(out)
 
 

@@ -15,7 +15,9 @@ them from 1.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +44,9 @@ from .seir import EpidemicRates, rk4_step
 # Observed proportions are pulled this far inside (0,1) at ingestion; the
 # Beta density is undefined on the boundary.
 OBS_EPS = 1e-6
+# MH id of a transition-matrix row update (the scalar ids are listed by
+# scalar_param_ids).
+ROW_ID = "rows"
 
 
 def modifier_band(k: int, n_regimes: int) -> tuple[float, float]:
@@ -236,16 +241,21 @@ def obs_loglik_series(
     return float(np.sum(beta_logpdf(y, BetaParams(a, b))))
 
 
-def transition_mean(theta: np.ndarray, x_next, params: ParameterSet) -> np.ndarray:
-    """RK4-propagated state(s) under the destination regime's modifier."""
-    return rk4_step(theta, params.rates_for(x_next))
+def transition_mean(theta: np.ndarray, rates: EpidemicRates) -> np.ndarray:
+    """Dirichlet mean of the next state: theta propagated one step by RK4.
+
+    rates carries the destination regime's modifier(s), as built by
+    ParameterSet.rates_for; a filter that propagates under the same
+    regimes at every step builds it once per pass.
+    """
+    return rk4_step(theta, rates)
 
 
 def trans_logdensity(
     theta_next: np.ndarray, theta: np.ndarray, x_next, params: ParameterSet
 ):
     """Log Dirichlet density of theta_next given theta under regime x_next."""
-    eta = transition_mean(theta, x_next, params)
+    eta = transition_mean(theta, params.rates_for(x_next))
     try:
         return dirichlet_logpdf(theta_next, DirichletParams(params.kappa * eta))
     except ValueError:
@@ -258,7 +268,7 @@ def trans_loglik_series(
     """Sum of state-transition log densities along a path (t = 1..T-1)."""
     if thetas.shape[0] < 2:
         return 0.0
-    eta = transition_mean(thetas[:-1], regimes[1:], params)
+    eta = transition_mean(thetas[:-1], params.rates_for(regimes[1:]))
     try:
         return float(
             np.sum(dirichlet_logpdf(thetas[1:], DirichletParams(params.kappa * eta)))
@@ -297,38 +307,108 @@ def initial_logdensity(theta1: np.ndarray, x1: int, priors: PriorSpec) -> float:
     return lp - math.log(priors.n_regimes)
 
 
-def param_log_prior(params: ParameterSet, priors: PriorSpec) -> float:
-    """Sum of prior log densities over every entry of psi."""
-    total = (
-        trunc_normal_logpdf(params.alpha, priors.alpha)
-        + trunc_normal_logpdf(params.beta, priors.beta)
-        + trunc_normal_logpdf(params.gamma, priors.gamma)
-        + gamma_logpdf(params.lambda_, priors.lambda_)
-        + gamma_logpdf(params.kappa, priors.kappa)
-    )
-    for (rate, _), prior in zip(params.ident_rates, priors.ident):
-        total += trunc_normal_logpdf(rate, prior)
-    for k in range(1, params.n_regimes):
-        lo, hi = modifier_band(k, params.n_regimes)
-        total += uniform_logpdf(params.modifiers[k], lo, hi)
-    for k, conc in enumerate(priors.row_concentrations):
-        c = np.asarray(conc, dtype=float)
+def _prior_term(which: str, params: ParameterSet, priors: PriorSpec) -> float:
+    """Prior log density of one entry of psi: a scalar id (see
+    replace_param) or row<k> for transition-matrix row k (1-based)."""
+    if which.startswith("row"):
+        k = int(which[3:]) - 1
+        c = np.asarray(priors.row_concentrations[k], dtype=float)
         row = params.trans_matrix[k]
         if np.any(row <= 0) or np.any(row >= 1):
             return -math.inf
-        total += float(
+        return float(
             gammaln(c.sum()) - gammaln(c).sum() + np.sum((c - 1) * np.log(row))
         )
-    return float(total)
+    value = get_param(params, which)
+    if which in ("alpha", "beta", "gamma"):
+        return trunc_normal_logpdf(value, getattr(priors, which))
+    if which == "lambda":
+        return gamma_logpdf(value, priors.lambda_)
+    if which == "kappa":
+        return gamma_logpdf(value, priors.kappa)
+    if which.startswith("p"):
+        return trunc_normal_logpdf(value, priors.ident[_segment(which)])
+    lo, hi = modifier_band(int(which[1:]) - 1, params.n_regimes)
+    return uniform_logpdf(value, lo, hi)
 
 
-def path_loglik(path: LatentPath, y: np.ndarray, params: ParameterSet) -> float:
-    """Complete-data log likelihood of (y, path) given psi (no priors)."""
-    return (
-        obs_loglik_series(y, path.thetas, params)
-        + trans_loglik_series(path.thetas, path.regimes, params)
-        + regime_loglik_series(path.regimes, params)
-    )
+def _prior_terms(params: ParameterSet, priors: PriorSpec) -> dict[str, float]:
+    """Every prior term of psi by id, in the order param_log_prior adds them."""
+    ids = scalar_param_ids(params)
+    ids += [f"row{k + 1}" for k in range(len(priors.row_concentrations))]
+    return {which: _prior_term(which, params, priors) for which in ids}
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum: every caller adds the same terms in the
+    same order, so cached and full evaluations agree bit for bit."""
+    return float(functools.reduce(operator.add, values))
+
+
+def param_log_prior(params: ParameterSet, priors: PriorSpec) -> float:
+    """Sum of prior log densities over every entry of psi."""
+    return _sum_in_order(_prior_terms(params, priors).values())
+
+
+@dataclass(frozen=True)
+class PosteriorTerms:
+    """joint_log_posterior at (path, params), kept factor by factor.
+
+    The factors are the observation, state-transition and regime
+    log-likelihoods, the initial-state prior and one prior term per
+    entry of psi.  moved(which, params) recomputes only what entry
+    `which` touches and re-adds all terms in the fixed order of
+    joint_log_posterior, so an MH target kept this way equals a full
+    evaluation bit for bit.
+    """
+
+    path: LatentPath
+    y: np.ndarray
+    priors: PriorSpec
+    params: ParameterSet
+    obs: float
+    trans: float
+    regime: float
+    initial: float
+    prior: dict[str, float]
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        prior = _sum_in_order(self.prior.values())
+        parts = self.obs + self.trans + self.regime + self.initial + prior
+        object.__setattr__(self, "total", parts if np.isfinite(parts) else -math.inf)
+
+    @classmethod
+    def build(
+        cls, path: LatentPath, y: np.ndarray, params: ParameterSet, priors: PriorSpec
+    ) -> PosteriorTerms:
+        y = np.asarray(y, dtype=float)
+        if len(y) != len(path):
+            raise ValueError("observation series and path lengths differ")
+        return cls(
+            path, y, priors, params,
+            obs=obs_loglik_series(y, path.thetas, params),
+            trans=trans_loglik_series(path.thetas, path.regimes, params),
+            regime=regime_loglik_series(path.regimes, params),
+            initial=initial_logdensity(path.thetas[0], int(path.regimes[0]), priors),
+            prior=_prior_terms(params, priors),
+        )
+
+    def moved(self, which: str, params: ParameterSet) -> PosteriorTerms:
+        """Terms at params, which differ from self.params in entry `which`
+        only (ROW_ID: in transition-matrix rows only)."""
+        path, prior = self.path, dict(self.prior)
+        if which == ROW_ID:
+            for k in range(len(self.priors.row_concentrations)):
+                prior[f"row{k + 1}"] = _prior_term(f"row{k + 1}", params, self.priors)
+            regime = regime_loglik_series(path.regimes, params)
+            return replace(self, params=params, prior=prior, regime=regime)
+        prior[which] = _prior_term(which, params, self.priors)
+        if which == "lambda" or which.startswith("p"):
+            obs = obs_loglik_series(self.y, path.thetas, params)
+            return replace(self, params=params, prior=prior, obs=obs)
+        trans = trans_loglik_series(path.thetas, path.regimes, params)
+        return replace(self, params=params, prior=prior, trans=trans)
 
 
 def joint_log_posterior(
@@ -340,15 +420,7 @@ def joint_log_posterior(
     transitions + initial-state priors + parameter priors; any
     zero-density factor makes the result -inf (never NaN).
     """
-    y = np.asarray(y, dtype=float)
-    if len(y) != len(path):
-        raise ValueError("observation series and path lengths differ")
-    parts = (
-        path_loglik(path, y, params)
-        + initial_logdensity(path.thetas[0], int(path.regimes[0]), priors)
-        + param_log_prior(params, priors)
-    )
-    return parts if np.isfinite(parts) else -math.inf
+    return PosteriorTerms.build(path, y, params, priors).total
 
 
 def sample_initial(
@@ -414,7 +486,7 @@ def simulate_dataset(
         regimes[0] = int(initial[1])
     for t in range(1, horizon):
         regimes[t] = sample_categorical(params.trans_matrix[regimes[t - 1]], rng)
-        eta = transition_mean(thetas[t - 1], regimes[t], params)
+        eta = transition_mean(thetas[t - 1], params.rates_for(regimes[t]))
         thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
     p_t = params.ident_series(horizon)
     mean = p_t * thetas[:, 2]
@@ -423,6 +495,11 @@ def simulate_dataset(
     # through the loaders unchanged.
     y = np.clip(y, OBS_EPS, 1.0 - OBS_EPS)
     return y, LatentPath(thetas, regimes)
+
+
+def _segment(which: str) -> int:
+    """0-based identification-rate segment of id p (one segment) or p<j>."""
+    return int(which[1:]) - 1 if len(which) > 1 else 0
 
 
 def replace_param(params: ParameterSet, which: str, value: float) -> ParameterSet:
@@ -438,7 +515,7 @@ def replace_param(params: ParameterSet, which: str, value: float) -> ParameterSe
     if which == "kappa":
         return replace(params, kappa=value)
     if which.startswith("p"):
-        j = int(which[1:]) - 1 if len(which) > 1 else 0
+        j = _segment(which)
         rates = list(params.ident_rates)
         rates[j] = (value, rates[j][1])
         return replace(params, ident_rates=tuple(rates))
@@ -476,8 +553,7 @@ def get_param(params: ParameterSet, which: str) -> float:
     if which == "kappa":
         return params.kappa
     if which.startswith("p"):
-        j = int(which[1:]) - 1 if len(which) > 1 else 0
-        return params.ident_rates[j][0]
+        return params.ident_rates[_segment(which)][0]
     if which.startswith("f"):
         return float(params.modifiers[int(which[1:]) - 1])
     raise ValueError(f"unknown parameter id: {which}")
@@ -488,8 +564,7 @@ def param_support(which: str, priors: PriorSpec) -> tuple[float, float]:
     if which in ("alpha", "beta", "gamma", "lambda", "kappa"):
         return 0.0, math.inf
     if which.startswith("p"):
-        j = int(which[1:]) - 1 if len(which) > 1 else 0
-        prior = priors.ident[j]
+        prior = priors.ident[_segment(which)]
         return prior.lower, prior.upper
     if which.startswith("f"):
         return modifier_band(int(which[1:]) - 1, priors.n_regimes)

@@ -6,6 +6,8 @@ against the previous reference trajectory, draws a fresh reference, then
 applies several full MH sweeps over the parameters conditional on that
 reference.  Proposals are truncated Normals on each parameter's support,
 with the asymmetric-proposal correction (truncation breaks symmetry).
+The MH target is the joint log posterior kept as model.PosteriorTerms:
+a proposal recomputes only the factor and prior term it touches.
 
 Every random draw of iteration r comes from counter-based streams keyed
 by (seed, stage, r, ...), so chains are bit-reproducible and a run can
@@ -22,12 +24,13 @@ import numpy as np
 
 from .distributions import TruncNormalParams, sample_trunc_normal, trunc_normal_logpdf
 from .model import (
+    ROW_ID,
     LatentPath,
     ParameterSet,
+    PosteriorTerms,
     PriorSpec,
     draw_params,
     get_param,
-    joint_log_posterior,
     modifier_band,
     param_support,
     replace_param,
@@ -42,7 +45,6 @@ from .smc import (
     sample_reference,
 )
 
-ROW_ID = "rows"
 ADAPT_EVERY = 100
 TARGET_ACCEPT = 0.3
 # Degeneracy watchdog: abort when most early iterations lose their weights.
@@ -135,26 +137,40 @@ def default_step_sizes(priors: PriorSpec) -> dict[str, float]:
     return steps
 
 
-def _mh_scalar(
-    params: ParameterSet,
-    which: str,
-    step: float,
-    support: tuple[float, float],
-    log_target,
-    cur_lp: float,
-    rng: np.random.Generator,
-) -> tuple[ParameterSet, bool, float]:
-    """One truncated-Normal random-walk update of a scalar parameter."""
-    cur = get_param(params, which)
+class _CallableTarget:
+    """A log_target(params) callable with the PosteriorTerms interface
+    (params, total, moved), so the MH updates serve both."""
+
+    def __init__(self, log_target, params: ParameterSet):
+        self.log_target = log_target
+        self.params = params
+        self.total = log_target(params)
+
+    def moved(self, which: str, params: ParameterSet) -> _CallableTarget:
+        return _CallableTarget(self.log_target, params)
+
+
+def _target(current, path, y, priors, log_target):
+    """The MH target at current: cached posterior terms by default."""
+    if log_target is None:
+        return PosteriorTerms.build(path, y, current, priors)
+    return _CallableTarget(log_target, current)
+
+
+def _mh_scalar(target, which: str, step: float, support, rng: np.random.Generator):
+    """One truncated-Normal random-walk update of a scalar parameter.
+
+    Returns (target at the kept parameters, accepted)."""
+    cur = get_param(target.params, which)
     fwd = TruncNormalParams(cur, step, support[0], support[1])
     prop_value = sample_trunc_normal(fwd, rng)
-    proposal = replace_param(params, which, prop_value)
-    prop_lp = log_target(proposal)
+    proposal = target.moved(which, replace_param(target.params, which, prop_value))
+    prop_lp, cur_lp = proposal.total, target.total
     u = rng.random()
     if not np.isfinite(prop_lp):
-        return params, False, cur_lp
+        return target, False
     if not np.isfinite(cur_lp):
-        return proposal, True, prop_lp
+        return proposal, True
     rev = TruncNormalParams(prop_value, step, support[0], support[1])
     log_ratio = (
         prop_lp
@@ -163,8 +179,8 @@ def _mh_scalar(
         - trunc_normal_logpdf(prop_value, fwd)
     )
     if math.log(u) < log_ratio:
-        return proposal, True, prop_lp
-    return params, False, cur_lp
+        return proposal, True
+    return target, False
 
 
 def mh_update_scalar(
@@ -181,25 +197,16 @@ def mh_update_scalar(
 
     The proposal is a truncated Normal centered at the current value,
     bounded to the parameter's support (modifiers use their band).
-    log_target defaults to the joint log posterior; tests may substitute
-    e.g. a prior-only target.
+    log_target(params) defaults to the joint log posterior; tests may
+    substitute e.g. a prior-only target.
     """
-    if log_target is None:
-        log_target = lambda ps: joint_log_posterior(path, y, ps, priors)
-    support = param_support(which, priors)
-    out, accepted, _ = _mh_scalar(
-        current, which, step, support, log_target, log_target(current), rng
-    )
-    return out, accepted
+    target = _target(current, path, y, priors, log_target)
+    out, accepted = _mh_scalar(target, which, step, param_support(which, priors), rng)
+    return out.params, accepted
 
 
-def _mh_trans_row(
-    params: ParameterSet,
-    steps: np.ndarray,
-    log_target,
-    cur_lp: float,
-    rng: np.random.Generator,
-) -> tuple[ParameterSet, bool, float]:
+def _mh_trans_row(target, steps: np.ndarray, rng: np.random.Generator):
+    params = target.params
     k = params.n_regimes
     row = int(rng.uniform() * k)
     cur_row = params.trans_matrix[row]
@@ -221,18 +228,18 @@ def _mh_trans_row(
     prop_row[k - 1] = 1.0 - partial_prop
     u = rng.random()
     if prop_row[k - 1] <= 0.0:
-        return params, False, cur_lp
+        return target, False
     matrix = params.trans_matrix.copy()
     matrix[row] = prop_row
-    proposal = replace(params, trans_matrix=matrix)
-    prop_lp = log_target(proposal)
+    proposal = target.moved(ROW_ID, replace(params, trans_matrix=matrix))
+    prop_lp, cur_lp = proposal.total, target.total
     if not np.isfinite(prop_lp):
-        return params, False, cur_lp
+        return target, False
     if not np.isfinite(cur_lp):
-        return proposal, True, prop_lp
+        return proposal, True
     if math.log(u) < prop_lp - cur_lp + log_q_rev - log_q_fwd:
-        return proposal, True, prop_lp
-    return params, False, cur_lp
+        return proposal, True
+    return target, False
 
 
 def mh_update_trans_row(
@@ -252,13 +259,10 @@ def mh_update_trans_row(
     """
     if current.n_regimes < 2:
         return current, False
-    if log_target is None:
-        log_target = lambda ps: joint_log_posterior(path, y, ps, priors)
+    target = _target(current, path, y, priors, log_target)
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (current.n_regimes - 1,))
-    out, accepted, _ = _mh_trans_row(
-        current, steps, log_target, log_target(current), rng
-    )
-    return out, accepted
+    out, accepted = _mh_trans_row(target, steps, rng)
+    return out.params, accepted
 
 
 def _adjusted_step(step: float, rate: float, target: float) -> float:
@@ -383,31 +387,23 @@ def run_pg(
                     "check priors and precision parameters"
                 ) from exc
 
-        path = state.reference.path
-        log_target = lambda ps: joint_log_posterior(path, y, ps, priors)
-        cur_lp = log_target(state.params)
+        target = PosteriorTerms.build(state.reference.path, y, state.params, priors)
         accepted: dict[str, list[bool]] = {pid: [] for pid in all_ids}
         for s in range(config.mh_sweeps_per_iter):
             rng = substream(seed, TAG_MH, r, s)
             for which in ids:
-                state.params, ok, cur_lp = _mh_scalar(
-                    state.params,
-                    which,
-                    state.step_sizes[which],
-                    param_support(which, priors),
-                    log_target,
-                    cur_lp,
-                    rng,
+                support = param_support(which, priors)
+                target, ok = _mh_scalar(
+                    target, which, state.step_sizes[which], support, rng
                 )
                 accepted[which].append(ok)
             if priors.n_regimes >= 2:
                 row_steps = np.full(
                     priors.n_regimes - 1, state.step_sizes[ROW_ID]
                 )
-                state.params, ok, cur_lp = _mh_trans_row(
-                    state.params, row_steps, log_target, cur_lp, rng
-                )
+                target, ok = _mh_trans_row(target, row_steps, rng)
                 accepted[ROW_ID].append(ok)
+        state.params = target.params
 
         for pid, flags in accepted.items():
             state.window_counts[pid][0] += sum(flags)

@@ -54,18 +54,18 @@ def validate_state(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return s
 
 
-def _flow(state: np.ndarray, rates: EpidemicRates) -> np.ndarray:
-    """Time derivative of [S, E, I, R] under the modified SEIR system."""
-    s = state[..., 0]
-    e = state[..., 1]
-    i = state[..., 2]
-    infection = rates.modifier * rates.beta * s * i
+def _flow(x: np.ndarray, infect_rate, rates: EpidemicRates) -> np.ndarray:
+    """Time derivative of [S, E, I, R] under the modified SEIR system, for
+    a component-first x (only S, E, I are read); infect_rate = modifier * beta."""
+    s, e, i = x[0], x[1], x[2]
+    infection = infect_rate * s * i
     progression = rates.alpha * e
-    recovery = rates.gamma * i
-    return np.stack(
-        [-infection, infection - progression, progression - recovery, recovery],
-        axis=-1,
-    )
+    k = np.empty((4,) + infection.shape)
+    recovery = np.multiply(rates.gamma, i, out=k[3, ...])
+    np.negative(infection, out=k[0, ...])
+    np.subtract(infection, progression, out=k[1, ...])
+    np.subtract(progression, recovery, out=k[2, ...])
+    return k
 
 
 def rk4_step(state: np.ndarray, rates: EpidemicRates, n_substeps: int = 1) -> np.ndarray:
@@ -73,24 +73,46 @@ def rk4_step(state: np.ndarray, rates: EpidemicRates, n_substeps: int = 1) -> np
 
     The flow's components sum to zero, so RK4 conserves the simplex sum
     exactly up to float rounding.  Output components are clamped to
-    [STATE_FLOOR, 1 - STATE_FLOOR] and renormalized.
+    [STATE_FLOOR, 1 - STATE_FLOOR] and renormalized.  The stages work on
+    a component-first copy and skip the R midpoints, which the flow never reads.
     """
     if n_substeps < 1:
         raise ValueError("n_substeps must be >= 1")
     th = np.asarray(state, dtype=float)
+    lead = tuple(range(th.ndim - 1))
+    x = np.ascontiguousarray(th.transpose((th.ndim - 1, *lead)))
     h = 1.0 / n_substeps
+    infect_rate = rates.modifier * rates.beta
     for _ in range(n_substeps):
-        k1 = _flow(th, rates)
-        k2 = _flow(th + 0.5 * h * k1, rates)
-        k3 = _flow(th + 0.5 * h * k2, rates)
-        k4 = _flow(th + h * k3, rates)
-        th = th + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(th)):
+        k1 = _flow(x, infect_rate, rates)
+        k2 = _flow(_midpoint(x, 0.5 * h, k1), infect_rate, rates)
+        k3 = _flow(_midpoint(x, 0.5 * h, k2), infect_rate, rates)
+        k4 = _flow(_midpoint(x, h, k3), infect_rate, rates)
+        # x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), added in that order.
+        k2 *= 2
+        k1 += k2
+        k3 *= 2
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        k1 += x
+        x = k1
+    if not np.isfinite(x).all():
         raise FloatingPointError(
             "RK4 produced non-finite state; rate combination is pathological"
         )
-    th = np.clip(th, STATE_FLOOR, 1.0 - STATE_FLOOR)
+    # A C-ordered (..., 4) array, so every caller's row sums add in one order.
+    th = np.empty(x.shape[1:] + (4,))
+    last = (*(a + 1 for a in lead), 0)
+    np.clip(x.transpose(last), STATE_FLOOR, 1.0 - STATE_FLOOR, out=th)
     return th / th.sum(axis=-1, keepdims=True)
+
+
+def _midpoint(x: np.ndarray, step: float, k: np.ndarray) -> np.ndarray:
+    """x + step * k over the S, E, I rows (the flow never reads R)."""
+    mid = np.multiply(k[:3], step)
+    mid += x[:3]
+    return mid
 
 
 def propagate_path(

@@ -8,6 +8,11 @@ density.  Resampling is multinomial at every step.  Within a step all
 particle work is vectorized; weight normalization uses an
 order-invariant log-sum-exp, so particle labels are exchangeable
 bit-for-bit.
+
+The conditional filter keeps a per-step transition cache (the previous
+particles propagated under every regime) that block propagation and
+ancestor sampling both read; what is constant over a pass is computed
+once per pass.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from scipy.special import gammaln
 
 from .distributions import (
     DirichletParams,
-    dirichlet_logpdf,
+    _dirichlet_log_kernel,
     logsumexp,
+    require_open_simplex,
     sample_categorical,
     sample_dirichlet,
 )
@@ -83,21 +89,24 @@ class ReferenceTrajectory:
         object.__setattr__(self, "lineage", lin)
 
 
-def _obs_log_weights(y_t: float, thetas: np.ndarray, t: int, params: ParameterSet):
-    """Observation log density for every particle at one step."""
-    p = params.ident_rate_at(t)
-    mean = p * thetas[:, 2]
-    a = params.lambda_ * mean
-    b = params.lambda_ * (1.0 - mean)
-    out = np.full(len(thetas), -np.inf)
-    ok = (a > 0) & (b > 0)
-    if np.any(ok):
-        out[ok] = (
-            (a[ok] - 1) * math.log(y_t)
-            + (b[ok] - 1) * math.log1p(-y_t)
-            - _betaln(a[ok], b[ok])
-        )
-    return out
+def _obs_log_weights_for(y: np.ndarray, params: ParameterSet):
+    """Return log_weights(thetas, t): the observation log density of every
+    particle at step t.  The identification rate p_t, log y_t and
+    log(1 - y_t) are computed here, once per pass."""
+    p = params.ident_series(len(y))
+    log_y = [math.log(v) for v in y]
+    log1m_y = [math.log1p(-v) for v in y]
+    lam = params.lambda_
+
+    def log_weights(thetas: np.ndarray, t: int) -> np.ndarray:
+        mean = p[t] * thetas[:, 2]
+        a = lam * mean
+        b = lam * (1.0 - mean)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_beta = (a - 1) * log_y[t] + (b - 1) * log1m_y[t] - _betaln(a, b)
+        return np.where((a > 0) & (b > 0), log_beta, -np.inf)
+
+    return log_weights
 
 
 def _betaln(a, b):
@@ -121,19 +130,6 @@ def _draw_initial_thetas(
     return sample_dirichlet(
         DirichletParams(np.broadcast_to(conc, (n, 4))), rng
     )
-
-
-def _propagate(
-    thetas_prev: np.ndarray,
-    regimes_next: np.ndarray,
-    params: ParameterSet,
-    rng: np.random.Generator,
-    deterministic: bool,
-) -> np.ndarray:
-    eta = transition_mean(thetas_prev, regimes_next, params)
-    if deterministic:
-        return eta
-    return sample_dirichlet(DirichletParams(params.kappa * eta), rng)
 
 
 def _resample_indices(
@@ -174,9 +170,10 @@ def run_smc(
     norm_w = np.empty((horizon, n))
     ancestors = np.empty((max(horizon - 1, 0), n), dtype=int)
 
+    obs_log_weights = _obs_log_weights_for(y, params)
     thetas[0] = _draw_initial_thetas(priors, n, rng, deterministic_transitions)
     regimes[0] = rng.integers(k, size=n)
-    log_w[0] = _obs_log_weights(y[0], thetas[0], 0, params)
+    log_w[0] = obs_log_weights(thetas[0], 0)
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
     row_cdf = np.cumsum(params.trans_matrix, axis=1)
@@ -188,10 +185,12 @@ def run_smc(
         # Regime proposal: one uniform per particle through the ancestor's row CDF.
         u = rng.random(n)
         regimes[t] = np.argmax(u[:, None] < row_cdf[regimes[t - 1][anc]], axis=1)
-        thetas[t] = _propagate(
-            thetas[t - 1][anc], regimes[t], params, rng, deterministic_transitions
-        )
-        log_w[t] = _obs_log_weights(y[t], thetas[t], t, params)
+        eta = transition_mean(thetas[t - 1][anc], params.rates_for(regimes[t]))
+        if deterministic_transitions:
+            thetas[t] = eta
+        else:
+            thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
+        log_w[t] = obs_log_weights(thetas[t], t)
         norm_w[t], inc = _normalize_step(log_w[t], t)
         log_marginal += inc
 
@@ -213,6 +212,13 @@ def run_csmc_as(
     every step, and its ancestor is redrawn with ancestor-sampling
     weights.  Non-reference ancestors are M multinomial draws from the
     previous weights, replicated across the K blocks.
+
+    At each step one transition_mean call propagates the N previous
+    particles under all K regimes into a (K, N, 4) cache: block
+    propagation gathers row [regime of the block, ancestor] from it, and
+    ancestor sampling reads row [reference regime].  The reference states
+    must lie on the open simplex (rows summing to 1 within 1e-9); they
+    are checked once, before any particle work.
     """
     y = np.asarray(y, dtype=float)
     horizon, m, k = len(y), m_per_regime, params.n_regimes
@@ -223,14 +229,21 @@ def run_csmc_as(
         raise ValueError("reference length must match the observation series")
     if np.any(ref.regimes < 0) or np.any(ref.regimes >= k):
         raise ValueError("reference regimes out of range")
-    if np.any(np.abs(ref.thetas.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("reference states are off the simplex")
+    require_open_simplex(ref.thetas, "reference states")
 
     n = k * m
     block_regimes = np.repeat(np.arange(k), m)
+    rates = params.rates_for(np.arange(k)[:, None])
+    # log_p_into[x, j]: log probability of moving from particle j's regime to x.
+    with np.errstate(divide="ignore"):
+        log_p_into = np.log(params.trans_matrix.T[:, block_regimes])
+    log_ref = np.log(ref.thetas)
+    obs_log_weights = _obs_log_weights_for(y, params)
 
     thetas = np.empty((horizon, n, 4))
-    regimes = np.empty((horizon, n), dtype=int)
+    # The reference slot lies in its own regime's block, so every particle
+    # carries its block's regime at every step.
+    regimes = np.tile(block_regimes, (horizon, 1))
     log_w = np.empty((horizon, n))
     norm_w = np.empty((horizon, n))
     ancestors = np.empty((max(horizon - 1, 0), n), dtype=int)
@@ -239,34 +252,26 @@ def run_csmc_as(
         return (int(ref.regimes[t]) + 1) * m - 1
 
     thetas[0] = _draw_initial_thetas(priors, n, rng, False)
-    regimes[0] = block_regimes
-    s0 = ref_slot(0)
-    thetas[0, s0] = ref.thetas[0]
-    regimes[0, s0] = ref.regimes[0]
-    log_w[0] = _obs_log_weights(y[0], thetas[0], 0, params)
+    thetas[0, ref_slot(0)] = ref.thetas[0]
+    log_w[0] = obs_log_weights(thetas[0], 0)
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
     for t in range(1, horizon):
+        eta = transition_mean(np.broadcast_to(thetas[t - 1], (k, n, 4)), rates)
         anc = np.tile(_resample_indices(norm_w[t - 1], m, rng), k)
-        regimes[t] = block_regimes
-        thetas[t] = _propagate(thetas[t - 1][anc], regimes[t], params, rng, False)
+        conc = params.kappa * eta[block_regimes, anc]
+        thetas[t] = sample_dirichlet(DirichletParams(conc), rng)
 
+        x_ref = int(ref.regimes[t])
         slot = ref_slot(t)
         thetas[t, slot] = ref.thetas[t]
-        regimes[t, slot] = ref.regimes[t]
+        conc_ref = params.kappa * eta[x_ref]
         anc[slot] = _ancestor_sampling_draw(
-            ref.thetas[t],
-            int(ref.regimes[t]),
-            thetas[t - 1],
-            regimes[t - 1],
-            norm_w[t - 1],
-            params,
-            rng,
-            t,
+            log_ref[t], conc_ref, log_p_into[x_ref], norm_w[t - 1], rng, t
         )
         ancestors[t - 1] = anc
 
-        log_w[t] = _obs_log_weights(y[t], thetas[t], t, params)
+        log_w[t] = obs_log_weights(thetas[t], t)
         norm_w[t], inc = _normalize_step(log_w[t], t)
         log_marginal += inc
 
@@ -274,12 +279,10 @@ def run_csmc_as(
 
 
 def _ancestor_sampling_draw(
-    theta_ref: np.ndarray,
-    x_ref: int,
-    thetas_prev: np.ndarray,
-    regimes_prev: np.ndarray,
+    log_theta_ref: np.ndarray,
+    conc_ref: np.ndarray,
+    log_p_ref: np.ndarray,
     norm_w_prev: np.ndarray,
-    params: ParameterSet,
     rng: np.random.Generator,
     t: int,
 ) -> int:
@@ -288,13 +291,13 @@ def _ancestor_sampling_draw(
     Weights are proportional to transition density to the reference state
     times regime transition probability times the previous normalized
     weight (the observation factor is constant across candidates and
-    drops out of the normalization).
+    drops out of the normalization).  conc_ref is kappa times the cached
+    transition means under the reference regime; log_p_ref holds each
+    candidate's log probability of moving into that regime.
     """
-    eta = transition_mean(thetas_prev, np.full(len(thetas_prev), x_ref), params)
-    log_g = dirichlet_logpdf(theta_ref, DirichletParams(params.kappa * eta))
-    p_x = params.trans_matrix[regimes_prev, x_ref]
+    log_g = _dirichlet_log_kernel(log_theta_ref, conc_ref)
     with np.errstate(divide="ignore"):
-        log_as = log_g + np.log(p_x) + np.log(norm_w_prev)
+        log_as = log_g + log_p_ref + np.log(norm_w_prev)
     total = logsumexp(log_as)
     if not np.isfinite(total):
         raise DegenerateWeightsError(t, "ancestor-sampling weights all zero")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from switchseir.distributions import (
     TruncNormalParams,
 )
 from switchseir.model import (
+    ROW_ID,
     LatentPath,
     ParameterSet,
+    PosteriorTerms,
     PriorSpec,
     draw_params,
     get_param,
@@ -25,6 +28,7 @@ from switchseir.model import (
     regime_loglik_series,
     replace_param,
     sample_initial,
+    scalar_param_ids,
     simulate_dataset,
     trans_logdensity,
     trans_loglik_series,
@@ -194,7 +198,7 @@ class TestTransDensity:
     def test_density_peaks_near_mean(self):
         params = two_regime_params(kappa=5500.0)
         theta = np.array([0.8, 0.08, 0.07, 0.05])
-        eta = transition_mean(theta, 1, params)
+        eta = transition_mean(theta, params.rates_for(1))
         at_mean = trans_logdensity(eta, theta, 1, params)
         g = rng(4)
         for _ in range(25):
@@ -206,7 +210,7 @@ class TestTransDensity:
     def test_conditional_moments(self):
         params = two_regime_params(kappa=5500.0)
         theta = np.array([0.8, 0.08, 0.07, 0.05])
-        eta = transition_mean(theta, 0, params)
+        eta = transition_mean(theta, params.rates_for(0))
         n = 1_000_000
         conc = np.broadcast_to(5500.0 * eta, (n, 4))
         from switchseir.distributions import sample_dirichlet
@@ -221,7 +225,7 @@ class TestTransDensity:
         theta = np.array([0.8, 0.08, 0.07, 0.05])
         kappa = 3000.0
         params1 = two_regime_params(kappa=kappa)
-        eta = transition_mean(theta, 0, params1)
+        eta = transition_mean(theta, params1.rates_for(0))
         n = 1_000_000
         from switchseir.distributions import sample_dirichlet
 
@@ -416,6 +420,88 @@ class TestJointLogPosterior:
         frozen = two_regime_params(trans_matrix=np.eye(2))
         val = joint_log_posterior(path, y, frozen, priors)
         assert val == -math.inf
+
+
+def three_regime_case():
+    """A 3-regime, 2-segment case, so every kind of MH id (p1, p2, f2, f3,
+    rows) occurs."""
+    params = ParameterSet(
+        alpha=0.3,
+        beta=0.45,
+        gamma=0.2,
+        lambda_=2000.0,
+        kappa=5000.0,
+        ident_rates=((0.25, 0), (0.3, 3)),
+        trans_matrix=np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
+        modifiers=np.array([1.0, 0.7, 0.3]),
+    )
+    base = two_regime_priors()
+    priors = PriorSpec(
+        n_regimes=3,
+        alpha=base.alpha,
+        beta=base.beta,
+        gamma=base.gamma,
+        lambda_=base.lambda_,
+        kappa=base.kappa,
+        ident=(base.ident[0], base.ident[0]),
+        row_concentrations=((8.0, 1.0, 1.0), (1.0, 8.0, 1.0), (1.0, 1.0, 8.0)),
+        ident_start_times=(0, 3),
+    )
+    _, _, path, y = build_t5_case()
+    path = LatentPath(path.thetas, np.array([0, 1, 2, 2, 0]))
+    return params, priors, path, y
+
+
+def _unchecked(params: ParameterSet, **fields) -> ParameterSet:
+    """params with fields set past ParameterSet's validation, to reach
+    zero-density parameter values."""
+    out = replace(params)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+class TestPosteriorTerms:
+    @pytest.mark.parametrize("case", [build_t5_case, three_regime_case])
+    def test_cached_moves_equal_full_evaluation(self, case):
+        params, priors, path, y = case()
+        terms = PosteriorTerms.build(path, y, params, priors)
+        assert terms.total == joint_log_posterior(path, y, params, priors)
+        g = rng(30)
+        # Chain several moves of every id, so later moves build on
+        # earlier cached sums.
+        for _ in range(3):
+            for which in scalar_param_ids(params) + [ROW_ID]:
+                cur = terms.params
+                if which == ROW_ID:
+                    matrix = cur.trans_matrix.copy()
+                    matrix[1] = g.dirichlet(np.full(cur.n_regimes, 5.0))
+                    moved = replace(cur, trans_matrix=matrix)
+                else:
+                    lo, hi = param_support(which, priors)
+                    value = get_param(cur, which)
+                    value = min(max(value * g.uniform(0.9, 1.1), lo + 1e-9), hi - 1e-9)
+                    moved = replace_param(cur, which, value)
+                terms = terms.moved(which, moved)
+                assert terms.total == joint_log_posterior(path, y, moved, priors), which
+                assert np.isfinite(terms.total)
+
+    def test_zero_density_moves_are_minus_inf_not_nan(self):
+        params, priors, path, y = three_regime_case()
+        terms = PosteriorTerms.build(path, y, params, priors)
+        outside_band = _unchecked(params, modifiers=np.array([1.0, 0.7, 0.8]))
+        zero_row = replace(
+            params,
+            trans_matrix=np.array([[1.0, 0.0, 0.0], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
+        )
+        outside_prior = replace_param(params, "p2", 0.45)
+        for which, moved in (
+            ("f3", outside_band),
+            (ROW_ID, zero_row),
+            ("p2", outside_prior),
+        ):
+            got = terms.moved(which, moved).total
+            assert got == joint_log_posterior(path, y, moved, priors) == -math.inf, which
 
 
 class TestInitialSampler:

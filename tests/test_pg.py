@@ -7,6 +7,7 @@ from scipy import stats
 from switchseir.distributions import TruncNormalParams, trunc_normal_logpdf
 from switchseir.model import (
     get_param,
+    joint_log_posterior,
     param_log_prior,
     scalar_param_ids,
 )
@@ -100,6 +101,31 @@ class TestMhScalar:
         expect_sd = stats.truncnorm.std(a, np.inf, loc=0.3, scale=0.1)
         assert abs(draws.mean() - expect_mean) < 3 * batch_se(draws)
         assert abs(draws.std() - expect_sd) < 0.02 * expect_sd
+
+
+def test_cached_target_matches_full_posterior_target():
+    # The default (cached-terms) target and an explicit full
+    # joint_log_posterior target must make the same decisions bit for bit.
+    y, params, priors, path = make_data(horizon=12)
+    full = lambda ps: joint_log_posterior(path, y, ps, priors)
+    steps = default_step_sizes(priors)
+    for which in scalar_param_ids(priors):
+        a = b = params
+        ga, gb = rng(31), rng(31)
+        for _ in range(20):
+            a, ok_a = mh_update_scalar(a, which, path, y, priors, steps[which], ga)
+            b, ok_b = mh_update_scalar(
+                b, which, path, y, priors, steps[which], gb, log_target=full
+            )
+            assert ok_a == ok_b and get_param(a, which) == get_param(b, which)
+    a = b = params
+    ga, gb = rng(32), rng(32)
+    for _ in range(20):
+        a, ok_a = mh_update_trans_row(a, path, y, priors, np.array([0.05]), ga)
+        b, ok_b = mh_update_trans_row(
+            b, path, y, priors, np.array([0.05]), gb, log_target=full
+        )
+        assert ok_a == ok_b and np.array_equal(a.trans_matrix, b.trans_matrix)
 
 
 class TestMhTransRow:

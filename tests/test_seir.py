@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchseir.seir import EpidemicRates, propagate_path, rk4_step, validate_state
+from switchseir.seir import (
+    STATE_FLOOR,
+    EpidemicRates,
+    propagate_path,
+    rk4_step,
+    validate_state,
+)
 
 
 def reference_step(state, alpha, beta, gamma, modifier, h=1e-4):
@@ -66,6 +72,22 @@ class TestRk4Step:
         batch = rk4_step(states, rates)
         for i in range(8):
             np.testing.assert_array_equal(batch[i], rk4_step(states[i], rates))
+
+    def test_same_arithmetic_as_plain_float_step(self):
+        # With h = 1 the plain-float oracle does the same operations in the
+        # same order, so a (K, N, 4) broadcast population must agree with
+        # it bit for bit, row by row.
+        g = np.random.default_rng(2)
+        states = g.dirichlet([50.0, 2, 2, 2], size=6)
+        mods = np.array([[1.0], [0.6]])
+        out = rk4_step(
+            np.broadcast_to(states, (2, 6, 4)), EpidemicRates(0.3, 0.9, 0.2, mods)
+        )
+        for x in range(2):
+            for j in range(6):
+                ref = reference_step(states[j], 0.3, 0.9, 0.2, mods[x, 0], h=1.0)
+                ref = np.clip(ref, STATE_FLOOR, 1.0 - STATE_FLOOR)
+                assert np.array_equal(out[x, j], ref / ref.sum())
 
     def test_substep_convergence_is_fourth_order(self):
         # Stiff-ish rates so single-step error is visible.
