@@ -29,6 +29,7 @@ from .data_io import (
     load_config,
     load_dataset,
     params_to_dict,
+    parse_config,
     priors_for_k,
     priors_to_dict,
     read_chain,
@@ -36,6 +37,7 @@ from .data_io import (
     scenario_priors,
     state_from_dict,
     truncate_chain,
+    write_chain,
     write_checkpoint,
     write_dataset,
     write_regime_curves,
@@ -107,7 +109,6 @@ def _fit_one_chain(task) -> dict:
     """Run one chain end to end, streaming records and checkpoints."""
     (y, priors, cfg, chain_path, ckpt_path, cfg_hash, resume, dump_path) = task
     state = None
-    mode = "w"
     if resume and os.path.exists(ckpt_path):
         ck = read_checkpoint(ckpt_path)
         if ck["config_hash"] != cfg_hash:
@@ -116,22 +117,14 @@ def _fit_one_chain(task) -> dict:
             )
         state = state_from_dict(ck)
         truncate_chain(chain_path, state.n_emitted)
-        mode = "a"
     if state is not None and state.iteration >= cfg.n_iterations:
         _err(f"chain {chain_path}: already complete")
         _, records = read_chain(chain_path)
     else:
-        with open(chain_path, mode) as fh:
-            if mode == "w":
-                fh.write(
-                    json.dumps(
-                        chain_header(
-                            priors.n_regimes, len(y), cfg_hash, cfg.seed
-                        ),
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+        if state is None:
+            header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
+            write_chain(chain_path, [], header)
+        with open(chain_path, "a") as fh:
 
             def callback(st):
                 if st.record is not None:
@@ -174,7 +167,7 @@ def cmd_fit(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.raw["sampler"]["seed"] = args.seed
-        config = load_config_from_raw(config.raw)
+        config = parse_config(config.raw)
     out = _resolve_out(args, config)
     os.makedirs(out, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -236,12 +229,6 @@ def cmd_fit(args) -> int:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 0
-
-
-def load_config_from_raw(raw: dict):
-    from .data_io import parse_config
-
-    return parse_config(raw)
 
 
 def cmd_select(args) -> int:

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DirichletParams, GammaParams, TruncNormalParams
-from .model import OBS_EPS, LatentPath, ParameterSet, PriorSpec, simulate_dataset
+from .model import (
+    OBS_EPS,
+    LatentPath,
+    ParameterSet,
+    PriorSpec,
+    param_table,
+    simulate_dataset,
+)
 from .pg import ChainRecord, PgState, SamplerConfig
 from .rng import TAG_SIM, substream
 from .smc import ParticleSystem, ReferenceTrajectory
@@ -618,6 +625,13 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"sampler block invalid: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"sampler block invalid: {exc}") from None
+    table = param_table(n_regimes, len(starts))
+    for pid in sampler.step_sizes or {}:
+        if pid not in table:
+            raise ConfigError(
+                f"unknown config key sampler.step_sizes.{pid}; the MH ids "
+                f"for this model are {', '.join(table)}"
+            )
 
     data = dict(raw["data"])
     if "path" not in data:

@@ -8,35 +8,39 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .model import ParameterSet, PriorSpec
+from .model import ROW_ID, ParameterSet, PriorSpec, param_table
 from .pg import ChainRecord, SamplerConfig, run_pg
 
 
 def param_values(params: ParameterSet) -> dict[str, float]:
     """Flatten psi into labeled scalars for reporting.
 
-    Identification rates are labeled p (single segment) or p1..pJ;
-    modifiers f2..fK; transition entries pi_ij with 1-based indices.
+    Scalar entries carry their model.param_table ids (alpha, ..., p or
+    p1..pJ, f2..fK); the transition matrix is reported entry by entry as
+    pi_ij with 1-based indices.
     """
-    out = {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "lambda": params.lambda_,
-        "kappa": params.kappa,
-    }
-    if len(params.ident_rates) == 1:
-        out["p"] = params.ident_rates[0][0]
-    else:
-        for j, (rate, _) in enumerate(params.ident_rates):
-            out[f"p{j + 1}"] = rate
-    for k in range(1, params.n_regimes):
-        out[f"f{k + 1}"] = float(params.modifiers[k])
-    if params.n_regimes >= 2:
-        for i in range(params.n_regimes):
-            for j in range(params.n_regimes):
-                out[f"pi_{i + 1}{j + 1}"] = float(params.trans_matrix[i, j])
+    out = {}
+    for pid, entry in param_table(params.n_regimes, len(params.ident_rates)).items():
+        if pid != ROW_ID:
+            out[pid] = entry.get(params)
+            continue
+        for i, row in enumerate(entry.get(params)):
+            for j, value in enumerate(row):
+                out[f"pi_{i + 1}{j + 1}"] = float(value)
     return out
+
+
+def _param_columns(records: list[ChainRecord]) -> dict[str, np.ndarray]:
+    """Each param_values label as a column over records, then the derived
+    r0 = beta / gamma."""
+    labels = list(param_values(records[0].params))
+    columns = {lab: np.empty(len(records)) for lab in labels}
+    for i, rec in enumerate(records):
+        vals = param_values(rec.params)
+        for lab in labels:
+            columns[lab][i] = vals[lab]
+    columns["r0"] = columns["beta"] / columns["gamma"]
+    return columns
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,7 @@ def summarize(chains: list[list[ChainRecord]]) -> PosteriorSummary:
     if len(records) < 100:
         raise ValueError("need at least 100 retained records to summarize")
 
-    labels = list(param_values(records[0].params))
-    columns = {lab: np.empty(len(records)) for lab in labels}
-    for i, rec in enumerate(records):
-        vals = param_values(rec.params)
-        for lab in labels:
-            columns[lab][i] = vals[lab]
-    stats = {lab: _stats(col) for lab, col in columns.items()}
-    stats["r0"] = _stats(columns["beta"] / columns["gamma"])
+    stats = {lab: _stats(col) for lab, col in _param_columns(records).items()}
 
     horizon = len(records[0].path)
     k = records[0].params.n_regimes
@@ -130,11 +127,6 @@ def summarize(chains: list[list[ChainRecord]]) -> PosteriorSummary:
     )
 
 
-def classify_regimes(summary: PosteriorSummary) -> np.ndarray:
-    """Most probable regime per time point (0-based)."""
-    return summary.regime_probs.argmax(axis=1)
-
-
 def gelman_rubin(chains) -> float:
     """Potential scale reduction factor of one scalar across chains.
 
@@ -161,18 +153,11 @@ def gelman_rubin_table(chains: list[list[ChainRecord]]) -> dict[str, float]:
     n = min(len(c) for c in chains)
     if n < 10:
         raise ValueError("chains must have at least 10 records each")
-    labels = list(param_values(chains[0][0].params)) + ["r0"]
-    out = {}
-    for lab in labels:
-        z = np.empty((len(chains), n))
-        for i, chain in enumerate(chains):
-            for j in range(n):
-                vals = param_values(chain[j].params)
-                z[i, j] = (
-                    vals["beta"] / vals["gamma"] if lab == "r0" else vals[lab]
-                )
-        out[lab] = gelman_rubin(z)
-    return out
+    columns = [_param_columns(chain[:n]) for chain in chains]
+    return {
+        lab: gelman_rubin(np.stack([col[lab] for col in columns]))
+        for lab in columns[0]
+    }
 
 
 @dataclass(frozen=True)

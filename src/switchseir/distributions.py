@@ -91,12 +91,19 @@ def beta_logpdf(y, params: BetaParams):
         raise ValueError("Beta density requires y strictly inside (0,1)")
     a = np.asarray(params.a, dtype=float)
     b = np.asarray(params.b, dtype=float)
-    out = (
-        (a - 1) * np.log(y)
-        + (b - 1) * np.log1p(-y)
+    out = _beta_log_kernel(np.log(y), np.log1p(-y), a, b)
+    return out if out.ndim else float(out)
+
+
+def _beta_log_kernel(log_y, log1m_y, a, b):
+    """Beta log density from log(y) and log(1 - y), with no domain check:
+    the one implementation, called by beta_logpdf after its check and by
+    the particle engine with logs it took once per pass."""
+    return (
+        (a - 1) * log_y
+        + (b - 1) * log1m_y
         - (gammaln(a) + gammaln(b) - gammaln(a + b))
     )
-    return out if out.ndim else float(out)
 
 
 def require_open_simplex(x: np.ndarray, what: str) -> None:
@@ -258,24 +265,17 @@ def sample_trunc_normal(
 
 
 def sample_categorical(weights, rng: np.random.Generator, size=None):
-    """Draw index (or indices) i with probability weights[i].
+    """Draw index (or indices) i with probability weights[i] by inverse CDF.
 
-    Weights must be nonnegative, free of NaN, and sum to 1 within 1e-9.
-    Indices are 0-based.
+    The weights must be nonnegative and sum to 1; they are not checked
+    here, because every caller passes weights it has just normalised (the
+    particle engine raises on degenerate weights before drawing).  One
+    uniform per draw; indices are 0-based.
     """
-    w = np.asarray(weights, dtype=float)
-    if np.any(np.isnan(w)) or np.any(w < 0):
-        raise ValueError("categorical weights must be nonnegative and non-NaN")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("categorical weights are all zero")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("categorical weights must sum to 1 within 1e-9")
-    cdf = np.cumsum(w)
+    cdf = np.cumsum(weights, dtype=float)
     cdf[-1] = 1.0
-    u = rng.random(size=() if size is None else size)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(w) - 1)
+    u = rng.random(size)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     return int(idx) if size is None else idx
 
 
@@ -291,12 +291,3 @@ def logsumexp(log_values) -> float:
     if not np.isfinite(m):
         return -math.inf
     return float(m + math.log(math.fsum(np.exp(lv - m))))
-
-
-def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return (normalized weights, log of the mean unnormalized weight)."""
-    total = logsumexp(log_weights)
-    if not np.isfinite(total):
-        return np.full_like(log_weights, np.nan), -math.inf
-    w = np.exp(log_weights - total)
-    return w / w.sum(), total - math.log(len(log_weights))

@@ -7,8 +7,9 @@ precision kappa; the observed infectious proportion y_t follows a Beta
 centered on p_t * I_t with precision lambda (p_t is a piecewise-constant
 identification rate).
 
-This module owns the parameter container, the prior specification, every
-conditional log density, the joint log posterior, and forward simulation.
+This module owns the parameter container, the prior specification, the
+table of MH-updated parameter entries (param_table), every conditional
+log density, the joint log posterior, and forward simulation.
 All indices (time, regimes) are 0-based internally; file formats label
 them from 1.
 """
@@ -18,16 +19,19 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Any
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
+    _dirichlet_log_kernel,
     beta_logpdf,
     dirichlet_logpdf,
     gamma_logpdf,
@@ -44,8 +48,8 @@ from .seir import EpidemicRates, rk4_step
 # Observed proportions are pulled this far inside (0,1) at ingestion; the
 # Beta density is undefined on the boundary.
 OBS_EPS = 1e-6
-# MH id of a transition-matrix row update (the scalar ids are listed by
-# scalar_param_ids).
+# MH id of a transition-matrix row update (every id is listed by
+# param_table).
 ROW_ID = "rows"
 
 
@@ -82,9 +86,9 @@ class ParameterSet:
     modifiers: np.ndarray
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "lambda_", "kappa"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for entry in _RATE_ENTRIES:
+            if not entry.get(self) > 0:
+                raise ValueError(f"{entry.id} must be strictly positive")
         rates = tuple((float(p), int(s)) for p, s in self.ident_rates)
         object.__setattr__(self, "ident_rates", rates)
         if not rates or rates[0][1] != 0:
@@ -209,25 +213,6 @@ class LatentPath:
         return self.thetas.shape[0]
 
 
-def obs_logdensity(y: float, theta: np.ndarray, t: int, params: ParameterSet) -> float:
-    """Log Beta density of observing proportion y from state theta at time t."""
-    if not 0 < y < 1:
-        raise ValueError("observed proportion must lie in (0, 1)")
-    p = params.ident_rate_at(t)
-    mean = p * theta[..., 2]
-    a = params.lambda_ * mean
-    b = params.lambda_ * (1.0 - mean)
-    if np.ndim(a) == 0:
-        if a <= 0 or b <= 0:
-            return -math.inf
-        return beta_logpdf(y, BetaParams(a, b))
-    out = np.full(np.shape(a), -np.inf)
-    ok = (a > 0) & (b > 0)
-    if np.any(ok):
-        out[ok] = beta_logpdf(y, BetaParams(a[ok], b[ok]))
-    return out
-
-
 def obs_loglik_series(
     y: np.ndarray, thetas: np.ndarray, params: ParameterSet
 ) -> float:
@@ -251,17 +236,6 @@ def transition_mean(theta: np.ndarray, rates: EpidemicRates) -> np.ndarray:
     return rk4_step(theta, rates)
 
 
-def trans_logdensity(
-    theta_next: np.ndarray, theta: np.ndarray, x_next, params: ParameterSet
-):
-    """Log Dirichlet density of theta_next given theta under regime x_next."""
-    eta = transition_mean(theta, params.rates_for(x_next))
-    try:
-        return dirichlet_logpdf(theta_next, DirichletParams(params.kappa * eta))
-    except ValueError:
-        return -math.inf
-
-
 def trans_loglik_series(
     thetas: np.ndarray, regimes: np.ndarray, params: ParameterSet
 ) -> float:
@@ -275,15 +249,6 @@ def trans_loglik_series(
         )
     except ValueError:
         return -math.inf
-
-
-def regime_logprob(x_next: int, x: int, params: ParameterSet) -> float:
-    """Log transition probability of the regime chain."""
-    k = params.n_regimes
-    if not (0 <= x < k and 0 <= x_next < k):
-        raise ValueError("regime index out of range")
-    p = params.trans_matrix[x, x_next]
-    return math.log(p) if p > 0 else -math.inf
 
 
 def regime_loglik_series(regimes: np.ndarray, params: ParameterSet) -> float:
@@ -307,36 +272,147 @@ def initial_logdensity(theta1: np.ndarray, x1: int, priors: PriorSpec) -> float:
     return lp - math.log(priors.n_regimes)
 
 
-def _prior_term(which: str, params: ParameterSet, priors: PriorSpec) -> float:
-    """Prior log density of one entry of psi: a scalar id (see
-    replace_param) or row<k> for transition-matrix row k (1-based)."""
-    if which.startswith("row"):
-        k = int(which[3:]) - 1
-        c = np.asarray(priors.row_concentrations[k], dtype=float)
+@dataclass(frozen=True)
+class ParamEntry:
+    """One MH-updated entry of psi, as listed by param_table.
+
+    id is the MH id, the step-size key and the report label.  get and set
+    read and replace the entry (for ROW_ID, the whole transition matrix);
+    support(priors) bounds its proposals (for ROW_ID, each row entry);
+    log_prior(params, priors) gives its prior terms (one per row for
+    ROW_ID); default_step(priors) is its initial proposal SD; factor
+    names the likelihood factor of PosteriorTerms that a move changes.
+    """
+
+    id: str
+    get: Callable[[ParameterSet], Any]
+    set: Callable[[ParameterSet, Any], ParameterSet]
+    support: Callable[[PriorSpec], tuple[float, float]]
+    log_prior: Callable[[ParameterSet, PriorSpec], tuple[float, ...]]
+    default_step: Callable[[PriorSpec], float]
+    factor: str
+
+
+def _trunc_normal_step(prior: TruncNormalParams) -> float:
+    return 0.5 * prior.sd
+
+
+def _gamma_step(prior: GammaParams) -> float:
+    return 0.5 * math.sqrt(prior.shape) / prior.rate
+
+
+def _rate_entry(pid: str, name: str, logpdf, step, factor: str) -> ParamEntry:
+    """A positive rate: ParameterSet field `name` with prior PriorSpec.`name`."""
+    return ParamEntry(
+        pid,
+        get=operator.attrgetter(name),
+        set=lambda params, value: replace(params, **{name: value}),
+        support=lambda priors: (0.0, math.inf),
+        log_prior=lambda params, priors: (
+            logpdf(getattr(params, name), getattr(priors, name)),
+        ),
+        default_step=lambda priors: step(getattr(priors, name)),
+        factor=factor,
+    )
+
+
+def _ident_entry(j: int, pid: str) -> ParamEntry:
+    """Identification rate of segment j (0-based) with prior PriorSpec.ident[j]."""
+
+    def get(params: ParameterSet) -> float:
+        return params.ident_rates[j][0]
+
+    def set_(params: ParameterSet, value: float) -> ParameterSet:
+        rates = list(params.ident_rates)
+        rates[j] = (value, rates[j][1])
+        return replace(params, ident_rates=tuple(rates))
+
+    return ParamEntry(
+        pid,
+        get,
+        set_,
+        support=lambda priors: (priors.ident[j].lower, priors.ident[j].upper),
+        log_prior=lambda params, priors: (
+            trunc_normal_logpdf(get(params), priors.ident[j]),
+        ),
+        default_step=lambda priors: _trunc_normal_step(priors.ident[j]),
+        factor="obs",
+    )
+
+
+def _modifier_entry(k: int, n_regimes: int) -> ParamEntry:
+    """Modifier of regime k >= 1 (0-based), uniform on its band."""
+    lo, hi = modifier_band(k, n_regimes)
+
+    def get(params: ParameterSet) -> float:
+        return float(params.modifiers[k])
+
+    def set_(params: ParameterSet, value: float) -> ParameterSet:
+        mods = params.modifiers.copy()
+        mods[k] = value
+        return replace(params, modifiers=mods)
+
+    return ParamEntry(
+        f"f{k + 1}",
+        get,
+        set_,
+        support=lambda priors: (lo, hi),
+        log_prior=lambda params, priors: (uniform_logpdf(get(params), lo, hi),),
+        default_step=lambda priors: 0.1 * (hi - lo),
+        factor="trans",
+    )
+
+
+def _row_log_priors(params: ParameterSet, priors: PriorSpec) -> tuple[float, ...]:
+    """Dirichlet prior term of every transition-matrix row; -inf for a row
+    with an entry outside (0, 1)."""
+    terms = []
+    for k, conc in enumerate(priors.row_concentrations):
         row = params.trans_matrix[k]
         if np.any(row <= 0) or np.any(row >= 1):
-            return -math.inf
-        return float(
-            gammaln(c.sum()) - gammaln(c).sum() + np.sum((c - 1) * np.log(row))
-        )
-    value = get_param(params, which)
-    if which in ("alpha", "beta", "gamma"):
-        return trunc_normal_logpdf(value, getattr(priors, which))
-    if which == "lambda":
-        return gamma_logpdf(value, priors.lambda_)
-    if which == "kappa":
-        return gamma_logpdf(value, priors.kappa)
-    if which.startswith("p"):
-        return trunc_normal_logpdf(value, priors.ident[_segment(which)])
-    lo, hi = modifier_band(int(which[1:]) - 1, params.n_regimes)
-    return uniform_logpdf(value, lo, hi)
+            terms.append(-math.inf)
+        else:
+            c = np.asarray(conc, dtype=float)
+            terms.append(float(_dirichlet_log_kernel(np.log(row), c)))
+    return tuple(terms)
 
 
-def _prior_terms(params: ParameterSet, priors: PriorSpec) -> dict[str, float]:
-    """Every prior term of psi by id, in the order param_log_prior adds them."""
-    ids = scalar_param_ids(params)
-    ids += [f"row{k + 1}" for k in range(len(priors.row_concentrations))]
-    return {which: _prior_term(which, params, priors) for which in ids}
+# Entries that exist for every (K, number of p segments), in sweep order.
+_RATE_ENTRIES = (
+    _rate_entry("alpha", "alpha", trunc_normal_logpdf, _trunc_normal_step, "trans"),
+    _rate_entry("beta", "beta", trunc_normal_logpdf, _trunc_normal_step, "trans"),
+    _rate_entry("gamma", "gamma", trunc_normal_logpdf, _trunc_normal_step, "trans"),
+    _rate_entry("lambda", "lambda_", gamma_logpdf, _gamma_step, "obs"),
+    _rate_entry("kappa", "kappa", gamma_logpdf, _gamma_step, "trans"),
+)
+_ROWS_ENTRY = ParamEntry(
+    ROW_ID,
+    get=operator.attrgetter("trans_matrix"),
+    set=lambda params, matrix: replace(params, trans_matrix=matrix),
+    support=lambda priors: (0.0, 1.0),
+    log_prior=_row_log_priors,
+    default_step=lambda priors: 0.05,
+    factor="regime",
+)
+
+
+@functools.cache
+def param_table(n_regimes: int, n_segments: int) -> Mapping[str, ParamEntry]:
+    """Every MH-updated entry of psi by id, in sweep order.
+
+    The ids are alpha, beta, gamma, lambda, kappa, the identification
+    rates (p for a single segment, else p1..pJ), the modifiers f2..fK
+    and, for K >= 2, ROW_ID.  Built once per (K, segment count).
+    """
+    entries = list(_RATE_ENTRIES)
+    if n_segments == 1:
+        entries.append(_ident_entry(0, "p"))
+    else:
+        entries += [_ident_entry(j, f"p{j + 1}") for j in range(n_segments)]
+    entries += [_modifier_entry(k, n_regimes) for k in range(1, n_regimes)]
+    if n_regimes >= 2:
+        entries.append(_ROWS_ENTRY)
+    return MappingProxyType({entry.id: entry for entry in entries})
 
 
 def _sum_in_order(values) -> float:
@@ -345,9 +421,14 @@ def _sum_in_order(values) -> float:
     return float(functools.reduce(operator.add, values))
 
 
-def param_log_prior(params: ParameterSet, priors: PriorSpec) -> float:
-    """Sum of prior log densities over every entry of psi."""
-    return _sum_in_order(_prior_terms(params, priors).values())
+# The likelihood factors of PosteriorTerms by field name (ParamEntry.factor).
+_FACTORS = {
+    "obs": lambda path, y, params: obs_loglik_series(y, path.thetas, params),
+    "trans": lambda path, y, params: trans_loglik_series(
+        path.thetas, path.regimes, params
+    ),
+    "regime": lambda path, y, params: regime_loglik_series(path.regimes, params),
+}
 
 
 @dataclass(frozen=True)
@@ -355,11 +436,11 @@ class PosteriorTerms:
     """joint_log_posterior at (path, params), kept factor by factor.
 
     The factors are the observation, state-transition and regime
-    log-likelihoods, the initial-state prior and one prior term per
-    entry of psi.  moved(which, params) recomputes only what entry
-    `which` touches and re-adds all terms in the fixed order of
-    joint_log_posterior, so an MH target kept this way equals a full
-    evaluation bit for bit.
+    log-likelihoods, the initial-state prior and the prior terms of each
+    param_table entry.  moved(which, params) recomputes only the prior
+    terms of entry `which` and the likelihood factor it moves, then
+    re-adds all terms in the fixed order of joint_log_posterior, so an MH
+    target kept this way equals a full evaluation bit for bit.
     """
 
     path: LatentPath
@@ -370,11 +451,11 @@ class PosteriorTerms:
     trans: float
     regime: float
     initial: float
-    prior: dict[str, float]
+    prior: dict[str, tuple[float, ...]]
     total: float = field(init=False)
 
     def __post_init__(self):
-        prior = _sum_in_order(self.prior.values())
+        prior = _sum_in_order(t for terms in self.prior.values() for t in terms)
         parts = self.obs + self.trans + self.regime + self.initial + prior
         object.__setattr__(self, "total", parts if np.isfinite(parts) else -math.inf)
 
@@ -385,30 +466,22 @@ class PosteriorTerms:
         y = np.asarray(y, dtype=float)
         if len(y) != len(path):
             raise ValueError("observation series and path lengths differ")
+        table = param_table(params.n_regimes, len(params.ident_rates))
         return cls(
             path, y, priors, params,
-            obs=obs_loglik_series(y, path.thetas, params),
-            trans=trans_loglik_series(path.thetas, path.regimes, params),
-            regime=regime_loglik_series(path.regimes, params),
+            **{name: factor(path, y, params) for name, factor in _FACTORS.items()},
             initial=initial_logdensity(path.thetas[0], int(path.regimes[0]), priors),
-            prior=_prior_terms(params, priors),
+            prior={pid: e.log_prior(params, priors) for pid, e in table.items()},
         )
 
     def moved(self, which: str, params: ParameterSet) -> PosteriorTerms:
         """Terms at params, which differ from self.params in entry `which`
-        only (ROW_ID: in transition-matrix rows only)."""
-        path, prior = self.path, dict(self.prior)
-        if which == ROW_ID:
-            for k in range(len(self.priors.row_concentrations)):
-                prior[f"row{k + 1}"] = _prior_term(f"row{k + 1}", params, self.priors)
-            regime = regime_loglik_series(path.regimes, params)
-            return replace(self, params=params, prior=prior, regime=regime)
-        prior[which] = _prior_term(which, params, self.priors)
-        if which == "lambda" or which.startswith("p"):
-            obs = obs_loglik_series(self.y, path.thetas, params)
-            return replace(self, params=params, prior=prior, obs=obs)
-        trans = trans_loglik_series(path.thetas, path.regimes, params)
-        return replace(self, params=params, prior=prior, trans=trans)
+        of param_table only."""
+        entry = param_table(params.n_regimes, len(params.ident_rates))[which]
+        prior = dict(self.prior)
+        prior[which] = entry.log_prior(params, self.priors)
+        moved_factor = _FACTORS[entry.factor](self.path, self.y, params)
+        return replace(self, params=params, prior=prior, **{entry.factor: moved_factor})
 
 
 def joint_log_posterior(
@@ -495,77 +568,3 @@ def simulate_dataset(
     # through the loaders unchanged.
     y = np.clip(y, OBS_EPS, 1.0 - OBS_EPS)
     return y, LatentPath(thetas, regimes)
-
-
-def _segment(which: str) -> int:
-    """0-based identification-rate segment of id p (one segment) or p<j>."""
-    return int(which[1:]) - 1 if len(which) > 1 else 0
-
-
-def replace_param(params: ParameterSet, which: str, value: float) -> ParameterSet:
-    """Return params with one scalar entry replaced.
-
-    `which` is one of alpha, beta, gamma, lambda, kappa, p<j> (1-based
-    segment) or f<k> (1-based regime, k >= 2).
-    """
-    if which in ("alpha", "beta", "gamma"):
-        return replace(params, **{which: value})
-    if which == "lambda":
-        return replace(params, lambda_=value)
-    if which == "kappa":
-        return replace(params, kappa=value)
-    if which.startswith("p"):
-        j = _segment(which)
-        rates = list(params.ident_rates)
-        rates[j] = (value, rates[j][1])
-        return replace(params, ident_rates=tuple(rates))
-    if which.startswith("f"):
-        k = int(which[1:]) - 1
-        mods = params.modifiers.copy()
-        mods[k] = value
-        return replace(params, modifiers=mods)
-    raise ValueError(f"unknown parameter id: {which}")
-
-
-def scalar_param_ids(params_or_priors) -> list[str]:
-    """MH-updated scalar parameter ids, in sweep order."""
-    n_ident = len(
-        params_or_priors.ident_rates
-        if isinstance(params_or_priors, ParameterSet)
-        else params_or_priors.ident
-    )
-    k = params_or_priors.n_regimes
-    ids = ["alpha", "beta", "gamma", "lambda", "kappa"]
-    if n_ident == 1:
-        ids.append("p")
-    else:
-        ids.extend(f"p{j + 1}" for j in range(n_ident))
-    ids.extend(f"f{j + 1}" for j in range(1, k))
-    return ids
-
-
-def get_param(params: ParameterSet, which: str) -> float:
-    """Read one scalar entry of psi by id (see replace_param)."""
-    if which in ("alpha", "beta", "gamma"):
-        return getattr(params, which)
-    if which == "lambda":
-        return params.lambda_
-    if which == "kappa":
-        return params.kappa
-    if which.startswith("p"):
-        return params.ident_rates[_segment(which)][0]
-    if which.startswith("f"):
-        return float(params.modifiers[int(which[1:]) - 1])
-    raise ValueError(f"unknown parameter id: {which}")
-
-
-def param_support(which: str, priors: PriorSpec) -> tuple[float, float]:
-    """Support interval of one scalar entry of psi (proposal bounds)."""
-    if which in ("alpha", "beta", "gamma", "lambda", "kappa"):
-        return 0.0, math.inf
-    if which.startswith("p"):
-        prior = priors.ident[_segment(which)]
-        return prior.lower, prior.upper
-    if which.startswith("f"):
-        return modifier_band(int(which[1:]) - 1, priors.n_regimes)
-    raise ValueError(f"unknown parameter id: {which}")

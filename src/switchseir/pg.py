@@ -3,11 +3,12 @@ Metropolis-Hastings parameter updates.
 
 Each iteration runs the block-conditional SMC with ancestor sampling
 against the previous reference trajectory, draws a fresh reference, then
-applies several full MH sweeps over the parameters conditional on that
-reference.  Proposals are truncated Normals on each parameter's support,
-with the asymmetric-proposal correction (truncation breaks symmetry).
-The MH target is the joint log posterior kept as model.PosteriorTerms:
-a proposal recomputes only the factor and prior term it touches.
+applies several full MH sweeps conditional on that reference.  A sweep
+visits the entries of model.param_table in order.  Proposals are
+truncated Normals on each entry's support, with the asymmetric-proposal
+correction (truncation breaks symmetry).  The MH target is the joint log
+posterior kept as model.PosteriorTerms: a proposal recomputes only the
+likelihood factor and prior terms of the entry it moves.
 
 Every random draw of iteration r comes from counter-based streams keyed
 by (seed, stage, r, ...), so chains are bit-reproducible and a run can
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +27,12 @@ from .distributions import TruncNormalParams, sample_trunc_normal, trunc_normal_
 from .model import (
     ROW_ID,
     LatentPath,
+    ParamEntry,
     ParameterSet,
     PosteriorTerms,
     PriorSpec,
     draw_params,
-    get_param,
-    modifier_band,
-    param_support,
-    replace_param,
-    scalar_param_ids,
+    param_table,
 )
 from .rng import TAG_CSMC, TAG_INIT, TAG_MH, TAG_REFERENCE, substream
 from .smc import (
@@ -58,9 +56,9 @@ class SamplerConfig:
 
     n_iterations counts all iterations including burn-in; records are
     emitted for post-burn-in iterations at the given thinning stride.
-    step_sizes maps parameter ids (alpha, beta, gamma, lambda, kappa,
-    p or p1..pJ, f2..fK, rows) to proposal standard deviations; missing
-    ids fall back to prior-scaled defaults.
+    step_sizes maps MH ids (the keys of model.param_table) to proposal
+    standard deviations; missing ids fall back to the table's
+    prior-scaled defaults.
     """
 
     n_iterations: int
@@ -115,56 +113,18 @@ class PgState:
     record: ChainRecord | None = None
 
 
-def default_step_sizes(priors: PriorSpec) -> dict[str, float]:
-    """Prior-scaled initial proposal standard deviations."""
-    steps = {
-        "alpha": 0.5 * priors.alpha.sd,
-        "beta": 0.5 * priors.beta.sd,
-        "gamma": 0.5 * priors.gamma.sd,
-        "lambda": 0.5 * math.sqrt(priors.lambda_.shape) / priors.lambda_.rate,
-        "kappa": 0.5 * math.sqrt(priors.kappa.shape) / priors.kappa.rate,
-    }
-    ident_ids = (
-        ["p"] if len(priors.ident) == 1 else [f"p{j+1}" for j in range(len(priors.ident))]
-    )
-    for pid, prior in zip(ident_ids, priors.ident):
-        steps[pid] = 0.5 * prior.sd
-    for k in range(1, priors.n_regimes):
-        lo, hi = modifier_band(k, priors.n_regimes)
-        steps[f"f{k+1}"] = 0.1 * (hi - lo)
-    if priors.n_regimes >= 2:
-        steps[ROW_ID] = 0.05
-    return steps
+def mh_scalar(
+    target, entry: ParamEntry, step: float, support, rng: np.random.Generator
+):
+    """One truncated-Normal random-walk update of a scalar entry of psi.
 
-
-class _CallableTarget:
-    """A log_target(params) callable with the PosteriorTerms interface
-    (params, total, moved), so the MH updates serve both."""
-
-    def __init__(self, log_target, params: ParameterSet):
-        self.log_target = log_target
-        self.params = params
-        self.total = log_target(params)
-
-    def moved(self, which: str, params: ParameterSet) -> _CallableTarget:
-        return _CallableTarget(self.log_target, params)
-
-
-def _target(current, path, y, priors, log_target):
-    """The MH target at current: cached posterior terms by default."""
-    if log_target is None:
-        return PosteriorTerms.build(path, y, current, priors)
-    return _CallableTarget(log_target, current)
-
-
-def _mh_scalar(target, which: str, step: float, support, rng: np.random.Generator):
-    """One truncated-Normal random-walk update of a scalar parameter.
-
+    target is any object with params, total and moved(which, params)
+    (model.PosteriorTerms in run_pg); the proposal is bounded to support.
     Returns (target at the kept parameters, accepted)."""
-    cur = get_param(target.params, which)
+    cur = entry.get(target.params)
     fwd = TruncNormalParams(cur, step, support[0], support[1])
     prop_value = sample_trunc_normal(fwd, rng)
-    proposal = target.moved(which, replace_param(target.params, which, prop_value))
+    proposal = target.moved(entry.id, entry.set(target.params, prop_value))
     prop_lp, cur_lp = proposal.total, target.total
     u = rng.random()
     if not np.isfinite(prop_lp):
@@ -183,33 +143,22 @@ def _mh_scalar(target, which: str, step: float, support, rng: np.random.Generato
     return target, False
 
 
-def mh_update_scalar(
-    current: ParameterSet,
-    which: str,
-    path: LatentPath,
-    y: np.ndarray,
-    priors: PriorSpec,
-    step: float,
-    rng: np.random.Generator,
-    log_target=None,
-) -> tuple[ParameterSet, bool]:
-    """MH update of one scalar parameter conditional on a latent path.
+def mh_trans_row(
+    target, entry: ParamEntry, steps: np.ndarray, rng: np.random.Generator
+):
+    """MH update of one uniformly chosen transition-matrix row (K >= 2).
 
-    The proposal is a truncated Normal centered at the current value,
-    bounded to the parameter's support (modifiers use their band).
-    log_target(params) defaults to the joint log posterior; tests may
-    substitute e.g. a prior-only target.
+    entry is the ROW_ID entry of model.param_table.  The first K-1
+    entries of the row are proposed sequentially from truncated Normals
+    with SDs steps[j], whose upper bounds keep the running sum below 1;
+    the last entry closes the row deterministically.  target is as for
+    mh_scalar.  Returns (target at the kept parameters, accepted).
     """
-    target = _target(current, path, y, priors, log_target)
-    out, accepted = _mh_scalar(target, which, step, param_support(which, priors), rng)
-    return out.params, accepted
-
-
-def _mh_trans_row(target, steps: np.ndarray, rng: np.random.Generator):
     params = target.params
+    matrix = entry.get(params)
     k = params.n_regimes
     row = int(rng.uniform() * k)
-    cur_row = params.trans_matrix[row]
+    cur_row = matrix[row]
     prop_row = np.empty(k)
     log_q_fwd = 0.0
     log_q_rev = 0.0
@@ -229,9 +178,9 @@ def _mh_trans_row(target, steps: np.ndarray, rng: np.random.Generator):
     u = rng.random()
     if prop_row[k - 1] <= 0.0:
         return target, False
-    matrix = params.trans_matrix.copy()
+    matrix = matrix.copy()
     matrix[row] = prop_row
-    proposal = target.moved(ROW_ID, replace(params, trans_matrix=matrix))
+    proposal = target.moved(entry.id, entry.set(params, matrix))
     prop_lp, cur_lp = proposal.total, target.total
     if not np.isfinite(prop_lp):
         return target, False
@@ -240,29 +189,6 @@ def _mh_trans_row(target, steps: np.ndarray, rng: np.random.Generator):
     if math.log(u) < prop_lp - cur_lp + log_q_rev - log_q_fwd:
         return proposal, True
     return target, False
-
-
-def mh_update_trans_row(
-    current: ParameterSet,
-    path: LatentPath,
-    y: np.ndarray,
-    priors: PriorSpec,
-    steps: np.ndarray,
-    rng: np.random.Generator,
-    log_target=None,
-) -> tuple[ParameterSet, bool]:
-    """MH update of one uniformly chosen transition-matrix row.
-
-    The first K-1 entries are proposed sequentially from truncated
-    Normals whose upper bounds keep the running sum below 1; the last
-    entry closes the row deterministically.
-    """
-    if current.n_regimes < 2:
-        return current, False
-    target = _target(current, path, y, priors, log_target)
-    steps = np.broadcast_to(np.asarray(steps, dtype=float), (current.n_regimes - 1,))
-    out, accepted = _mh_trans_row(target, steps, rng)
-    return out.params, accepted
 
 
 def _adjusted_step(step: float, rate: float, target: float) -> float:
@@ -278,25 +204,6 @@ def acceptance_rates(records) -> dict[str, float]:
             totals[pid][0] = acc + sum(flags)
             totals[pid][1] = n + len(flags)
     return {pid: acc / n for pid, (acc, n) in totals.items() if n > 0}
-
-
-def tune_step_sizes(
-    pilot, step_sizes: dict[str, float], target_rate: float = TARGET_ACCEPT
-) -> dict[str, float]:
-    """Multiplicatively adjust step sizes toward a target acceptance rate.
-
-    Meant for burn-in pilots only; adapted steps must be frozen before
-    the reported portion of a chain to preserve detailed balance.
-    """
-    if len(pilot) < 200:
-        raise ValueError("pilot must contain at least 200 records")
-    if not 0.1 < target_rate < 0.6:
-        raise ValueError("target_rate must lie in (0.1, 0.6)")
-    rates = acceptance_rates(pilot)
-    return {
-        pid: _adjusted_step(step, rates[pid], target_rate) if pid in rates else step
-        for pid, step in step_sizes.items()
-    }
 
 
 def run_pg(
@@ -323,11 +230,10 @@ def run_pg(
     if len(y) < 2:
         raise ValueError("need at least two observations")
     seed = config.seed
-    ids = scalar_param_ids(priors)
-    all_ids = ids + ([ROW_ID] if priors.n_regimes >= 2 else [])
+    table = param_table(priors.n_regimes, len(priors.ident))
 
     if resume is None:
-        steps = default_step_sizes(priors)
+        steps = {pid: entry.default_step(priors) for pid, entry in table.items()}
         if config.step_sizes:
             steps.update(config.step_sizes)
         params = draw_params(priors, substream(seed, TAG_INIT, 0))
@@ -349,8 +255,8 @@ def run_pg(
             params=params,
             reference=reference,
             step_sizes=steps,
-            window_counts={pid: [0, 0] for pid in all_ids},
-            total_counts={pid: [0, 0] for pid in all_ids},
+            window_counts={pid: [0, 0] for pid in table},
+            total_counts={pid: [0, 0] for pid in table},
             n_emitted=0,
             n_degenerate=0,
         )
@@ -388,21 +294,18 @@ def run_pg(
                 ) from exc
 
         target = PosteriorTerms.build(state.reference.path, y, state.params, priors)
-        accepted: dict[str, list[bool]] = {pid: [] for pid in all_ids}
+        accepted: dict[str, list[bool]] = {pid: [] for pid in table}
         for s in range(config.mh_sweeps_per_iter):
             rng = substream(seed, TAG_MH, r, s)
-            for which in ids:
-                support = param_support(which, priors)
-                target, ok = _mh_scalar(
-                    target, which, state.step_sizes[which], support, rng
-                )
-                accepted[which].append(ok)
-            if priors.n_regimes >= 2:
-                row_steps = np.full(
-                    priors.n_regimes - 1, state.step_sizes[ROW_ID]
-                )
-                target, ok = _mh_trans_row(target, row_steps, rng)
-                accepted[ROW_ID].append(ok)
+            for pid, entry in table.items():
+                step = state.step_sizes[pid]
+                if pid == ROW_ID:
+                    row_steps = np.full(priors.n_regimes - 1, step)
+                    target, ok = mh_trans_row(target, entry, row_steps, rng)
+                else:
+                    support = entry.support(priors)
+                    target, ok = mh_scalar(target, entry, step, support, rng)
+                accepted[pid].append(ok)
         state.params = target.params
 
         for pid, flags in accepted.items():
@@ -418,7 +321,7 @@ def run_pg(
                     state.step_sizes[pid] = _adjusted_step(
                         state.step_sizes[pid], acc / n, TARGET_ACCEPT
                     )
-            state.window_counts = {pid: [0, 0] for pid in all_ids}
+            state.window_counts = {pid: [0, 0] for pid in table}
 
         state.iteration = r
         state.record = None

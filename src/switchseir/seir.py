@@ -1,8 +1,7 @@
 """Deterministic propagation of the modified SEIR system.
 
 One model time unit is integrated with a single 4th-order Runge-Kutta
-step by default (a sub-step count is exposed for stiff rate regimes).
-The output is the mean vector handed to the Dirichlet state transition,
+step.  The output is the mean vector handed to the Dirichlet state transition,
 so components are clamped away from 0 and 1 and renormalized.
 
 States are arrays [S, E, I, R] on the simplex; any number of leading
@@ -42,18 +41,6 @@ class EpidemicRates:
             raise ValueError("modifier must lie in (0, 1]")
 
 
-def validate_state(state: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Check simplex constraints on [S, E, I, R] state array(s)."""
-    s = np.asarray(state, dtype=float)
-    if s.shape[-1] != 4:
-        raise ValueError("state must have 4 components [S, E, I, R]")
-    if not np.all(np.abs(s.sum(axis=-1) - 1.0) <= tol):
-        raise ValueError("state components must sum to 1")
-    if not np.all((s >= 0) & (s <= 1)):
-        raise ValueError("state components must lie in [0, 1]")
-    return s
-
-
 def _flow(x: np.ndarray, infect_rate, rates: EpidemicRates) -> np.ndarray:
     """Time derivative of [S, E, I, R] under the modified SEIR system, for
     a component-first x (only S, E, I are read); infect_rate = modifier * beta."""
@@ -68,35 +55,31 @@ def _flow(x: np.ndarray, infect_rate, rates: EpidemicRates) -> np.ndarray:
     return k
 
 
-def rk4_step(state: np.ndarray, rates: EpidemicRates, n_substeps: int = 1) -> np.ndarray:
-    """Propagate state(s) one time unit with classical RK4.
+def rk4_step(state: np.ndarray, rates: EpidemicRates) -> np.ndarray:
+    """Propagate state(s) one time unit with one classical RK4 step.
 
     The flow's components sum to zero, so RK4 conserves the simplex sum
     exactly up to float rounding.  Output components are clamped to
     [STATE_FLOOR, 1 - STATE_FLOOR] and renormalized.  The stages work on
     a component-first copy and skip the R midpoints, which the flow never reads.
     """
-    if n_substeps < 1:
-        raise ValueError("n_substeps must be >= 1")
     th = np.asarray(state, dtype=float)
     lead = tuple(range(th.ndim - 1))
     x = np.ascontiguousarray(th.transpose((th.ndim - 1, *lead)))
-    h = 1.0 / n_substeps
     infect_rate = rates.modifier * rates.beta
-    for _ in range(n_substeps):
-        k1 = _flow(x, infect_rate, rates)
-        k2 = _flow(_midpoint(x, 0.5 * h, k1), infect_rate, rates)
-        k3 = _flow(_midpoint(x, 0.5 * h, k2), infect_rate, rates)
-        k4 = _flow(_midpoint(x, h, k3), infect_rate, rates)
-        # x + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), added in that order.
-        k2 *= 2
-        k1 += k2
-        k3 *= 2
-        k1 += k3
-        k1 += k4
-        k1 *= h / 6.0
-        k1 += x
-        x = k1
+    k1 = _flow(x, infect_rate, rates)
+    k2 = _flow(_midpoint(x, 0.5, k1), infect_rate, rates)
+    k3 = _flow(_midpoint(x, 0.5, k2), infect_rate, rates)
+    k4 = _flow(_midpoint(x, 1.0, k3), infect_rate, rates)
+    # x + (1 / 6) * (k1 + 2 k2 + 2 k3 + k4), added in that order.
+    k2 *= 2
+    k1 += k2
+    k3 *= 2
+    k1 += k3
+    k1 += k4
+    k1 *= 1.0 / 6.0
+    k1 += x
+    x = k1
     if not np.isfinite(x).all():
         raise FloatingPointError(
             "RK4 produced non-finite state; rate combination is pathological"
@@ -113,29 +96,3 @@ def _midpoint(x: np.ndarray, step: float, k: np.ndarray) -> np.ndarray:
     mid = np.multiply(k[:3], step)
     mid += x[:3]
     return mid
-
-
-def propagate_path(
-    initial: np.ndarray,
-    rates_per_step: list[EpidemicRates],
-    steps: int,
-    n_substeps: int = 1,
-) -> np.ndarray:
-    """Iterate rk4_step, returning the sequence of post-step states.
-
-    rates_per_step[j] applies over the step producing output j; the
-    returned array has shape (steps, 4).
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if len(rates_per_step) != steps:
-        raise ValueError("need exactly one EpidemicRates per step")
-    th = validate_state(initial)
-    out = np.empty((steps, 4))
-    for j in range(steps):
-        try:
-            th = rk4_step(th, rates_per_step[j], n_substeps=n_substeps)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"step {j}: {exc}") from exc
-        out[j] = th
-    return out

@@ -1,6 +1,6 @@
 """Particle machinery: bootstrap SMC, block-conditional SMC with ancestor
-sampling, reference-trajectory extraction, and the marginal-likelihood
-estimator.
+sampling and reference-trajectory extraction.  Each pass also returns its
+marginal-likelihood estimate.
 
 Both filters use the transition densities as proposals, so the
 unnormalized importance weight at every step reduces to the observation
@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     DirichletParams,
+    _beta_log_kernel,
     _dirichlet_log_kernel,
     logsumexp,
     require_open_simplex,
@@ -103,14 +103,10 @@ def _obs_log_weights_for(y: np.ndarray, params: ParameterSet):
         a = lam * mean
         b = lam * (1.0 - mean)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_beta = (a - 1) * log_y[t] + (b - 1) * log1m_y[t] - _betaln(a, b)
+            log_beta = _beta_log_kernel(log_y[t], log1m_y[t], a, b)
         return np.where((a > 0) & (b > 0), log_beta, -np.inf)
 
     return log_weights
-
-
-def _betaln(a, b):
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
 def _normalize_step(log_w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
@@ -129,16 +125,6 @@ def _draw_initial_thetas(
         return np.broadcast_to(conc / conc.sum(), (n, 4)).copy()
     return sample_dirichlet(
         DirichletParams(np.broadcast_to(conc, (n, 4))), rng
-    )
-
-
-def _resample_indices(
-    norm_w: np.ndarray, n_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    cdf = np.cumsum(norm_w)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(n_draws), side="right").clip(
-        max=len(norm_w) - 1
     )
 
 
@@ -180,7 +166,7 @@ def run_smc(
     row_cdf[:, -1] = 1.0
 
     for t in range(1, horizon):
-        anc = _resample_indices(norm_w[t - 1], n, rng)
+        anc = sample_categorical(norm_w[t - 1], rng, size=n)
         ancestors[t - 1] = anc
         # Regime proposal: one uniform per particle through the ancestor's row CDF.
         u = rng.random(n)
@@ -258,7 +244,7 @@ def run_csmc_as(
 
     for t in range(1, horizon):
         eta = transition_mean(np.broadcast_to(thetas[t - 1], (k, n, 4)), rates)
-        anc = np.tile(_resample_indices(norm_w[t - 1], m, rng), k)
+        anc = np.tile(sample_categorical(norm_w[t - 1], rng, size=m), k)
         conc = params.kappa * eta[block_regimes, anc]
         thetas[t] = sample_dirichlet(DirichletParams(conc), rng)
 
@@ -317,15 +303,3 @@ def sample_reference(
     idx = np.arange(horizon)
     path = LatentPath(system.thetas[idx, lineage], system.regimes[idx, lineage])
     return ReferenceTrajectory(path, lineage)
-
-
-def estimate_log_marginal(system: ParticleSystem) -> float:
-    """Marginal log likelihood estimate from the unnormalized weights."""
-    n = system.n_particles
-    total = 0.0
-    for t in range(system.n_steps):
-        step = logsumexp(system.log_weights[t]) - math.log(n)
-        if not np.isfinite(step):
-            return -math.inf
-        total += step
-    return total

@@ -108,6 +108,24 @@ class TestFit:
         assert code == 2
         assert "stepsizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["alpah", "f3"])
+    def test_unknown_step_size_id_names_it(self, sim_dir, tmp_path, capsys, bad):
+        # f3 is a modifier id only from K = 3 on; the config is K = 2.
+        cfg = shrink_config(sim_dir, step_sizes={bad: 0.1})
+        code = main(["fit", "--config", str(cfg), "--chains", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"sampler.step_sizes.{bad}" in capsys.readouterr().err
+
+    def test_valid_step_size_ids_are_used(self, sim_dir, tmp_path):
+        steps = {"alpha": 0.05, "p": 0.01, "f2": 0.1, "rows": 0.02}
+        cfg = shrink_config(sim_dir, step_sizes=steps)
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--chains", "1",
+                     "--out", str(out)]) == 0
+        ckpt = json.loads((out / "chain_0.ckpt.json").read_text())
+        assert {pid: ckpt["step_sizes"][pid] for pid in steps} == steps
+
     def test_missing_config_file(self, tmp_path):
         code = main(["fit", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)])

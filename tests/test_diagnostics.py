@@ -5,7 +5,6 @@ import pytest
 
 from switchseir.diagnostics import (
     ModelSelectionReport,
-    classify_regimes,
     gelman_rubin,
     gelman_rubin_table,
     param_values,
@@ -89,6 +88,10 @@ class TestGelmanRubin:
         assert "alpha" in table and "r0" in table and "pi_11" in table
         for value in table.values():
             assert math.isfinite(value)
+        r0 = [[r.params.beta / r.params.gamma for r in c] for c in chains]
+        assert table["r0"] == gelman_rubin(r0)
+        pi12 = [[r.params.trans_matrix[0, 1] for r in c] for c in chains]
+        assert table["pi_12"] == gelman_rubin(pi12)
 
 
 class TestSummaryStats:
@@ -110,7 +113,6 @@ class TestSummaryStats:
     def test_regime_probabilities_sum_to_one(self):
         summary = summarize([make_records()])
         np.testing.assert_allclose(summary.regime_probs.sum(axis=1), 1.0, atol=1e-9)
-        assert classify_regimes(summary).shape == (6,)
 
     def test_permutation_invariance(self):
         records = make_records()

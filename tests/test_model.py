@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from switchseir.distributions import (
+    BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
+    beta_logpdf,
 )
 from switchseir.model import (
     ROW_ID,
@@ -16,25 +18,18 @@ from switchseir.model import (
     PosteriorTerms,
     PriorSpec,
     draw_params,
-    get_param,
     initial_logdensity,
     joint_log_posterior,
     modifier_band,
-    obs_logdensity,
     obs_loglik_series,
-    param_log_prior,
-    param_support,
-    regime_logprob,
+    param_table,
     regime_loglik_series,
-    replace_param,
     sample_initial,
-    scalar_param_ids,
     simulate_dataset,
-    trans_logdensity,
     trans_loglik_series,
     transition_mean,
 )
-from switchseir.seir import propagate_path, EpidemicRates
+from switchseir.seir import EpidemicRates, rk4_step
 
 
 def two_regime_params(**overrides):
@@ -67,6 +62,29 @@ def two_regime_priors():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def table_for(params):
+    return param_table(params.n_regimes, len(params.ident_rates))
+
+
+def log_prior(params, priors):
+    """Sum of the prior terms of every param_table entry."""
+    table = table_for(params)
+    return sum(t for e in table.values() for t in e.log_prior(params, priors))
+
+
+def obs_term(y, theta, params):
+    """Observation log density of y from theta, as a one-step series."""
+    return obs_loglik_series(np.array([y]), np.asarray(theta)[None, :], params)
+
+
+def trans_term(theta_next, theta, x_next, params):
+    """Log density of theta -> theta_next under regime x_next, as a
+    two-step series."""
+    return trans_loglik_series(
+        np.stack([theta, theta_next]), np.array([0, x_next]), params
+    )
 
 
 class TestParameterSetValidation:
@@ -114,7 +132,7 @@ class TestParameterSetValidation:
             trans_matrix=np.array([[1.0]]), modifiers=np.array([1.0])
         )
         assert p.n_regimes == 1
-        assert regime_logprob(0, 0, p) == 0.0
+        assert regime_loglik_series(np.array([0, 0]), p) == 0.0
 
 
 class TestObsDensity:
@@ -130,9 +148,7 @@ class TestObsDensity:
         assert abs(draws.mean() - mean) < 3 * math.sqrt(var / n)
         assert abs(draws.var() - var) < 3 * var * math.sqrt(8.0 / n)
         # Density must be the matching Beta.
-        from switchseir.distributions import BetaParams, beta_logpdf
-
-        assert obs_logdensity(0.049, theta, 0, params) == pytest.approx(
+        assert obs_term(0.049, theta, params) == pytest.approx(
             beta_logpdf(0.049, BetaParams(a, b)), abs=1e-12
         )
 
@@ -156,20 +172,23 @@ class TestObsDensity:
         hi_rate = two_regime_params(ident_rates=((0.3, 0),))
         theta = np.array([0.7, 0.05, 0.2, 0.05])
         y = 0.05
+        # Up to the change point every step is priced at the first rate.
         for t in (0, 17, tstar - 1):
-            assert obs_logdensity(y, theta, t, params) == obs_logdensity(
-                y, theta, t, lo_rate
+            ys, thetas = np.full(t + 1, y), np.tile(theta, (t + 1, 1))
+            assert obs_loglik_series(ys, thetas, params) == obs_loglik_series(
+                ys, thetas, lo_rate
             )
-        for t in (tstar, tstar + 20):
-            assert obs_logdensity(y, theta, t, params) == obs_logdensity(
-                y, theta, t, hi_rate
-            )
+        # Across a change point: the step before it at the first rate, the
+        # step after it at the second.
+        switch = two_regime_params(ident_rates=((0.2, 0), (0.3, 1)))
+        across = obs_loglik_series(np.full(2, y), np.tile(theta, (2, 1)), switch)
+        assert across == obs_term(y, theta, lo_rate) + obs_term(y, theta, hi_rate)
 
     def test_precision_concentrates_density(self):
         theta = np.array([0.7, 0.05, 0.2, 0.05])
         y = 0.25 * 0.2  # observation equal to its mean
         values = [
-            obs_logdensity(y, theta, 0, two_regime_params(lambda_=lam))
+            obs_term(y, theta, two_regime_params(lambda_=lam))
             for lam in (1e2, 1e4, 1e6, 1e8)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -177,20 +196,23 @@ class TestObsDensity:
     def test_zero_mean_gives_neg_inf(self):
         params = two_regime_params()
         theta = np.array([0.9, 0.1, 0.0, 0.0])
-        assert obs_logdensity(0.01, theta, 0, params) == -math.inf
+        assert obs_term(0.01, theta, params) == -math.inf
 
     def test_rejects_boundary_observation(self):
         with pytest.raises(ValueError):
-            obs_logdensity(0.0, np.array([0.7, 0.1, 0.1, 0.1]), 0, two_regime_params())
+            obs_term(0.0, np.array([0.7, 0.1, 0.1, 0.1]), two_regime_params())
 
     def test_series_matches_sum_of_scalars(self):
         params = two_regime_params(ident_rates=((0.2, 0), (0.3, 2)))
         g = rng(3)
         thetas = g.dirichlet(np.array([20.0, 2, 2, 2]), size=5)
         y = g.uniform(0.001, 0.05, size=5)
-        total = sum(
-            obs_logdensity(y[t], thetas[t], t, params) for t in range(5)
-        )
+        # Independent per-step oracle: the Beta density at the rate in force.
+        total = 0.0
+        for t in range(5):
+            mean = params.ident_rate_at(t) * thetas[t, 2]
+            lam = params.lambda_
+            total += beta_logpdf(y[t], BetaParams(lam * mean, lam * (1 - mean)))
         assert obs_loglik_series(y, thetas, params) == pytest.approx(total, abs=1e-9)
 
 
@@ -199,13 +221,13 @@ class TestTransDensity:
         params = two_regime_params(kappa=5500.0)
         theta = np.array([0.8, 0.08, 0.07, 0.05])
         eta = transition_mean(theta, params.rates_for(1))
-        at_mean = trans_logdensity(eta, theta, 1, params)
+        at_mean = trans_term(eta, theta, 1, params)
         g = rng(4)
         for _ in range(25):
             bump = g.normal(0, 0.004, size=4)
             other = np.clip(eta + bump, 1e-6, 1)
             other = other / other.sum()
-            assert at_mean >= trans_logdensity(other, theta, 1, params)
+            assert at_mean >= trans_term(other, theta, 1, params)
 
     def test_conditional_moments(self):
         params = two_regime_params(kappa=5500.0)
@@ -244,7 +266,7 @@ class TestTransDensity:
         params = two_regime_params()
         theta = np.array([0.8, 0.08, 0.07, 0.05])
         bad = np.array([1.0, 0.0, 0.0, 0.0])
-        assert trans_logdensity(bad, theta, 0, params) == -math.inf
+        assert trans_term(bad, theta, 0, params) == -math.inf
 
     def test_series_matches_sum_of_scalars(self):
         params = two_regime_params()
@@ -252,7 +274,7 @@ class TestTransDensity:
         thetas = g.dirichlet(np.array([30.0, 3, 3, 3]), size=6)
         regimes = np.array([0, 1, 1, 0, 1, 0])
         total = sum(
-            trans_logdensity(thetas[t], thetas[t - 1], regimes[t], params)
+            trans_term(thetas[t], thetas[t - 1], regimes[t], params)
             for t in range(1, 6)
         )
         assert trans_loglik_series(thetas, regimes, params) == pytest.approx(
@@ -263,13 +285,15 @@ class TestTransDensity:
 class TestRegimeChain:
     def test_absorbing_identity(self):
         params = two_regime_params(trans_matrix=np.eye(2))
-        assert regime_logprob(0, 0, params) == 0.0
-        assert regime_logprob(1, 0, params) == -math.inf
+        assert regime_loglik_series(np.array([0, 0]), params) == 0.0
+        assert regime_loglik_series(np.array([0, 1]), params) == -math.inf
 
     def test_reference_matrix_values(self):
         params = two_regime_params()
-        assert regime_logprob(0, 0, params) == pytest.approx(math.log(0.9))
-        assert regime_logprob(1, 0, params) == pytest.approx(math.log(0.1))
+        stay = regime_loglik_series(np.array([0, 0]), params)
+        switch = regime_loglik_series(np.array([0, 1]), params)
+        assert stay == pytest.approx(math.log(0.9))
+        assert switch == pytest.approx(math.log(0.1))
 
     def test_series(self):
         params = two_regime_params()
@@ -380,7 +404,7 @@ class TestJointLogPosterior:
             + trans_loglik_series(path.thetas, path.regimes, params)
             + regime_loglik_series(path.regimes, params)
             + initial_logdensity(path.thetas[0], int(path.regimes[0]), priors)
-            + param_log_prior(params, priors)
+            + log_prior(params, priors)
         )
         assert total == pytest.approx(parts, abs=1e-9)
 
@@ -388,7 +412,7 @@ class TestJointLogPosterior:
         params, priors, path, y = build_t5_case()
         full = joint_log_posterior(path, y, params, priors)
         t = 2
-        single = obs_logdensity(y[t], path.thetas[t], t, params)
+        single = obs_term(y[t], path.thetas[t], params)
         shorter = obs_loglik_series(
             np.delete(y, t), np.delete(path.thetas, t, axis=0)[: len(y) - 1], params
         )
@@ -401,7 +425,7 @@ class TestJointLogPosterior:
         )
         assert rest == pytest.approx(
             sum(
-                obs_logdensity(y[s], path.thetas[s], s, params)
+                obs_term(y[s], path.thetas[s], params)
                 for s in range(len(y))
                 if s != t
             ),
@@ -471,17 +495,17 @@ class TestPosteriorTerms:
         # Chain several moves of every id, so later moves build on
         # earlier cached sums.
         for _ in range(3):
-            for which in scalar_param_ids(params) + [ROW_ID]:
+            for which, entry in table_for(params).items():
                 cur = terms.params
                 if which == ROW_ID:
                     matrix = cur.trans_matrix.copy()
                     matrix[1] = g.dirichlet(np.full(cur.n_regimes, 5.0))
                     moved = replace(cur, trans_matrix=matrix)
                 else:
-                    lo, hi = param_support(which, priors)
-                    value = get_param(cur, which)
+                    lo, hi = entry.support(priors)
+                    value = entry.get(cur)
                     value = min(max(value * g.uniform(0.9, 1.1), lo + 1e-9), hi - 1e-9)
-                    moved = replace_param(cur, which, value)
+                    moved = entry.set(cur, value)
                 terms = terms.moved(which, moved)
                 assert terms.total == joint_log_posterior(path, y, moved, priors), which
                 assert np.isfinite(terms.total)
@@ -494,7 +518,7 @@ class TestPosteriorTerms:
             params,
             trans_matrix=np.array([[1.0, 0.0, 0.0], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
         )
-        outside_prior = replace_param(params, "p2", 0.45)
+        outside_prior = table_for(params)["p2"].set(params, 0.45)
         for which, moved in (
             ("f3", outside_band),
             (ROW_ID, zero_row),
@@ -578,19 +602,18 @@ class TestSimulateDataset:
         y, path = simulate_dataset(
             params, priors, horizon, rng(12), initial=(theta1, 0)
         )
-        det = propagate_path(
-            theta1,
-            [EpidemicRates(params.alpha, params.beta, params.gamma, 1.0)]
-            * (horizon - 1),
-            horizon - 1,
-        )
-        expect = 0.25 * np.concatenate([[theta1[2]], det[:, 2]])
+        rates = EpidemicRates(params.alpha, params.beta, params.gamma, 1.0)
+        det = [theta1]
+        for _ in range(horizon - 1):
+            det.append(rk4_step(det[-1], rates))
+        expect = 0.25 * np.array(det)[:, 2]
         assert np.abs(y - expect).max() < 1e-4
 
 
 class TestParamAccessors:
     def test_replace_and_get_round_trip(self):
         params = two_regime_params()
+        table = table_for(params)
         for pid, value in [
             ("alpha", 0.5),
             ("beta", 0.6),
@@ -600,18 +623,30 @@ class TestParamAccessors:
             ("p", 0.3),
             ("f2", 0.7),
         ]:
-            updated = replace_param(params, pid, value)
-            assert get_param(updated, pid) == value
+            updated = table[pid].set(params, value)
+            assert table[pid].get(updated) == value
             # Everything else unchanged.
             for other in ("alpha", "beta", "gamma", "lambda", "kappa", "p", "f2"):
                 if other != pid:
-                    assert get_param(updated, other) == get_param(params, other)
+                    assert table[other].get(updated) == table[other].get(params)
 
     def test_param_support(self):
         priors = two_regime_priors()
-        assert param_support("alpha", priors) == (0.0, math.inf)
-        assert param_support("p", priors) == (0.1, 0.4)
-        assert param_support("f2", priors) == (0.0, 1.0)
+        table = param_table(2, 1)
+        assert table["alpha"].support(priors) == (0.0, math.inf)
+        assert table["p"].support(priors) == (0.1, 0.4)
+        assert table["f2"].support(priors) == (0.0, 1.0)
+
+    def test_table_ids_in_sweep_order(self):
+        assert list(param_table(3, 2)) == [
+            "alpha", "beta", "gamma", "lambda", "kappa",
+            "p1", "p2", "f2", "f3", ROW_ID,
+        ]
+        # A single-regime model has a fixed 1x1 matrix and no modifiers.
+        assert list(param_table(1, 1)) == [
+            "alpha", "beta", "gamma", "lambda", "kappa", "p",
+        ]
+        assert param_table(2, 1) is param_table(2, 1)
 
     def test_draw_params_respects_invariants(self):
         priors = two_regime_priors()

@@ -4,29 +4,48 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from switchseir.data_io import priors_for_k
 from switchseir.distributions import TruncNormalParams, trunc_normal_logpdf
 from switchseir.model import (
-    get_param,
+    ROW_ID,
+    LatentPath,
+    PosteriorTerms,
     joint_log_posterior,
-    param_log_prior,
-    scalar_param_ids,
+    param_table,
 )
 from switchseir.pg import (
+    TARGET_ACCEPT,
     ChainRecord,
     SamplerConfig,
+    _adjusted_step,
     acceptance_rates,
-    default_step_sizes,
-    mh_update_scalar,
-    mh_update_trans_row,
+    mh_scalar,
+    mh_trans_row,
     run_pg,
-    tune_step_sizes,
 )
-from tests.test_model import two_regime_params, two_regime_priors
+from tests.test_model import log_prior, two_regime_params, two_regime_priors
 from tests.test_smc import make_data
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+class CallableTarget:
+    """An MH target from a log_target(params) callable, with the interface
+    (params, total, moved) of the PosteriorTerms that run_pg uses."""
+
+    def __init__(self, log_target, params):
+        self.log_target = log_target
+        self.params = params
+        self.total = log_target(params)
+
+    def moved(self, which, params):
+        return CallableTarget(self.log_target, params)
+
+
+def entry(priors, which):
+    return param_table(priors.n_regimes, len(priors.ident))[which]
 
 
 def batch_se(x, n_blocks=50):
@@ -38,28 +57,31 @@ class TestMhScalar:
     def test_tiny_step_accepts_almost_always(self):
         y, params, priors, path = make_data(horizon=20)
         g = rng(1)
+        beta = entry(priors, "beta")
         accepted = 0
-        cur = params
+        target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(200):
-            cur, ok = mh_update_scalar(cur, "beta", path, y, priors, 1e-9, g)
+            target, ok = mh_scalar(target, beta, 1e-9, beta.support(priors), g)
             accepted += ok
         assert accepted >= 195
 
     def test_identification_rate_proposals_respect_bounds(self):
         y, params, priors, path = make_data(horizon=10)
         g = rng(2)
-        cur = params
+        p = entry(priors, "p")
+        target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(500):
-            cur, _ = mh_update_scalar(cur, "p", path, y, priors, 5.0, g)
-            assert 0.1 < cur.ident_rates[0][0] < 0.4
+            target, _ = mh_scalar(target, p, 5.0, p.support(priors), g)
+            assert 0.1 < target.params.ident_rates[0][0] < 0.4
 
     def test_modifier_proposals_respect_band(self):
         y, params, priors, path = make_data(horizon=10)
         g = rng(3)
-        cur = params
+        f2 = entry(priors, "f2")
+        target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(500):
-            cur, _ = mh_update_scalar(cur, "f2", path, y, priors, 3.0, g)
-            assert 0.0 < cur.modifiers[1] < 1.0
+            target, _ = mh_scalar(target, f2, 3.0, f2.support(priors), g)
+            assert 0.0 < target.params.modifiers[1] < 1.0
 
     @pytest.mark.slow
     def test_detailed_balance_against_truncated_normal_target(self):
@@ -67,17 +89,17 @@ class TestMhScalar:
         # stationary law must match it (KS on thinned draws).
         target = TruncNormalParams(0.7, 0.2, 0.0, math.inf)
         log_target = lambda ps: trunc_normal_logpdf(ps.alpha, target)
-        y, params, priors, path = make_data(horizon=4)
+        _, params, priors, _ = make_data(horizon=4)
         g = rng(4)
+        alpha = entry(priors, "alpha")
+        support = alpha.support(priors)
         n, thin = 1_000_000, 10
         kept = np.empty(n // thin)
-        cur = params
+        cur = CallableTarget(log_target, params)
         for i in range(n):
-            cur, _ = mh_update_scalar(
-                cur, "alpha", path, y, priors, 0.4, g, log_target=log_target
-            )
+            cur, _ = mh_scalar(cur, alpha, 0.4, support, g)
             if i % thin == thin - 1:
-                kept[i // thin] = cur.alpha
+                kept[i // thin] = cur.params.alpha
         a = (0.0 - 0.7) / 0.2
         _, pvalue = stats.kstest(kept, "truncnorm", args=(a, np.inf, 0.7, 0.2))
         assert pvalue > 0.01
@@ -85,17 +107,16 @@ class TestMhScalar:
     def test_prior_recovery_with_likelihood_disabled(self):
         # With the likelihood zeroed out the MH chain must target the
         # prior itself; check first two moments of the alpha chain.
-        y, params, priors, path = make_data(horizon=4)
-        log_target = lambda ps: param_log_prior(ps, priors)
+        _, params, priors, _ = make_data(horizon=4)
         g = rng(5)
+        alpha = entry(priors, "alpha")
+        support = alpha.support(priors)
         n = 100_000
         draws = np.empty(n)
-        cur = params
+        cur = CallableTarget(lambda ps: log_prior(ps, priors), params)
         for i in range(n):
-            cur, _ = mh_update_scalar(
-                cur, "alpha", path, y, priors, 0.15, g, log_target=log_target
-            )
-            draws[i] = cur.alpha
+            cur, _ = mh_scalar(cur, alpha, 0.15, support, g)
+            draws[i] = cur.params.alpha
         a = (0.0 - 0.3) / 0.1
         expect_mean = stats.truncnorm.mean(a, np.inf, loc=0.3, scale=0.1)
         expect_sd = stats.truncnorm.std(a, np.inf, loc=0.3, scale=0.1)
@@ -104,58 +125,60 @@ class TestMhScalar:
 
 
 def test_cached_target_matches_full_posterior_target():
-    # The default (cached-terms) target and an explicit full
+    # The cached-terms target run_pg uses and an explicit full
     # joint_log_posterior target must make the same decisions bit for bit.
     y, params, priors, path = make_data(horizon=12)
     full = lambda ps: joint_log_posterior(path, y, ps, priors)
-    steps = default_step_sizes(priors)
-    for which in scalar_param_ids(priors):
-        a = b = params
+    table = param_table(priors.n_regimes, len(priors.ident))
+    for which, e in table.items():
+        if which == ROW_ID:
+            continue
+        step, support = e.default_step(priors), e.support(priors)
+        a = PosteriorTerms.build(path, y, params, priors)
+        b = CallableTarget(full, params)
         ga, gb = rng(31), rng(31)
         for _ in range(20):
-            a, ok_a = mh_update_scalar(a, which, path, y, priors, steps[which], ga)
-            b, ok_b = mh_update_scalar(
-                b, which, path, y, priors, steps[which], gb, log_target=full
-            )
-            assert ok_a == ok_b and get_param(a, which) == get_param(b, which)
-    a = b = params
+            a, ok_a = mh_scalar(a, e, step, support, ga)
+            b, ok_b = mh_scalar(b, e, step, support, gb)
+            assert ok_a == ok_b and e.get(a.params) == e.get(b.params)
+            assert a.total == b.total
+    a = PosteriorTerms.build(path, y, params, priors)
+    b = CallableTarget(full, params)
     ga, gb = rng(32), rng(32)
     for _ in range(20):
-        a, ok_a = mh_update_trans_row(a, path, y, priors, np.array([0.05]), ga)
-        b, ok_b = mh_update_trans_row(
-            b, path, y, priors, np.array([0.05]), gb, log_target=full
-        )
-        assert ok_a == ok_b and np.array_equal(a.trans_matrix, b.trans_matrix)
+        a, ok_a = mh_trans_row(a, table[ROW_ID], np.array([0.05]), ga)
+        b, ok_b = mh_trans_row(b, table[ROW_ID], np.array([0.05]), gb)
+        assert ok_a == ok_b
+        assert np.array_equal(a.params.trans_matrix, b.params.trans_matrix)
+        assert a.total == b.total
 
 
 class TestMhTransRow:
     def test_row_closure_is_exact(self):
         y, params, priors, path = make_data(horizon=10)
         g = rng(6)
-        cur = params
+        rows = entry(priors, ROW_ID)
+        target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(300):
-            cur, _ = mh_update_trans_row(
-                cur, path, y, priors, np.array([0.2]), g
-            )
+            target, _ = mh_trans_row(target, rows, np.array([0.2]), g)
+            cur = target.params
             np.testing.assert_allclose(cur.trans_matrix.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(cur.trans_matrix > 0)
 
     def test_prior_recovery_rows(self):
         # Flat likelihood: accepted rows must match their Dirichlet priors
         # Dir(10,1) / Dir(1,10) in mean within 3 batch SEs.
-        y, params, priors, path = make_data(horizon=4)
-        log_target = lambda ps: param_log_prior(ps, priors)
+        _, params, priors, _ = make_data(horizon=4)
         g = rng(7)
+        rows = entry(priors, ROW_ID)
         n = 60_000
         pi11 = np.empty(n)
         pi22 = np.empty(n)
-        cur = params
+        cur = CallableTarget(lambda ps: log_prior(ps, priors), params)
         for i in range(n):
-            cur, _ = mh_update_trans_row(
-                cur, path, y, priors, np.array([0.15]), g, log_target=log_target
-            )
-            pi11[i] = cur.trans_matrix[0, 0]
-            pi22[i] = cur.trans_matrix[1, 1]
+            cur, _ = mh_trans_row(cur, rows, np.array([0.15]), g)
+            pi11[i] = cur.params.trans_matrix[0, 0]
+            pi22[i] = cur.params.trans_matrix[1, 1]
         assert abs(pi11.mean() - 10 / 11) < 3 * batch_se(pi11)
         assert abs(pi22.mean() - 10 / 11) < 3 * batch_se(pi22)
 
@@ -166,40 +189,34 @@ class TestMhTransRow:
             ),
             modifiers=np.array([1.0, 0.6, 0.05]),
         )
-        priors = two_regime_priors()
-        from switchseir.data_io import priors_for_k
-
-        priors3 = priors_for_k(priors, 3)
+        priors3 = priors_for_k(two_regime_priors(), 3)
         y, _, _, path3 = make_data(horizon=10)
         # Rebuild a 3-regime path by clamping regimes into range.
-        from switchseir.model import LatentPath
-
         path = LatentPath(path3.thetas[:10], path3.regimes[:10] % 3)
         g = rng(8)
-        cur = params
+        rows = entry(priors3, ROW_ID)
+        target = PosteriorTerms.build(path, y, params, priors3)
         for _ in range(300):
-            cur, _ = mh_update_trans_row(
-                cur, path, y, priors3, np.array([0.1, 0.1]), g
-            )
+            target, _ = mh_trans_row(target, rows, np.array([0.1, 0.1]), g)
+            cur = target.params
             np.testing.assert_allclose(cur.trans_matrix.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(cur.trans_matrix > 0)
 
     def test_single_regime_is_noop(self):
-        params = two_regime_params(
-            trans_matrix=np.array([[1.0]]), modifiers=np.array([1.0])
-        )
-        y, _, priors, path = make_data(horizon=6)
-        out, accepted = mh_update_trans_row(
-            params, path, y, priors, np.array([0.1]), rng(9)
-        )
-        assert out is params and accepted is False
+        # A single-regime model's table has no row entry, so run_pg never
+        # moves its fixed 1x1 transition matrix.
+        y, _, priors, _ = make_data(horizon=12)
+        priors1 = priors_for_k(priors, 1)
+        assert ROW_ID not in param_table(1, 1)
+        records = run_pg(y, priors1, small_config(n_iterations=5, burn_in=2))
+        for rec in records:
+            assert ROW_ID not in rec.mh_accepted
+            np.testing.assert_array_equal(rec.params.trans_matrix, [[1.0]])
 
 
 def fake_records(rates: dict, n=250, sweeps=4):
     """Records whose acceptance flags reproduce the given rates."""
     params = two_regime_params()
-    from switchseir.model import LatentPath
-
     path = LatentPath(np.full((3, 4), 0.25), np.zeros(3, dtype=int))
     records = []
     for i in range(n):
@@ -212,28 +229,21 @@ def fake_records(rates: dict, n=250, sweeps=4):
     return records
 
 
+def tuned_alpha_step(rate, step=0.1):
+    """run_pg's burn-in rule applied to records accepting alpha at rate."""
+    rates = acceptance_rates(fake_records({"alpha": rate}))
+    return _adjusted_step(step, rates["alpha"], TARGET_ACCEPT)
+
+
 class TestTuneStepSizes:
     def test_low_acceptance_shrinks_step(self):
-        recs = fake_records({"alpha": 0.05})
-        out = tune_step_sizes(recs, {"alpha": 0.1}, target_rate=0.3)
-        assert out["alpha"] < 0.1
+        assert tuned_alpha_step(0.05) < 0.1
 
     def test_high_acceptance_grows_step(self):
-        recs = fake_records({"alpha": 0.9})
-        out = tune_step_sizes(recs, {"alpha": 0.1}, target_rate=0.3)
-        assert out["alpha"] > 0.1
+        assert tuned_alpha_step(0.9) > 0.1
 
     def test_on_target_leaves_step(self):
-        recs = fake_records({"alpha": 0.3})
-        out = tune_step_sizes(recs, {"alpha": 0.1}, target_rate=0.3)
-        assert out["alpha"] == pytest.approx(0.1, rel=0.01)
-
-    def test_preconditions(self):
-        recs = fake_records({"alpha": 0.3}, n=100)
-        with pytest.raises(ValueError):
-            tune_step_sizes(recs, {"alpha": 0.1})
-        with pytest.raises(ValueError):
-            tune_step_sizes(fake_records({"alpha": 0.3}), {"alpha": 0.1}, 0.95)
+        assert tuned_alpha_step(TARGET_ACCEPT) == pytest.approx(0.1, rel=0.01)
 
     def test_acceptance_rates_helper(self):
         recs = fake_records({"alpha": 0.4, "kappa": 0.1})
@@ -271,9 +281,10 @@ class TestRunPg:
         y, _, priors, _ = make_data(horizon=25)
         a = run_pg(y, priors, small_config())
         b = run_pg(y, priors, small_config())
+        table = param_table(2, 1)
         for ra, rb in zip(a, b):
             for pid in ("alpha", "beta", "gamma", "lambda", "kappa", "p", "f2"):
-                assert get_param(ra.params, pid) == get_param(rb.params, pid)
+                assert table[pid].get(ra.params) == table[pid].get(rb.params)
             np.testing.assert_array_equal(
                 ra.params.trans_matrix, rb.params.trans_matrix
             )
@@ -308,7 +319,7 @@ class TestRunPg:
     def test_acceptance_flags_recorded_for_every_parameter(self):
         y, _, priors, _ = make_data(horizon=25)
         records = run_pg(y, priors, small_config())
-        ids = set(scalar_param_ids(priors)) | {"rows"}
+        ids = {"alpha", "beta", "gamma", "lambda", "kappa", "p", "f2", "rows"}
         for rec in records:
             assert set(rec.mh_accepted) == ids
             assert all(len(f) == 2 for f in rec.mh_accepted.values())
@@ -332,9 +343,8 @@ class TestRunPg:
 
     def test_default_step_sizes_cover_all_parameters(self):
         priors = two_regime_priors()
-        steps = default_step_sizes(priors)
-        for pid in scalar_param_ids(priors) + ["rows"]:
-            assert steps[pid] > 0
+        for e in param_table(2, 1).values():
+            assert e.default_step(priors) > 0
 
 
 class TestSamplerConfigValidation:

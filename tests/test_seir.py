@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchseir.seir import (
-    STATE_FLOOR,
-    EpidemicRates,
-    propagate_path,
-    rk4_step,
-    validate_state,
-)
+from switchseir.distributions import require_open_simplex
+from switchseir.seir import STATE_FLOOR, EpidemicRates, rk4_step
 
 
 def reference_step(state, alpha, beta, gamma, modifier, h=1e-4):
@@ -36,6 +31,23 @@ def reference_step(state, alpha, beta, gamma, modifier, h=1e-4):
 
 FIG_STATE = np.array([0.99, 0.005, 0.003, 0.002])
 FIG_RATES = dict(alpha=0.2, beta=0.4, gamma=0.1)
+
+
+def propagate(state, rates_per_step):
+    """The states after each rk4_step, one EpidemicRates per step."""
+    out = []
+    for rates in rates_per_step:
+        state = rk4_step(state, rates)
+        out.append(state)
+    return np.array(out)
+
+
+def rk4_substeps(state, n, alpha, beta, gamma, modifier):
+    """n RK4 steps of length 1/n over one time unit.  The flow is linear
+    in the rates, so one rk4_step with alpha, beta and gamma scaled by 1/n
+    is one RK4 step of length 1/n."""
+    rates = EpidemicRates(alpha / n, beta / n, gamma / n, modifier)
+    return propagate(state, [rates] * n)[-1]
 
 
 class TestRk4Step:
@@ -93,10 +105,9 @@ class TestRk4Step:
         # Stiff-ish rates so single-step error is visible.
         kw = dict(alpha=1.5, beta=3.0, gamma=1.0, modifier=1.0)
         truth = reference_step(FIG_STATE, h=1e-4, **kw)
-        rates = EpidemicRates(**kw)
-        err1 = np.abs(rk4_step(FIG_STATE, rates, n_substeps=1) - truth).max()
-        err2 = np.abs(rk4_step(FIG_STATE, rates, n_substeps=2) - truth).max()
-        err4 = np.abs(rk4_step(FIG_STATE, rates, n_substeps=4) - truth).max()
+        err1 = np.abs(rk4_substeps(FIG_STATE, 1, **kw) - truth).max()
+        err2 = np.abs(rk4_substeps(FIG_STATE, 2, **kw) - truth).max()
+        err4 = np.abs(rk4_substeps(FIG_STATE, 4, **kw) - truth).max()
         assert err2 < err1 / 8
         assert err4 < err2 / 8
 
@@ -110,45 +121,38 @@ class TestRk4Step:
 
 
 class TestPropagatePath:
-    def test_single_step_equals_rk4(self):
-        rates = EpidemicRates(modifier=1.0, **FIG_RATES)
-        path = propagate_path(FIG_STATE, [rates], steps=1)
-        np.testing.assert_array_equal(path[0], rk4_step(FIG_STATE, rates))
-
     def test_all_susceptible_stays_constant(self):
         rates = [EpidemicRates(0.2, 0.4, 0.1)] * 10
-        path = propagate_path(np.array([1.0, 0, 0, 0]), rates, steps=10)
+        path = propagate(np.array([1.0, 0, 0, 0]), rates)
         np.testing.assert_allclose(path, np.tile([1.0, 0, 0, 0], (10, 1)), atol=1e-8)
 
     def test_intervention_flattens_curve(self):
         # Baseline run vs the same run with transmission halved from step 20.
-        baseline = propagate_path(
-            FIG_STATE, [EpidemicRates(modifier=1.0, **FIG_RATES)] * 100, 100
+        baseline = propagate(
+            FIG_STATE, [EpidemicRates(modifier=1.0, **FIG_RATES)] * 100
         )
         mixed_rates = [
             EpidemicRates(modifier=1.0 if t < 20 else 0.5, **FIG_RATES)
             for t in range(100)
         ]
-        flattened = propagate_path(FIG_STATE, mixed_rates, 100)
+        flattened = propagate(FIG_STATE, mixed_rates)
         assert baseline[:, 2].max() > flattened[:, 2].max()
         assert baseline[:, 2].argmax() < flattened[:, 2].argmax()
         # Suppressed epidemic leaves a sizable susceptible pool behind.
         assert flattened[-1, 0] > baseline[-1, 0]
 
-    def test_rates_length_must_match(self):
-        with pytest.raises(ValueError):
-            propagate_path(FIG_STATE, [EpidemicRates(0.2, 0.4, 0.1)] * 3, steps=5)
-
 
 class TestValidateState:
+    """SEIR states are checked by require_open_simplex (the CSMC reference)."""
+
     def test_accepts_simplex(self):
-        validate_state(np.array([0.7, 0.1, 0.1, 0.1]))
+        require_open_simplex(np.array([0.7, 0.1, 0.1, 0.1]), "state")
 
     def test_rejects_bad_sum_and_negatives(self):
         with pytest.raises(ValueError):
-            validate_state(np.array([0.7, 0.1, 0.1, 0.2]))
+            require_open_simplex(np.array([0.7, 0.1, 0.1, 0.2]), "state")
         with pytest.raises(ValueError):
-            validate_state(np.array([1.1, -0.1, 0.0, 0.0]))
+            require_open_simplex(np.array([1.1, -0.1, 0.0, 0.0]), "state")
 
 
 @settings(max_examples=300, deadline=None)
