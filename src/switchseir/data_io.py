@@ -320,8 +320,8 @@ def params_from_dict(d: dict) -> ParameterSet:
 
 def path_to_dict(path: LatentPath) -> dict:
     return {
-        "thetas": [[float(v) for v in row] for row in path.thetas],
-        "regimes": [int(v) for v in path.regimes],
+        "thetas": path.thetas.tolist(),
+        "regimes": path.regimes.tolist(),
     }
 
 
@@ -486,7 +486,7 @@ def state_to_dict(state: PgState, config_hash: str, seed: int) -> dict:
         "params": params_to_dict(state.params),
         "reference": {
             "path": path_to_dict(state.reference.path),
-            "lineage": [int(v) for v in state.reference.lineage],
+            "lineage": state.reference.lineage.tolist(),
         },
         "step_sizes": {k: float(v) for k, v in state.step_sizes.items()},
         "window_counts": state.window_counts,

@@ -33,6 +33,7 @@ from .distributions import (
     TruncNormalParams,
     _dirichlet_log_kernel,
     beta_logpdf,
+    require_open_simplex,
     dirichlet_logpdf,
     gamma_logpdf,
     sample_categorical,
@@ -87,8 +88,7 @@ class ParameterSet:
 
     def __post_init__(self):
         for entry in _RATE_ENTRIES:
-            if not entry.get(self) > 0:
-                raise ValueError(f"{entry.id} must be strictly positive")
+            _check_positive(entry.id, entry.get(self))
         rates = tuple((float(p), int(s)) for p, s in self.ident_rates)
         object.__setattr__(self, "ident_rates", rates)
         if not rates or rates[0][1] != 0:
@@ -96,17 +96,10 @@ class ParameterSet:
         starts = [s for _, s in rates]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("identification-rate start indices must increase")
-        if any(not 0 < p < 1 for p, _ in rates):
-            raise ValueError("identification rates must lie in (0, 1)")
+        for p, _ in rates:
+            _check_ident_rate(p)
 
-        pm = np.asarray(self.trans_matrix, dtype=float)
-        if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
-            raise ValueError("trans_matrix must be square")
-        if np.any(pm < 0) or np.any(pm > 1):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(pm.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("transition matrix rows must sum to 1")
-        pm.setflags(write=False)
+        pm = _checked_trans_matrix(self.trans_matrix)
         object.__setattr__(self, "trans_matrix", pm)
 
         mods = np.asarray(self.modifiers, dtype=float)
@@ -115,25 +108,13 @@ class ParameterSet:
         if mods[0] != 1.0:
             raise ValueError("regime-0 modifier must be exactly 1")
         for k in range(1, len(mods)):
-            lo, hi = modifier_band(k, len(mods))
-            if not lo < mods[k] < hi:
-                raise ValueError(
-                    f"modifier {k} = {mods[k]} outside its band ({lo}, {hi})"
-                )
+            _check_modifier(mods, k)
         mods.setflags(write=False)
         object.__setattr__(self, "modifiers", mods)
 
     @property
     def n_regimes(self) -> int:
         return self.trans_matrix.shape[0]
-
-    def ident_rate_at(self, t: int) -> float:
-        """Identification rate in force at 0-based time t."""
-        rate = self.ident_rates[0][0]
-        for p, start in self.ident_rates:
-            if start <= t:
-                rate = p
-        return rate
 
     def ident_series(self, horizon: int) -> np.ndarray:
         """Identification-rate vector over times 0..horizon-1."""
@@ -147,6 +128,44 @@ class ParameterSet:
         return EpidemicRates(
             self.alpha, self.beta, self.gamma, self.modifiers[np.asarray(regime)]
         )
+
+
+# Field rules shared by ParameterSet and the param_table setters.
+def _check_positive(pid: str, value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"{pid} must be strictly positive")
+
+
+def _check_ident_rate(p: float) -> None:
+    if not 0 < p < 1:
+        raise ValueError("identification rates must lie in (0, 1)")
+
+
+def _checked_trans_matrix(matrix) -> np.ndarray:
+    """matrix as a read-only float array, checked to be row-stochastic."""
+    pm = np.asarray(matrix, dtype=float)
+    if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
+        raise ValueError("trans_matrix must be square")
+    if np.any(pm < 0) or np.any(pm > 1):
+        raise ValueError("transition probabilities must lie in [0, 1]")
+    if np.any(np.abs(pm.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("transition matrix rows must sum to 1")
+    pm.setflags(write=False)
+    return pm
+
+
+def _check_modifier(mods: np.ndarray, k: int) -> None:
+    lo, hi = modifier_band(k, len(mods))
+    if not lo < mods[k] < hi:
+        raise ValueError(f"modifier {k} = {mods[k]} outside its band ({lo}, {hi})")
+
+
+def _with_fields(params: ParameterSet, **fields) -> ParameterSet:
+    """params with fields replaced, without re-running __post_init__: the
+    caller has checked each field it sets with that field's rule."""
+    out = object.__new__(ParameterSet)
+    out.__dict__.update(params.__dict__, **fields)
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,19 +255,19 @@ def transition_mean(theta: np.ndarray, rates: EpidemicRates) -> np.ndarray:
     return rk4_step(theta, rates)
 
 
-def trans_loglik_series(
-    thetas: np.ndarray, regimes: np.ndarray, params: ParameterSet
-) -> float:
-    """Sum of state-transition log densities along a path (t = 1..T-1)."""
-    if thetas.shape[0] < 2:
-        return 0.0
-    eta = transition_mean(thetas[:-1], params.rates_for(regimes[1:]))
-    try:
-        return float(
-            np.sum(dirichlet_logpdf(thetas[1:], DirichletParams(params.kappa * eta)))
-        )
-    except ValueError:
+def _path_means(path: LatentPath, params: ParameterSet) -> np.ndarray:
+    """Transition means of steps t = 1..T-1 along a path."""
+    return transition_mean(path.thetas[:-1], params.rates_for(path.regimes[1:]))
+
+
+def _trans_loglik(log_next: np.ndarray | None, eta: np.ndarray, kappa: float) -> float:
+    """Sum of state-transition log densities along a path: the
+    Dirichlet(kappa * eta_t) log density of theta_{t+1} over t, from
+    log theta_{2:T} (None when the path leaves the open simplex: -inf)."""
+    conc = kappa * eta
+    if log_next is None or not np.all(conc > 0):
         return -math.inf
+    return float(np.sum(_dirichlet_log_kernel(log_next, conc)))
 
 
 def regime_loglik_series(regimes: np.ndarray, params: ParameterSet) -> float:
@@ -303,10 +322,15 @@ def _gamma_step(prior: GammaParams) -> float:
 
 def _rate_entry(pid: str, name: str, logpdf, step, factor: str) -> ParamEntry:
     """A positive rate: ParameterSet field `name` with prior PriorSpec.`name`."""
+
+    def set_(params: ParameterSet, value: float) -> ParameterSet:
+        _check_positive(pid, value)
+        return _with_fields(params, **{name: value})
+
     return ParamEntry(
         pid,
         get=operator.attrgetter(name),
-        set=lambda params, value: replace(params, **{name: value}),
+        set=set_,
         support=lambda priors: (0.0, math.inf),
         log_prior=lambda params, priors: (
             logpdf(getattr(params, name), getattr(priors, name)),
@@ -323,9 +347,10 @@ def _ident_entry(j: int, pid: str) -> ParamEntry:
         return params.ident_rates[j][0]
 
     def set_(params: ParameterSet, value: float) -> ParameterSet:
+        _check_ident_rate(value)
         rates = list(params.ident_rates)
-        rates[j] = (value, rates[j][1])
-        return replace(params, ident_rates=tuple(rates))
+        rates[j] = (float(value), rates[j][1])
+        return _with_fields(params, ident_rates=tuple(rates))
 
     return ParamEntry(
         pid,
@@ -350,7 +375,9 @@ def _modifier_entry(k: int, n_regimes: int) -> ParamEntry:
     def set_(params: ParameterSet, value: float) -> ParameterSet:
         mods = params.modifiers.copy()
         mods[k] = value
-        return replace(params, modifiers=mods)
+        _check_modifier(mods, k)
+        mods.setflags(write=False)
+        return _with_fields(params, modifiers=mods)
 
     return ParamEntry(
         f"f{k + 1}",
@@ -388,7 +415,7 @@ _RATE_ENTRIES = (
 _ROWS_ENTRY = ParamEntry(
     ROW_ID,
     get=operator.attrgetter("trans_matrix"),
-    set=lambda params, matrix: replace(params, trans_matrix=matrix),
+    set=lambda params, m: _with_fields(params, trans_matrix=_checked_trans_matrix(m)),
     support=lambda priors: (0.0, 1.0),
     log_prior=_row_log_priors,
     default_step=lambda priors: 0.05,
@@ -421,16 +448,6 @@ def _sum_in_order(values) -> float:
     return float(functools.reduce(operator.add, values))
 
 
-# The likelihood factors of PosteriorTerms by field name (ParamEntry.factor).
-_FACTORS = {
-    "obs": lambda path, y, params: obs_loglik_series(y, path.thetas, params),
-    "trans": lambda path, y, params: trans_loglik_series(
-        path.thetas, path.regimes, params
-    ),
-    "regime": lambda path, y, params: regime_loglik_series(path.regimes, params),
-}
-
-
 @dataclass(frozen=True)
 class PosteriorTerms:
     """joint_log_posterior at (path, params), kept factor by factor.
@@ -440,7 +457,10 @@ class PosteriorTerms:
     param_table entry.  moved(which, params) recomputes only the prior
     terms of entry `which` and the likelihood factor it moves, then
     re-adds all terms in the fixed order of joint_log_posterior, so an MH
-    target kept this way equals a full evaluation bit for bit.
+    target kept this way equals a full evaluation bit for bit.  The
+    transition factor keeps its inputs: log_next, log theta_{2:T} taken
+    once by build (None off the open simplex), and eta, the transition
+    means at params, which a kappa move reuses.
     """
 
     path: LatentPath
@@ -452,6 +472,8 @@ class PosteriorTerms:
     regime: float
     initial: float
     prior: dict[str, tuple[float, ...]]
+    log_next: np.ndarray | None = field(repr=False)
+    eta: np.ndarray = field(repr=False)
     total: float = field(init=False)
 
     def __post_init__(self):
@@ -467,21 +489,37 @@ class PosteriorTerms:
         if len(y) != len(path):
             raise ValueError("observation series and path lengths differ")
         table = param_table(params.n_regimes, len(params.ident_rates))
+        try:
+            require_open_simplex(path.thetas[1:], "path states")
+            log_next = np.log(path.thetas[1:])
+        except ValueError:
+            log_next = None
+        eta = _path_means(path, params)
         return cls(
             path, y, priors, params,
-            **{name: factor(path, y, params) for name, factor in _FACTORS.items()},
+            obs=obs_loglik_series(y, path.thetas, params),
+            trans=_trans_loglik(log_next, eta, params.kappa),
+            regime=regime_loglik_series(path.regimes, params),
             initial=initial_logdensity(path.thetas[0], int(path.regimes[0]), priors),
             prior={pid: e.log_prior(params, priors) for pid, e in table.items()},
+            log_next=log_next,
+            eta=eta,
         )
 
     def moved(self, which: str, params: ParameterSet) -> PosteriorTerms:
         """Terms at params, which differ from self.params in entry `which`
         of param_table only."""
         entry = param_table(params.n_regimes, len(params.ident_rates))[which]
-        prior = dict(self.prior)
-        prior[which] = entry.log_prior(params, self.priors)
-        moved_factor = _FACTORS[entry.factor](self.path, self.y, params)
-        return replace(self, params=params, prior=prior, **{entry.factor: moved_factor})
+        prior = {**self.prior, which: entry.log_prior(params, self.priors)}
+        if entry.factor == "obs":
+            changed = {"obs": obs_loglik_series(self.y, self.path.thetas, params)}
+        elif entry.factor == "regime":
+            changed = {"regime": regime_loglik_series(self.path.regimes, params)}
+        else:  # kappa scales the Dirichlet concentrations, not the means.
+            eta = self.eta if which == "kappa" else _path_means(self.path, params)
+            trans = _trans_loglik(self.log_next, eta, params.kappa)
+            changed = {"trans": trans, "eta": eta}
+        return replace(self, params=params, prior=prior, **changed)
 
 
 def joint_log_posterior(

@@ -58,7 +58,7 @@ class SamplerConfig:
     emitted for post-burn-in iterations at the given thinning stride.
     step_sizes maps MH ids (the keys of model.param_table) to proposal
     standard deviations; missing ids fall back to the table's
-    prior-scaled defaults.
+    prior-scaled defaults, and run_pg rejects ids the table lacks.
     """
 
     n_iterations: int
@@ -231,6 +231,9 @@ def run_pg(
         raise ValueError("need at least two observations")
     seed = config.seed
     table = param_table(priors.n_regimes, len(priors.ident))
+    unknown = sorted(set(config.step_sizes or ()) - set(table))
+    if unknown:
+        raise ValueError(f"step sizes for unknown parameter ids: {', '.join(unknown)}")
 
     if resume is None:
         steps = {pid: entry.default_step(priors) for pid, entry in table.items()}

@@ -84,11 +84,12 @@ def rk4_step(state: np.ndarray, rates: EpidemicRates) -> np.ndarray:
         raise FloatingPointError(
             "RK4 produced non-finite state; rate combination is pathological"
         )
+    np.clip(x, STATE_FLOOR, 1.0 - STATE_FLOOR, out=x)
+    total = ((x[0] + x[1]) + x[2]) + x[3]
     # A C-ordered (..., 4) array, so every caller's row sums add in one order.
     th = np.empty(x.shape[1:] + (4,))
-    last = (*(a + 1 for a in lead), 0)
-    np.clip(x.transpose(last), STATE_FLOOR, 1.0 - STATE_FLOOR, out=th)
-    return th / th.sum(axis=-1, keepdims=True)
+    np.divide(x, total, out=th.transpose((th.ndim - 1, *lead)))
+    return th
 
 
 def _midpoint(x: np.ndarray, step: float, k: np.ndarray) -> np.ndarray:

@@ -219,6 +219,8 @@ def run_csmc_as(
 
     n = k * m
     block_regimes = np.repeat(np.arange(k), m)
+    # Particle j descends from the (j mod M)-th of the M resampled ancestors.
+    block_slots = np.tile(np.arange(m), k)
     rates = params.rates_for(np.arange(k)[:, None])
     # log_p_into[x, j]: log probability of moving from particle j's regime to x.
     with np.errstate(divide="ignore"):
@@ -244,7 +246,7 @@ def run_csmc_as(
 
     for t in range(1, horizon):
         eta = transition_mean(np.broadcast_to(thetas[t - 1], (k, n, 4)), rates)
-        anc = np.tile(sample_categorical(norm_w[t - 1], rng, size=m), k)
+        anc = sample_categorical(norm_w[t - 1], rng, size=m)[block_slots]
         conc = params.kappa * eta[block_regimes, anc]
         thetas[t] = sample_dirichlet(DirichletParams(conc), rng)
 

@@ -2,12 +2,15 @@
 
 Every top-level public function or class in src/switchseir must be
 referenced by the package itself (outside its own definition) or by the
-benchmark in perfbench/.  Tests do not count as consumers: a name they
-alone need is a duplicate path or dead code.  Exceptions are listed in
-ALLOWED with the reason each one stays.
+benchmark in perfbench/, and so must every public method and property of
+those classes (by attribute, outside the method's own body).  Tests do
+not count as consumers: a name they alone need is a duplicate path or
+dead code.  Exceptions are listed in ALLOWED with the reason each one
+stays.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +70,48 @@ def _consumed() -> set[str]:
                     if qual != own and qual.split(".", 1)[1] in refs
                 }
     return found
+
+
+def _consumer_trees():
+    for root in CONSUMERS:
+        for path in sorted(root.rglob("*.py")):
+            if "tests" not in path.relative_to(ROOT).parts:
+                yield ast.parse(path.read_text())
+
+
+def _attribute_counts(tree: ast.AST) -> Counter:
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    )
+
+
+def _public_methods() -> dict[str, ast.AST]:
+    """module.Class.name -> definition, for every public method and
+    property of a top-level public class."""
+    return {
+        f"{path.stem}.{cls.name}.{item.name}": item
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def test_every_public_method_has_a_non_test_consumer():
+    taken = Counter()
+    for tree in _consumer_trees():
+        taken += _attribute_counts(tree)
+    unused = sorted(
+        qual
+        for qual, node in _public_methods().items()
+        if taken[node.name] - _attribute_counts(node)[node.name] <= 0
+    )
+    assert unused == [], (
+        "public methods or properties that only tests (or nothing) use; "
+        f"delete them or make them private: {unused}"
+    )
 
 
 def test_every_public_name_has_a_non_test_consumer():

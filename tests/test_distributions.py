@@ -333,3 +333,75 @@ def test_beta_logpdf_never_nan_on_interior(y, a, b):
 def test_trunc_normal_logpdf_never_nan(x, mean, sd, lo, width):
     val = trunc_normal_logpdf(x, TruncNormalParams(mean, sd, lo, lo + width))
     assert not math.isnan(val)
+
+
+class TestKernelsMatchPlainNumpyFormulas:
+    """The hot kernels add short rows column by column and update in place;
+    they must equal the plain numpy formulas (row reductions, np.clip, an
+    fsum over an array) exactly, on every shape the samplers use."""
+
+    SHAPES = [(100, 4), (2, 100, 4), (149, 4), (50, 2), (50, 3), (20, 9), (4,)]
+
+    @staticmethod
+    def log_uniform(g, shape, lo=-12.0, hi=3.0):
+        return 10.0 ** g.uniform(lo, hi, size=shape)
+
+    def simplex_points(self, g, shape):
+        x = self.log_uniform(g, shape, hi=0.0)
+        return x / x.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dirichlet_log_kernel(self, shape):
+        from scipy.special import gammaln
+
+        from switchseir.distributions import _dirichlet_log_kernel
+
+        g = rng(40)
+        for _ in range(20):
+            conc = self.log_uniform(g, shape)
+            log_x = np.log(self.simplex_points(g, shape))
+            plain = (
+                gammaln(conc.sum(axis=-1))
+                - gammaln(conc).sum(axis=-1)
+                + ((conc - 1) * log_x).sum(axis=-1)
+            )
+            got = _dirichlet_log_kernel(log_x, conc)
+            assert np.shape(got) == np.shape(plain)
+            assert np.all(got == plain)
+            # One reference row against a (..., d) concentration, as the
+            # ancestor-sampling draw calls it.
+            row = log_x.reshape(-1, shape[-1])[0]
+            plain_row = (
+                gammaln(conc.sum(axis=-1))
+                - gammaln(conc).sum(axis=-1)
+                + ((conc - 1) * row).sum(axis=-1)
+            )
+            assert np.all(_dirichlet_log_kernel(row, conc) == plain_row)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sample_dirichlet(self, shape):
+        from switchseir.distributions import SIMPLEX_FLOOR
+
+        for seed in range(10):
+            conc = self.log_uniform(rng(seed), shape)
+            a, b = substream(seed, 2), substream(seed, 2)
+            with np.errstate(invalid="ignore"):
+                g = a.standard_gamma(conc)
+                x = g / g.sum(axis=-1, keepdims=True)
+                x = np.clip(x, SIMPLEX_FLOOR, None)
+                plain = x / x.sum(axis=-1, keepdims=True)
+                got = sample_dirichlet(DirichletParams(conc), b)
+            assert got.shape == plain.shape
+            # Tiny concentrations give rows of all-zero Gamma draws, NaN in
+            # both; assert_array_equal matches NaN with NaN, the rest by ==.
+            np.testing.assert_array_equal(got, plain)
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 100, 10_000])
+    def test_logsumexp(self, n):
+        g = rng(41)
+        for _ in range(20):
+            lv = np.log(self.log_uniform(g, n)) * g.uniform(0.1, 10.0)
+            m = lv.max()
+            plain = float(m + math.log(math.fsum(np.exp(lv - m))))
+            assert logsumexp(lv) == plain

@@ -26,7 +26,6 @@ from switchseir.model import (
     regime_loglik_series,
     sample_initial,
     simulate_dataset,
-    trans_loglik_series,
     transition_mean,
 )
 from switchseir.seir import EpidemicRates, rk4_step
@@ -79,6 +78,14 @@ def obs_term(y, theta, params):
     return obs_loglik_series(np.array([y]), np.asarray(theta)[None, :], params)
 
 
+def trans_loglik_series(thetas, regimes, params, priors=None):
+    """Sum of state-transition log densities along a path: the transition
+    factor of the joint posterior (any y in (0, 1) will do)."""
+    path = LatentPath(thetas, regimes)
+    y = np.full(len(path), 0.01)
+    return PosteriorTerms.build(path, y, params, priors or two_regime_priors()).trans
+
+
 def trans_term(theta_next, theta, x_next, params):
     """Log density of theta -> theta_next under regime x_next, as a
     two-step series."""
@@ -121,8 +128,8 @@ class TestParameterSetValidation:
         with pytest.raises(ValueError):
             two_regime_params(ident_rates=((0.2, 0), (0.3, 0)))
         p = two_regime_params(ident_rates=((0.2, 0), (0.3, 40)))
-        assert p.ident_rate_at(39) == 0.2
-        assert p.ident_rate_at(40) == 0.3
+        assert p.ident_series(42)[39] == 0.2
+        assert p.ident_series(42)[40] == 0.3
         np.testing.assert_array_equal(
             p.ident_series(42)[38:], [0.2, 0.2, 0.3, 0.3]
         )
@@ -210,7 +217,7 @@ class TestObsDensity:
         # Independent per-step oracle: the Beta density at the rate in force.
         total = 0.0
         for t in range(5):
-            mean = params.ident_rate_at(t) * thetas[t, 2]
+            mean = params.ident_series(5)[t] * thetas[t, 2]
             lam = params.lambda_
             total += beta_logpdf(y[t], BetaParams(lam * mean, lam * (1 - mean)))
         assert obs_loglik_series(y, thetas, params) == pytest.approx(total, abs=1e-9)
@@ -401,7 +408,7 @@ class TestJointLogPosterior:
         total = joint_log_posterior(path, y, params, priors)
         parts = (
             obs_loglik_series(y, path.thetas, params)
-            + trans_loglik_series(path.thetas, path.regimes, params)
+            + trans_loglik_series(path.thetas, path.regimes, params, priors)
             + regime_loglik_series(path.regimes, params)
             + initial_logdensity(path.thetas[0], int(path.regimes[0]), priors)
             + log_prior(params, priors)
@@ -526,6 +533,90 @@ class TestPosteriorTerms:
         ):
             got = terms.moved(which, moved).total
             assert got == joint_log_posterior(path, y, moved, priors) == -math.inf, which
+
+
+class TestMhTargetChain:
+    def test_kept_and_rejected_moves_equal_full_evaluation(self):
+        # alpha -> kappa -> f2 -> kappa -> beta, each proposal kept or
+        # rejected as listed: a kappa move reuses the transition means of
+        # the target it moves from (never those of a rejected proposal),
+        # and every other transition move recomputes them.
+        params, priors, path, y = build_t5_case()
+        table = table_for(params)
+        target = PosteriorTerms.build(path, y, params, priors)
+        for which, scale, keep in [
+            ("alpha", 1.1, True),
+            ("kappa", 0.9, False),
+            ("f2", 1.2, False),
+            ("kappa", 1.3, True),
+            ("f2", 0.8, True),
+            ("kappa", 1.1, True),
+            ("beta", 0.9, False),
+            ("kappa", 0.7, False),
+        ]:
+            entry = table[which]
+            value = entry.get(target.params) * scale
+            proposal = target.moved(which, entry.set(target.params, value))
+            full = joint_log_posterior(path, y, proposal.params, priors)
+            assert proposal.total == full
+            assert (proposal.eta is target.eta) == (which == "kappa"), which
+            if keep:
+                target = proposal
+            assert target.total == joint_log_posterior(path, y, target.params, priors)
+            assert np.isfinite(target.total)
+
+
+class TestTableSetters:
+    # One value per id that breaks ParameterSet's rule for that field.
+    BAD = {
+        "alpha": -0.1, "beta": 0.0, "gamma": -1.0, "lambda": 0.0, "kappa": -5.0,
+        "p1": 1.2, "p2": 0.0, "f2": 0.3, "f3": 0.6,
+        ROW_ID: np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.2], [0.2, 0.2, 0.6]]),
+    }
+
+    def full_check_message(self, params, which, value):
+        """ParameterSet's own error for the same change, by full validation."""
+        mods, rates = params.modifiers.copy(), list(params.ident_rates)
+        if which in ("f2", "f3"):
+            mods[int(which[1]) - 1] = value
+        if which in ("p1", "p2"):
+            j = int(which[1]) - 1
+            rates[j] = (value, rates[j][1])
+        field = {"lambda": "lambda_", ROW_ID: "trans_matrix"}.get(which, which)
+        fields = {field: value} if hasattr(params, field) else {}
+        with pytest.raises(ValueError) as exc:
+            replace(params, modifiers=mods, ident_rates=tuple(rates), **fields)
+        return str(exc.value)
+
+    def test_bad_values_raise_parameter_set_errors(self):
+        params, _, _, _ = three_regime_case()
+        table = table_for(params)
+        assert set(table) == set(self.BAD)
+        for which, bad in self.BAD.items():
+            with pytest.raises(ValueError) as exc:
+                table[which].set(params, bad)
+            assert str(exc.value) == self.full_check_message(params, which, bad), which
+        negative = np.array([[1.1, -0.1, 0.0], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            table[ROW_ID].set(params, negative)
+
+    def test_setters_return_read_only_arrays(self):
+        params, _, _, _ = three_regime_case()
+        table = table_for(params)
+        good = {
+            "alpha": 0.31, "beta": 0.5, "gamma": 0.21, "lambda": 1900.0,
+            "kappa": 4000.0, "p1": 0.26, "p2": 0.29, "f2": 0.6, "f3": 0.2,
+            ROW_ID: np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
+        }
+        for which, value in good.items():
+            moved = table[which].set(params, value)
+            np.testing.assert_array_equal(table[which].get(moved), value)
+            assert not moved.trans_matrix.flags.writeable, which
+            assert not moved.modifiers.flags.writeable, which
+            # The same parameters as full validation would give.
+            checked = replace(moved)
+            for pid, e in table.items():
+                np.testing.assert_array_equal(e.get(checked), e.get(moved))
 
 
 class TestInitialSampler:

@@ -101,6 +101,36 @@ class TestRk4Step:
                 ref = np.clip(ref, STATE_FLOOR, 1.0 - STATE_FLOOR)
                 assert np.array_equal(out[x, j], ref / ref.sum())
 
+    @pytest.mark.parametrize("shape", [(2, 100, 4), (3, 100, 4), (149, 4), (100, 4)])
+    def test_equals_row_clip_and_row_sum_formula(self, shape):
+        # The clamp and renormalisation run component-first; they must equal
+        # np.clip on the (..., 4) rows divided by numpy's row sums.
+        from switchseir.seir import _flow, _midpoint
+
+        def plain_rk4(th, rates):
+            lead = tuple(range(th.ndim - 1))
+            x = np.ascontiguousarray(th.transpose((th.ndim - 1, *lead)))
+            rate = rates.modifier * rates.beta
+            k1 = _flow(x, rate, rates)
+            k2 = _flow(_midpoint(x, 0.5, k1), rate, rates)
+            k3 = _flow(_midpoint(x, 0.5, k2), rate, rates)
+            k4 = _flow(_midpoint(x, 1.0, k3), rate, rates)
+            x = x + (((k1 + 2 * k2) + 2 * k3) + k4) * (1.0 / 6.0)
+            th = np.clip(x.transpose((*(a + 1 for a in lead), 0)),
+                         STATE_FLOOR, 1.0 - STATE_FLOOR)
+            return th / th.sum(axis=-1, keepdims=True)
+
+        g = np.random.default_rng(3)
+        rows = shape if len(shape) == 2 else shape[1:]
+        mod_shape = shape[:-1] if len(shape) == 2 else (shape[0], 1)
+        for _ in range(10):
+            states = 10.0 ** g.uniform(-12, 0, size=rows)
+            states /= states.sum(axis=-1, keepdims=True)
+            mods = g.uniform(0.05, 1.0, size=mod_shape)
+            rates = EpidemicRates(*g.uniform(0.05, 3.0, size=3), mods)
+            th = np.broadcast_to(states, shape)
+            assert np.all(rk4_step(th, rates) == plain_rk4(th, rates))
+
     def test_substep_convergence_is_fourth_order(self):
         # Stiff-ish rates so single-step error is visible.
         kw = dict(alpha=1.5, beta=3.0, gamma=1.0, modifier=1.0)

@@ -42,7 +42,7 @@ def exact_deterministic_log_likelihood(y, params, priors):
     the state pinned to its deterministic propagation."""
 
     def obs_logdensity(y_t, theta, t):
-        mean = params.ident_rate_at(t) * theta[2]
+        mean = params.ident_series(len(y))[t] * theta[2]
         lam = params.lambda_
         return beta_logpdf(y_t, BetaParams(lam * mean, lam * (1.0 - mean)))
 
