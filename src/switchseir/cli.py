@@ -307,6 +307,17 @@ def cmd_summarize(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the --chains and --jobs counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchseir",
@@ -324,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit chains by particle Gibbs")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--chains", type=int, default=2)
-    p_fit.add_argument("--jobs", type=int, default=1)
+    p_fit.add_argument("--chains", type=_positive_int, default=2)
+    p_fit.add_argument("--jobs", type=_positive_int, default=1)
     p_fit.add_argument("--seed", type=int, default=None, help="override config seed")
     p_fit.add_argument("--resume", action="store_true")
     p_fit.add_argument("--out")
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help="compare regime counts")
     p_sel.add_argument("--config", required=True)
     p_sel.add_argument("--K", required=True, help="comma-separated regime counts")
-    p_sel.add_argument("--jobs", type=int, default=1)
+    p_sel.add_argument("--jobs", type=_positive_int, default=1)
     p_sel.add_argument("--out")
     p_sel.set_defaults(func=cmd_select)
 

@@ -20,6 +20,11 @@ from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 # Smallest admissible simplex component; Dirichlet draws are clamped here
 # and renormalized so downstream log densities stay finite.
 SIMPLEX_FLOOR = 1e-12
+# sample_categorical searches draws of at least this many indices in
+# sorted-key order.  By timeit on a 2-CPU Intel Xeon host, the sorted
+# search first wins at 800-900 keys (CDF of 1-3 times as many entries)
+# and takes 0.5-0.75 of the plain search's time from 1,000 keys up.
+SORTED_SEARCH_MIN_KEYS = 1024
 
 
 @dataclass(frozen=True)
@@ -81,24 +86,20 @@ class GammaParams:
             raise ValueError("Gamma shape and rate must be strictly positive")
 
 
-def beta_logpdf(y, params: BetaParams):
-    """Log density of Beta(a, b) at y in (0,1).
-
-    y and the shape parameters broadcast; raises on y outside (0,1).
-    """
+def _beta_logs(y) -> tuple[np.ndarray, np.ndarray]:
+    """log(y) and log(1 - y) for the Beta density at y; raises ValueError
+    unless every y lies strictly inside (0,1)."""
     y = np.asarray(y, dtype=float)
     if not np.all((y > 0) & (y < 1)):
         raise ValueError("Beta density requires y strictly inside (0,1)")
-    a = np.asarray(params.a, dtype=float)
-    b = np.asarray(params.b, dtype=float)
-    out = _beta_log_kernel(np.log(y), np.log1p(-y), a, b)
-    return out if out.ndim else float(out)
+    return np.log(y), np.log1p(-y)
 
 
 def _beta_log_kernel(log_y, log1m_y, a, b):
-    """Beta log density from log(y) and log(1 - y), with no domain check:
-    the one implementation, called by beta_logpdf after its check and by
-    the particle engine with logs it took once per pass."""
+    """Beta(a, b) log density from log(y) and log(1 - y), with no domain
+    check: the one implementation, called by the particle engine with logs
+    it takes once per pass and by the MH observation factor with the logs
+    of _beta_logs, taken once per MH stage.  a and b broadcast."""
     return (
         (a - 1) * log_y
         + (b - 1) * log1m_y
@@ -281,12 +282,27 @@ def sample_categorical(weights, rng: np.random.Generator, size=None):
     The weights must be nonnegative and sum to 1; they are not checked
     here, because every caller passes weights it has just normalised (the
     particle engine raises on degenerate weights before drawing).  One
-    uniform per draw; indices are 0-based.
+    uniform per draw; indices are 0-based.  size is None (one index, an
+    int) or a count (an index array).
+
+    Draws of at least SORTED_SEARCH_MIN_KEYS indices search the CDF for
+    their uniforms in ascending order and scatter the results back; fewer
+    are searched in draw order.  Both return the same indices: a binary
+    search of one key does not depend on the keys searched before it.
+    Ascending keys let numpy's search start from the previous key's
+    result and walk the CDF in memory order, which pays for the sort only
+    once there are many keys.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf[-1] = 1.0
     u = rng.random(size)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    if size is None or u.size < SORTED_SEARCH_MIN_KEYS:
+        idx = np.searchsorted(cdf, u, side="right")
+    else:
+        order = np.argsort(u)
+        idx = np.empty(u.shape, dtype=np.intp)
+        idx[order] = np.searchsorted(cdf, u[order], side="right")
+    idx = np.minimum(idx, len(cdf) - 1)
     return int(idx) if size is None else idx
 
 

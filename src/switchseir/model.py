@@ -27,12 +27,12 @@ from typing import Any
 import numpy as np
 
 from .distributions import (
-    BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
+    _beta_log_kernel,
+    _beta_logs,
     _dirichlet_log_kernel,
-    beta_logpdf,
     require_open_simplex,
     dirichlet_logpdf,
     gamma_logpdf,
@@ -232,17 +232,18 @@ class LatentPath:
         return self.thetas.shape[0]
 
 
-def obs_loglik_series(
-    y: np.ndarray, thetas: np.ndarray, params: ParameterSet
+def _obs_loglik(
+    log_y: np.ndarray, log1m_y: np.ndarray, thetas: np.ndarray, params: ParameterSet
 ) -> float:
-    """Sum of observation log densities over a full series."""
-    y = np.asarray(y, dtype=float)
-    mean = params.ident_series(len(y)) * thetas[:, 2]
+    """Sum of observation log densities over a full series, from log y
+    and log(1 - y) (taken once by PosteriorTerms.build after its (0, 1)
+    check); -inf where a Beta shape is not positive."""
+    mean = params.ident_series(len(log_y)) * thetas[:, 2]
     a = params.lambda_ * mean
     b = params.lambda_ * (1.0 - mean)
     if np.any(a <= 0) or np.any(b <= 0):
         return -math.inf
-    return float(np.sum(beta_logpdf(y, BetaParams(a, b))))
+    return float(np.sum(_beta_log_kernel(log_y, log1m_y, a, b)))
 
 
 def transition_mean(theta: np.ndarray, rates: EpidemicRates) -> np.ndarray:
@@ -457,14 +458,15 @@ class PosteriorTerms:
     param_table entry.  moved(which, params) recomputes only the prior
     terms of entry `which` and the likelihood factor it moves, then
     re-adds all terms in the fixed order of joint_log_posterior, so an MH
-    target kept this way equals a full evaluation bit for bit.  The
-    transition factor keeps its inputs: log_next, log theta_{2:T} taken
-    once by build (None off the open simplex), and eta, the transition
-    means at params, which a kappa move reuses.
+    target kept this way equals a full evaluation bit for bit.  Each
+    likelihood factor keeps its fixed inputs: log_y and log1m_y, log y
+    and log(1 - y) taken once by build after checking y inside (0, 1);
+    log_next, log theta_{2:T} taken once by build (None off the open
+    simplex); and eta, the transition means at params, which a kappa
+    move reuses.
     """
 
     path: LatentPath
-    y: np.ndarray
     priors: PriorSpec
     params: ParameterSet
     obs: float
@@ -472,6 +474,8 @@ class PosteriorTerms:
     regime: float
     initial: float
     prior: dict[str, tuple[float, ...]]
+    log_y: np.ndarray = field(repr=False)
+    log1m_y: np.ndarray = field(repr=False)
     log_next: np.ndarray | None = field(repr=False)
     eta: np.ndarray = field(repr=False)
     total: float = field(init=False)
@@ -488,6 +492,7 @@ class PosteriorTerms:
         y = np.asarray(y, dtype=float)
         if len(y) != len(path):
             raise ValueError("observation series and path lengths differ")
+        log_y, log1m_y = _beta_logs(y)
         table = param_table(params.n_regimes, len(params.ident_rates))
         try:
             require_open_simplex(path.thetas[1:], "path states")
@@ -496,12 +501,14 @@ class PosteriorTerms:
             log_next = None
         eta = _path_means(path, params)
         return cls(
-            path, y, priors, params,
-            obs=obs_loglik_series(y, path.thetas, params),
+            path, priors, params,
+            obs=_obs_loglik(log_y, log1m_y, path.thetas, params),
             trans=_trans_loglik(log_next, eta, params.kappa),
             regime=regime_loglik_series(path.regimes, params),
             initial=initial_logdensity(path.thetas[0], int(path.regimes[0]), priors),
             prior={pid: e.log_prior(params, priors) for pid, e in table.items()},
+            log_y=log_y,
+            log1m_y=log1m_y,
             log_next=log_next,
             eta=eta,
         )
@@ -512,7 +519,8 @@ class PosteriorTerms:
         entry = param_table(params.n_regimes, len(params.ident_rates))[which]
         prior = {**self.prior, which: entry.log_prior(params, self.priors)}
         if entry.factor == "obs":
-            changed = {"obs": obs_loglik_series(self.y, self.path.thetas, params)}
+            obs = _obs_loglik(self.log_y, self.log1m_y, self.path.thetas, params)
+            changed = {"obs": obs}
         elif entry.factor == "regime":
             changed = {"regime": regime_loglik_series(self.path.regimes, params)}
         else:  # kappa scales the Dirichlet concentrations, not the means.

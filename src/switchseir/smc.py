@@ -2,12 +2,23 @@
 sampling and reference-trajectory extraction.  Each pass also returns its
 marginal-likelihood estimate.
 
-Both filters use the transition densities as proposals, so the
-unnormalized importance weight at every step reduces to the observation
-density.  Resampling is multinomial at every step.  Within a step all
-particle work is vectorized; weight normalization uses an
-order-invariant log-sum-exp, so particle labels are exchangeable
-bit-for-bit.
+The bootstrap filter draws states and regimes from their transition
+densities, so its unnormalized importance weight at every step reduces
+to the observation density.  The conditional filter draws states from
+the state transition density, but assigns regimes by block, M particles
+per regime, and its step weights also carry only the observation
+density: the regime transition probabilities enter that filter only
+through ancestor sampling.
+
+Resampling is multinomial at every step, by inverse CDF with one uniform
+per index (distributions.sample_categorical).  The size of the draw
+picks the search order: draws of at least SORTED_SEARCH_MIN_KEYS indices
+(the bootstrap filter's at large N) search the CDF with their uniforms in
+ascending order, smaller draws in draw order.  Both orders return the
+same indices, since each uniform's binary search does not depend on the
+others.  Within a step all particle work is vectorized; weight
+normalization uses an order-invariant log-sum-exp, so particle labels
+are exchangeable bit-for-bit.
 
 The conditional filter keeps a per-step transition cache (the previous
 particles propagated under every regime) that block propagation and
@@ -162,16 +173,24 @@ def run_smc(
     log_w[0] = obs_log_weights(thetas[0], 0)
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
-    row_cdf = np.cumsum(params.trans_matrix, axis=1)
-    row_cdf[:, -1] = 1.0
+    # Columns 0..K-2 of the row CDFs, one contiguous row each; the regime
+    # proposal takes the last column as 1.0.
+    cdf_cols = np.cumsum(params.trans_matrix, axis=1).T[:-1].copy()
 
     for t in range(1, horizon):
         anc = sample_categorical(norm_w[t - 1], rng, size=n)
         ancestors[t - 1] = anc
-        # Regime proposal: one uniform per particle through the ancestor's row CDF.
+        # Regime proposal: one uniform u per particle through the ancestor's
+        # row CDF, last entry 1.0.  The first j with u < cdf[j] is the number
+        # of columns j < K-1 with cdf[j] <= u, since those columns are
+        # nondecreasing and the last entry exceeds u.
+        prev = regimes[t - 1].take(anc)
         u = rng.random(n)
-        regimes[t] = np.argmax(u[:, None] < row_cdf[regimes[t - 1][anc]], axis=1)
-        eta = transition_mean(thetas[t - 1][anc], params.rates_for(regimes[t]))
+        regimes[t] = 0
+        for col in cdf_cols:
+            regimes[t] += u >= col.take(prev)
+        parents = thetas[t - 1].take(anc, axis=0)
+        eta = transition_mean(parents, params.rates_for(regimes[t]))
         if deterministic_transitions:
             thetas[t] = eta
         else:

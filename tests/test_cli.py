@@ -131,6 +131,16 @@ class TestFit:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--chains", "--jobs"])
+    def test_zero_count_is_usage_error(self, sim_dir, tmp_path, capsys, flag):
+        cfg = shrink_config(sim_dir)
+        out = tmp_path / "fit"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fit", "--config", str(cfg), flag, "0", "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_particle_dump_flag(self, sim_dir, tmp_path):
         cfg_path = shrink_config(sim_dir)
         raw = json.loads(cfg_path.read_text())
@@ -161,6 +171,17 @@ class TestSelect:
                      "--out", str(out)]) == 0
         table = (out / "model_selection.csv").read_text().strip().split("\n")
         assert len(table) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_usage_error(self, sim_dir, tmp_path, capsys, jobs):
+        cfg = shrink_config(sim_dir)
+        out = tmp_path / "sel"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["select", "--config", str(cfg), "--K", "1,2", "--jobs", jobs,
+                  "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
+        assert not (out / "model_selection.csv").exists()
 
     def test_bad_k_list(self, sim_dir, tmp_path):
         cfg = shrink_config(sim_dir)

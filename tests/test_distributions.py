@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from switchseir.distributions import (
+    SORTED_SEARCH_MIN_KEYS,
     BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
-    beta_logpdf,
+    _beta_log_kernel,
+    _beta_logs,
     dirichlet_logpdf,
     gamma_logpdf,
     logsumexp,
@@ -32,6 +34,13 @@ DIRICHLET_LOGPDF_PRIOR_CASE = 12.850280266616979  # x=[.99,.001,.003,.006], conc
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def beta_logpdf(y, params: BetaParams):
+    """Beta(a, b) log density at y as the package computes it: the (0, 1)
+    check and logs of _beta_logs, then _beta_log_kernel."""
+    out = _beta_log_kernel(*_beta_logs(y), params.a, params.b)
+    return out if np.ndim(out) else float(out)
 
 
 class TestBetaLogpdf:
@@ -290,10 +299,13 @@ class TestCategorical:
     def test_single_and_batched_draws_agree(self):
         # The filters resample with size=m and draw single indices with
         # size=None; both read one uniform per draw from the same stream.
+        # The second size is searched in sorted-key order.
         w = rng(12).dirichlet(np.ones(100))
-        a, b = substream(3, 1), substream(3, 1)
-        singles = [sample_categorical(w, a) for _ in range(1000)]
-        np.testing.assert_array_equal(singles, sample_categorical(w, b, size=1000))
+        for size in (1000, 2 * SORTED_SEARCH_MIN_KEYS):
+            a, b = substream(3, 1), substream(3, 1)
+            singles = [sample_categorical(w, a) for _ in range(size)]
+            batched = sample_categorical(w, b, size=size)
+            np.testing.assert_array_equal(singles, batched)
 
 
 class TestLogsumexp:
@@ -336,11 +348,13 @@ def test_trunc_normal_logpdf_never_nan(x, mean, sd, lo, width):
 
 
 class TestKernelsMatchPlainNumpyFormulas:
-    """The hot kernels add short rows column by column and update in place;
-    they must equal the plain numpy formulas (row reductions, np.clip, an
-    fsum over an array) exactly, on every shape the samplers use."""
+    """The hot kernels add short rows column by column, update in place and
+    search sorted keys; they must equal the plain numpy formulas (row
+    reductions, np.clip, an fsum over an array, a search in draw order)
+    exactly, on every shape the samplers use."""
 
     SHAPES = [(100, 4), (2, 100, 4), (149, 4), (50, 2), (50, 3), (20, 9), (4,)]
+    SWITCH = SORTED_SEARCH_MIN_KEYS
 
     @staticmethod
     def log_uniform(g, shape, lo=-12.0, hi=3.0):
@@ -394,6 +408,37 @@ class TestKernelsMatchPlainNumpyFormulas:
             assert got.shape == plain.shape
             # Tiny concentrations give rows of all-zero Gamma draws, NaN in
             # both; assert_array_equal matches NaN with NaN, the rest by ==.
+            np.testing.assert_array_equal(got, plain)
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(2, 1), (100, 50), (300, 100), (SWITCH, SWITCH - 1), (SWITCH, SWITCH),
+         (300, 4096), (10_000, 10_000)],
+    )
+    def test_sample_categorical(self, n, m):
+        # m indices from n weights, on both sides of the sorted-key switch.
+        # Weights with runs of zeros give flat CDF steps; a point mass
+        # gives one step of height 1, at the first, a middle or the last
+        # index.
+        g = rng(42)
+        zeros = self.log_uniform(g, n)
+        zeros[g.random(n) < 0.5] = 0.0
+        zeros[: n // 4] = 0.0
+        zeros[-1] = 1.0
+        cases = [self.log_uniform(g, n), zeros]
+        for at in {0, n // 2, n - 1}:
+            mass = np.zeros(n)
+            mass[at] = 1.0
+            cases.append(mass)
+        for seed, w in enumerate(cases):
+            w = w / w.sum()
+            a, b = substream(seed, 3), substream(seed, 3)
+            cdf = np.cumsum(w)
+            cdf[-1] = 1.0
+            plain = np.minimum(np.searchsorted(cdf, a.random(m), side="right"), n - 1)
+            got = sample_categorical(w, b, size=m)
+            assert got.dtype == plain.dtype
             np.testing.assert_array_equal(got, plain)
             assert a.random() == b.random()
 

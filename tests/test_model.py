@@ -9,7 +9,6 @@ from switchseir.distributions import (
     DirichletParams,
     GammaParams,
     TruncNormalParams,
-    beta_logpdf,
 )
 from switchseir.model import (
     ROW_ID,
@@ -21,7 +20,6 @@ from switchseir.model import (
     initial_logdensity,
     joint_log_posterior,
     modifier_band,
-    obs_loglik_series,
     param_table,
     regime_loglik_series,
     sample_initial,
@@ -29,6 +27,7 @@ from switchseir.model import (
     transition_mean,
 )
 from switchseir.seir import EpidemicRates, rk4_step
+from tests.test_distributions import beta_logpdf
 
 
 def two_regime_params(**overrides):
@@ -71,6 +70,18 @@ def log_prior(params, priors):
     """Sum of the prior terms of every param_table entry."""
     table = table_for(params)
     return sum(t for e in table.values() for t in e.log_prior(params, priors))
+
+
+def obs_loglik_series(y, thetas, params):
+    """Sum of observation log densities over a series: the observation
+    factor of the joint posterior (the regimes do not enter it)."""
+    path = LatentPath(thetas, np.zeros(len(thetas), dtype=int))
+    priors = replace(
+        two_regime_priors(),
+        ident=two_regime_priors().ident * len(params.ident_rates),
+        ident_start_times=tuple(start for _, start in params.ident_rates),
+    )
+    return PosteriorTerms.build(path, y, params, priors).obs
 
 
 def obs_term(y, theta, params):

@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from switchseir.distributions import BetaParams, beta_logpdf, logsumexp
+from switchseir.distributions import SORTED_SEARCH_MIN_KEYS, BetaParams, logsumexp
 from switchseir.model import LatentPath, transition_mean
+from switchseir.rng import substream
 from switchseir.smc import (
     DegenerateWeightsError,
     ParticleSystem,
@@ -15,6 +17,7 @@ from switchseir.smc import (
     run_smc,
     sample_reference,
 )
+from tests.test_distributions import beta_logpdf
 from tests.test_model import two_regime_params, two_regime_priors
 
 
@@ -112,6 +115,73 @@ class TestRunSmc:
         y, params, priors, _ = make_data(horizon=3)
         with pytest.raises(ValueError):
             run_smc(y, params, priors, 1, rng(5))
+
+
+def plain_run_smc(y, params, priors, n, rng):
+    """run_smc with fancy-index gathers, an argmax regime proposal and a
+    resampling search in draw order: the reference for the take gathers,
+    the threshold-count proposal and the sorted-key search."""
+    from switchseir.distributions import DirichletParams, sample_dirichlet
+    from switchseir.smc import _draw_initial_thetas, _obs_log_weights_for
+
+    horizon, k = len(y), params.n_regimes
+    thetas = np.empty((horizon, n, 4))
+    regimes = np.empty((horizon, n), dtype=int)
+    log_w = np.empty((horizon, n))
+    norm_w = np.empty((horizon, n))
+    ancestors = np.empty((horizon - 1, n), dtype=int)
+    obs_log_weights = _obs_log_weights_for(y, params)
+    thetas[0] = _draw_initial_thetas(priors, n, rng, False)
+    regimes[0] = rng.integers(k, size=n)
+    log_w[0] = obs_log_weights(thetas[0], 0)
+    norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
+    row_cdf = np.cumsum(params.trans_matrix, axis=1)
+    row_cdf[:, -1] = 1.0
+    for t in range(1, horizon):
+        cdf = np.cumsum(norm_w[t - 1])
+        cdf[-1] = 1.0
+        anc = np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), n - 1)
+        ancestors[t - 1] = anc
+        u = rng.random(n)
+        regimes[t] = np.argmax(u[:, None] < row_cdf[regimes[t - 1][anc]], axis=1)
+        eta = transition_mean(thetas[t - 1][anc], params.rates_for(regimes[t]))
+        thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
+        log_w[t] = obs_log_weights(thetas[t], t)
+        norm_w[t], inc = _normalize_step(log_w[t], t)
+        log_marginal += inc
+    return thetas, regimes, log_w, norm_w, ancestors, log_marginal
+
+
+class TestRunSmcMatchesPlainLoop:
+    # K = 3 has zero entries, and its second row sums to 1 + 1e-10, so that
+    # row's CDF passes 1.0 before its last column.
+    MATRICES = {
+        1: [[1.0]],
+        2: [[0.9, 0.1], [0.1, 0.9]],
+        3: [[0.6, 0.0, 0.4], [0.3, 0.7 + 1e-10, 0.0], [0.0, 0.5, 0.5]],
+    }
+    MODIFIERS = {1: [1.0], 2: [1.0, 0.4], 3: [1.0, 0.7, 0.3]}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [64, 2 * SORTED_SEARCH_MIN_KEYS])
+    def test_every_output_equal(self, k, n):
+        y, base, priors, _ = make_data(horizon=6)
+        params = replace(
+            base,
+            trans_matrix=np.array(self.MATRICES[k]),
+            modifiers=np.array(self.MODIFIERS[k]),
+        )
+        for seed in (7, 8):
+            a, b = substream(seed, k), substream(seed, k)
+            got = run_smc(y, params, priors, n, a)
+            want = plain_run_smc(y, params, priors, n, b)
+            fields = (got.thetas, got.regimes, got.log_weights, got.norm_weights,
+                      got.ancestors, got.log_marginal)
+            for g, w in zip(fields, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+            assert a.random() == b.random()
+        if k > 1:
+            assert len(np.unique(got.regimes[1:])) == k
 
 
 class TestEstimateLogMarginal:
