@@ -4,7 +4,6 @@ Gibbs inference."""
 __version__ = "0.1.0"
 
 from .distributions import (
-    BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
@@ -15,13 +14,12 @@ from .smc import (
     DegenerateWeightsError,
     ParticleSystem,
     ReferenceTrajectory,
-    run_csmc_as,
+    run_csmc_as_batch,
     run_smc,
     sample_reference,
 )
 
 __all__ = [
-    "BetaParams",
     "ChainRecord",
     "DegenerateWeightsError",
     "DirichletParams",
@@ -33,7 +31,7 @@ __all__ = [
     "ReferenceTrajectory",
     "SamplerConfig",
     "TruncNormalParams",
-    "run_csmc_as",
+    "run_csmc_as_batch",
     "run_pg",
     "run_smc",
     "sample_reference",

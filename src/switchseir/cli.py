@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -105,62 +106,103 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_one_chain(task) -> dict:
-    """Run one chain end to end, streaming records and checkpoints."""
-    (y, priors, cfg, chain_path, ckpt_path, cfg_hash, resume, dump_path) = task
-    state = None
-    if resume and os.path.exists(ckpt_path):
-        ck = read_checkpoint(ckpt_path)
-        if ck["config_hash"] != cfg_hash:
-            raise ConfigError(
-                f"{ckpt_path}: checkpoint belongs to a different configuration"
+def _resume_state(chain_path, ckpt_path, cfg_hash):
+    """The checkpointed state of a chain, its chain file cut back to the
+    records that state has emitted; None without a checkpoint."""
+    if not os.path.exists(ckpt_path):
+        return None
+    ck = read_checkpoint(ckpt_path)
+    if ck["config_hash"] != cfg_hash:
+        raise ConfigError(f"{ckpt_path}: checkpoint belongs to a different configuration")
+    state = state_from_dict(ck)
+    truncate_chain(chain_path, state.n_emitted)
+    return state
+
+
+def _chain_callback(fh, ckpt_path, cfg_hash, cfg):
+    """run_pg callback of one chain: stream its records and checkpoints."""
+
+    def callback(st):
+        if st.record is not None:
+            append_chain_record(fh, st.record)
+        write_checkpoint(ckpt_path, st, cfg_hash, cfg.seed)
+        if st.iteration % PROGRESS_EVERY == 0:
+            _err(f"chain seed={cfg.seed}: iteration {st.iteration}/{cfg.n_iterations}")
+
+    return callback
+
+
+def _fit_chains(task) -> list[dict]:
+    """Run one group of chains end to end in one lockstep run_pg call,
+    streaming each chain's records and checkpoints to its own files."""
+    y, priors, cfg_hash, resume, chains = task
+    states = [
+        _resume_state(chain_path, ckpt_path, cfg_hash) if resume else None
+        for _, chain_path, ckpt_path, _ in chains
+    ]
+    todo = []
+    for j, ((cfg, chain_path, _, _), state) in enumerate(zip(chains, states)):
+        if state is not None and state.iteration >= cfg.n_iterations:
+            _err(f"chain {chain_path}: already complete")
+        else:
+            todo.append(j)
+    fresh = {}
+    if todo:
+        with ExitStack() as stack:
+            callbacks = []
+            for j in todo:
+                cfg, chain_path, ckpt_path, _ = chains[j]
+                if states[j] is None:
+                    header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
+                    write_chain(chain_path, [], header)
+                fh = stack.enter_context(open(chain_path, "a"))
+                callbacks.append(_chain_callback(fh, ckpt_path, cfg_hash, cfg))
+            runs = run_pg(
+                y,
+                priors,
+                [chains[j][0] for j in todo],
+                callbacks=callbacks,
+                resume=[states[j] for j in todo],
             )
-        state = state_from_dict(ck)
-        truncate_chain(chain_path, state.n_emitted)
-    if state is not None and state.iteration >= cfg.n_iterations:
-        _err(f"chain {chain_path}: already complete")
-        _, records = read_chain(chain_path)
-    else:
-        if state is None:
-            header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
-            write_chain(chain_path, [], header)
-        with open(chain_path, "a") as fh:
+            fresh = dict(zip(todo, runs))
 
-            def callback(st):
-                if st.record is not None:
-                    append_chain_record(fh, st.record)
-                write_checkpoint(ckpt_path, st, cfg_hash, cfg.seed)
-                if st.iteration % PROGRESS_EVERY == 0:
-                    _err(
-                        f"chain seed={cfg.seed}: iteration {st.iteration}/"
-                        f"{cfg.n_iterations}"
-                    )
-
-            records = run_pg(y, priors, cfg, callback=callback, resume=state)
-        if state is not None:
+    results = []
+    for j, (cfg, chain_path, _, dump_path) in enumerate(chains):
+        if j in fresh and states[j] is None:
+            records = fresh[j]
+        else:
             _, records = read_chain(chain_path)
+        if dump_path is not None and records:
+            system = run_smc(
+                y,
+                records[-1].params,
+                priors,
+                priors.n_regimes * cfg.m_per_regime,
+                substream(cfg.seed, TAG_INIT, 3),
+            )
+            dump_particle_system(dump_path, system)
+        kappas = np.array([rec.params.kappa for rec in records])
+        results.append({
+            "seed": cfg.seed,
+            "file": chain_path,
+            "n_records": len(records),
+            "acceptance": acceptance_rates(records),
+            "kappa_sd": float(kappas.std(ddof=1)) if len(kappas) > 1 else 0.0,
+            "log_ml_last": records[-1].log_marginal if records else math.nan,
+        })
+    return results
 
-    if dump_path is not None and records:
-        system = run_smc(
-            y,
-            records[-1].params,
-            priors,
-            priors.n_regimes * cfg.m_per_regime,
-            substream(cfg.seed, TAG_INIT, 3),
-        )
-        dump_particle_system(dump_path, system)
 
-    kappas = np.array(
-        [rec.params.kappa for rec in records]
-    ) if records else np.array([])
-    return {
-        "seed": cfg.seed,
-        "file": chain_path,
-        "n_records": len(records),
-        "acceptance": acceptance_rates(records),
-        "kappa_sd": float(kappas.std(ddof=1)) if len(kappas) > 1 else 0.0,
-        "log_ml_last": records[-1].log_marginal if records else math.nan,
-    }
+def _chain_groups(items: list, n_groups: int) -> list[list]:
+    """items cut into n_groups contiguous runs whose sizes differ by at
+    most one, larger runs first."""
+    size, extra = divmod(len(items), n_groups)
+    groups, start = [], 0
+    for g in range(n_groups):
+        stop = start + size + (g < extra)
+        groups.append(items[start:stop])
+        start = stop
+    return groups
 
 
 def cmd_fit(args) -> int:
@@ -174,7 +216,7 @@ def cmd_fit(args) -> int:
     dataset = load_dataset(config.data, base_dir)
     cfg_hash = config.config_hash
 
-    tasks = []
+    chains = []
     for i in range(args.chains):
         cfg_i = replace(config.sampler, seed=config.sampler.seed + i)
         dump = (
@@ -182,24 +224,24 @@ def cmd_fit(args) -> int:
             if config.output.get("dump_particles")
             else None
         )
-        tasks.append(
+        chains.append(
             (
-                dataset.y,
-                config.priors,
                 cfg_i,
                 os.path.join(out, f"chain_{i}.jsonl"),
                 os.path.join(out, f"chain_{i}.ckpt.json"),
-                cfg_hash,
-                args.resume,
                 dump,
             )
         )
 
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_fit_one_chain, tasks))
+    tasks = [
+        (dataset.y, config.priors, cfg_hash, args.resume, group)
+        for group in _chain_groups(chains, min(args.jobs, args.chains))
+    ]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            results = [res for group in pool.map(_fit_chains, tasks) for res in group]
     else:
-        results = [_fit_one_chain(t) for t in tasks]
+        results = _fit_chains(tasks[0])
 
     prior_kappa_sd = math.sqrt(config.priors.kappa.shape) / config.priors.kappa.rate
     for res in results:
@@ -336,7 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit chains by particle Gibbs")
     p_fit.add_argument("--config", required=True)
     p_fit.add_argument("--chains", type=_positive_int, default=2)
-    p_fit.add_argument("--jobs", type=_positive_int, default=1)
+    p_fit.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="processes to run the chains in: the chains are cut into "
+        "min(jobs, chains) contiguous groups of near-equal size, and each "
+        "process advances its group in lockstep, one batched CSMC-AS pass "
+        "per iteration; outputs do not depend on it",
+    )
     p_fit.add_argument("--seed", type=int, default=None, help="override config seed")
     p_fit.add_argument("--resume", action="store_true")
     p_fit.add_argument("--out")

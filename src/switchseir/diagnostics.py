@@ -190,7 +190,7 @@ def score_records(records: list[ChainRecord]) -> tuple[float, float]:
 def _fit_candidate(task) -> SelectionRow:
     k, y, priors, cfg = task
     try:
-        records = run_pg(y, priors, cfg)
+        (records,) = run_pg(y, priors, [cfg])
         mean, sd = score_records(records)
         return SelectionRow(k, mean, sd, len(records))
     except Exception as exc:  # per-K failures are reported, not fatal

@@ -28,18 +28,6 @@ SORTED_SEARCH_MIN_KEYS = 1024
 
 
 @dataclass(frozen=True)
-class BetaParams:
-    """Shape parameters of a Beta distribution; both must be positive."""
-
-    a: float | np.ndarray
-    b: float | np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(np.asarray(self.a) > 0) and np.all(np.asarray(self.b) > 0)):
-            raise ValueError("Beta shape parameters must be strictly positive")
-
-
-@dataclass(frozen=True)
 class DirichletParams:
     """Concentration vector of a Dirichlet distribution.
 
@@ -157,7 +145,14 @@ def sample_dirichlet(params: DirichletParams, rng: np.random.Generator) -> np.nd
     never contains exact zeros (zero components would push log densities
     to -inf downstream).
     """
-    x = rng.standard_gamma(params.concentration)
+    return _normalize_gamma_draws(rng.standard_gamma(params.concentration))
+
+
+def _normalize_gamma_draws(x: np.ndarray) -> np.ndarray:
+    """Turn Gamma variates x (last axis: the components) into Dirichlet
+    draws in place: normalize, floor at SIMPLEX_FLOOR, normalize again.
+    The second step of sample_dirichlet, for callers that draw the
+    variates of several generators into one array."""
     x /= _short_sum(x)[..., None]
     np.maximum(x, SIMPLEX_FLOOR, out=x)
     x /= _short_sum(x)[..., None]
@@ -307,14 +302,31 @@ def sample_categorical(weights, rng: np.random.Generator, size=None):
 
 
 def logsumexp(log_values) -> float:
-    """Exact-order-invariant log-sum-exp over a 1-D array.
-
-    Uses math.fsum for the mantissa sum, so permuting the inputs cannot
-    change the result bit-for-bit (needed for the particle engine's
-    label-exchangeability guarantee).
-    """
+    """Exact-order-invariant log-sum-exp over a 1-D array: logsumexp_rows
+    of a single row (-inf when empty)."""
     lv = np.asarray(log_values, dtype=float)
-    m = lv.max() if lv.size else -math.inf
-    if not np.isfinite(m):
+    if not lv.size:
         return -math.inf
-    return float(m + math.log(math.fsum(np.exp(lv - m).tolist())))
+    return logsumexp_rows(lv[None])[0]
+
+
+def logsumexp_rows(log_values: np.ndarray) -> list[float]:
+    """Exact-order-invariant log-sum-exp of each row of a 2-D array.
+
+    Each row's sum of exps (shifted by the row maximum) is added by
+    math.fsum, so permuting a row cannot change its result bit-for-bit
+    (needed for the particle engine's label-exchangeability guarantee),
+    and a row's result does not depend on the other rows.  A row whose
+    maximum is not finite (all -inf, or holding NaN or +inf) gives -inf.
+    """
+    peak = np.maximum.reduce(log_values, axis=1, keepdims=True)
+    peaks = peak.ravel().tolist()
+    finite = [math.isfinite(p) for p in peaks]
+    if not all(finite):
+        # Shift those rows by 0, so that their exps raise no warning.
+        peak = np.where(np.array(finite)[:, None], peak, 0.0)
+    rows = np.exp(log_values - peak).tolist()
+    return [
+        p + math.log(math.fsum(row)) if ok else -math.inf
+        for p, ok, row in zip(peaks, finite, rows)
+    ]

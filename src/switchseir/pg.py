@@ -10,8 +10,16 @@ correction (truncation breaks symmetry).  The MH target is the joint log
 posterior kept as model.PosteriorTerms: a proposal recomputes only the
 likelihood factor and prior terms of the entry it moves.
 
+run_pg drives a list of chains in lockstep: each round advances every
+unfinished chain by one iteration, its CSMC-AS pass shared with the
+others in one smc.run_csmc_as_batch call, and each chain at its own
+iteration number (resumed chains may differ).  The reference draw, the
+MH sweeps, step-size adaptation, the degeneracy watchdog, the records
+and the callback stay per chain.
+
 Every random draw of iteration r comes from counter-based streams keyed
-by (seed, stage, r, ...), so chains are bit-reproducible and a run can
+by (seed, stage, r, ...), so chains are bit-reproducible, a chain's
+records do not depend on which chains run beside it, and a run can
 resume from an iteration boundary with no drift.
 """
 
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +47,7 @@ from .rng import TAG_CSMC, TAG_INIT, TAG_MH, TAG_REFERENCE, substream
 from .smc import (
     DegenerateWeightsError,
     ReferenceTrajectory,
-    run_csmc_as,
+    run_csmc_as_batch,
     run_smc,
     sample_reference,
 )
@@ -209,137 +218,170 @@ def acceptance_rates(records) -> dict[str, float]:
 def run_pg(
     y: np.ndarray,
     priors: PriorSpec,
-    config: SamplerConfig,
-    callback=None,
-    resume: PgState | None = None,
-) -> list[ChainRecord]:
-    """Run one particle Gibbs chain and return its retained records.
+    configs: Sequence[SamplerConfig],
+    callbacks: Sequence | None = None,
+    resume: Sequence[PgState | None] | None = None,
+) -> list[list[ChainRecord]]:
+    """Run particle Gibbs chains in lockstep; return each chain's retained
+    records.
 
-    Iteration 0 draws the parameters from their priors and the reference
-    trajectory from a plain SMC pass; each later iteration refreshes the
-    reference through CSMC-AS and then applies the configured number of
-    MH sweeps.  Step sizes adapt toward a 30% acceptance rate during
-    burn-in and are frozen afterwards.
+    Chain c follows configs[c]; all chains share the series, the priors
+    and m_per_regime.  For each chain, iteration 0 draws the parameters
+    from their priors and the reference trajectory from a plain SMC pass;
+    each later iteration refreshes the reference through CSMC-AS and then
+    applies the configured number of MH sweeps.  Step sizes adapt toward
+    a 30% acceptance rate during burn-in and are frozen afterwards.
 
-    `callback`, when given, is invoked with the PgState after every
-    iteration (state.record is set on iterations that emitted a record);
-    passing a previously captured state as `resume` continues that run
-    bit-identically from the next iteration.
+    Every round runs one run_csmc_as_batch pass over the chains that have
+    iterations left, each at its own next iteration, then the rest of
+    each chain's iteration in chain order.  A chain's draws come from its
+    own streams, so its records do not depend on the other chains.
+
+    callbacks[c], when given and not None, is invoked with chain c's
+    PgState after each of its iterations (state.record is set on
+    iterations that emitted a record); passing a previously captured
+    state as resume[c] continues that chain bit-identically from its
+    next iteration.
     """
     y = np.asarray(y, dtype=float)
     if len(y) < 2:
         raise ValueError("need at least two observations")
-    seed = config.seed
+    n_chains = len(configs)
+    callbacks = list(callbacks) if callbacks is not None else [None] * n_chains
+    resume = list(resume) if resume is not None else [None] * n_chains
+    if not n_chains or len(callbacks) != n_chains or len(resume) != n_chains:
+        raise ValueError("need one config, and at most one callback and state, per chain")
+    m = configs[0].m_per_regime
+    if any(cfg.m_per_regime != m for cfg in configs):
+        raise ValueError("chains run in lockstep must share m_per_regime")
     table = param_table(priors.n_regimes, len(priors.ident))
-    unknown = sorted(set(config.step_sizes or ()) - set(table))
-    if unknown:
-        raise ValueError(f"step sizes for unknown parameter ids: {', '.join(unknown)}")
-
-    if resume is None:
-        steps = {pid: entry.default_step(priors) for pid, entry in table.items()}
-        if config.step_sizes:
-            steps.update(config.step_sizes)
-        params = draw_params(priors, substream(seed, TAG_INIT, 0))
-        try:
-            system = run_smc(
-                y,
-                params,
-                priors,
-                priors.n_regimes * config.m_per_regime,
-                substream(seed, TAG_INIT, 1),
+    for cfg in configs:
+        unknown = sorted(set(cfg.step_sizes or ()) - set(table))
+        if unknown:
+            raise ValueError(
+                f"step sizes for unknown parameter ids: {', '.join(unknown)}"
             )
-        except DegenerateWeightsError as exc:
-            raise DegenerateWeightsError(
-                exc.step, "during chain initialization"
-            ) from exc
-        reference = sample_reference(system, substream(seed, TAG_INIT, 2))
-        state = PgState(
-            iteration=0,
-            params=params,
-            reference=reference,
-            step_sizes=steps,
-            window_counts={pid: [0, 0] for pid in table},
-            total_counts={pid: [0, 0] for pid in table},
-            n_emitted=0,
-            n_degenerate=0,
+
+    states = [
+        state if state is not None else _initial_state(y, priors, cfg, table)
+        for cfg, state in zip(configs, resume)
+    ]
+    records: list[list[ChainRecord]] = [[] for _ in configs]
+    while True:
+        live = [c for c in range(n_chains) if states[c].iteration < configs[c].n_iterations]
+        if not live:
+            return records
+        results = run_csmc_as_batch(
+            y,
+            priors,
+            [states[c].params for c in live],
+            [states[c].reference for c in live],
+            m,
+            [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in live],
         )
+        for c, result in zip(live, results):
+            rec = _finish_iteration(y, priors, configs[c], table, states[c], result)
+            if rec is not None:
+                records[c].append(rec)
+            if callbacks[c] is not None:
+                callbacks[c](states[c])
+
+
+def _initial_state(y, priors: PriorSpec, config: SamplerConfig, table) -> PgState:
+    """Iteration 0 of a chain: prior parameters and a reference from a
+    plain SMC pass."""
+    seed = config.seed
+    steps = {pid: entry.default_step(priors) for pid, entry in table.items()}
+    if config.step_sizes:
+        steps.update(config.step_sizes)
+    params = draw_params(priors, substream(seed, TAG_INIT, 0))
+    try:
+        system = run_smc(
+            y,
+            params,
+            priors,
+            priors.n_regimes * config.m_per_regime,
+            substream(seed, TAG_INIT, 1),
+        )
+    except DegenerateWeightsError as exc:
+        raise DegenerateWeightsError(exc.step, "during chain initialization") from exc
+    return PgState(
+        iteration=0,
+        params=params,
+        reference=sample_reference(system, substream(seed, TAG_INIT, 2)),
+        step_sizes=steps,
+        window_counts={pid: [0, 0] for pid in table},
+        total_counts={pid: [0, 0] for pid in table},
+        n_emitted=0,
+        n_degenerate=0,
+    )
+
+
+def _finish_iteration(
+    y, priors: PriorSpec, config: SamplerConfig, table, state: PgState, system
+) -> ChainRecord | None:
+    """The rest of iteration state.iteration + 1 of one chain, given the
+    result of its CSMC-AS pass: the new reference (or, when the pass
+    degenerated, the old one), the MH sweeps, step-size adaptation and the
+    record, which is returned when the iteration emits one."""
+    seed, r = config.seed, state.iteration + 1
+    if isinstance(system, DegenerateWeightsError):
+        # Keep the previous reference (a rejected latent update) but
+        # abort when degeneracy dominates the early iterations.
+        state.n_degenerate += 1
+        warnings.warn(f"iteration {r}: {system}; latent update skipped")
+        log_ml = -math.inf
+        if (
+            r <= DEGENERACY_PROBE_ITERS
+            and state.n_degenerate > DEGENERACY_PROBE_ITERS * DEGENERACY_ABORT_FRACTION
+        ):
+            raise RuntimeError(
+                f"{state.n_degenerate} of the first {r} iterations degenerated; "
+                "check priors and precision parameters"
+            ) from system
     else:
-        state = resume
+        state.reference = sample_reference(system, substream(seed, TAG_REFERENCE, r))
+        log_ml = system.log_marginal
 
-    records: list[ChainRecord] = []
-    for r in range(state.iteration + 1, config.n_iterations + 1):
-        try:
-            system = run_csmc_as(
-                y,
-                state.params,
-                priors,
-                state.reference,
-                config.m_per_regime,
-                substream(seed, TAG_CSMC, r),
-            )
-            state.reference = sample_reference(
-                system, substream(seed, TAG_REFERENCE, r)
-            )
-            log_ml = system.log_marginal
-        except DegenerateWeightsError as exc:
-            # Keep the previous reference (a rejected latent update) but
-            # abort when degeneracy dominates the early iterations.
-            state.n_degenerate += 1
-            warnings.warn(f"iteration {r}: {exc}; latent update skipped")
-            log_ml = -math.inf
-            if (
-                r <= DEGENERACY_PROBE_ITERS
-                and state.n_degenerate > DEGENERACY_PROBE_ITERS * DEGENERACY_ABORT_FRACTION
-            ):
-                raise RuntimeError(
-                    f"{state.n_degenerate} of the first {r} iterations degenerated; "
-                    "check priors and precision parameters"
-                ) from exc
+    target = PosteriorTerms.build(state.reference.path, y, state.params, priors)
+    accepted: dict[str, list[bool]] = {pid: [] for pid in table}
+    for s in range(config.mh_sweeps_per_iter):
+        rng = substream(seed, TAG_MH, r, s)
+        for pid, entry in table.items():
+            step = state.step_sizes[pid]
+            if pid == ROW_ID:
+                row_steps = np.full(priors.n_regimes - 1, step)
+                target, ok = mh_trans_row(target, entry, row_steps, rng)
+            else:
+                support = entry.support(priors)
+                target, ok = mh_scalar(target, entry, step, support, rng)
+            accepted[pid].append(ok)
+    state.params = target.params
 
-        target = PosteriorTerms.build(state.reference.path, y, state.params, priors)
-        accepted: dict[str, list[bool]] = {pid: [] for pid in table}
-        for s in range(config.mh_sweeps_per_iter):
-            rng = substream(seed, TAG_MH, r, s)
-            for pid, entry in table.items():
-                step = state.step_sizes[pid]
-                if pid == ROW_ID:
-                    row_steps = np.full(priors.n_regimes - 1, step)
-                    target, ok = mh_trans_row(target, entry, row_steps, rng)
-                else:
-                    support = entry.support(priors)
-                    target, ok = mh_scalar(target, entry, step, support, rng)
-                accepted[pid].append(ok)
-        state.params = target.params
+    for pid, flags in accepted.items():
+        state.window_counts[pid][0] += sum(flags)
+        state.window_counts[pid][1] += len(flags)
+        if r > config.burn_in:
+            state.total_counts[pid][0] += sum(flags)
+            state.total_counts[pid][1] += len(flags)
 
-        for pid, flags in accepted.items():
-            state.window_counts[pid][0] += sum(flags)
-            state.window_counts[pid][1] += len(flags)
-            if r > config.burn_in:
-                state.total_counts[pid][0] += sum(flags)
-                state.total_counts[pid][1] += len(flags)
+    if r <= config.burn_in and r % ADAPT_EVERY == 0:
+        for pid, (acc, n) in state.window_counts.items():
+            if n:
+                state.step_sizes[pid] = _adjusted_step(
+                    state.step_sizes[pid], acc / n, TARGET_ACCEPT
+                )
+        state.window_counts = {pid: [0, 0] for pid in table}
 
-        if r <= config.burn_in and r % ADAPT_EVERY == 0:
-            for pid, (acc, n) in state.window_counts.items():
-                if n:
-                    state.step_sizes[pid] = _adjusted_step(
-                        state.step_sizes[pid], acc / n, TARGET_ACCEPT
-                    )
-            state.window_counts = {pid: [0, 0] for pid in table}
-
-        state.iteration = r
-        state.record = None
-        if r > config.burn_in and (r - config.burn_in - 1) % config.thin == 0:
-            rec = ChainRecord(
-                iteration=r,
-                params=state.params,
-                path=state.reference.path,
-                log_marginal=log_ml,
-                mh_accepted={pid: tuple(flags) for pid, flags in accepted.items()},
-            )
-            records.append(rec)
-            state.n_emitted += 1
-            state.record = rec
-        if callback is not None:
-            callback(state)
-
-    return records
+    state.iteration = r
+    state.record = None
+    if r > config.burn_in and (r - config.burn_in - 1) % config.thin == 0:
+        state.record = ChainRecord(
+            iteration=r,
+            params=state.params,
+            path=state.reference.path,
+            log_marginal=log_ml,
+            mh_accepted={pid: tuple(flags) for pid, flags in accepted.items()},
+        )
+        state.n_emitted += 1
+    return state.record

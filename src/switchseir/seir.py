@@ -24,17 +24,21 @@ class EpidemicRates:
     """Rates of the modified SEIR flow.
 
     modifier scales the transmission term (1 = baseline, smaller values
-    encode intervention-suppressed transmission).  Fields broadcast, so
-    modifier may be an array aligned with a population of states.
+    encode intervention-suppressed transmission).  Every field broadcasts
+    against the component-first state (leading axes of the population),
+    so each may be an array: modifiers aligned with the particles' regimes,
+    or all four given per propagated row when the particles of several
+    chains, each with its own rates, propagate in one call.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
     modifier: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.gamma > 0):
+        rates = (self.alpha, self.beta, self.gamma)
+        if not all((np.asarray(v) > 0).all() for v in rates):
             raise ValueError("alpha, beta, gamma must be strictly positive")
         mod = np.asarray(self.modifier)
         if not np.all((mod > 0) & (mod <= 1)):

@@ -20,15 +20,26 @@ others.  Within a step all particle work is vectorized; weight
 normalization uses an order-invariant log-sum-exp, so particle labels
 are exchangeable bit-for-bit.
 
-The conditional filter keeps a per-step transition cache (the previous
-particles propagated under every regime) that block propagation and
-ancestor sampling both read; what is constant over a pass is computed
-once per pass.
+The conditional filter runs C chains in one pass (run_csmc_as_batch),
+each with its own parameters, reference and generator, and one chain is
+the case C = 1.  The particles of all chains sit on one chain axis:
+propagation (a per-step transition cache of the previous particles under
+every regime), the gathers, the observation and ancestor-sampling
+weights, their exps and row sums run once per step over all chains.
+What makes a chain's result its own stays per chain, in the order a
+chain alone would take it: every draw from its generator (resampling
+uniforms, Gamma variates, the ancestor-sampling uniform), each CDF
+search, each log-sum-exp's math.fsum, and the degeneracy check.  A chain
+whose weights degenerate leaves the pass at that step with its
+DegenerateWeightsError; the others go on.  So each chain's result equals
+its pass alone bit for bit, whatever the other chains hold.  What is
+constant over a pass is computed once per pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +48,15 @@ from .distributions import (
     DirichletParams,
     _beta_log_kernel,
     _dirichlet_log_kernel,
+    _normalize_gamma_draws,
     logsumexp,
+    logsumexp_rows,
     require_open_simplex,
     sample_categorical,
     sample_dirichlet,
 )
 from .model import LatentPath, ParameterSet, PriorSpec, transition_mean
+from .seir import EpidemicRates
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -100,32 +114,25 @@ class ReferenceTrajectory:
         object.__setattr__(self, "lineage", lin)
 
 
-def _obs_log_weights_for(y: np.ndarray, params: ParameterSet):
-    """Return log_weights(thetas, t): the observation log density of every
-    particle at step t.  The identification rate p_t, log y_t and
-    log(1 - y_t) are computed here, once per pass."""
-    p = params.ident_series(len(y))
-    log_y = [math.log(v) for v in y]
-    log1m_y = [math.log1p(-v) for v in y]
-    lam = params.lambda_
-
-    def log_weights(thetas: np.ndarray, t: int) -> np.ndarray:
-        mean = p[t] * thetas[:, 2]
-        a = lam * mean
-        b = lam * (1.0 - mean)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_beta = _beta_log_kernel(log_y[t], log1m_y[t], a, b)
-        return np.where((a > 0) & (b > 0), log_beta, -np.inf)
-
-    return log_weights
+def _obs_log_weights(thetas, p_t, lam, log_y_t: float, log1m_y_t: float) -> np.ndarray:
+    """Observation log density at step t of every particle in thetas
+    (..., 4), from the identification rate p_t, the precision lam (both
+    broadcast against thetas[..., 2]) and log y_t, log(1 - y_t)."""
+    mean = p_t * thetas[..., 2]
+    a = lam * mean
+    b = lam * (1.0 - mean)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_beta = _beta_log_kernel(log_y_t, log1m_y_t, a, b)
+    return np.where((a > 0) & (b > 0), log_beta, -np.inf)
 
 
 def _normalize_step(log_w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
+    """The bootstrap filter's step-t weights normalized, and the step's log
+    mean weight; raises DegenerateWeightsError when every weight vanishes."""
     total = logsumexp(log_w)
     if not np.isfinite(total):
         raise DegenerateWeightsError(t)
-    w = np.exp(log_w - total)
-    return w / w.sum(), total - math.log(len(log_w))
+    return _normalize_rows(log_w[None], [total])[0], total - math.log(len(log_w))
 
 
 def _draw_initial_thetas(
@@ -167,10 +174,12 @@ def run_smc(
     norm_w = np.empty((horizon, n))
     ancestors = np.empty((max(horizon - 1, 0), n), dtype=int)
 
-    obs_log_weights = _obs_log_weights_for(y, params)
+    p, lam = params.ident_series(horizon), params.lambda_
+    log_y = [math.log(v) for v in y]
+    log1m_y = [math.log1p(-v) for v in y]
     thetas[0] = _draw_initial_thetas(priors, n, rng, deterministic_transitions)
     regimes[0] = rng.integers(k, size=n)
-    log_w[0] = obs_log_weights(thetas[0], 0)
+    log_w[0] = _obs_log_weights(thetas[0], p[0], lam, log_y[0], log1m_y[0])
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
     # Columns 0..K-2 of the row CDFs, one contiguous row each; the regime
@@ -195,22 +204,30 @@ def run_smc(
             thetas[t] = eta
         else:
             thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
-        log_w[t] = obs_log_weights(thetas[t], t)
+        log_w[t] = _obs_log_weights(thetas[t], p[t], lam, log_y[t], log1m_y[t])
         norm_w[t], inc = _normalize_step(log_w[t], t)
         log_marginal += inc
 
     return ParticleSystem(thetas, regimes, log_w, norm_w, ancestors, log_marginal)
 
 
-def run_csmc_as(
+def run_csmc_as_batch(
     y: np.ndarray,
-    params: ParameterSet,
     priors: PriorSpec,
-    reference: ReferenceTrajectory,
+    params: Sequence[ParameterSet],
+    references: Sequence[ReferenceTrajectory],
     m_per_regime: int,
-    rng: np.random.Generator,
-) -> ParticleSystem:
-    """Conditional SMC with block-deterministic regimes and ancestor sampling.
+    rngs: Sequence[np.random.Generator],
+) -> list[ParticleSystem | DegenerateWeightsError]:
+    """Conditional SMC with block-deterministic regimes and ancestor
+    sampling, for C chains at once.
+
+    Chain c runs on params[c] against references[c] and draws from
+    rngs[c]; all chains share the series y, the priors, K and M.  The
+    result of chain c is its ParticleSystem, or the DegenerateWeightsError
+    its pass raised: a chain whose weights degenerate stops there, as it
+    would alone, and the other chains go on unchanged.  Each result
+    equals a pass of its chain alone bit for bit.
 
     Regimes are assigned deterministically in K blocks of M particles;
     the reference pair overwrites the last slot of its regime's block at
@@ -218,98 +235,240 @@ def run_csmc_as(
     weights.  Non-reference ancestors are M multinomial draws from the
     previous weights, replicated across the K blocks.
 
-    At each step one transition_mean call propagates the N previous
-    particles under all K regimes into a (K, N, 4) cache: block
-    propagation gathers row [regime of the block, ancestor] from it, and
-    ancestor sampling reads row [reference regime].  The reference states
-    must lie on the open simplex (rows summing to 1 within 1e-9); they
-    are checked once, before any particle work.
+    At each step one transition_mean call propagates the previous
+    particles of every chain under all K regimes into a cache of C * K * N
+    rows in (chain, regime, particle) order: block propagation gathers
+    row (chain, regime of the block, ancestor) from it, and ancestor
+    sampling reads the N rows of (chain, reference regime).  The
+    reference states must lie on the open simplex (rows
+    summing to 1 within 1e-9); every chain's inputs are checked before
+    any particle work.
     """
     y = np.asarray(y, dtype=float)
-    horizon, m, k = len(y), m_per_regime, params.n_regimes
+    horizon, m = len(y), m_per_regime
     if m < 2:
         raise ValueError("need at least two particles per regime")
-    ref = reference.path
-    if len(ref) != horizon:
-        raise ValueError("reference length must match the observation series")
-    if np.any(ref.regimes < 0) or np.any(ref.regimes >= k):
-        raise ValueError("reference regimes out of range")
-    require_open_simplex(ref.thetas, "reference states")
+    if not len(params) == len(references) == len(rngs) > 0:
+        raise ValueError("need one parameter set, reference and generator per chain")
+    k = params[0].n_regimes
+    for chain_params, reference in zip(params, references):
+        if chain_params.n_regimes != k:
+            raise ValueError("the chains of one pass must share the number of regimes")
+        ref = reference.path
+        if len(ref) != horizon:
+            raise ValueError("reference length must match the observation series")
+        if np.any(ref.regimes < 0) or np.any(ref.regimes >= k):
+            raise ValueError("reference regimes out of range")
+        require_open_simplex(ref.thetas, "reference states")
 
     n = k * m
-    block_regimes = np.repeat(np.arange(k), m)
     # Particle j descends from the (j mod M)-th of the M resampled ancestors.
     block_slots = np.tile(np.arange(m), k)
-    rates = params.rates_for(np.arange(k)[:, None])
-    # log_p_into[x, j]: log probability of moving from particle j's regime to x.
-    with np.errstate(divide="ignore"):
-        log_p_into = np.log(params.trans_matrix.T[:, block_regimes])
-    log_ref = np.log(ref.thetas)
-    obs_log_weights = _obs_log_weights_for(y, params)
+    log_y = [math.log(v) for v in y]
+    log1m_y = [math.log1p(-v) for v in y]
+    results: list = [None] * len(params)
+    b = _ChainBatch(list(range(len(params))), params, references, rngs, m, horizon)
 
-    thetas = np.empty((horizon, n, 4))
-    # The reference slot lies in its own regime's block, so every particle
-    # carries its block's regime at every step.
-    regimes = np.tile(block_regimes, (horizon, 1))
-    log_w = np.empty((horizon, n))
-    norm_w = np.empty((horizon, n))
-    ancestors = np.empty((max(horizon - 1, 0), n), dtype=int)
-
-    def ref_slot(t: int) -> int:
-        return (int(ref.regimes[t]) + 1) * m - 1
-
-    thetas[0] = _draw_initial_thetas(priors, n, rng, False)
-    thetas[0, ref_slot(0)] = ref.thetas[0]
-    log_w[0] = obs_log_weights(thetas[0], 0)
-    norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
+    for i, g in enumerate(b.rngs):
+        b.thetas[0, i] = _draw_initial_thetas(priors, n, g, False)
+    b.thetas[0].reshape(-1, 4)[b.ref_flat[0]] = b.ref_thetas[0]
+    b = _weigh_step(b, 0, log_y, log1m_y, results)
+    if b is None:
+        return results
 
     for t in range(1, horizon):
-        eta = transition_mean(np.broadcast_to(thetas[t - 1], (k, n, 4)), rates)
-        anc = sample_categorical(norm_w[t - 1], rng, size=m)[block_slots]
-        conc = params.kappa * eta[block_regimes, anc]
-        thetas[t] = sample_dirichlet(DirichletParams(conc), rng)
+        c = len(b.ids)
+        eta = transition_mean(np.repeat(b.thetas[t - 1], k, axis=0).reshape(-1, 4), b.rates)
+        log_as = _ancestor_log_weights(b, eta, t)
+        as_totals = logsumexp_rows(log_as)
+        if -math.inf in as_totals:
+            live = _retire(b, as_totals, results, t, "ancestor-sampling weights all zero")
+            if not live:
+                return results
+            eta = eta.reshape(c, -1, 4).take(live, axis=0).reshape(-1, 4)
+            b, log_as = b.keep(live), log_as.take(live, axis=0)
+            as_totals = [as_totals[r] for r in live]
+            c = len(live)
+        as_cdf = np.add.accumulate(_normalize_rows(log_as, as_totals), axis=1)
+        as_cdf[:, -1] = 1.0
 
-        x_ref = int(ref.regimes[t])
-        slot = ref_slot(t)
-        thetas[t, slot] = ref.thetas[t]
-        conc_ref = params.kappa * eta[x_ref]
-        anc[slot] = _ancestor_sampling_draw(
-            log_ref[t], conc_ref, log_p_into[x_ref], norm_w[t - 1], rng, t
+        cdf = np.add.accumulate(b.norm_w[t - 1], axis=1)
+        cdf[:, -1] = 1.0
+        draws = np.empty((c, m), dtype=np.intp)
+        for i, g in enumerate(b.rngs):
+            draws[i] = cdf[i].searchsorted(g.random(m), side="right")
+        np.minimum(draws, n - 1, out=draws)
+        anc = draws.take(block_slots, axis=1, out=b.ancestors[t - 1])
+        conc = eta.take(b.block_base + anc.ravel(), axis=0)
+        conc *= b.kappa
+
+        x = b.thetas[t]
+        slots = b.ref_slot[t]
+        for i, g in enumerate(b.rngs):
+            g.standard_gamma(conc[i * n:(i + 1) * n], out=x[i])
+            idx = int(as_cdf[i].searchsorted(g.random(), side="right"))
+            anc[i, slots[i]] = min(idx, n - 1)
+        _normalize_gamma_draws(x)
+        x.reshape(-1, 4)[b.ref_flat[t]] = b.ref_thetas[t]
+
+        b = _weigh_step(b, t, log_y, log1m_y, results)
+        if b is None:
+            return results
+
+    regimes = np.repeat(np.arange(k), m)
+    for i, chain in enumerate(b.ids):
+        # The reference slot lies in its own regime's block, so every
+        # particle carries its block's regime at every step.
+        results[chain] = ParticleSystem(
+            b.thetas[:, i],
+            np.tile(regimes, (horizon, 1)),
+            b.log_w[:, i],
+            b.norm_w[:, i],
+            b.ancestors[:, i],
+            b.log_marginal[i],
         )
-        ancestors[t - 1] = anc
-
-        log_w[t] = obs_log_weights(thetas[t], t)
-        norm_w[t], inc = _normalize_step(log_w[t], t)
-        log_marginal += inc
-
-    return ParticleSystem(thetas, regimes, log_w, norm_w, ancestors, log_marginal)
+    return results
 
 
-def _ancestor_sampling_draw(
-    log_theta_ref: np.ndarray,
-    conc_ref: np.ndarray,
-    log_p_ref: np.ndarray,
-    norm_w_prev: np.ndarray,
-    rng: np.random.Generator,
-    t: int,
-) -> int:
-    """Draw the reference particle's ancestor index.
+class _ChainBatch:
+    """The chains still live in a run_csmc_as_batch pass.
+
+    Holds each chain's id (its position in the caller's lists), inputs,
+    generator and running log marginal, the pass constants with a chain
+    axis (after the time axis where there is one) and the particle
+    storage: thetas (T, C, N, 4), log_w and norm_w (T, C, N), ancestors
+    (T-1, C, N).  Flat row indices address the chain-major reshapes of
+    the transition cache and of the particles of one step.
+    """
+
+    def __init__(self, ids, params, references, rngs, m, horizon,
+                 storage=None, log_marginal=None):
+        c, k = len(ids), params[0].n_regimes
+        n = k * m
+        self.ids, self.params, self.references = list(ids), list(params), list(references)
+        self.rngs, self.m, self.n = list(rngs), m, n
+        # A pass starts each log marginal at 0.0, and 0.0 + x == x bit for
+        # bit, so adding step 0's increment gives that increment.
+        self.log_marginal = [0.0] * c if log_marginal is None else log_marginal
+        block_regimes = np.repeat(np.arange(k), m)
+        chain = np.arange(c)
+
+        def per_row(values, repeats):
+            return np.repeat(np.asarray(values, dtype=float), repeats)
+
+        # One rate per row of the flat (C * K * N) transition cache, and one
+        # precision and identification rate per particle of the (C * N)
+        # particles of a step: every kernel then works on 1-D rows.
+        self.rates = EpidemicRates(
+            per_row([p.alpha for p in params], k * n),
+            per_row([p.beta for p in params], k * n),
+            per_row([p.gamma for p in params], k * n),
+            per_row(np.concatenate([p.modifiers for p in params]), n),
+        )
+        self.kappa = per_row([p.kappa for p in params], n)[:, None]
+        self.lam = per_row([p.lambda_ for p in params], n)
+        self.ident = np.repeat(
+            np.stack([p.ident_series(horizon) for p in params], axis=1), n, axis=1
+        )
+        # log_p_into[c * K + x, j]: log probability, in chain c, of moving
+        # from particle j's regime to x.
+        with np.errstate(divide="ignore"):
+            self.log_p_into = np.concatenate(
+                [np.log(p.trans_matrix.T[:, block_regimes]) for p in params]
+            )
+        ref_regimes = np.stack([r.path.regimes for r in references], axis=1)
+        self.ref_thetas = np.stack([r.path.thetas for r in references], axis=1)
+        self.log_ref = np.repeat(
+            np.stack([np.log(r.path.thetas) for r in references], axis=1), n, axis=1
+        )
+        # Row of (chain, reference regime) in log_p_into and in the
+        # (C * K, N, 4) view of the transition cache, per step.
+        self.ref_row = chain * k + ref_regimes
+        ref_slot = (ref_regimes + 1) * m - 1
+        self.ref_slot = ref_slot.tolist()
+        self.ref_flat = chain * n + ref_slot
+        # Flat cache row of (chain, block regime, ancestor 0) per particle.
+        self.block_base = ((chain[:, None] * k + block_regimes) * n).ravel()
+        if storage is None:
+            storage = (
+                np.empty((horizon, c, n, 4)),
+                np.empty((horizon, c, n)),
+                np.empty((horizon, c, n)),
+                np.empty((max(horizon - 1, 0), c, n), dtype=int),
+            )
+        self.thetas, self.log_w, self.norm_w, self.ancestors = storage
+
+    def keep(self, rows: list[int]) -> _ChainBatch:
+        """The batch of the chains in the given rows, storage included."""
+
+        def pick(values):
+            return [values[r] for r in rows]
+
+        storage = (self.thetas, self.log_w, self.norm_w, self.ancestors)
+        return _ChainBatch(
+            pick(self.ids), pick(self.params), pick(self.references), pick(self.rngs),
+            self.m, self.thetas.shape[0],
+            storage=tuple(a.take(rows, axis=1) for a in storage),
+            log_marginal=pick(self.log_marginal),
+        )
+
+
+def _retire(b: _ChainBatch, totals: list[float], results: list, t: int,
+            detail: str = "") -> list[int]:
+    """Make DegenerateWeightsError(t, detail) the result of every chain
+    whose row total is -inf; return the rows of the other chains."""
+    live = []
+    for row, total in enumerate(totals):
+        if total == -math.inf:
+            results[b.ids[row]] = DegenerateWeightsError(t, detail)
+        else:
+            live.append(row)
+    return live
+
+
+def _weigh_step(b: _ChainBatch, t: int, log_y, log1m_y, results: list) -> _ChainBatch | None:
+    """Weigh and normalize the step-t particles of every chain and add the
+    step's log mean weight to its log marginal.  Chains whose weights all
+    vanish are retired; returns the batch of the others (None if none)."""
+    b.log_w[t] = _obs_log_weights(
+        b.thetas[t].reshape(-1, 4), b.ident[t], b.lam, log_y[t], log1m_y[t]
+    ).reshape(-1, b.n)
+    totals = logsumexp_rows(b.log_w[t])
+    if -math.inf in totals:
+        live = _retire(b, totals, results, t)
+        if not live:
+            return None
+        b, totals = b.keep(live), [totals[r] for r in live]
+    _normalize_rows(b.log_w[t], totals, out=b.norm_w[t])
+    log_n = math.log(b.n)
+    b.log_marginal = [lm + (total - log_n) for lm, total in zip(b.log_marginal, totals)]
+    return b
+
+
+def _normalize_rows(log_w: np.ndarray, totals: list[float], out=None) -> np.ndarray:
+    """Each row of exp(log_w) divided by its sum, given each row's
+    log-sum-exp (finite)."""
+    w = np.exp(log_w - np.array(totals)[:, None])
+    return np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=out)
+
+
+def _ancestor_log_weights(b: _ChainBatch, eta: np.ndarray, t: int) -> np.ndarray:
+    """Unnormalized log ancestor-sampling weights of every chain's
+    reference particle at step t, one row per chain.
 
     Weights are proportional to transition density to the reference state
     times regime transition probability times the previous normalized
     weight (the observation factor is constant across candidates and
-    drops out of the normalization).  conc_ref is kappa times the cached
-    transition means under the reference regime; log_p_ref holds each
-    candidate's log probability of moving into that regime.
+    drops out of the normalization).  eta is the transition cache of
+    step t, C * K * N rows in (chain, regime, particle) order.
     """
-    log_g = _dirichlet_log_kernel(log_theta_ref, conc_ref)
+    conc_ref = eta.reshape(-1, b.n, 4).take(b.ref_row[t], axis=0).reshape(-1, 4)
+    conc_ref *= b.kappa
+    log_as = _dirichlet_log_kernel(b.log_ref[t], conc_ref).reshape(-1, b.n)
     with np.errstate(divide="ignore"):
-        log_as = log_g + log_p_ref + np.log(norm_w_prev)
-    total = logsumexp(log_as)
-    if not np.isfinite(total):
-        raise DegenerateWeightsError(t, "ancestor-sampling weights all zero")
-    w = np.exp(log_as - total)
-    return sample_categorical(w / w.sum(), rng)
+        log_as += b.log_p_into.take(b.ref_row[t], axis=0)
+        log_as += np.log(b.norm_w[t - 1])
+    return log_as
 
 
 def sample_reference(

@@ -69,16 +69,19 @@ class TestFit:
         assert manifest["chain_seeds"] == [1, 2]
 
     def test_jobs_do_not_change_output(self, sim_dir, tmp_path):
+        # --jobs J runs the chains in min(J, 3) groups, each advanced in
+        # lockstep by one process: every grouping writes the same files.
         cfg = shrink_config(sim_dir)
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert main(["fit", "--config", str(cfg), "--chains", "2", "--jobs", "1",
-                     "--out", str(seq)]) == 0
-        assert main(["fit", "--config", str(cfg), "--chains", "2", "--jobs", "2",
-                     "--out", str(par)]) == 0
-        for i in range(2):
-            a = (seq / f"chain_{i}.jsonl").read_bytes()
-            b = (par / f"chain_{i}.jsonl").read_bytes()
-            assert a == b
+        outs = {}
+        for jobs in (1, 2, 3):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            assert main(["fit", "--config", str(cfg), "--chains", "3", "--jobs",
+                         str(jobs), "--out", str(outs[jobs])]) == 0
+        for i in range(3):
+            for name in (f"chain_{i}.jsonl", f"chain_{i}.ckpt.json"):
+                want = (outs[1] / name).read_bytes()
+                assert (outs[2] / name).read_bytes() == want
+                assert (outs[3] / name).read_bytes() == want
 
     def test_resume_matches_straight_through(self, sim_dir, tmp_path):
         full_cfg = shrink_config(sim_dir, n_iterations=10)
@@ -97,6 +100,33 @@ class TestFit:
         assert (straight / "chain_0.jsonl").read_bytes() == (
             resumed / "chain_0.jsonl"
         ).read_bytes()
+
+    def test_resume_completes_partial_chain_beside_complete_one(
+        self, sim_dir, tmp_path, capsys
+    ):
+        # Chain 0 is complete and chain 1 stopped at iteration 5; resuming
+        # both runs only chain 1 and matches a run straight through.
+        full_cfg = shrink_config(sim_dir, n_iterations=10)
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        assert main(["fit", "--config", str(full_cfg), "--chains", "2",
+                     "--out", str(straight)]) == 0
+        assert main(["fit", "--config", str(full_cfg), "--chains", "2",
+                     "--out", str(resumed)]) == 0
+        short_cfg = shrink_config(sim_dir, n_iterations=5)
+        short = tmp_path / "short"
+        assert main(["fit", "--config", str(short_cfg), "--chains", "2",
+                     "--out", str(short)]) == 0
+        for name in ("chain_1.jsonl", "chain_1.ckpt.json"):
+            (resumed / name).write_bytes((short / name).read_bytes())
+        full_cfg = shrink_config(sim_dir, n_iterations=10)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(full_cfg), "--chains", "2",
+                     "--resume", "--out", str(resumed)]) == 0
+        err = capsys.readouterr().err
+        assert f"chain {resumed / 'chain_0.jsonl'}: already complete" in err
+        for i in range(2):
+            for name in (f"chain_{i}.jsonl", f"chain_{i}.ckpt.json"):
+                assert (resumed / name).read_bytes() == (straight / name).read_bytes()
 
     def test_invalid_config_key_names_it(self, sim_dir, tmp_path, capsys):
         cfg_path = sim_dir / "config.json"

@@ -8,7 +8,6 @@ from scipy import integrate, stats
 
 from switchseir.distributions import (
     SORTED_SEARCH_MIN_KEYS,
-    BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
@@ -36,47 +35,41 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def beta_logpdf(y, params: BetaParams):
+def beta_logpdf(y, a, b):
     """Beta(a, b) log density at y as the package computes it: the (0, 1)
     check and logs of _beta_logs, then _beta_log_kernel."""
-    out = _beta_log_kernel(*_beta_logs(y), params.a, params.b)
+    out = _beta_log_kernel(*_beta_logs(y), a, b)
     return out if np.ndim(out) else float(out)
 
 
 class TestBetaLogpdf:
     def test_uniform_density_is_flat(self):
-        assert beta_logpdf(0.5, BetaParams(1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
+        assert beta_logpdf(0.5, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_case(self):
-        assert beta_logpdf(0.5, BetaParams(2.0, 2.0)) == pytest.approx(
+        assert beta_logpdf(0.5, 2.0, 2.0) == pytest.approx(
             math.log(1.5), abs=1e-12
         )
 
     def test_observation_scale_case_matches_high_precision_reference(self):
-        got = beta_logpdf(0.05, BetaParams(125.0, 2375.0))
+        got = beta_logpdf(0.05, 125.0, 2375.0)
         assert got == pytest.approx(BETA_LOGPDF_OBS_CASE, abs=1e-10)
 
     def test_rejects_boundary_and_outside(self):
         for y in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
-                beta_logpdf(y, BetaParams(2.0, 3.0))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            BetaParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaParams(1.0, -2.0)
+                beta_logpdf(y, 2.0, 3.0)
 
     def test_broadcasts_over_arrays(self):
         y = np.array([0.2, 0.4, 0.6])
-        out = beta_logpdf(y, BetaParams(2.0, 2.0))
-        expect = [beta_logpdf(v, BetaParams(2.0, 2.0)) for v in y]
+        out = beta_logpdf(y, 2.0, 2.0)
+        expect = [beta_logpdf(v, 2.0, 2.0) for v in y]
         np.testing.assert_allclose(out, expect)
 
     @pytest.mark.parametrize("a,b", [(0.7, 1.3), (2.0, 5.0), (125.0, 2375.0)])
     def test_integrates_to_one(self, a, b):
         val, _ = integrate.quad(
-            lambda y: math.exp(beta_logpdf(y, BetaParams(a, b))), 0, 1, limit=200
+            lambda y: math.exp(beta_logpdf(y, a, b)), 0, 1, limit=200
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -331,7 +324,7 @@ class TestLogsumexp:
     b=st.floats(1e-3, 1e4),
 )
 def test_beta_logpdf_never_nan_on_interior(y, a, b):
-    assert math.isfinite(beta_logpdf(y, BetaParams(a, b)))
+    assert math.isfinite(beta_logpdf(y, a, b))
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from switchseir.distributions import (
-    BetaParams,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
@@ -167,7 +166,7 @@ class TestObsDensity:
         assert abs(draws.var() - var) < 3 * var * math.sqrt(8.0 / n)
         # Density must be the matching Beta.
         assert obs_term(0.049, theta, params) == pytest.approx(
-            beta_logpdf(0.049, BetaParams(a, b)), abs=1e-12
+            beta_logpdf(0.049, a, b), abs=1e-12
         )
 
     def test_monte_carlo_moments_random_triples(self):
@@ -230,7 +229,7 @@ class TestObsDensity:
         for t in range(5):
             mean = params.ident_series(5)[t] * thetas[t, 2]
             lam = params.lambda_
-            total += beta_logpdf(y[t], BetaParams(lam * mean, lam * (1 - mean)))
+            total += beta_logpdf(y[t], lam * mean, lam * (1 - mean))
         assert obs_loglik_series(y, thetas, params) == pytest.approx(total, abs=1e-9)
 
 

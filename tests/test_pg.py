@@ -208,7 +208,7 @@ class TestMhTransRow:
         y, _, priors, _ = make_data(horizon=12)
         priors1 = priors_for_k(priors, 1)
         assert ROW_ID not in param_table(1, 1)
-        records = run_pg(y, priors1, small_config(n_iterations=5, burn_in=2))
+        (records,) = run_pg(y, priors1, [small_config(n_iterations=5, burn_in=2)])
         for rec in records:
             assert ROW_ID not in rec.mh_accepted
             np.testing.assert_array_equal(rec.params.trans_matrix, [[1.0]])
@@ -268,19 +268,19 @@ def small_config(**overrides):
 class TestRunPg:
     def test_emits_expected_record_count(self):
         y, _, priors, _ = make_data(horizon=25)
-        records = run_pg(y, priors, small_config())
+        (records,) = run_pg(y, priors, [small_config()])
         assert len(records) == 20
         assert [r.iteration for r in records] == list(range(11, 31))
 
     def test_thinning(self):
         y, _, priors, _ = make_data(horizon=25)
-        records = run_pg(y, priors, small_config(thin=3))
+        (records,) = run_pg(y, priors, [small_config(thin=3)])
         assert [r.iteration for r in records] == [11, 14, 17, 20, 23, 26, 29]
 
     def test_bit_reproducible(self):
         y, _, priors, _ = make_data(horizon=25)
-        a = run_pg(y, priors, small_config())
-        b = run_pg(y, priors, small_config())
+        (a,) = run_pg(y, priors, [small_config()])
+        (b,) = run_pg(y, priors, [small_config()])
         table = param_table(2, 1)
         for ra, rb in zip(a, b):
             for pid in ("alpha", "beta", "gamma", "lambda", "kappa", "p", "f2"):
@@ -294,7 +294,7 @@ class TestRunPg:
 
     def test_resume_equals_straight_through(self):
         y, _, priors, _ = make_data(horizon=25)
-        full = run_pg(y, priors, small_config(n_iterations=30))
+        (full,) = run_pg(y, priors, [small_config(n_iterations=30)])
 
         captured = {}
 
@@ -304,9 +304,9 @@ class TestRunPg:
 
                 captured["state"] = copy.deepcopy(state)
 
-        first = run_pg(y, priors, small_config(n_iterations=18), callback=keep)
-        rest = run_pg(
-            y, priors, small_config(n_iterations=30), resume=captured["state"]
+        (first,) = run_pg(y, priors, [small_config(n_iterations=18)], callbacks=[keep])
+        (rest,) = run_pg(
+            y, priors, [small_config(n_iterations=30)], resume=[captured["state"]]
         )
         combined = first + rest
         assert len(combined) == len(full)
@@ -318,7 +318,7 @@ class TestRunPg:
 
     def test_acceptance_flags_recorded_for_every_parameter(self):
         y, _, priors, _ = make_data(horizon=25)
-        records = run_pg(y, priors, small_config())
+        (records,) = run_pg(y, priors, [small_config()])
         ids = {"alpha", "beta", "gamma", "lambda", "kappa", "p", "f2", "rows"}
         for rec in records:
             assert set(rec.mh_accepted) == ids
@@ -331,7 +331,7 @@ class TestRunPg:
         def watch(state):
             seen[state.iteration] = dict(state.step_sizes)
 
-        run_pg(y, priors, small_config(n_iterations=250, burn_in=200), callback=watch)
+        run_pg(y, priors, [small_config(n_iterations=250, burn_in=200)], callbacks=[watch])
         # Steps may move during burn-in but not afterwards.
         post = [seen[i] for i in range(201, 251)]
         assert all(p == post[0] for p in post)
@@ -339,7 +339,7 @@ class TestRunPg:
     def test_rejects_short_series(self):
         _, _, priors, _ = make_data(horizon=4)
         with pytest.raises(ValueError):
-            run_pg(np.array([0.01]), priors, small_config())
+            run_pg(np.array([0.01]), priors, [small_config()])
 
     @pytest.mark.parametrize("bad", ["alpah", "f3"])
     def test_unknown_step_size_id_raises_before_drawing(self, bad, monkeypatch):
@@ -353,12 +353,118 @@ class TestRunPg:
         monkeypatch.setattr("switchseir.pg.draw_params", no_draws)
         config = small_config(step_sizes={bad: 0.1, "alpha": 0.2})
         with pytest.raises(ValueError, match=f"unknown parameter ids: {bad}$"):
-            run_pg(y, priors, config)
+            run_pg(y, priors, [small_config(), config])
 
     def test_default_step_sizes_cover_all_parameters(self):
         priors = two_regime_priors()
         for e in param_table(2, 1).values():
             assert e.default_step(priors) > 0
+
+
+def records_equal(a, b):
+    assert [r.iteration for r in a] == [r.iteration for r in b]
+    for ra, rb in zip(a, b):
+        assert ra.params.__dict__.keys() == rb.params.__dict__.keys()
+        for key, value in ra.params.__dict__.items():
+            np.testing.assert_array_equal(value, rb.params.__dict__[key])
+        np.testing.assert_array_equal(ra.path.thetas, rb.path.thetas)
+        np.testing.assert_array_equal(ra.path.regimes, rb.path.regimes)
+        assert ra.log_marginal == rb.log_marginal
+        assert ra.mh_accepted == rb.mh_accepted
+
+
+def captured_states(y, priors, config, at):
+    """Deep copies of a chain's state after each iteration in `at`."""
+    import copy
+
+    states = {}
+
+    def keep(state):
+        if state.iteration in at:
+            states[state.iteration] = copy.deepcopy(state)
+
+    run_pg(y, priors, [config], callbacks=[keep])
+    return states
+
+
+class TestLockstepChains:
+    def test_each_chain_equals_its_run_alone(self):
+        # Chain 0 resumes at iteration 7 and chain 1 at 12, chain 2 starts
+        # fresh with its own length and thinning; in lockstep each must
+        # give exactly the records and states it gives alone.
+        import copy
+
+        y, _, priors, _ = make_data(horizon=25)
+        configs = [
+            small_config(seed=21, n_iterations=20),
+            small_config(seed=22, n_iterations=24),
+            small_config(seed=23, n_iterations=16, thin=2),
+        ]
+        resume = [
+            captured_states(y, priors, configs[0], {7})[7],
+            captured_states(y, priors, configs[1], {12})[12],
+            None,
+        ]
+        seen = [[], [], []]
+        callbacks = [
+            lambda st, c=c: seen[c].append((st.iteration, st.n_emitted, dict(st.step_sizes)))
+            for c in range(3)
+        ]
+        together = run_pg(y, priors, configs, callbacks=callbacks,
+                          resume=copy.deepcopy(resume))
+        for c in range(3):
+            alone_seen = []
+            (alone,) = run_pg(
+                y, priors, [configs[c]],
+                callbacks=[lambda st: alone_seen.append(
+                    (st.iteration, st.n_emitted, dict(st.step_sizes)))],
+                resume=[copy.deepcopy(resume[c])],
+            )
+            records_equal(together[c], alone)
+            assert seen[c] == alone_seen
+        assert [s[0][0] for s in seen] == [8, 13, 1]
+
+    def test_degenerate_chain_is_reported_as_alone(self):
+        # A chain whose reference enters a regime its transition matrix
+        # cannot reach loses its ancestor weights: that iteration keeps
+        # the old reference, records log-marginal -inf and counts one
+        # degeneracy, with or without another chain beside it.
+        import copy
+
+        y, _, priors, _ = make_data(horizon=25)
+        configs = [small_config(seed=31, n_iterations=8, burn_in=2),
+                   small_config(seed=32, n_iterations=6, burn_in=2)]
+        state = captured_states(y, priors, configs[0], {5})[5]
+        regimes = np.zeros(25, dtype=int)
+        regimes[3] = 1
+        state.reference = type(state.reference)(
+            LatentPath(state.reference.path.thetas, regimes), state.reference.lineage
+        )
+        state.params = param_table(2, 1)[ROW_ID].set(
+            state.params, np.array([[1.0, 0.0], [1.0, 0.0]])
+        )
+        message = (
+            "iteration 6: all particle weights degenerate at time step 3 "
+            r"\(ancestor-sampling weights all zero\); latent update skipped"
+        )
+        states = [None, copy.deepcopy(state)]
+        with pytest.warns(UserWarning, match=message) as caught:
+            together = run_pg(y, priors, configs, resume=states)
+        with pytest.warns(UserWarning, match=message) as caught_alone:
+            (alone,) = run_pg(y, priors, [configs[1]], resume=[copy.deepcopy(state)])
+        assert [str(w.message) for w in caught] == [message.replace("\\", "")]
+        assert [str(w.message) for w in caught_alone] == [message.replace("\\", "")]
+        assert states[1].n_degenerate == state.n_degenerate + 1
+        assert together[1][0].iteration == 6
+        assert together[1][0].log_marginal == -math.inf
+        records_equal(together[1], alone)
+        (first,) = run_pg(y, priors, [configs[0]])
+        records_equal(together[0], first)
+
+    def test_chains_must_share_m_per_regime(self):
+        y, _, priors, _ = make_data(horizon=25)
+        with pytest.raises(ValueError, match="m_per_regime"):
+            run_pg(y, priors, [small_config(), small_config(m_per_regime=6)])
 
 
 class TestSamplerConfigValidation:

@@ -149,6 +149,17 @@ class TestRk4Step:
         with pytest.raises(ValueError):
             EpidemicRates(1.0, 1.0, 1.0, modifier=1.2)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    def test_array_fields_checked_entrywise(self, field):
+        # Per-chain rates are arrays; one non-positive entry fails with the
+        # class's own message, not numpy's ambiguous truth value.
+        good = dict(alpha=np.full((3, 1), 0.3), beta=np.full((3, 1), 0.4),
+                    gamma=np.full((3, 1), 0.2))
+        EpidemicRates(**good, modifier=np.array([1.0, 0.5]))
+        good[field] = np.array([[0.3], [0.0], [0.2]])
+        with pytest.raises(ValueError, match="alpha, beta, gamma must be strictly positive"):
+            EpidemicRates(**good)
+
 
 class TestPropagatePath:
     def test_all_susceptible_stays_constant(self):
