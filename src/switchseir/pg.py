@@ -271,7 +271,7 @@ def run_pg(
         live = [c for c in range(n_chains) if states[c].iteration < configs[c].n_iterations]
         if not live:
             return records
-        results = run_csmc_as_batch(
+        systems = run_csmc_as_batch(
             y,
             priors,
             [states[c].params for c in live],
@@ -279,12 +279,14 @@ def run_pg(
             m,
             [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in live],
         )
-        for c, result in zip(live, results):
-            rec = _finish_iteration(y, priors, configs[c], table, states[c], result)
+        for c, system in zip(live, systems):
+            rec = _finish_iteration(y, priors, configs[c], table, states[c], system)
             if rec is not None:
                 records[c].append(rec)
             if callbacks[c] is not None:
                 callbacks[c](states[c])
+        # The systems share one particle store: free it before the next pass.
+        del systems, system
 
 
 def _initial_state(y, priors: PriorSpec, config: SamplerConfig, table) -> PgState:

@@ -357,8 +357,9 @@ class _ChainBatch:
             return np.repeat(np.asarray(values, dtype=float), repeats)
 
         # One rate per row of the flat (C * K * N) transition cache, and one
-        # precision and identification rate per particle of the (C * N)
-        # particles of a step: every kernel then works on 1-D rows.
+        # precision per particle of the (C * N) particles of a step (the
+        # identification rate and log reference state are spread to the
+        # particles step by step): every kernel then works on 1-D rows.
         self.rates = EpidemicRates(
             per_row([p.alpha for p in params], k * n),
             per_row([p.beta for p in params], k * n),
@@ -367,9 +368,7 @@ class _ChainBatch:
         )
         self.kappa = per_row([p.kappa for p in params], n)[:, None]
         self.lam = per_row([p.lambda_ for p in params], n)
-        self.ident = np.repeat(
-            np.stack([p.ident_series(horizon) for p in params], axis=1), n, axis=1
-        )
+        self.ident = np.stack([p.ident_series(horizon) for p in params], axis=1)
         # log_p_into[c * K + x, j]: log probability, in chain c, of moving
         # from particle j's regime to x.
         with np.errstate(divide="ignore"):
@@ -378,9 +377,7 @@ class _ChainBatch:
             )
         ref_regimes = np.stack([r.path.regimes for r in references], axis=1)
         self.ref_thetas = np.stack([r.path.thetas for r in references], axis=1)
-        self.log_ref = np.repeat(
-            np.stack([np.log(r.path.thetas) for r in references], axis=1), n, axis=1
-        )
+        self.log_ref = np.stack([np.log(r.path.thetas) for r in references], axis=1)
         # Row of (chain, reference regime) in log_p_into and in the
         # (C * K, N, 4) view of the transition cache, per step.
         self.ref_row = chain * k + ref_regimes
@@ -430,8 +427,9 @@ def _weigh_step(b: _ChainBatch, t: int, log_y, log1m_y, results: list) -> _Chain
     """Weigh and normalize the step-t particles of every chain and add the
     step's log mean weight to its log marginal.  Chains whose weights all
     vanish are retired; returns the batch of the others (None if none)."""
+    p_t = np.repeat(b.ident[t], b.n)
     b.log_w[t] = _obs_log_weights(
-        b.thetas[t].reshape(-1, 4), b.ident[t], b.lam, log_y[t], log1m_y[t]
+        b.thetas[t].reshape(-1, 4), p_t, b.lam, log_y[t], log1m_y[t]
     ).reshape(-1, b.n)
     totals = logsumexp_rows(b.log_w[t])
     if -math.inf in totals:
@@ -464,7 +462,8 @@ def _ancestor_log_weights(b: _ChainBatch, eta: np.ndarray, t: int) -> np.ndarray
     """
     conc_ref = eta.reshape(-1, b.n, 4).take(b.ref_row[t], axis=0).reshape(-1, 4)
     conc_ref *= b.kappa
-    log_as = _dirichlet_log_kernel(b.log_ref[t], conc_ref).reshape(-1, b.n)
+    log_ref = np.repeat(b.log_ref[t], b.n, axis=0)
+    log_as = _dirichlet_log_kernel(log_ref, conc_ref).reshape(-1, b.n)
     with np.errstate(divide="ignore"):
         log_as += b.log_p_into.take(b.ref_row[t], axis=0)
         log_as += np.log(b.norm_w[t - 1])
