@@ -140,37 +140,21 @@ def _fit_chains(task) -> list[dict]:
         _resume_state(chain_path, ckpt_path, cfg_hash) if resume else None
         for _, chain_path, ckpt_path, _ in chains
     ]
-    todo = []
-    for j, ((cfg, chain_path, _, _), state) in enumerate(zip(chains, states)):
-        if state is not None and state.iteration >= cfg.n_iterations:
-            _err(f"chain {chain_path}: already complete")
-        else:
-            todo.append(j)
-    fresh = {}
-    if todo:
-        with ExitStack() as stack:
-            callbacks = []
-            for j in todo:
-                cfg, chain_path, ckpt_path, _ = chains[j]
-                if states[j] is None:
-                    header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
-                    write_chain(chain_path, [], header)
-                fh = stack.enter_context(open(chain_path, "a"))
-                callbacks.append(_chain_callback(fh, ckpt_path, cfg_hash, cfg))
-            runs = run_pg(
-                y,
-                priors,
-                [chains[j][0] for j in todo],
-                callbacks=callbacks,
-                resume=[states[j] for j in todo],
-            )
-            fresh = dict(zip(todo, runs))
+    with ExitStack() as stack:
+        callbacks = []
+        for (cfg, chain_path, ckpt_path, _), state in zip(chains, states):
+            if state is None:
+                header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
+                write_chain(chain_path, [], header)
+            elif state.iteration >= cfg.n_iterations:
+                _err(f"chain {chain_path}: already complete")
+            fh = stack.enter_context(open(chain_path, "a"))
+            callbacks.append(_chain_callback(fh, ckpt_path, cfg_hash, cfg))
+        runs = run_pg(y, priors, [chain[0] for chain in chains], callbacks, states)
 
     results = []
-    for j, (cfg, chain_path, _, dump_path) in enumerate(chains):
-        if j in fresh and states[j] is None:
-            records = fresh[j]
-        else:
+    for (cfg, chain_path, _, dump_path), state, records in zip(chains, states, runs):
+        if state is not None:
             _, records = read_chain(chain_path)
         if dump_path is not None and records:
             system = run_smc(
@@ -191,18 +175,6 @@ def _fit_chains(task) -> list[dict]:
             "log_ml_last": records[-1].log_marginal if records else math.nan,
         })
     return results
-
-
-def _chain_groups(items: list, n_groups: int) -> list[list]:
-    """items cut into n_groups contiguous runs whose sizes differ by at
-    most one, larger runs first."""
-    size, extra = divmod(len(items), n_groups)
-    groups, start = [], 0
-    for g in range(n_groups):
-        stop = start + size + (g < extra)
-        groups.append(items[start:stop])
-        start = stop
-    return groups
 
 
 def cmd_fit(args) -> int:
@@ -233,9 +205,11 @@ def cmd_fit(args) -> int:
             )
         )
 
+    # Contiguous groups whose sizes differ by at most one, larger first.
+    groups = np.array_split(np.arange(args.chains), min(args.jobs, args.chains))
     tasks = [
-        (dataset.y, config.priors, cfg_hash, args.resume, group)
-        for group in _chain_groups(chains, min(args.jobs, args.chains))
+        (dataset.y, config.priors, cfg_hash, args.resume, [chains[i] for i in group])
+        for group in groups
     ]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
