@@ -20,11 +20,16 @@ from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 # Smallest admissible simplex component; Dirichlet draws are clamped here
 # and renormalized so downstream log densities stay finite.
 SIMPLEX_FLOOR = 1e-12
-# sample_categorical searches draws of at least this many indices in
-# sorted-key order.  By timeit on a 2-CPU Intel Xeon host, the sorted
-# search first wins at 800-900 keys (CDF of 1-3 times as many entries)
-# and takes 0.5-0.75 of the plain search's time from 1,000 keys up.
-SORTED_SEARCH_MIN_KEYS = 1024
+# Size from which the two large-N kernels take their vector paths:
+# sample_categorical draws of at least this many indices use the guide
+# table, and logsumexp_rows rows of at least this many terms the exact
+# bucketed sum.  Both give the results of the plain paths (a binary search
+# per key, math.fsum), so the switch is only a speed choice, made by
+# timeit on a 2-CPU Intel Xeon host.  Both cross near 1,000: with as many
+# keys as CDF entries, the guide table takes 46 us at 700 keys against 24
+# for the binary searches and 55 at 1,024 against 72; fsum takes 24 us at
+# 300 terms against 48 for the bucketed sum and 113 at 1,500 against 72.
+LARGE_N_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -280,25 +285,44 @@ def sample_categorical(weights, rng: np.random.Generator, size=None):
     uniform per draw; indices are 0-based.  size is None (one index, an
     int) or a count (an index array).
 
-    Draws of at least SORTED_SEARCH_MIN_KEYS indices search the CDF for
-    their uniforms in ascending order and scatter the results back; fewer
-    are searched in draw order.  Both return the same indices: a binary
-    search of one key does not depend on the keys searched before it.
-    Ascending keys let numpy's search start from the previous key's
-    result and walk the CDF in memory order, which pays for the sort only
-    once there are many keys.
+    Draws of at least LARGE_N_MIN indices search through a guide table
+    (_guide_search), smaller ones by a binary search per uniform.  Both
+    return, for each uniform u, the number of CDF entries <= u.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf[-1] = 1.0
     u = rng.random(size)
-    if size is None or u.size < SORTED_SEARCH_MIN_KEYS:
+    if size is None or u.size < LARGE_N_MIN:
         idx = np.searchsorted(cdf, u, side="right")
     else:
-        order = np.argsort(u)
-        idx = np.empty(u.shape, dtype=np.intp)
-        idx[order] = np.searchsorted(cdf, u[order], side="right")
+        idx = _guide_search(cdf, u)
     idx = np.minimum(idx, len(cdf) - 1)
     return int(idx) if size is None else idx
+
+
+def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for a 1-D u in [0, 1) and a
+    CDF whose last entry is 1.0, nondecreasing before it (a cumulative sum
+    of nonnegative weights; entries above 1.0 exceed every key), by the
+    guide table of Chen & Asau (1974).
+
+    With B = 2^ceil(log2 n) buckets, u * B and cdf * B are exact, so
+    g[j] = #{i : ceil(cdf[i] * B) <= j} counts the entries <= j / B
+    exactly.  A key u in bucket j = floor(u * B) has between g[j] and
+    g[j + 1] entries <= u; when at most one entry, cdf[g[j]], lies in
+    (j / B, (j + 1) / B], the key's answer is g[j] plus whether that entry
+    is <= u.  The keys of buckets holding more entries are searched.
+    """
+    n_buckets = 1 << max(len(cdf) - 1, 1).bit_length()
+    cells = np.minimum(np.ceil(cdf * n_buckets), n_buckets + 1).astype(np.intp)
+    guide = np.cumsum(np.bincount(cells, minlength=n_buckets + 2))
+    bucket = (u * n_buckets).astype(np.intp)
+    lo = guide.take(bucket)
+    idx = lo + (cdf.take(lo) <= u)
+    crowded = np.flatnonzero(guide.take(bucket + 1) - lo > 1)
+    if crowded.size:
+        idx[crowded] = np.searchsorted(cdf, u.take(crowded), side="right")
+    return idx
 
 
 def logsumexp(log_values) -> float:
@@ -313,11 +337,14 @@ def logsumexp(log_values) -> float:
 def logsumexp_rows(log_values: np.ndarray) -> list[float]:
     """Exact-order-invariant log-sum-exp of each row of a 2-D array.
 
-    Each row's sum of exps (shifted by the row maximum) is added by
-    math.fsum, so permuting a row cannot change its result bit-for-bit
-    (needed for the particle engine's label-exchangeability guarantee),
-    and a row's result does not depend on the other rows.  A row whose
-    maximum is not finite (all -inf, or holding NaN or +inf) gives -inf.
+    Each row's sum of exps (shifted by the row maximum) is the correctly
+    rounded sum of its terms: math.fsum for rows shorter than LARGE_N_MIN,
+    _exact_sum for longer ones.  The correctly rounded sum of a set of
+    numbers is unique, so both paths give the same bits, permuting a row
+    cannot change its result (needed for the particle engine's
+    label-exchangeability guarantee), and a row's result does not depend
+    on the other rows.  A row whose maximum is not finite (all -inf, or
+    holding NaN or +inf) gives -inf.
     """
     peak = np.maximum.reduce(log_values, axis=1, keepdims=True)
     peaks = peak.ravel().tolist()
@@ -325,8 +352,47 @@ def logsumexp_rows(log_values: np.ndarray) -> list[float]:
     if not all(finite):
         # Shift those rows by 0, so that their exps raise no warning.
         peak = np.where(np.array(finite)[:, None], peak, 0.0)
-    rows = np.exp(log_values - peak).tolist()
+    exps = np.exp(log_values - peak)
+    if exps.shape[1] < LARGE_N_MIN:
+        sums = [math.fsum(row) for row in exps.tolist()]
+    else:
+        sums = [_exact_sum(row) if ok else 0.0 for ok, row in zip(finite, exps)]
     return [
-        p + math.log(math.fsum(row)) if ok else -math.inf
-        for p, ok, row in zip(peaks, finite, rows)
+        p + math.log(total) if ok else -math.inf
+        for p, ok, total in zip(peaks, finite, sums)
     ]
+
+
+# Bit fields of a float64, read as an int64.
+_MANTISSA_BITS = (1 << 52) - 1
+_IMPLICIT_BIT = 1 << 52
+_LOW_HALF = (1 << 26) - 1
+_SUM_SCALE = 2.0**600
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms) bit for bit, for finite terms in [0, 1] of which
+    at least one is 1.0, fewer than 2^26 of them.
+
+    Error-free summation by exponent buckets (after Rump, Ogita & Oishi
+    2008, SIAM J. Sci. Comput.).  Scaling by 2^600 is exact and makes
+    every nonzero term normal.  A term is then M * 2^(E - 1075) with its
+    biased exponent E and a 53-bit integer mantissa M, which splits into
+    the integers M >> 26 (27 bits) and M & (2^26 - 1) (26 bits).  Each
+    exponent's halves are added by bincount; fewer than 2^26 terms keep
+    every bucket's sum an integer below 2^53, so it is exact, and so is
+    each bucket's value (that integer times a power of two).  Zeros fall
+    into bucket E = 0, which is dropped.  math.fsum of the bucket values
+    is then the correctly rounded sum of all the terms, which is unique,
+    and the sum is at least 1, so scaling back is exact too.
+    """
+    if len(terms) >= 1 << 26:
+        return math.fsum(terms.tolist())
+    bits = (terms * _SUM_SCALE).view(np.int64)
+    expo = bits >> 52
+    mantissa = (bits & _MANTISSA_BITS) | _IMPLICIT_BIT
+    high = np.bincount(expo, weights=mantissa >> 26)[1:]
+    low = np.bincount(expo, weights=mantissa & _LOW_HALF)[1:]
+    expo = np.arange(1, len(high) + 1)
+    parts = np.concatenate([np.ldexp(high, expo - 1049), np.ldexp(low, expo - 1075)])
+    return math.fsum(parts[parts != 0.0].tolist()) / _SUM_SCALE

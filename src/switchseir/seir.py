@@ -6,6 +6,9 @@ so components are clamped away from 0 and 1 and renormalized.
 
 States are arrays [S, E, I, R] on the simplex; any number of leading
 axes is supported, so whole particle populations propagate in one call.
+rk4_step takes and returns rows (..., 4); rk4_components, the RK4 it
+wraps, works component-first (4, ...), the layout of the bootstrap
+filter's particles.
 """
 
 from __future__ import annotations
@@ -45,14 +48,14 @@ class EpidemicRates:
             raise ValueError("modifier must lie in (0, 1]")
 
 
-def _flow(x: np.ndarray, infect_rate, rates: EpidemicRates) -> np.ndarray:
+def _flow(x: np.ndarray, infect_rate, alpha, gamma) -> np.ndarray:
     """Time derivative of [S, E, I, R] under the modified SEIR system, for
     a component-first x (only S, E, I are read); infect_rate = modifier * beta."""
     s, e, i = x[0], x[1], x[2]
     infection = infect_rate * s * i
-    progression = rates.alpha * e
+    progression = alpha * e
     k = np.empty((4,) + infection.shape)
-    recovery = np.multiply(rates.gamma, i, out=k[3, ...])
+    recovery = np.multiply(gamma, i, out=k[3, ...])
     np.negative(infection, out=k[0, ...])
     np.subtract(infection, progression, out=k[1, ...])
     np.subtract(progression, recovery, out=k[2, ...])
@@ -64,17 +67,35 @@ def rk4_step(state: np.ndarray, rates: EpidemicRates) -> np.ndarray:
 
     The flow's components sum to zero, so RK4 conserves the simplex sum
     exactly up to float rounding.  Output components are clamped to
-    [STATE_FLOOR, 1 - STATE_FLOOR] and renormalized.  The stages work on
-    a component-first copy and skip the R midpoints, which the flow never reads.
+    [STATE_FLOOR, 1 - STATE_FLOOR] and renormalized.  The row-layout
+    wrapper of rk4_components: it works on a component-first copy and
+    returns a C-ordered (..., 4) array, so every caller's row sums add in
+    one order.
     """
     th = np.asarray(state, dtype=float)
     lead = tuple(range(th.ndim - 1))
     x = np.ascontiguousarray(th.transpose((th.ndim - 1, *lead)))
-    infect_rate = rates.modifier * rates.beta
-    k1 = _flow(x, infect_rate, rates)
-    k2 = _flow(_midpoint(x, 0.5, k1), infect_rate, rates)
-    k3 = _flow(_midpoint(x, 0.5, k2), infect_rate, rates)
-    k4 = _flow(_midpoint(x, 1.0, k3), infect_rate, rates)
+    out = np.empty(x.shape[1:] + (4,))
+    rk4_components(
+        x, rates.modifier * rates.beta, rates.alpha, rates.gamma,
+        out=out.transpose((out.ndim - 1, *lead)),
+    )
+    return out
+
+
+def rk4_components(x: np.ndarray, infect_rate, alpha, gamma, out=None) -> np.ndarray:
+    """rk4_step on component-first states x (4, ...), written to out (a new
+    (4, ...) array when None), with infect_rate = modifier * beta.
+
+    The one RK4: the stages skip the R midpoints, which the flow never
+    reads, and work in place; it raises FloatingPointError on a
+    non-finite result.  The rates are not checked: callers pass rates of
+    a checked ParameterSet or EpidemicRates.
+    """
+    k1 = _flow(x, infect_rate, alpha, gamma)
+    k2 = _flow(_midpoint(x, 0.5, k1), infect_rate, alpha, gamma)
+    k3 = _flow(_midpoint(x, 0.5, k2), infect_rate, alpha, gamma)
+    k4 = _flow(_midpoint(x, 1.0, k3), infect_rate, alpha, gamma)
     # x + (1 / 6) * (k1 + 2 k2 + 2 k3 + k4), added in that order.
     k2 *= 2
     k1 += k2
@@ -90,10 +111,7 @@ def rk4_step(state: np.ndarray, rates: EpidemicRates) -> np.ndarray:
         )
     np.clip(x, STATE_FLOOR, 1.0 - STATE_FLOOR, out=x)
     total = ((x[0] + x[1]) + x[2]) + x[3]
-    # A C-ordered (..., 4) array, so every caller's row sums add in one order.
-    th = np.empty(x.shape[1:] + (4,))
-    np.divide(x, total, out=th.transpose((th.ndim - 1, *lead)))
-    return th
+    return np.divide(x, total, out=out)
 
 
 def _midpoint(x: np.ndarray, step: float, k: np.ndarray) -> np.ndarray:

@@ -11,14 +11,19 @@ density: the regime transition probabilities enter that filter only
 through ancestor sampling.
 
 Resampling is multinomial at every step, by inverse CDF with one uniform
-per index (distributions.sample_categorical).  The size of the draw
-picks the search order: draws of at least SORTED_SEARCH_MIN_KEYS indices
-(the bootstrap filter's at large N) search the CDF with their uniforms in
-ascending order, smaller draws in draw order.  Both orders return the
-same indices, since each uniform's binary search does not depend on the
-others.  Within a step all particle work is vectorized; weight
-normalization uses an order-invariant log-sum-exp, so particle labels
+per index (distributions.sample_categorical): the bootstrap filter's
+draws at large N search a guide table, smaller draws binary-search each
+uniform, and both give every uniform the same index.  Within a step all
+particle work is vectorized; weight normalization uses a correctly
+rounded log-sum-exp (math.fsum, or an exact bucketed sum for long rows,
+which gives the same bits), so it is order-invariant and particle labels
 are exchangeable bit-for-bit.
+
+The bootstrap filter holds a step's particles component-first, as one
+contiguous (4, N) array, and gathers, propagates and weighs them in that
+layout; each step's Dirichlet draws are stored in the (T, N, 4) output.
+Its infection rates per regime are taken once per pass from the
+ParameterSet, whose modifiers are already checked.
 
 The conditional filter runs C chains in one pass (run_csmc_as_batch),
 each with its own parameters, reference and generator, and one chain is
@@ -56,7 +61,7 @@ from .distributions import (
     sample_dirichlet,
 )
 from .model import LatentPath, ParameterSet, PriorSpec, transition_mean
-from .seir import EpidemicRates
+from .seir import EpidemicRates, rk4_components
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -77,10 +82,13 @@ class DegenerateWeightsError(RuntimeError):
 class ParticleSystem:
     """Complete output of one SMC/CSMC pass.
 
-    thetas: (T, N, 4); regimes: (T, N); log_weights and norm_weights:
-    (T, N); ancestors: (T-1, N) with ancestors[t] indexing the time-t
-    parents of the time-t+1 particles; log_marginal: sum over t of
-    log mean unnormalized weight.
+    thetas: (T, N, 4) float64; regimes: (T, N) of the smallest signed
+    integer type that holds K (int8 for every K <= 128); log_weights and
+    norm_weights: (T, N) float64; ancestors: (T-1, N) int32, with
+    ancestors[t] indexing the time-t parents of the time-t+1 particles;
+    log_marginal: sum over t of log mean unnormalized weight.  The
+    conditional filter's regimes are one read-only row broadcast over the
+    steps, since its blocks fix every particle's regime.
     """
 
     thetas: np.ndarray
@@ -114,16 +122,29 @@ class ReferenceTrajectory:
         object.__setattr__(self, "lineage", lin)
 
 
-def _obs_log_weights(thetas, p_t, lam, log_y_t: float, log1m_y_t: float) -> np.ndarray:
-    """Observation log density at step t of every particle in thetas
-    (..., 4), from the identification rate p_t, the precision lam (both
-    broadcast against thetas[..., 2]) and log y_t, log(1 - y_t)."""
-    mean = p_t * thetas[..., 2]
+def _obs_log_weights(infected, p_t, lam, log_y_t: float, log1m_y_t: float) -> np.ndarray:
+    """Observation log density at step t of particles with infected
+    fractions infected (the I components), from the identification rate
+    p_t, the precision lam (both broadcast against infected) and log y_t,
+    log(1 - y_t)."""
+    mean = p_t * infected
     a = lam * mean
     b = lam * (1.0 - mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_beta = _beta_log_kernel(log_y_t, log1m_y_t, a, b)
     return np.where((a > 0) & (b > 0), log_beta, -np.inf)
+
+
+def _check_particle_count(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least two particles")
+    if n > np.iinfo(np.int32).max:
+        raise ValueError("at most 2**31 - 1 particles: ancestors are stored as int32")
+
+
+def _regime_dtype(k: int) -> np.dtype:
+    """The smallest signed integer type that holds regimes 0..K-1."""
+    return np.min_scalar_type(-k)
 
 
 def _normalize_step(log_w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
@@ -164,22 +185,24 @@ def run_smc(
     horizon, n = len(y), n_particles
     if horizon < 1:
         raise ValueError("need at least one observation")
-    if n < 2:
-        raise ValueError("need at least two particles")
+    _check_particle_count(n)
     k = params.n_regimes
 
     thetas = np.empty((horizon, n, 4))
-    regimes = np.empty((horizon, n), dtype=int)
+    regimes = np.empty((horizon, n), dtype=_regime_dtype(k))
     log_w = np.empty((horizon, n))
     norm_w = np.empty((horizon, n))
-    ancestors = np.empty((max(horizon - 1, 0), n), dtype=int)
+    ancestors = np.empty((max(horizon - 1, 0), n), dtype=np.int32)
 
     p, lam = params.ident_series(horizon), params.lambda_
+    alpha, gamma, kappa = params.alpha, params.gamma, params.kappa
+    infect_rates = params.modifiers * params.beta
     log_y = [math.log(v) for v in y]
     log1m_y = [math.log1p(-v) for v in y]
     thetas[0] = _draw_initial_thetas(priors, n, rng, deterministic_transitions)
     regimes[0] = rng.integers(k, size=n)
-    log_w[0] = _obs_log_weights(thetas[0], p[0], lam, log_y[0], log1m_y[0])
+    x = np.ascontiguousarray(thetas[0].T)
+    log_w[0] = _obs_log_weights(x[2], p[0], lam, log_y[0], log1m_y[0])
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
     # Columns 0..K-2 of the row CDFs, one contiguous row each; the regime
@@ -195,16 +218,21 @@ def run_smc(
         # nondecreasing and the last entry exceeds u.
         prev = regimes[t - 1].take(anc)
         u = rng.random(n)
-        regimes[t] = 0
+        regime = regimes[t]
+        regime[...] = 0
         for col in cdf_cols:
-            regimes[t] += u >= col.take(prev)
-        parents = thetas[t - 1].take(anc, axis=0)
-        eta = transition_mean(parents, params.rates_for(regimes[t]))
+            regime += u >= col.take(prev)
+        eta = rk4_components(x.take(anc, axis=1), infect_rates.take(regime), alpha, gamma)
         if deterministic_transitions:
-            thetas[t] = eta
+            x = eta
+            thetas[t] = x.T
         else:
-            thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
-        log_w[t] = _obs_log_weights(thetas[t], p[t], lam, log_y[t], log1m_y[t])
+            eta *= kappa
+            # The draw reads the concentrations in (particle, component)
+            # order, as the row layout does, so the Gamma variates match.
+            thetas[t] = sample_dirichlet(DirichletParams(eta.T), rng)
+            x = np.ascontiguousarray(thetas[t].T)
+        log_w[t] = _obs_log_weights(x[2], p[t], lam, log_y[t], log1m_y[t])
         norm_w[t], inc = _normalize_step(log_w[t], t)
         log_marginal += inc
 
@@ -262,6 +290,7 @@ def run_csmc_as_batch(
         require_open_simplex(ref.thetas, "reference states")
 
     n = k * m
+    _check_particle_count(n)
     # Particle j descends from the (j mod M)-th of the M resampled ancestors.
     block_slots = np.tile(np.arange(m), k)
     log_y = [math.log(v) for v in y]
@@ -282,7 +311,12 @@ def run_csmc_as_batch(
         log_as = _ancestor_log_weights(b, eta, t)
         as_totals = logsumexp_rows(log_as)
         if -math.inf in as_totals:
-            live = _retire(b, as_totals, results, t, "ancestor-sampling weights all zero")
+            details = [
+                "ancestor-sampling weights not a number" if nan
+                else "ancestor-sampling weights all zero"
+                for nan in np.isnan(log_as).any(axis=1).tolist()
+            ]
+            live = _retire(b, as_totals, results, t, details)
             if not live:
                 return results
             eta = eta.reshape(c, -1, 4).take(live, axis=0).reshape(-1, 4)
@@ -294,7 +328,7 @@ def run_csmc_as_batch(
 
         cdf = np.add.accumulate(b.norm_w[t - 1], axis=1)
         cdf[:, -1] = 1.0
-        draws = np.empty((c, m), dtype=np.intp)
+        draws = np.empty((c, m), dtype=np.int32)
         for i, g in enumerate(b.rngs):
             draws[i] = cdf[i].searchsorted(g.random(m), side="right")
         np.minimum(draws, n - 1, out=draws)
@@ -315,13 +349,14 @@ def run_csmc_as_batch(
         if b is None:
             return results
 
-    regimes = np.repeat(np.arange(k), m)
+    # The reference slot lies in its own regime's block, so every particle
+    # carries its block's regime at every step: one row, shared read-only.
+    block_regimes = np.repeat(np.arange(k, dtype=_regime_dtype(k)), m)
+    regimes = np.broadcast_to(block_regimes, (horizon, n))
     for i, chain in enumerate(b.ids):
-        # The reference slot lies in its own regime's block, so every
-        # particle carries its block's regime at every step.
         results[chain] = ParticleSystem(
             b.thetas[:, i],
-            np.tile(regimes, (horizon, 1)),
+            regimes,
             b.log_w[:, i],
             b.norm_w[:, i],
             b.ancestors[:, i],
@@ -337,8 +372,8 @@ class _ChainBatch:
     generator and running log marginal, the pass constants with a chain
     axis (after the time axis where there is one) and the particle
     storage: thetas (T, C, N, 4), log_w and norm_w (T, C, N), ancestors
-    (T-1, C, N).  Flat row indices address the chain-major reshapes of
-    the transition cache and of the particles of one step.
+    (T-1, C, N) int32.  Flat row indices address the chain-major
+    reshapes of the transition cache and of the particles of one step.
     """
 
     def __init__(self, ids, params, references, rngs, m, horizon,
@@ -391,7 +426,7 @@ class _ChainBatch:
                 np.empty((horizon, c, n, 4)),
                 np.empty((horizon, c, n)),
                 np.empty((horizon, c, n)),
-                np.empty((max(horizon - 1, 0), c, n), dtype=int),
+                np.empty((max(horizon - 1, 0), c, n), dtype=np.int32),
             )
         self.thetas, self.log_w, self.norm_w, self.ancestors = storage
 
@@ -411,13 +446,14 @@ class _ChainBatch:
 
 
 def _retire(b: _ChainBatch, totals: list[float], results: list, t: int,
-            detail: str = "") -> list[int]:
-    """Make DegenerateWeightsError(t, detail) the result of every chain
-    whose row total is -inf; return the rows of the other chains."""
+            details: list[str] | None = None) -> list[int]:
+    """Make DegenerateWeightsError(t, details[row]) (no detail when details
+    is None) the result of every chain whose row total is -inf; return the
+    rows of the other chains."""
     live = []
     for row, total in enumerate(totals):
         if total == -math.inf:
-            results[b.ids[row]] = DegenerateWeightsError(t, detail)
+            results[b.ids[row]] = DegenerateWeightsError(t, details[row] if details else "")
         else:
             live.append(row)
     return live
@@ -429,7 +465,7 @@ def _weigh_step(b: _ChainBatch, t: int, log_y, log1m_y, results: list) -> _Chain
     vanish are retired; returns the batch of the others (None if none)."""
     p_t = np.repeat(b.ident[t], b.n)
     b.log_w[t] = _obs_log_weights(
-        b.thetas[t].reshape(-1, 4), p_t, b.lam, log_y[t], log1m_y[t]
+        b.thetas[t].reshape(-1, 4)[:, 2], p_t, b.lam, log_y[t], log1m_y[t]
     ).reshape(-1, b.n)
     totals = logsumexp_rows(b.log_w[t])
     if -math.inf in totals:
@@ -458,13 +494,15 @@ def _ancestor_log_weights(b: _ChainBatch, eta: np.ndarray, t: int) -> np.ndarray
     times regime transition probability times the previous normalized
     weight (the observation factor is constant across candidates and
     drops out of the normalization).  eta is the transition cache of
-    step t, C * K * N rows in (chain, regime, particle) order.
+    step t, C * K * N rows in (chain, regime, particle) order.  A weight
+    whose density overflows (inf - inf in the kernel at a huge kappa) is
+    NaN, without a warning; the caller retires its chain.
     """
     conc_ref = eta.reshape(-1, b.n, 4).take(b.ref_row[t], axis=0).reshape(-1, 4)
     conc_ref *= b.kappa
     log_ref = np.repeat(b.log_ref[t], b.n, axis=0)
-    log_as = _dirichlet_log_kernel(log_ref, conc_ref).reshape(-1, b.n)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_as = _dirichlet_log_kernel(log_ref, conc_ref).reshape(-1, b.n)
         log_as += b.log_p_into.take(b.ref_row[t], axis=0)
         log_as += np.log(b.norm_w[t - 1])
     return log_as

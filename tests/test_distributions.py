@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from switchseir.distributions import (
-    SORTED_SEARCH_MIN_KEYS,
+    LARGE_N_MIN,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
@@ -15,7 +15,9 @@ from switchseir.distributions import (
     _beta_logs,
     dirichlet_logpdf,
     gamma_logpdf,
+    _guide_search,
     logsumexp,
+    logsumexp_rows,
     sample_categorical,
     sample_dirichlet,
     sample_gamma,
@@ -294,7 +296,7 @@ class TestCategorical:
         # size=None; both read one uniform per draw from the same stream.
         # The second size is searched in sorted-key order.
         w = rng(12).dirichlet(np.ones(100))
-        for size in (1000, 2 * SORTED_SEARCH_MIN_KEYS):
+        for size in (1000, 2 * LARGE_N_MIN):
             a, b = substream(3, 1), substream(3, 1)
             singles = [sample_categorical(w, a) for _ in range(size)]
             batched = sample_categorical(w, b, size=size)
@@ -347,7 +349,7 @@ class TestKernelsMatchPlainNumpyFormulas:
     exactly, on every shape the samplers use."""
 
     SHAPES = [(100, 4), (2, 100, 4), (149, 4), (50, 2), (50, 3), (20, 9), (4,)]
-    SWITCH = SORTED_SEARCH_MIN_KEYS
+    SWITCH = LARGE_N_MIN
 
     @staticmethod
     def log_uniform(g, shape, lo=-12.0, hi=3.0):
@@ -404,42 +406,79 @@ class TestKernelsMatchPlainNumpyFormulas:
             np.testing.assert_array_equal(got, plain)
             assert a.random() == b.random()
 
+    # Each case runs a bounded property test; 7 cases x 25 examples.
     @pytest.mark.parametrize(
         "n,m",
         [(2, 1), (100, 50), (300, 100), (SWITCH, SWITCH - 1), (SWITCH, SWITCH),
          (300, 4096), (10_000, 10_000)],
     )
-    def test_sample_categorical(self, n, m):
-        # m indices from n weights, on both sides of the sorted-key switch.
-        # Weights with runs of zeros give flat CDF steps; a point mass
-        # gives one step of height 1, at the first, a middle or the last
-        # index.
-        g = rng(42)
-        zeros = self.log_uniform(g, n)
-        zeros[g.random(n) < 0.5] = 0.0
-        zeros[: n // 4] = 0.0
-        zeros[-1] = 1.0
-        cases = [self.log_uniform(g, n), zeros]
-        for at in {0, n // 2, n - 1}:
-            mass = np.zeros(n)
-            mass[at] = 1.0
-            cases.append(mass)
-        for seed, w in enumerate(cases):
-            w = w / w.sum()
-            a, b = substream(seed, 3), substream(seed, 3)
-            cdf = np.cumsum(w)
-            cdf[-1] = 1.0
-            plain = np.minimum(np.searchsorted(cdf, a.random(m), side="right"), n - 1)
-            got = sample_categorical(w, b, size=m)
-            assert got.dtype == plain.dtype
-            np.testing.assert_array_equal(got, plain)
-            assert a.random() == b.random()
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from(["spread", "flat runs", "point mass"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_categorical(self, n, m, shape, seed):
+        # m indices from n weights, on both sides of the guide-table switch,
+        # against a binary search per uniform in draw order.  Runs of zero
+        # weights give flat CDF steps; a point mass gives one step of
+        # height 1, at the first, a middle or the last index.
+        g = rng(seed)
+        w = self.log_uniform(g, n)
+        if shape == "flat runs":
+            w[g.random(n) < 0.5] = 0.0
+            w[: n // 4] = 0.0
+            w[-1] = 1.0
+        elif shape == "point mass":
+            w = np.zeros(n)
+            w[g.choice([0, n // 2, n - 1])] = 1.0
+        w = w / w.sum()
+        a, b = substream(seed, 3), substream(seed, 3)
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        plain = np.minimum(np.searchsorted(cdf, a.random(m), side="right"), n - 1)
+        got = sample_categorical(w, b, size=m)
+        assert got.dtype == plain.dtype
+        np.testing.assert_array_equal(got, plain)
+        assert a.random() == b.random()
+        # Keys on the bucket edges the guide table must get right: 0.0,
+        # every CDF value below 1 and the largest uniform below 1.
+        keys = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0],
+                               g.random(LARGE_N_MIN)])
+        np.testing.assert_array_equal(
+            _guide_search(cdf, keys), np.searchsorted(cdf, keys, side="right"))
 
-    @pytest.mark.parametrize("n", [2, 7, 8, 100, 10_000])
-    def test_logsumexp(self, n):
-        g = rng(41)
-        for _ in range(20):
-            lv = np.log(self.log_uniform(g, n)) * g.uniform(0.1, 10.0)
-            m = lv.max()
-            plain = float(m + math.log(math.fsum(np.exp(lv - m))))
-            assert logsumexp(lv) == plain
+    # Each length runs a bounded property test; 7 lengths x 25 examples.
+    @pytest.mark.parametrize("n", [2, 7, 8, 100, SWITCH - 1, SWITCH, 10_000])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        zeros=st.floats(0.0, 0.9),
+        subnormal=st.floats(0.0, 0.5),
+        repeats=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_logsumexp(self, n, zeros, subnormal, repeats, seed):
+        # Rows on both sides of the bucketed-sum switch, with -inf entries
+        # (zero exps), exps that underflow to 0 or land in the subnormals,
+        # and repeated values, against peak + log(fsum) row by row; a NaN
+        # row and an all -inf row give -inf.
+        g = rng(seed)
+        rows = np.log(self.log_uniform(g, (3, n))) * g.uniform(0.1, 10.0, size=(3, 1))
+        vanish = g.random(n) < zeros
+        vanish[g.integers(n)] = False
+        rows[0, vanish] = -np.inf
+        low = g.random((3, n)) < subnormal
+        rows[low] = rows.max(axis=1, keepdims=True).repeat(n, axis=1)[low] - g.uniform(
+            700.0, 760.0, size=int(low.sum()))
+        if repeats:
+            rows[1] = rows[1, g.integers(0, max(n // 10, 1), size=n)]
+        rows[2, 0] = rows[2].max()  # the peak twice
+        rows = np.vstack([rows, np.full(n, -np.inf), rows[1:2]])
+        rows[4, g.integers(n)] = np.nan
+        got = logsumexp_rows(rows)
+        for row, total in zip(rows[:3], got):
+            m = row.max()
+            plain = float(m + math.log(math.fsum(np.exp(row - m))))
+            assert total == plain
+            assert logsumexp(row) == plain
+            assert logsumexp(g.permutation(row)) == plain
+        assert got[3:] == [-math.inf, -math.inf]

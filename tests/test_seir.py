@@ -110,11 +110,11 @@ class TestRk4Step:
         def plain_rk4(th, rates):
             lead = tuple(range(th.ndim - 1))
             x = np.ascontiguousarray(th.transpose((th.ndim - 1, *lead)))
-            rate = rates.modifier * rates.beta
-            k1 = _flow(x, rate, rates)
-            k2 = _flow(_midpoint(x, 0.5, k1), rate, rates)
-            k3 = _flow(_midpoint(x, 0.5, k2), rate, rates)
-            k4 = _flow(_midpoint(x, 1.0, k3), rate, rates)
+            rate = (rates.modifier * rates.beta, rates.alpha, rates.gamma)
+            k1 = _flow(x, *rate)
+            k2 = _flow(_midpoint(x, 0.5, k1), *rate)
+            k3 = _flow(_midpoint(x, 0.5, k2), *rate)
+            k4 = _flow(_midpoint(x, 1.0, k3), *rate)
             x = x + (((k1 + 2 * k2) + 2 * k3) + k4) * (1.0 / 6.0)
             th = np.clip(x.transpose((*(a + 1 for a in lead), 0)),
                          STATE_FLOOR, 1.0 - STATE_FLOOR)

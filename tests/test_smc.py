@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from switchseir.data_io import generate_simulation, scenario_priors
 from switchseir.distributions import (
-    SORTED_SEARCH_MIN_KEYS,
+    LARGE_N_MIN,
     DirichletParams,
     _dirichlet_log_kernel,
     logsumexp,
@@ -18,12 +19,14 @@ from switchseir.distributions import (
 )
 from switchseir.model import LatentPath, transition_mean
 from switchseir.rng import substream
+from switchseir.seir import STATE_FLOOR
 from switchseir.smc import (
     DegenerateWeightsError,
     ParticleSystem,
     ReferenceTrajectory,
     _ancestor_log_weights,
     _ChainBatch,
+    _check_particle_count,
     _draw_initial_thetas,
     _normalize_rows,
     _normalize_step,
@@ -131,6 +134,13 @@ class TestRunSmc:
         with pytest.raises(ValueError):
             run_smc(y, params, priors, 1, rng(5))
 
+    def test_particle_count_fits_int32_ancestors(self):
+        # Both filters check N with this before allocating their storage;
+        # calling them at N = 2^31 would try to allocate it if they did not.
+        _check_particle_count(2**31 - 1)
+        with pytest.raises(ValueError, match="int32"):
+            _check_particle_count(2**31)
+
 
 def obs_log_weights_for(y, params):
     """log_weights(thetas, t): the observation log density of every
@@ -139,16 +149,72 @@ def obs_log_weights_for(y, params):
 
     def log_weights(thetas, t):
         return _obs_log_weights(
-            thetas, p[t], params.lambda_, math.log(y[t]), math.log1p(-y[t])
+            thetas[..., 2], p[t], params.lambda_, math.log(y[t]), math.log1p(-y[t])
         )
 
     return log_weights
 
 
+def plain_rk4_step(state, rates):
+    """One RK4 step as seir.rk4_step computes it, written out with its own
+    flow so that it shares no code with seir: the stages on a
+    component-first copy, the clamp, then a C-ordered (..., 4) result
+    divided by the component sum."""
+    def flow(x, infect_rate):
+        s, e, i = x[0], x[1], x[2]
+        infection = infect_rate * s * i
+        progression = rates.alpha * e
+        k = np.empty((4,) + infection.shape)
+        recovery = np.multiply(rates.gamma, i, out=k[3, ...])
+        np.negative(infection, out=k[0, ...])
+        np.subtract(infection, progression, out=k[1, ...])
+        np.subtract(progression, recovery, out=k[2, ...])
+        return k
+
+    def midpoint(x, step, k):
+        mid = np.multiply(k[:3], step)
+        mid += x[:3]
+        return mid
+
+    lead = tuple(range(state.ndim - 1))
+    x = np.ascontiguousarray(state.transpose((state.ndim - 1, *lead)))
+    infect_rate = rates.modifier * rates.beta
+    k1 = flow(x, infect_rate)
+    k2 = flow(midpoint(x, 0.5, k1), infect_rate)
+    k3 = flow(midpoint(x, 0.5, k2), infect_rate)
+    k4 = flow(midpoint(x, 1.0, k3), infect_rate)
+    k2 *= 2
+    k1 += k2
+    k3 *= 2
+    k1 += k3
+    k1 += k4
+    k1 *= 1.0 / 6.0
+    k1 += x
+    assert np.isfinite(k1).all()
+    np.clip(k1, STATE_FLOOR, 1.0 - STATE_FLOOR, out=k1)
+    total = ((k1[0] + k1[1]) + k1[2]) + k1[3]
+    th = np.empty(k1.shape[1:] + (4,))
+    np.divide(k1, total, out=th.transpose((th.ndim - 1, *lead)))
+    return th
+
+
+def plain_normalize(log_w, t):
+    """The step's normalized weights and log mean weight, with the
+    log-sum-exp taken by math.fsum over the whole vector."""
+    peak = log_w.max()
+    if not np.isfinite(peak):
+        raise DegenerateWeightsError(t)
+    total = peak + math.log(math.fsum(np.exp(log_w - peak).tolist()))
+    w = np.exp(log_w - total)
+    return w / w.sum(), total - math.log(len(log_w))
+
+
 def plain_run_smc(y, params, priors, n, rng):
-    """run_smc with fancy-index gathers, an argmax regime proposal and a
-    resampling search in draw order: the reference for the take gathers,
-    the threshold-count proposal and the sorted-key search."""
+    """run_smc as a plain loop: fancy-index gathers in the row layout, an
+    argmax regime proposal, a binary search per resampling uniform, the
+    RK4 step of plain_rk4_step with per-step rates and an fsum
+    normalization.  The reference for the compact store, the
+    component-first step, the guide-table search and the bucketed sum."""
     horizon, k = len(y), params.n_regimes
     thetas = np.empty((horizon, n, 4))
     regimes = np.empty((horizon, n), dtype=int)
@@ -159,7 +225,7 @@ def plain_run_smc(y, params, priors, n, rng):
     thetas[0] = _draw_initial_thetas(priors, n, rng, False)
     regimes[0] = rng.integers(k, size=n)
     log_w[0] = obs_log_weights(thetas[0], 0)
-    norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
+    norm_w[0], log_marginal = plain_normalize(log_w[0], 0)
     row_cdf = np.cumsum(params.trans_matrix, axis=1)
     row_cdf[:, -1] = 1.0
     for t in range(1, horizon):
@@ -169,10 +235,10 @@ def plain_run_smc(y, params, priors, n, rng):
         ancestors[t - 1] = anc
         u = rng.random(n)
         regimes[t] = np.argmax(u[:, None] < row_cdf[regimes[t - 1][anc]], axis=1)
-        eta = transition_mean(thetas[t - 1][anc], params.rates_for(regimes[t]))
+        eta = plain_rk4_step(thetas[t - 1][anc], params.rates_for(regimes[t]))
         thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
         log_w[t] = obs_log_weights(thetas[t], t)
-        norm_w[t], inc = _normalize_step(log_w[t], t)
+        norm_w[t], inc = plain_normalize(log_w[t], t)
         log_marginal += inc
     return thetas, regimes, log_w, norm_w, ancestors, log_marginal
 
@@ -188,7 +254,7 @@ class TestRunSmcMatchesPlainLoop:
     MODIFIERS = {1: [1.0], 2: [1.0, 0.4], 3: [1.0, 0.7, 0.3]}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("n", [64, 2 * SORTED_SEARCH_MIN_KEYS])
+    @pytest.mark.parametrize("n", [64, 2 * LARGE_N_MIN])
     def test_every_output_equal(self, k, n):
         y, base, priors, _ = make_data(horizon=6)
         params = replace(
@@ -205,6 +271,8 @@ class TestRunSmcMatchesPlainLoop:
             for g, w in zip(fields, want, strict=True):
                 np.testing.assert_array_equal(g, w)
             assert a.random() == b.random()
+            assert got.regimes.dtype == np.int8
+            assert got.ancestors.dtype == np.int32
         if k > 1:
             assert len(np.unique(got.regimes[1:])) == k
 
@@ -319,9 +387,11 @@ def serial_csmc_as(y, params, priors, reference, m, rng):
             thetas[t] = sample_dirichlet(DirichletParams(conc), rng)
             x_ref, slot = int(ref.regimes[t]), ref_slot(t)
             thetas[t, slot] = ref.thetas[t]
-            log_g = _dirichlet_log_kernel(log_ref[t], params.kappa * eta[x_ref])
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_g = _dirichlet_log_kernel(log_ref[t], params.kappa * eta[x_ref])
                 log_as = log_g + log_p_into[x_ref] + np.log(norm_w[t - 1])
+            if np.isnan(log_as).any():
+                raise DegenerateWeightsError(t, "ancestor-sampling weights not a number")
             total = logsumexp(log_as)
             if not np.isfinite(total):
                 raise DegenerateWeightsError(t, "ancestor-sampling weights all zero")
@@ -557,6 +627,51 @@ class TestBatchedPass:
             (alone,) = run_csmc_as_batch(y, priors, [params[c]], [refs[c]], 5,
                                          [substream(3, c)])
             assert_same_pass(alone, want[c])
+
+    def huge_kappa_batch(self):
+        """Chain 0 at kappa = 1e306, whose ancestor-sampling Dirichlet
+        density overflows to inf - inf at step 1, batched with a sound
+        chain 1 on the 12-step series; warnings raise."""
+        y, priors, params, refs = batch_inputs(2, n_chains=2)
+        params[0] = replace(params[0], kappa=1e306)
+        rngs = [substream(4, c) for c in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_csmc_as_batch(y, priors, params, refs, 5, rngs)
+        return y, priors, params, refs, got
+
+    def test_nan_ancestor_weights_retire_their_chain_by_name(self):
+        *_, got = self.huge_kappa_batch()
+        assert isinstance(got[0], DegenerateWeightsError)
+        assert got[0].step == 1
+        assert "(ancestor-sampling weights not a number)" in str(got[0])
+
+    def test_nan_ancestor_weights_raise_no_warning(self):
+        # huge_kappa_batch turns every warning into an error.
+        self.huge_kappa_batch()
+
+    def test_nan_ancestor_weights_recover_nothing_and_spare_the_rest(self):
+        y, priors, params, refs, got = self.huge_kappa_batch()
+        assert not isinstance(got[0], ParticleSystem)
+        (alone,) = run_csmc_as_batch(y, priors, [params[1]], [refs[1]], 5,
+                                     [substream(4, 1)])
+        assert_same_pass(got[1], alone)
+        assert_same_pass(got[1], serial_csmc_as(y, params[1], priors, refs[1], 5,
+                                                substream(4, 1)))
+
+    def test_compact_store(self):
+        # One read-only int8 regime row broadcast over the steps, int32
+        # ancestors, and a particle count that int32 ancestors can index.
+        y, priors, params, refs = batch_inputs(3, n_chains=2)
+        got = run_csmc_as_batch(y, priors, params, refs, 4, [rng(1), rng(2)])
+        for system in got:
+            assert system.regimes.dtype == np.int8
+            assert system.regimes.shape == (len(y), 12)
+            assert not system.regimes.flags.writeable
+            np.testing.assert_array_equal(
+                system.regimes, np.tile(np.repeat(np.arange(3), 4), (len(y), 1)))
+            assert system.ancestors.dtype == np.int32
+        assert got[0].regimes.base is got[1].regimes.base
 
     def test_every_chain_degenerate_returns_only_errors(self):
         y, priors, params, refs = batch_inputs(2, n_chains=2)
