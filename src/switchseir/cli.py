@@ -2,8 +2,8 @@
 
 Subcommands: simulate, fit, select, diagnose, summarize.  Progress goes
 to standard error; all data goes to files, keeping standard output clean
-for piping.  Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error.
+for piping.  Exit codes: 0 success, 1 runtime failure, 2 usage,
+configuration or data-file error.
 """
 
 from __future__ import annotations

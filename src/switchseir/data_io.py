@@ -1,20 +1,27 @@
 """Data ingestion, simulation scenarios, configuration, and serialization.
 
-File formats (all delimited text; numbers printed with 17 significant
-digits so values round-trip exactly):
+File formats.  Delimited files are comma-separated text with numbers
+printed to 17 significant digits, so values round-trip exactly; every
+one is written by _write_rows (a header line, then one line per row) and
+read by _read_rows, which skips blank lines and names the file and line
+of a row with the wrong column count.
 
 - case counts (input): two columns ``label,active_count``, header
-  optional; counts are divided by the population and clamped to
-  (1e-6, 1 - 1e-6).
-- proportions (input/output): two columns ``label,y``.
+  optional; counts must be finite and within [0, population].  They are
+  divided by the population and clamped to (1e-6, 1 - 1e-6).
+- proportions (input/output): two columns ``label,y``; values must be
+  finite and within [0, 1], and are clamped like counts.
 - truth sidecar: ``t,S,E,I,R,regime`` with 1-based t and regimes.
 - chain files: one JSON header line, then one JSON record per retained
-  iteration (schema below); append-friendly.
-- checkpoint: single JSON object with the full sampler state.
+  iteration; append-friendly.
+- checkpoint: single JSON object with the full sampler state.  Keys it
+  does not use, such as the total_counts of older checkpoints, are
+  ignored.
 - summary table: ``parameter,mean,median,sd,ci_lo,ci_hi``.
 - regime curves: ``t,label,p_regime_1..K,y_obs,Ey_mean,Ey_lo,Ey_hi``.
 - SEIR curves: ``t,S_mean,S_lo,S_hi,...,R_hi``.
 - model selection: ``K,log_ml_mean,log_ml_sd``.
+- R-hat table: ``parameter,rhat,status``.
 - particle dump: ``t,particle,regime,S,E,I,R,log_weight,norm_weight,
   ancestor`` (ancestor is -1 at t=1).
 """
@@ -43,11 +50,11 @@ from .rng import TAG_SIM, substream
 from .smc import ParticleSystem, ReferenceTrajectory
 
 CHAIN_SCHEMA = 1
-OBS_CLAMP = OBS_EPS
 
 
 class ConfigError(ValueError):
-    """Invalid or incomplete run configuration."""
+    """Invalid or incomplete run configuration, or a data file it names
+    that cannot be loaded."""
 
 
 class ChainFileError(ValueError):
@@ -77,7 +84,7 @@ class Dataset:
         yy = np.asarray(self.y, dtype=float)
         if len(self.times) != len(yy):
             raise ValueError("times and y lengths differ")
-        if np.any((yy <= 0) | (yy >= 1)):
+        if not np.all((yy > 0) & (yy < 1)):  # NaN fails both comparisons
             raise ValueError("proportions must lie strictly inside (0, 1)")
         yy.setflags(write=False)
         object.__setattr__(self, "y", yy)
@@ -88,8 +95,52 @@ class Dataset:
         return len(self.y)
 
 
-def _split_csv_line(line: str) -> list[str]:
-    return [cell.strip() for cell in line.strip().split(",")]
+def _read_rows(path, n_columns: int):
+    """(line number, stripped cells) of every non-blank line of a
+    comma-delimited file; raises ValueError naming the file and line of a
+    row with another column count."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = [cell.strip() for cell in line.split(",")]
+            if len(cells) != n_columns:
+                raise ValueError(f"{path}: line {lineno}: expected {n_columns} columns")
+            yield lineno, cells
+
+
+def _write_rows(path, header: list[str], rows) -> None:
+    """Write a header line, then one line per row of cells: strings as
+    they are, numbers through fmt."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else fmt(c) for c in row) + "\n")
+
+
+def _read_series(path, what: str, upper: float, upper_name: str):
+    """Labels and values of a label,value file whose values lie in
+    [0, upper]; a first line whose value is not a number is a header."""
+    labels: list[str] = []
+    values: list[float] = []
+    for lineno, (label, raw) in _read_rows(path, 2):
+        try:
+            value = float(raw)
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise ValueError(f"{path}: line {lineno}: non-numeric {what} {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite {what} {raw!r}")
+        if value < 0:
+            raise ValueError(f"{path}: line {lineno}: negative {what}")
+        if value > upper:
+            raise ValueError(f"{path}: line {lineno}: {what} exceeds {upper_name}")
+        labels.append(label)
+        values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no data rows")
+    return labels, np.asarray(values)
 
 
 def load_counts(path, population: float, aggregation: str = "none") -> Dataset:
@@ -100,68 +151,21 @@ def load_counts(path, population: float, aggregation: str = "none") -> Dataset:
     """
     if aggregation not in ("none", "weekly"):
         raise ValueError("aggregation must be 'none' or 'weekly'")
-    if population <= 0:
+    if not population > 0:
         raise ValueError("population must be positive")
-    labels: list[str] = []
-    counts: list[float] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = _split_csv_line(line)
-            if len(cells) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns")
-            label, raw = cells
-            try:
-                value = float(raw)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric count {raw!r}"
-                ) from None
-            if value < 0:
-                raise ValueError(f"{path}: line {lineno}: negative count")
-            if value > population:
-                raise ValueError(
-                    f"{path}: line {lineno}: count exceeds population"
-                )
-            labels.append(label)
-            counts.append(value)
-    if not counts:
-        raise ValueError(f"{path}: no data rows")
-    series = np.asarray(counts)
+    labels, series = _read_series(path, "count", population, "population")
     if aggregation == "weekly":
         weekly = [series[i : i + 7].mean() for i in range(0, len(series), 7)]
         labels = [labels[i] for i in range(0, len(series), 7)]
         series = np.asarray(weekly)
-    y = np.clip(series / population, OBS_CLAMP, 1.0 - OBS_CLAMP)
+    y = np.clip(series / population, OBS_EPS, 1.0 - OBS_EPS)
     return Dataset(tuple(labels), y, population)
 
 
 def load_proportions(path) -> Dataset:
     """Read a label,proportion file (clamped to the open interval)."""
-    labels: list[str] = []
-    values: list[float] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = _split_csv_line(line)
-            if len(cells) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                value = float(cells[1])
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric value {cells[1]!r}"
-                ) from None
-            labels.append(cells[0])
-            values.append(value)
-    y = np.clip(np.asarray(values), OBS_CLAMP, 1.0 - OBS_CLAMP)
-    return Dataset(tuple(labels), y)
+    labels, values = _read_series(path, "proportion", 1.0, "1")
+    return Dataset(tuple(labels), np.clip(values, OBS_EPS, 1.0 - OBS_EPS))
 
 
 # --- simulation scenarios ---------------------------------------------------
@@ -266,26 +270,14 @@ def priors_for_k(base: PriorSpec, n_regimes: int) -> PriorSpec:
     )
 
 
-def generate_simulation(
-    scenario: str | None = None,
-    seed: int = 0,
-    params: ParameterSet | None = None,
-    priors: PriorSpec | None = None,
-    horizon: int | None = None,
-    initial: tuple | None = None,
-) -> tuple[Dataset, LatentPath, ParameterSet]:
-    """Simulate a dataset from a named scenario or explicit ingredients."""
-    if scenario is not None:
-        params = scenario_params(scenario)
-        priors = scenario_priors(scenario)
-        s = SCENARIOS[scenario]
-        horizon = s["horizon"]
-        initial = (np.asarray(s["theta1"]), s["x1"])
-    if params is None or priors is None or horizon is None:
-        raise ValueError("need a scenario name or explicit params/priors/horizon")
+def generate_simulation(scenario: str, seed: int = 0) -> tuple[Dataset, LatentPath, ParameterSet]:
+    """Simulate a dataset from a named scenario."""
+    params = scenario_params(scenario)
+    s = SCENARIOS[scenario]
     rng = substream(seed, TAG_SIM)
-    y, path = simulate_dataset(params, priors, horizon, rng, initial=initial)
-    times = tuple(str(t + 1) for t in range(horizon))
+    initial = (np.asarray(s["theta1"]), s["x1"])
+    y, path = simulate_dataset(params, scenario_priors(scenario), s["horizon"], rng, initial=initial)
+    times = tuple(str(t + 1) for t in range(s["horizon"]))
     return Dataset(times, y), path, params
 
 
@@ -490,7 +482,6 @@ def state_to_dict(state: PgState, config_hash: str, seed: int) -> dict:
         },
         "step_sizes": {k: float(v) for k, v in state.step_sizes.items()},
         "window_counts": state.window_counts,
-        "total_counts": state.total_counts,
         "n_emitted": state.n_emitted,
         "n_degenerate": state.n_degenerate,
     }
@@ -507,7 +498,6 @@ def state_from_dict(d: dict) -> PgState:
         reference=ref,
         step_sizes=dict(d["step_sizes"]),
         window_counts={k: list(v) for k, v in d["window_counts"].items()},
-        total_counts={k: list(v) for k, v in d["total_counts"].items()},
         n_emitted=d["n_emitted"],
         n_degenerate=d["n_degenerate"],
     )
@@ -659,129 +649,99 @@ def load_config(path) -> RunConfig:
 
 
 def load_dataset(data_block: dict, base_dir=".") -> Dataset:
-    """Load the observation series named by a config data block."""
+    """Load the observation series named by a config data block; a file or
+    value the loaders reject raises ConfigError."""
     path = data_block["path"]
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
-    if data_block.get("format", "counts") == "proportions":
-        return load_proportions(path)
-    return load_counts(
-        path,
-        float(data_block["population"]),
-        data_block.get("aggregation", "none"),
-    )
+    try:
+        if data_block.get("format", "counts") == "proportions":
+            return load_proportions(path)
+        return load_counts(
+            path,
+            float(data_block["population"]),
+            data_block.get("aggregation", "none"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # --- output writers ----------------------------------------------------------
 
 
 def write_dataset(path, dataset: Dataset) -> None:
-    with open(path, "w") as fh:
-        fh.write("label,y\n")
-        for label, value in zip(dataset.times, dataset.y):
-            fh.write(f"{label},{fmt(value)}\n")
+    _write_rows(path, ["label", "y"], zip(dataset.times, dataset.y))
 
 
 def write_truth(path, latent: LatentPath) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,S,E,I,R,regime\n")
-        for t in range(len(latent)):
-            cells = [str(t + 1)]
-            cells += [fmt(v) for v in latent.thetas[t]]
-            cells.append(str(int(latent.regimes[t]) + 1))
-            fh.write(",".join(cells) + "\n")
+    _write_rows(
+        path,
+        ["t", "S", "E", "I", "R", "regime"],
+        ([t + 1, *latent.thetas[t], int(latent.regimes[t]) + 1] for t in range(len(latent))),
+    )
 
 
 def read_truth(path) -> LatentPath:
-    thetas = []
-    regimes = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            cells = _split_csv_line(line)
-            thetas.append([float(v) for v in cells[1:5]])
-            regimes.append(int(cells[5]) - 1)
+    rows = [cells for _, cells in _read_rows(path, 6)][1:]
+    thetas = [[float(v) for v in cells[1:5]] for cells in rows]
+    regimes = [int(cells[5]) - 1 for cells in rows]
     return LatentPath(np.asarray(thetas), np.asarray(regimes))
 
 
 def write_summary_table(path, summary) -> None:
-    with open(path, "w") as fh:
-        fh.write("parameter,mean,median,sd,ci_lo,ci_hi\n")
-        for name, st in summary.params.items():
-            fh.write(
-                f"{name},{fmt(st.mean)},{fmt(st.median)},{fmt(st.sd)},"
-                f"{fmt(st.ci_lo)},{fmt(st.ci_hi)}\n"
-            )
+    _write_rows(
+        path,
+        ["parameter", "mean", "median", "sd", "ci_lo", "ci_hi"],
+        ([name, st.mean, st.median, st.sd, st.ci_lo, st.ci_hi]
+         for name, st in summary.params.items()),
+    )
 
 
 def write_regime_curves(path, summary, dataset: Dataset) -> None:
-    k = summary.n_regimes
-    with open(path, "w") as fh:
-        cols = ["t", "label"]
-        cols += [f"p_regime_{j + 1}" for j in range(k)]
-        cols += ["y_obs", "Ey_mean", "Ey_lo", "Ey_hi"]
-        fh.write(",".join(cols) + "\n")
-        for t in range(dataset.horizon):
-            cells = [str(t + 1), dataset.times[t]]
-            cells += [fmt(summary.regime_probs[t, j]) for j in range(k)]
-            cells += [
-                fmt(dataset.y[t]),
-                fmt(summary.ey_mean[t]),
-                fmt(summary.ey_lo[t]),
-                fmt(summary.ey_hi[t]),
-            ]
-            fh.write(",".join(cells) + "\n")
+    header = ["t", "label"]
+    header += [f"p_regime_{j + 1}" for j in range(summary.n_regimes)]
+    header += ["y_obs", "Ey_mean", "Ey_lo", "Ey_hi"]
+    _write_rows(
+        path,
+        header,
+        ([t + 1, dataset.times[t], *summary.regime_probs[t], dataset.y[t],
+          summary.ey_mean[t], summary.ey_lo[t], summary.ey_hi[t]]
+         for t in range(dataset.horizon)),
+    )
 
 
 def write_seir_curves(path, summary) -> None:
-    names = ["S", "E", "I", "R"]
-    with open(path, "w") as fh:
-        cols = ["t"]
-        for name in names:
-            cols += [f"{name}_mean", f"{name}_lo", f"{name}_hi"]
-        fh.write(",".join(cols) + "\n")
-        for t in range(summary.seir_mean.shape[0]):
-            cells = [str(t + 1)]
-            for j in range(4):
-                cells += [
-                    fmt(summary.seir_mean[t, j]),
-                    fmt(summary.seir_lo[t, j]),
-                    fmt(summary.seir_hi[t, j]),
-                ]
-            fh.write(",".join(cells) + "\n")
+    header = ["t"] + [f"{name}_{stat}" for name in "SEIR" for stat in ("mean", "lo", "hi")]
+    # (T, 4 compartments, 3 statistics), flattened compartment by compartment.
+    cells = np.stack([summary.seir_mean, summary.seir_lo, summary.seir_hi], axis=-1)
+    _write_rows(path, header, ([t + 1, *row.ravel()] for t, row in enumerate(cells)))
 
 
 def write_selection_table(path, report) -> None:
-    with open(path, "w") as fh:
-        fh.write("K,log_ml_mean,log_ml_sd\n")
-        for row in report.rows:
-            fh.write(
-                f"{row.n_regimes},{fmt(row.log_ml_mean)},{fmt(row.log_ml_sd)}\n"
-            )
+    _write_rows(
+        path,
+        ["K", "log_ml_mean", "log_ml_sd"],
+        ([row.n_regimes, row.log_ml_mean, row.log_ml_sd] for row in report.rows),
+    )
 
 
 def write_rhat_table(path, rhats: dict, threshold: float = 1.2) -> None:
-    with open(path, "w") as fh:
-        fh.write("parameter,rhat,status\n")
-        for name, value in rhats.items():
-            status = "PASS" if value < threshold else "FAIL"
-            fh.write(f"{name},{fmt(value)},{status}\n")
+    _write_rows(
+        path,
+        ["parameter", "rhat", "status"],
+        ([name, value, "PASS" if value < threshold else "FAIL"] for name, value in rhats.items()),
+    )
 
 
 def dump_particle_system(path, system: ParticleSystem) -> None:
     """Columnar debugging dump of a particle system (schema in module doc)."""
-    with open(path, "w") as fh:
-        fh.write(
-            "t,particle,regime,S,E,I,R,log_weight,norm_weight,ancestor\n"
-        )
-        for t in range(system.n_steps):
-            for i in range(system.n_particles):
-                anc = int(system.ancestors[t - 1, i]) if t > 0 else -1
-                cells = [str(t + 1), str(i + 1), str(int(system.regimes[t, i]) + 1)]
-                cells += [fmt(v) for v in system.thetas[t, i]]
-                cells += [
-                    fmt(system.log_weights[t, i]),
-                    fmt(system.norm_weights[t, i]),
-                    str(anc),
-                ]
-                fh.write(",".join(cells) + "\n")
+    header = ["t", "particle", "regime", "S", "E", "I", "R"]
+    header += ["log_weight", "norm_weight", "ancestor"]
+    _write_rows(
+        path,
+        header,
+        ([t + 1, i + 1, int(system.regimes[t, i]) + 1, *system.thetas[t, i],
+          system.log_weights[t, i], system.norm_weights[t, i],
+          int(system.ancestors[t - 1, i]) if t > 0 else -1]
+         for t in range(system.n_steps) for i in range(system.n_particles)),
+    )

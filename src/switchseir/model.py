@@ -232,18 +232,24 @@ class LatentPath:
         return self.thetas.shape[0]
 
 
-def _obs_loglik(
-    log_y: np.ndarray, log1m_y: np.ndarray, thetas: np.ndarray, params: ParameterSet
-) -> float:
-    """Sum of observation log densities over a full series, from log y
-    and log(1 - y) (taken once by PosteriorTerms.build after its (0, 1)
-    check); -inf where a Beta shape is not positive."""
-    mean = params.ident_series(len(log_y)) * thetas[:, 2]
-    a = params.lambda_ * mean
-    b = params.lambda_ * (1.0 - mean)
-    if np.any(a <= 0) or np.any(b <= 0):
-        return -math.inf
-    return float(np.sum(_beta_log_kernel(log_y, log1m_y, a, b)))
+def _obs_log_density(infected, p, lam, log_y, log1m_y) -> np.ndarray:
+    """Beta observation log density, elementwise: y ~ Beta with mean
+    p * infected and precision lam, from log y and log(1 - y); -inf where
+    a Beta shape is not positive.  The filters call it with one step's
+    particles (infected the I components), PosteriorTerms with a whole
+    path; all inputs broadcast."""
+    mean = p * infected
+    a = lam * mean
+    b = lam * (1.0 - mean)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_beta = _beta_log_kernel(log_y, log1m_y, a, b)
+    return np.where((a > 0) & (b > 0), log_beta, -np.inf)
+
+
+def _obs_loglik(log_y, log1m_y, thetas: np.ndarray, params: ParameterSet) -> float:
+    """Sum of observation log densities over a full series."""
+    p = params.ident_series(len(log_y))
+    return float(np.sum(_obs_log_density(thetas[:, 2], p, params.lambda_, log_y, log1m_y)))
 
 
 def transition_mean(theta: np.ndarray, rates: EpidemicRates) -> np.ndarray:

@@ -116,7 +116,6 @@ class PgState:
     reference: ReferenceTrajectory
     step_sizes: dict[str, float]
     window_counts: dict[str, list[int]]
-    total_counts: dict[str, list[int]]
     n_emitted: int
     n_degenerate: int
     record: ChainRecord | None = None
@@ -313,7 +312,6 @@ def _initial_state(y, priors: PriorSpec, config: SamplerConfig, table) -> PgStat
         reference=sample_reference(system, substream(seed, TAG_INIT, 2)),
         step_sizes=steps,
         window_counts={pid: [0, 0] for pid in table},
-        total_counts={pid: [0, 0] for pid in table},
         n_emitted=0,
         n_degenerate=0,
     )
@@ -363,9 +361,6 @@ def _finish_iteration(
     for pid, flags in accepted.items():
         state.window_counts[pid][0] += sum(flags)
         state.window_counts[pid][1] += len(flags)
-        if r > config.burn_in:
-            state.total_counts[pid][0] += sum(flags)
-            state.total_counts[pid][1] += len(flags)
 
     if r <= config.burn_in and r % ADAPT_EVERY == 0:
         for pid, (acc, n) in state.window_counts.items():

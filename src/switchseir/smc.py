@@ -8,7 +8,9 @@ to the observation density.  The conditional filter draws states from
 the state transition density, but assigns regimes by block, M particles
 per regime, and its step weights also carry only the observation
 density: the regime transition probabilities enter that filter only
-through ancestor sampling.
+through ancestor sampling.  Both filters weigh particles with
+model._obs_log_density, whose sum over a path is the observation factor
+of the MH target (model.PosteriorTerms).
 
 Resampling is multinomial at every step, by inverse CDF with one uniform
 per index (distributions.sample_categorical): the bootstrap filter's
@@ -51,7 +53,6 @@ import numpy as np
 
 from .distributions import (
     DirichletParams,
-    _beta_log_kernel,
     _dirichlet_log_kernel,
     _normalize_gamma_draws,
     logsumexp,
@@ -60,7 +61,7 @@ from .distributions import (
     sample_categorical,
     sample_dirichlet,
 )
-from .model import LatentPath, ParameterSet, PriorSpec, transition_mean
+from .model import LatentPath, ParameterSet, PriorSpec, _obs_log_density, transition_mean
 from .seir import EpidemicRates, rk4_components
 
 
@@ -120,19 +121,6 @@ class ReferenceTrajectory:
             raise ValueError("lineage length must match the path")
         lin.setflags(write=False)
         object.__setattr__(self, "lineage", lin)
-
-
-def _obs_log_weights(infected, p_t, lam, log_y_t: float, log1m_y_t: float) -> np.ndarray:
-    """Observation log density at step t of particles with infected
-    fractions infected (the I components), from the identification rate
-    p_t, the precision lam (both broadcast against infected) and log y_t,
-    log(1 - y_t)."""
-    mean = p_t * infected
-    a = lam * mean
-    b = lam * (1.0 - mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_beta = _beta_log_kernel(log_y_t, log1m_y_t, a, b)
-    return np.where((a > 0) & (b > 0), log_beta, -np.inf)
 
 
 def _check_particle_count(n: int) -> None:
@@ -202,7 +190,7 @@ def run_smc(
     thetas[0] = _draw_initial_thetas(priors, n, rng, deterministic_transitions)
     regimes[0] = rng.integers(k, size=n)
     x = np.ascontiguousarray(thetas[0].T)
-    log_w[0] = _obs_log_weights(x[2], p[0], lam, log_y[0], log1m_y[0])
+    log_w[0] = _obs_log_density(x[2], p[0], lam, log_y[0], log1m_y[0])
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
     # Columns 0..K-2 of the row CDFs, one contiguous row each; the regime
@@ -232,7 +220,7 @@ def run_smc(
             # order, as the row layout does, so the Gamma variates match.
             thetas[t] = sample_dirichlet(DirichletParams(eta.T), rng)
             x = np.ascontiguousarray(thetas[t].T)
-        log_w[t] = _obs_log_weights(x[2], p[t], lam, log_y[t], log1m_y[t])
+        log_w[t] = _obs_log_density(x[2], p[t], lam, log_y[t], log1m_y[t])
         norm_w[t], inc = _normalize_step(log_w[t], t)
         log_marginal += inc
 
@@ -464,7 +452,7 @@ def _weigh_step(b: _ChainBatch, t: int, log_y, log1m_y, results: list) -> _Chain
     step's log mean weight to its log marginal.  Chains whose weights all
     vanish are retired; returns the batch of the others (None if none)."""
     p_t = np.repeat(b.ident[t], b.n)
-    b.log_w[t] = _obs_log_weights(
+    b.log_w[t] = _obs_log_density(
         b.thetas[t].reshape(-1, 4)[:, 2], p_t, b.lam, log_y[t], log1m_y[t]
     ).reshape(-1, b.n)
     totals = logsumexp_rows(b.log_w[t])

@@ -1,11 +1,17 @@
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchseir.cli import main
 from switchseir.data_io import read_chain
+
+# A 5-iteration fit of a 12-step series, written by a version whose
+# checkpoints also held the post-burn-in acceptance totals (total_counts).
+OLD_CHECKPOINT_RUN = Path(__file__).parent / "data" / "old_checkpoint_run"
 
 
 @pytest.fixture()
@@ -101,6 +107,22 @@ class TestFit:
             resumed / "chain_0.jsonl"
         ).read_bytes()
 
+    def test_resume_from_checkpoint_holding_total_counts(self, tmp_path):
+        resumed = tmp_path / "resumed"
+        shutil.copytree(OLD_CHECKPOINT_RUN, resumed)
+        assert "total_counts" in json.loads((resumed / "chain_0.ckpt.json").read_text())
+        cfg = resumed / "config.json"
+        raw = json.loads(cfg.read_text())
+        raw["sampler"]["n_iterations"] = 10
+        cfg.write_text(json.dumps(raw))
+        straight = tmp_path / "straight"
+        assert main(["fit", "--config", str(cfg), "--chains", "1",
+                     "--out", str(straight)]) == 0
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(resumed)]) == 0
+        for name in ("chain_0.jsonl", "chain_0.ckpt.json"):
+            assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
     def test_resume_completes_partial_chain_beside_complete_one(
         self, sim_dir, tmp_path, capsys
     ):
@@ -155,6 +177,28 @@ class TestFit:
                      "--out", str(out)]) == 0
         ckpt = json.loads((out / "chain_0.ckpt.json").read_text())
         assert {pid: ckpt["step_sizes"][pid] for pid in steps} == steps
+
+    @pytest.mark.parametrize("data_format, rows, bad_line", [
+        ("counts", ["label,active_count", "d1,5", "d2,-3", "d3,4"], 3),
+        ("proportions", ["label,y", "d1,0.1", "d2,nan", "d3,0.2"], 3),
+        ("proportions", ["d1,0.1", "d2,5.0", "d3,0.2"], 2),
+        ("proportions", ["d1,0.1", "d2,0.2", "d3,-2"], 3),
+    ])
+    def test_bad_data_file_is_usage_error_naming_file_and_line(
+        self, sim_dir, tmp_path, capsys, data_format, rows, bad_line
+    ):
+        cfg = shrink_config(sim_dir)
+        raw = json.loads(cfg.read_text())
+        raw["data"] = {"path": "bad.csv", "format": data_format, "population": 1000}
+        if data_format == "proportions":
+            del raw["data"]["population"]
+        cfg.write_text(json.dumps(raw))
+        (sim_dir / "bad.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "fit"
+        code = main(["fit", "--config", str(cfg), "--chains", "1", "--out", str(out)])
+        assert code == 2
+        assert f"{sim_dir / 'bad.csv'}: line {bad_line}:" in capsys.readouterr().err
+        assert not (out / "chain_0.jsonl").exists()
 
     def test_missing_config_file(self, tmp_path):
         code = main(["fit", "--config", str(tmp_path / "none.json"),

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,16 +38,75 @@ from switchseir.data_io import (
     write_chain,
     write_checkpoint,
     write_dataset,
+    write_regime_curves,
+    write_rhat_table,
+    write_seir_curves,
+    write_selection_table,
+    write_summary_table,
     write_truth,
+)
+from switchseir.diagnostics import (
+    ModelSelectionReport,
+    ParamStats,
+    PosteriorSummary,
+    SelectionRow,
 )
 from switchseir.model import LatentPath
 from switchseir.pg import ChainRecord, PgState
-from switchseir.smc import ReferenceTrajectory
+from switchseir.smc import ParticleSystem, ReferenceTrajectory
 from tests.test_model import two_regime_params, two_regime_priors
+
+
+# Every delimited output written from write_fixed_outputs' inputs, byte
+# for byte: users' scripts parse these files, so their bytes are pinned.
+PINNED_OUTPUTS = Path(__file__).parent / "data" / "writer_bytes"
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def write_fixed_outputs(out: Path) -> list[str]:
+    """Write every delimited output into out from small fixed inputs and
+    return the file names.  The inputs use no random stream and no
+    transcendental function, so their bits are the same on every platform."""
+    counts = np.arange(1.0, 13.0).reshape(3, 4)
+    thetas = counts / counts.sum(axis=1, keepdims=True)
+    ds = Dataset(("d1", "d2", "d3"), np.array([1e-6, 1 / 3, 0.1 + 0.2]))
+    summary = PosteriorSummary(
+        params={
+            "alpha": ParamStats(1 / 3, 0.3, 0.05, 0.25, 0.41),
+            "r0": ParamStats(2.0, 2.0, 0.0, 2.0, 2.0),
+        },
+        regime_probs=np.array([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]]),
+        seir_mean=thetas,
+        seir_lo=thetas * 0.9,
+        seir_hi=thetas * 1.1,
+        ey_mean=thetas[:, 2] / 4,
+        ey_lo=thetas[:, 2] / 5,
+        ey_hi=thetas[:, 2] / 3,
+    )
+    report = ModelSelectionReport([
+        SelectionRow(2, 715.5, 18.25, 6),
+        SelectionRow(1, -math.inf, math.nan, 0, "degenerate"),
+    ])
+    system = ParticleSystem(
+        thetas=np.stack([thetas, thetas[::-1]]),
+        regimes=np.array([[0, 1, 1], [1, 1, 0]], dtype=np.int8),
+        log_weights=np.array([[-1.5, -0.25, -3.0], [-0.5, -2.0, -1.0]]),
+        norm_weights=np.array([[0.5, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3]]),
+        ancestors=np.array([[0, 0, 2]], dtype=np.int32),
+        log_marginal=-2.5,
+    )
+    write_dataset(out / "dataset.csv", ds)
+    write_truth(out / "truth.csv", LatentPath(thetas, np.array([0, 1, 1])))
+    write_summary_table(out / "summary.csv", summary)
+    write_regime_curves(out / "regime_curves.csv", summary, ds)
+    write_seir_curves(out / "seir_curves.csv", summary)
+    write_selection_table(out / "model_selection.csv", report)
+    write_rhat_table(out / "rhat.csv", {"alpha": 1.01, "r0": 1.5})
+    dump_particle_system(out / "particles.csv", system)
+    return sorted(path.name for path in out.iterdir())
 
 
 def sample_config_dict(data_path="dataset.csv"):
@@ -115,6 +175,29 @@ class TestLoadCounts:
         path.write_text("d1,-3\n")
         with pytest.raises(ValueError, match="negative"):
             load_counts(path, population=100)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_count_rejected(self, tmp_path, value):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"d1,5\nd2,{value}\n")
+        with pytest.raises(ValueError, match="line 2: non-finite count"):
+            load_counts(path, population=100)
+
+
+class TestLoadProportions:
+    @pytest.mark.parametrize("value, problem", [
+        ("nan", "non-finite"), ("-2", "negative"), ("5.0", "exceeds 1"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, value, problem):
+        path = tmp_path / "y.csv"
+        path.write_text(f"label,y\nd1,0.5\nd2,{value}\n")
+        with pytest.raises(ValueError, match=f"line 3: .*{problem}"):
+            load_proportions(path)
+
+    def test_exact_bounds_are_clamped(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("d1,0\n\nd2,1\n")
+        np.testing.assert_array_equal(load_proportions(path).y, [1e-6, 1 - 1e-6])
 
 
 class TestScenarios:
@@ -233,7 +316,6 @@ class TestCheckpoints:
             reference=ref,
             step_sizes={"alpha": 0.05, "rows": 0.02},
             window_counts={"alpha": [3, 10]},
-            total_counts={"alpha": [30, 100]},
             n_emitted=7,
             n_degenerate=0,
         )
@@ -317,6 +399,12 @@ class TestConfig:
 
 
 class TestWriters:
+    def test_delimited_outputs_match_pinned_bytes(self, tmp_path):
+        names = write_fixed_outputs(tmp_path)
+        assert names == sorted(path.name for path in PINNED_OUTPUTS.iterdir())
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (PINNED_OUTPUTS / name).read_bytes(), name
+
     def test_dataset_and_truth_round_trip(self, tmp_path):
         ds, latent, _ = generate_simulation("two-regime", seed=2)
         write_dataset(tmp_path / "d.csv", ds)
@@ -373,6 +461,10 @@ class TestDatasetValidation:
             Dataset(("a", "b"), np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             Dataset(("a",), np.array([1.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            Dataset(("a", "b"), np.array([0.5, np.nan]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

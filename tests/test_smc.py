@@ -17,7 +17,7 @@ from switchseir.distributions import (
     sample_categorical,
     sample_dirichlet,
 )
-from switchseir.model import LatentPath, transition_mean
+from switchseir.model import LatentPath, _obs_log_density, transition_mean
 from switchseir.rng import substream
 from switchseir.seir import STATE_FLOOR
 from switchseir.smc import (
@@ -30,7 +30,6 @@ from switchseir.smc import (
     _draw_initial_thetas,
     _normalize_rows,
     _normalize_step,
-    _obs_log_weights,
     run_csmc_as_batch,
     run_smc,
     sample_reference,
@@ -148,7 +147,7 @@ def obs_log_weights_for(y, params):
     p = params.ident_series(len(y))
 
     def log_weights(thetas, t):
-        return _obs_log_weights(
+        return _obs_log_density(
             thetas[..., 2], p[t], params.lambda_, math.log(y[t]), math.log1p(-y[t])
         )
 
