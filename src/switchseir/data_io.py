@@ -4,10 +4,12 @@ File formats.  Delimited files are comma-separated text with numbers
 printed to 17 significant digits, so values round-trip exactly; every
 one is written by _write_rows (a header line, then one line per row) and
 read by _read_rows, which skips blank lines and names the file and line
-of a row with the wrong column count.
+of a row with the wrong column count.  A cell holding a comma, a double
+quote or a line break is double-quoted, as the csv module writes and
+reads it, so labels such as ``Jan 1, 2020`` round-trip.
 
 - case counts (input): two columns ``label,active_count``, header
-  optional; counts must be finite and within [0, population].  They are
+  optional (the first non-blank row, when its count is not a number); counts must be finite and within [0, population].  They are
   divided by the population and clamped to (1e-6, 1 - 1e-6).
 - proportions (input/output): two columns ``label,y``; values must be
   finite and within [0, 1], and are clamped like counts.
@@ -28,6 +30,7 @@ of a row with the wrong column count.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -96,38 +99,43 @@ class Dataset:
 
 
 def _read_rows(path, n_columns: int):
-    """(line number, stripped cells) of every non-blank line of a
-    comma-delimited file; raises ValueError naming the file and line of a
-    row with another column count."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = [cell.strip() for cell in line.split(",")]
-            if len(cells) != n_columns:
-                raise ValueError(f"{path}: line {lineno}: expected {n_columns} columns")
-            yield lineno, cells
+    """(line number, stripped cells) of every non-blank row of a
+    comma-delimited file, quoted cells unquoted; raises ValueError naming
+    the file and line of a row with another column count."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if len(row) <= 1 and not "".join(row).strip():
+                    continue
+                if len(row) != n_columns:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected {n_columns} columns")
+                yield reader.line_num, [cell.strip() for cell in row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _write_rows(path, header: list[str], rows) -> None:
     """Write a header line, then one line per row of cells: strings as
-    they are, numbers through fmt."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else fmt(c) for c in row) + "\n")
+    they are (quoted where needed), numbers through fmt."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else fmt(c) for c in row] for row in rows)
 
 
 def _read_series(path, what: str, upper: float, upper_name: str):
     """Labels and values of a label,value file whose values lie in
-    [0, upper]; a first line whose value is not a number is a header."""
+    [0, upper]; a first non-blank row whose value is not a number is a
+    header."""
     labels: list[str] = []
     values: list[float] = []
-    for lineno, (label, raw) in _read_rows(path, 2):
+    for i, (lineno, (label, raw)) in enumerate(_read_rows(path, 2)):
         try:
             value = float(raw)
         except ValueError:
-            if lineno == 1:
+            if i == 0:
                 continue  # header row
             raise ValueError(f"{path}: line {lineno}: non-numeric {what} {raw!r}") from None
         if not math.isfinite(value):

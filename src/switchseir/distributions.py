@@ -1,9 +1,10 @@
 """Sampling and log-density primitives for the model's distributions.
 
 Covers Beta, Dirichlet, Gamma (shape/rate), truncated Normal, categorical
-and Uniform.  All densities are computed in log space; outside-support
-evaluations return -inf rather than NaN.  Samplers take an explicit
-numpy Generator so each thread of execution can own its stream.
+and Uniform, and systematic resampling.  All densities are computed in
+log space; outside-support evaluations return -inf rather than NaN.
+Samplers take an explicit numpy Generator so each thread of execution
+can own its stream.
 
 Parameter containers accept scalars or arrays (fields broadcast), which
 lets the particle engine evaluate whole particle populations in one call.
@@ -20,14 +21,9 @@ from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 # Smallest admissible simplex component; Dirichlet draws are clamped here
 # and renormalized so downstream log densities stay finite.
 SIMPLEX_FLOOR = 1e-12
-# Size from which the two large-N kernels take their vector paths:
-# sample_categorical draws of at least this many indices use the guide
-# table, and logsumexp_rows rows of at least this many terms the exact
-# bucketed sum.  Both give the results of the plain paths (a binary search
-# per key, math.fsum), so the switch is only a speed choice, made by
-# timeit on a 2-CPU Intel Xeon host.  Both cross near 1,000: with as many
-# keys as CDF entries, the guide table takes 46 us at 700 keys against 24
-# for the binary searches and 55 at 1,024 against 72; fsum takes 24 us at
+# Row length from which logsumexp_rows takes the exact bucketed sum instead
+# of math.fsum.  Both give the same bits, so the switch is only a speed
+# choice, made by timeit on a 2-CPU Intel Xeon host: fsum takes 24 us at
 # 300 terms against 48 for the bucketed sum and 113 at 1,500 against 72.
 LARGE_N_MIN = 1024
 
@@ -276,53 +272,38 @@ def sample_trunc_normal(
     return out.reshape(size)
 
 
-def sample_categorical(weights, rng: np.random.Generator, size=None):
-    """Draw index (or indices) i with probability weights[i] by inverse CDF.
+def sample_categorical(weights, rng: np.random.Generator) -> int:
+    """Draw one index i with probability weights[i] by inverse CDF.
 
     The weights must be nonnegative and sum to 1; they are not checked
-    here, because every caller passes weights it has just normalised (the
-    particle engine raises on degenerate weights before drawing).  One
-    uniform per draw; indices are 0-based.  size is None (one index, an
-    int) or a count (an index array).
-
-    Draws of at least LARGE_N_MIN indices search through a guide table
-    (_guide_search), smaller ones by a binary search per uniform.  Both
-    return, for each uniform u, the number of CDF entries <= u.
+    here, because every caller passes weights it has just normalised.
+    One uniform u; the index is the number of CDF entries <= u (0-based),
+    with the last CDF entry taken as 1.0.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf[-1] = 1.0
-    u = rng.random(size)
-    if size is None or u.size < LARGE_N_MIN:
-        idx = np.searchsorted(cdf, u, side="right")
-    else:
-        idx = _guide_search(cdf, u)
-    idx = np.minimum(idx, len(cdf) - 1)
-    return int(idx) if size is None else idx
+    idx = np.searchsorted(cdf, rng.random(), side="right")
+    return min(int(idx), len(cdf) - 1)
 
 
-def _guide_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u, side="right") for a 1-D u in [0, 1) and a
-    CDF whose last entry is 1.0, nondecreasing before it (a cumulative sum
-    of nonnegative weights; entries above 1.0 exceed every key), by the
-    guide table of Chen & Asau (1974).
+def systematic_offspring(weights, rng: np.random.Generator) -> np.ndarray:
+    """Offspring counts of a systematic resample of N = len(weights)
+    particles (Kitagawa 1996; Carpenter, Clifford & Fearnhead 1999).
 
-    With B = 2^ceil(log2 n) buckets, u * B and cdf * B are exact, so
-    g[j] = #{i : ceil(cdf[i] * B) <= j} counts the entries <= j / B
-    exactly.  A key u in bucket j = floor(u * B) has between g[j] and
-    g[j + 1] entries <= u; when at most one entry, cdf[g[j]], lies in
-    (j / B, (j + 1) / B], the key's answer is g[j] plus whether that entry
-    is <= u.  The keys of buckets holding more entries are searched.
+    With the cumulative weights c (last entry taken as 1.0) and one
+    uniform u, particles 0..i together get floor(N * c[i] + u) offspring,
+    clipped to [0, N].  So the counts sum to exactly N, particle i gets
+    N * w[i] of them on average, floor(N * w[i]) or ceil(N * w[i]) up to
+    the rounding of the cumulative sum, and a zero weight gets none.
+    np.repeat(np.arange(N), counts) lists the ancestors in particle order.
+    The weights must be nonnegative and sum to 1; they are not checked
+    here (see sample_categorical).
     """
-    n_buckets = 1 << max(len(cdf) - 1, 1).bit_length()
-    cells = np.minimum(np.ceil(cdf * n_buckets), n_buckets + 1).astype(np.intp)
-    guide = np.cumsum(np.bincount(cells, minlength=n_buckets + 2))
-    bucket = (u * n_buckets).astype(np.intp)
-    lo = guide.take(bucket)
-    idx = lo + (cdf.take(lo) <= u)
-    crowded = np.flatnonzero(guide.take(bucket + 1) - lo > 1)
-    if crowded.size:
-        idx[crowded] = np.searchsorted(cdf, u.take(crowded), side="right")
-    return idx
+    n = len(weights)
+    cdf = np.cumsum(weights, dtype=float)
+    cdf[-1] = 1.0
+    edges = np.clip(np.floor(cdf * n + rng.random()), 0, n).astype(np.intp)
+    return np.diff(edges, prepend=0)
 
 
 def logsumexp(log_values) -> float:
@@ -341,9 +322,9 @@ def logsumexp_rows(log_values: np.ndarray) -> list[float]:
     rounded sum of its terms: math.fsum for rows shorter than LARGE_N_MIN,
     _exact_sum for longer ones.  The correctly rounded sum of a set of
     numbers is unique, so both paths give the same bits, permuting a row
-    cannot change its result (needed for the particle engine's
-    label-exchangeability guarantee), and a row's result does not depend
-    on the other rows.  A row whose maximum is not finite (all -inf, or
+    cannot change its result (so a filter step's log mean weight does not
+    depend on particle order), and a row's result does not depend on the
+    other rows.  A row whose maximum is not finite (all -inf, or
     holding NaN or +inf) gives -inf.
     """
     peak = np.maximum.reduce(log_values, axis=1, keepdims=True)

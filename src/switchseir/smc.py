@@ -12,14 +12,17 @@ through ancestor sampling.  Both filters weigh particles with
 model._obs_log_density, whose sum over a path is the observation factor
 of the MH target (model.PosteriorTerms).
 
-Resampling is multinomial at every step, by inverse CDF with one uniform
-per index (distributions.sample_categorical): the bootstrap filter's
-draws at large N search a guide table, smaller draws binary-search each
-uniform, and both give every uniform the same index.  Within a step all
-particle work is vectorized; weight normalization uses a correctly
-rounded log-sum-exp (math.fsum, or an exact bucketed sum for long rows,
-which gives the same bits), so it is order-invariant and particle labels
-are exchangeable bit-for-bit.
+The bootstrap filter resamples systematically at every step
+(distributions.systematic_offspring): one uniform per step gives each
+particle the floor or the ceiling of N times its weight as offspring,
+N times its weight on average, so the likelihood estimate stays unbiased,
+with less variance than multinomial draws give (Douc, Cappe & Moulines
+2005); the draws depend on particle order.  The conditional filter
+resamples multinomially, one uniform and one binary search per index.
+Within a step all particle work is vectorized; weight normalization uses
+a correctly rounded log-sum-exp (math.fsum, or an exact bucketed sum for
+long rows, which gives the same bits), so a step's weights and log mean
+weight do not depend on particle order.
 
 The bootstrap filter holds a step's particles component-first, as one
 contiguous (4, N) array, and gathers, propagates and weighs them in that
@@ -60,6 +63,7 @@ from .distributions import (
     require_open_simplex,
     sample_categorical,
     sample_dirichlet,
+    systematic_offspring,
 )
 from .model import LatentPath, ParameterSet, PriorSpec, _obs_log_density, transition_mean
 from .seir import EpidemicRates, rk4_components
@@ -165,6 +169,11 @@ def run_smc(
 ) -> ParticleSystem:
     """Bootstrap particle filter over the observation series.
 
+    Resamples systematically at every step (systematic_offspring): each
+    particle's expected offspring count is N times its weight, so
+    exp(log_marginal) is unbiased for the likelihood, and the draws
+    depend on particle order.
+
     deterministic_transitions collapses the Dirichlet state transition to
     a point mass at its mean and pins theta_1 at its prior mean; it
     exists only so tests can compare against exact path enumeration.
@@ -197,8 +206,9 @@ def run_smc(
     # proposal takes the last column as 1.0.
     cdf_cols = np.cumsum(params.trans_matrix, axis=1).T[:-1].copy()
 
+    labels = np.arange(n, dtype=np.int32)
     for t in range(1, horizon):
-        anc = sample_categorical(norm_w[t - 1], rng, size=n)
+        anc = np.repeat(labels, systematic_offspring(norm_w[t - 1], rng))
         ancestors[t - 1] = anc
         # Regime proposal: one uniform u per particle through the ancestor's
         # row CDF, last entry 1.0.  The first j with u < cdf[j] is the number

@@ -9,8 +9,9 @@ import pytest
 from switchseir.cli import main
 from switchseir.data_io import read_chain
 
-# A 5-iteration fit of a 12-step series, written by a version whose
-# checkpoints also held the post-burn-in acceptance totals (total_counts).
+# A 5-iteration fit of a 12-step series.  Its checkpoint also holds the
+# post-burn-in acceptance totals (total_counts) that older versions wrote,
+# filled as they filled them: the sums of the chain records' flags.
 OLD_CHECKPOINT_RUN = Path(__file__).parent / "data" / "old_checkpoint_run"
 
 

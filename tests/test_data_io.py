@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -164,6 +165,16 @@ class TestLoadCounts:
         ds = load_counts(path, population=100)
         assert ds.horizon == 2
 
+    def test_header_after_blank_lines_is_skipped(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("\n  \nlabel,active_count\nd1,5\n\nd2,oops\n")
+        with pytest.raises(ValueError, match="line 6: non-numeric count"):
+            load_counts(path, population=100)
+        path.write_text("\nlabel,active_count\nd1,5\nd2,6\n")
+        ds = load_counts(path, population=100)
+        assert ds.times == ("d1", "d2")
+        np.testing.assert_array_equal(ds.y, [0.05, 0.06])
+
     def test_count_above_population_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("d1,150\n")
@@ -193,6 +204,13 @@ class TestLoadProportions:
         path.write_text(f"label,y\nd1,0.5\nd2,{value}\n")
         with pytest.raises(ValueError, match=f"line 3: .*{problem}"):
             load_proportions(path)
+
+    def test_header_after_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("\nlabel,y\nd1,0.5\nd2,0.25\n")
+        ds = load_proportions(path)
+        assert ds.times == ("d1", "d2")
+        np.testing.assert_array_equal(ds.y, [0.5, 0.25])
 
     def test_exact_bounds_are_clamped(self, tmp_path):
         path = tmp_path / "y.csv"
@@ -414,6 +432,25 @@ class TestWriters:
         got_truth = read_truth(tmp_path / "t.csv")
         np.testing.assert_array_equal(got_truth.thetas, latent.thetas)
         np.testing.assert_array_equal(got_truth.regimes, latent.regimes)
+
+    def test_labels_with_commas_and_quotes_round_trip(self, tmp_path):
+        labels = ("Jan 1, 2020", 'the "peak", day 2', "plain")
+        ds = Dataset(labels, np.array([0.125, 0.5, 0.25]))
+        write_dataset(tmp_path / "d.csv", ds)
+        got = load_proportions(tmp_path / "d.csv")
+        assert got.times == labels
+        np.testing.assert_array_equal(got.y, ds.y)
+        summary = PosteriorSummary(
+            params={}, regime_probs=np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),
+            seir_mean=np.full((3, 4), 0.25), seir_lo=np.full((3, 4), 0.2),
+            seir_hi=np.full((3, 4), 0.3), ey_mean=ds.y, ey_lo=ds.y, ey_hi=ds.y,
+        )
+        write_regime_curves(tmp_path / "r.csv", summary, ds)
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [8] * 4
+        assert tuple(row[1] for row in rows[1:]) == labels
+        assert [float(row[4]) for row in rows[1:]] == ds.y.tolist()
 
     def test_particle_dump_schema(self, tmp_path):
         from switchseir.smc import run_smc

@@ -15,7 +15,6 @@ from switchseir.distributions import (
     _beta_logs,
     dirichlet_logpdf,
     gamma_logpdf,
-    _guide_search,
     logsumexp,
     logsumexp_rows,
     sample_categorical,
@@ -23,6 +22,7 @@ from switchseir.distributions import (
     sample_gamma,
     sample_trunc_normal,
     sample_uniform,
+    systematic_offspring,
     trunc_normal_logpdf,
     uniform_logpdf,
 )
@@ -270,10 +270,13 @@ class TestCategorical:
         g = rng(9)
         assert all(sample_categorical([1.0, 0.0, 0.0], g) == 0 for _ in range(50))
 
+    # One uniform per draw: these are the draws that the size=n mode of
+    # earlier versions returned from the same streams.
     def test_uniform_frequencies(self):
         n, cats = 1_000_000, 100
         w = np.full(cats, 1.0 / cats)
-        draws = sample_categorical(w, rng(0), size=n)
+        g = rng(0)
+        draws = [sample_categorical(w, g) for _ in range(n)]
         counts = np.bincount(draws, minlength=cats)
         freq = counts / n
         se = math.sqrt(0.01 * 0.99 / n)
@@ -285,22 +288,83 @@ class TestCategorical:
     def test_weighted_frequencies(self):
         w = np.array([0.7, 0.2, 0.1])
         n = 1_000_000
-        draws = sample_categorical(w, rng(11), size=n)
+        g = rng(11)
+        draws = [sample_categorical(w, g) for _ in range(n)]
         freq = np.bincount(draws, minlength=3) / n
         for i in range(3):
             se = math.sqrt(w[i] * (1 - w[i]) / n)
             assert abs(freq[i] - w[i]) < 3 * se
 
-    def test_single_and_batched_draws_agree(self):
-        # The filters resample with size=m and draw single indices with
-        # size=None; both read one uniform per draw from the same stream.
-        # The second size is searched in sorted-key order.
-        w = rng(12).dirichlet(np.ones(100))
-        for size in (1000, 2 * LARGE_N_MIN):
-            a, b = substream(3, 1), substream(3, 1)
-            singles = [sample_categorical(w, a) for _ in range(size)]
-            batched = sample_categorical(w, b, size=size)
-            np.testing.assert_array_equal(singles, batched)
+
+def plain_systematic_offspring(weights, u):
+    """systematic_offspring as a per-particle loop over Python floats: a
+    running CDF whose last entry is 1.0, and the edge
+    min(max(floor(n * c + u), 0), n) after each particle."""
+    n = len(weights)
+    counts, total, prev = [], 0.0, 0
+    for i, w in enumerate(np.asarray(weights, dtype=float).tolist()):
+        total = 1.0 if i == n - 1 else total + w
+        edge = min(max(math.floor(total * n + u), 0), n)
+        counts.append(edge - prev)
+        prev = edge
+    return counts
+
+
+class FixedUniform:
+    """A generator stand-in whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestSystematicOffspring:
+    # The second row sums to 1 + 1e-10, so its CDF passes 1.0 at the second
+    # entry, before the last.
+    EDGE_ROWS = [np.full(10_000, 1e-4), np.array([0.3, 0.7 + 1e-10, 0.0, 0.0]),
+                 np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])]
+
+    @pytest.mark.parametrize("row", range(len(EDGE_ROWS)))
+    @pytest.mark.parametrize("u", [0.0, 0.5, np.nextafter(1.0, 0.0)])
+    def test_counts_sum_to_n_on_rounding_edges(self, row, u):
+        # The largest uniform below 1 makes n * 1.0 + u round up to n + 1
+        # for n >= 2, which the clip takes back to n.
+        w = self.EDGE_ROWS[row]
+        counts = systematic_offspring(w, FixedUniform(u))
+        assert counts.sum() == len(w)
+        assert np.all(counts >= 0)
+        assert counts.tolist() == plain_systematic_offspring(w, u)
+
+    def test_counts_are_floor_or_ceil(self):
+        g = rng(20)
+        for n in (2, 3, 10, 100, 1000):
+            for _ in range(50):
+                w = g.dirichlet(np.full(n, 0.5))
+                w[(g.random(n) < 0.2) & (w < w.max())] = 0.0
+                w /= w.sum()
+                counts = systematic_offspring(w, g)
+                assert counts.sum() == n
+                # Exact up to the rounding of the cumulative sum, which
+                # moves a count only for a uniform within about 1e-12 of
+                # an edge.
+                assert np.all(counts >= np.floor(n * w))
+                assert np.all(counts <= np.ceil(n * w))
+                assert np.all(counts[w == 0.0] == 0)
+
+    def test_mean_count_is_n_times_weight(self):
+        # Each count is floor(n w) plus a Bernoulli(frac(n w)) draw, so
+        # over many draws its mean lies within a few standard errors of
+        # n w, the expected offspring count that keeps the filter's
+        # likelihood estimate unbiased.
+        draws, n = 4000, 50
+        w = rng(21).dirichlet(np.full(n, 0.7))
+        g = substream(21, 1)
+        mean = np.mean([systematic_offspring(w, g) for _ in range(draws)], axis=0)
+        frac = n * w - np.floor(n * w)
+        se = np.sqrt(frac * (1 - frac) / draws)
+        assert np.all(np.abs(mean - n * w) <= 4 * se)
 
 
 class TestLogsumexp:
@@ -343,10 +407,10 @@ def test_trunc_normal_logpdf_never_nan(x, mean, sd, lo, width):
 
 
 class TestKernelsMatchPlainNumpyFormulas:
-    """The hot kernels add short rows column by column, update in place and
-    search sorted keys; they must equal the plain numpy formulas (row
-    reductions, np.clip, an fsum over an array, a search in draw order)
-    exactly, on every shape the samplers use."""
+    """The hot kernels add short rows column by column and update in
+    place; they must equal the plain formulas (row reductions, np.clip, an
+    fsum over an array, a per-particle loop) exactly, on every shape the
+    samplers use."""
 
     SHAPES = [(100, 4), (2, 100, 4), (149, 4), (50, 2), (50, 3), (20, 9), (4,)]
     SWITCH = LARGE_N_MIN
@@ -406,22 +470,17 @@ class TestKernelsMatchPlainNumpyFormulas:
             np.testing.assert_array_equal(got, plain)
             assert a.random() == b.random()
 
-    # Each case runs a bounded property test; 7 cases x 25 examples.
-    @pytest.mark.parametrize(
-        "n,m",
-        [(2, 1), (100, 50), (300, 100), (SWITCH, SWITCH - 1), (SWITCH, SWITCH),
-         (300, 4096), (10_000, 10_000)],
-    )
+    # Each length runs a bounded property test; 5 lengths x 25 examples.
+    @pytest.mark.parametrize("n", [2, 100, 300, SWITCH, 10_000])
     @settings(max_examples=25, deadline=None)
     @given(
         shape=st.sampled_from(["spread", "flat runs", "point mass"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_sample_categorical(self, n, m, shape, seed):
-        # m indices from n weights, on both sides of the guide-table switch,
-        # against a binary search per uniform in draw order.  Runs of zero
-        # weights give flat CDF steps; a point mass gives one step of
-        # height 1, at the first, a middle or the last index.
+    def test_systematic_offspring(self, n, shape, seed):
+        # Offspring counts from n weights against the per-particle loop.
+        # Runs of zero weights give flat CDF steps; a point mass gives one
+        # step of height 1, at the first, a middle or the last index.
         g = rng(seed)
         w = self.log_uniform(g, n)
         if shape == "flat runs":
@@ -433,19 +492,10 @@ class TestKernelsMatchPlainNumpyFormulas:
             w[g.choice([0, n // 2, n - 1])] = 1.0
         w = w / w.sum()
         a, b = substream(seed, 3), substream(seed, 3)
-        cdf = np.cumsum(w)
-        cdf[-1] = 1.0
-        plain = np.minimum(np.searchsorted(cdf, a.random(m), side="right"), n - 1)
-        got = sample_categorical(w, b, size=m)
-        assert got.dtype == plain.dtype
-        np.testing.assert_array_equal(got, plain)
+        plain = plain_systematic_offspring(w, a.random())
+        got = systematic_offspring(w, b)
+        assert got.tolist() == plain
         assert a.random() == b.random()
-        # Keys on the bucket edges the guide table must get right: 0.0,
-        # every CDF value below 1 and the largest uniform below 1.
-        keys = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0],
-                               g.random(LARGE_N_MIN)])
-        np.testing.assert_array_equal(
-            _guide_search(cdf, keys), np.searchsorted(cdf, keys, side="right"))
 
     # Each length runs a bounded property test; 7 lengths x 25 examples.
     @pytest.mark.parametrize("n", [2, 7, 8, 100, SWITCH - 1, SWITCH, 10_000])

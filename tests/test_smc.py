@@ -34,7 +34,7 @@ from switchseir.smc import (
     run_smc,
     sample_reference,
 )
-from tests.test_distributions import beta_logpdf
+from tests.test_distributions import beta_logpdf, plain_systematic_offspring
 from tests.test_model import two_regime_params, two_regime_priors
 
 
@@ -94,13 +94,23 @@ class TestRunSmc:
         assert system.log_marginal == pytest.approx(direct, abs=1e-12)
 
     def test_deterministic_limit_matches_enumeration(self):
+        # The likelihood estimate is unbiased: over 20 seeded passes the
+        # mean of Z_hat / Z - 1 lies within 0.02 of 0 and within 3 standard
+        # errors of it.  One pass's error has an SD of about 0.02.
         y, params, priors, _ = make_data(horizon=8)
         exact = exact_deterministic_log_likelihood(y, params, priors)
-        system = run_smc(
-            y, params, priors, 10_000, rng(2), deterministic_transitions=True
-        )
-        rel_err = abs(math.expm1(system.log_marginal - exact))
-        assert rel_err < 0.02
+        rel_errs = [
+            math.expm1(
+                run_smc(y, params, priors, 10_000, rng(seed),
+                        deterministic_transitions=True).log_marginal
+                - exact
+            )
+            for seed in range(20)
+        ]
+        mean = np.mean(rel_errs)
+        se = np.std(rel_errs, ddof=1) / math.sqrt(len(rel_errs))
+        assert abs(mean) < 0.02
+        assert abs(mean) < 3 * se
 
     def test_variance_shrinks_with_more_particles(self):
         y, params, priors, _ = make_data(horizon=8)
@@ -210,10 +220,10 @@ def plain_normalize(log_w, t):
 
 def plain_run_smc(y, params, priors, n, rng):
     """run_smc as a plain loop: fancy-index gathers in the row layout, an
-    argmax regime proposal, a binary search per resampling uniform, the
-    RK4 step of plain_rk4_step with per-step rates and an fsum
+    argmax regime proposal, systematic resampling as a per-particle loop,
+    the RK4 step of plain_rk4_step with per-step rates and an fsum
     normalization.  The reference for the compact store, the
-    component-first step, the guide-table search and the bucketed sum."""
+    component-first step, the offspring kernel and the bucketed sum."""
     horizon, k = len(y), params.n_regimes
     thetas = np.empty((horizon, n, 4))
     regimes = np.empty((horizon, n), dtype=int)
@@ -228,9 +238,8 @@ def plain_run_smc(y, params, priors, n, rng):
     row_cdf = np.cumsum(params.trans_matrix, axis=1)
     row_cdf[:, -1] = 1.0
     for t in range(1, horizon):
-        cdf = np.cumsum(norm_w[t - 1])
-        cdf[-1] = 1.0
-        anc = np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), n - 1)
+        counts = plain_systematic_offspring(norm_w[t - 1], rng.random())
+        anc = np.array([j for j, c in enumerate(counts) for _ in range(c)])
         ancestors[t - 1] = anc
         u = rng.random(n)
         regimes[t] = np.argmax(u[:, None] < row_cdf[regimes[t - 1][anc]], axis=1)
@@ -381,7 +390,10 @@ def serial_csmc_as(y, params, priors, reference, m, rng):
         norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
         for t in range(1, horizon):
             eta = transition_mean(np.broadcast_to(thetas[t - 1], (k, n, 4)), rates)
-            anc = sample_categorical(norm_w[t - 1], rng, size=m)[block_slots]
+            cdf = np.cumsum(norm_w[t - 1])
+            cdf[-1] = 1.0
+            draws = np.searchsorted(cdf, rng.random(m), side="right")
+            anc = np.minimum(draws, n - 1)[block_slots]
             conc = params.kappa * eta[block_regimes, anc]
             thetas[t] = sample_dirichlet(DirichletParams(conc), rng)
             x_ref, slot = int(ref.regimes[t]), ref_slot(t)
