@@ -4,13 +4,13 @@ File formats.  Delimited files are comma-separated text with numbers
 printed to 17 significant digits, so values round-trip exactly; every
 one is written by _write_rows (a header line, then one line per row) and
 read by _read_rows, which skips blank lines and names the file and line
-of a row with the wrong column count.  A cell holding a comma, a double
-quote or a line break is double-quoted, as the csv module writes and
-reads it, so labels such as ``Jan 1, 2020`` round-trip.
+of a row with the wrong column count.  Cells holding a comma, a double
+quote or a line break are double-quoted (the csv module's default).
 
 - case counts (input): two columns ``label,active_count``, header
-  optional (the first non-blank row, when its count is not a number); counts must be finite and within [0, population].  They are
-  divided by the population and clamped to (1e-6, 1 - 1e-6).
+  optional (a first non-blank row whose count is not a number); counts
+  must be finite and within [0, population].  They are divided by the
+  population and clamped to (1e-6, 1 - 1e-6).
 - proportions (input/output): two columns ``label,y``; values must be
   finite and within [0, 1], and are clamped like counts.
 - truth sidecar: ``t,S,E,I,R,regime`` with 1-based t and regimes.

@@ -270,8 +270,6 @@ class TestCategorical:
         g = rng(9)
         assert all(sample_categorical([1.0, 0.0, 0.0], g) == 0 for _ in range(50))
 
-    # One uniform per draw: these are the draws that the size=n mode of
-    # earlier versions returned from the same streams.
     def test_uniform_frequencies(self):
         n, cats = 1_000_000, 100
         w = np.full(cats, 1.0 / cats)
