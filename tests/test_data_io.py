@@ -212,6 +212,14 @@ class TestLoadProportions:
         assert ds.times == ("d1", "d2")
         np.testing.assert_array_equal(ds.y, [0.5, 0.25])
 
+    def test_unreadable_row_names_line(self, tmp_path):
+        # The csv reader's own errors (here a cell over its field-size
+        # limit) surface as ValueError naming the file and line.
+        path = tmp_path / "y.csv"
+        path.write_text("label,y\nd1,0.5\n" + "x" * 200_000 + ",0.5\n")
+        with pytest.raises(ValueError, match="y.csv: line 3: field larger"):
+            load_proportions(path)
+
     def test_exact_bounds_are_clamped(self, tmp_path):
         path = tmp_path / "y.csv"
         path.write_text("d1,0\n\nd2,1\n")
