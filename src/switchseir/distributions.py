@@ -21,11 +21,6 @@ from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 # Smallest admissible simplex component; Dirichlet draws are clamped here
 # and renormalized so downstream log densities stay finite.
 SIMPLEX_FLOOR = 1e-12
-# Row length from which logsumexp_rows takes the exact bucketed sum instead
-# of math.fsum.  Both give the same bits, so the switch is only a speed
-# choice, made by timeit on a 2-CPU Intel Xeon host: fsum takes 24 us at
-# 300 terms against 48 for the bucketed sum and 113 at 1,500 against 72.
-LARGE_N_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -280,7 +275,7 @@ def sample_categorical(weights, rng: np.random.Generator) -> int:
     One uniform u; the index is the number of CDF entries <= u (0-based),
     with the last CDF entry taken as 1.0.
     """
-    cdf = np.cumsum(weights, dtype=float)
+    cdf = np.add.accumulate(np.asarray(weights, dtype=float))
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(), side="right")
     return min(int(idx), len(cdf) - 1)
@@ -300,15 +295,15 @@ def systematic_offspring(weights, rng: np.random.Generator) -> np.ndarray:
     here (see sample_categorical).
     """
     n = len(weights)
-    cdf = np.cumsum(weights, dtype=float)
+    cdf = np.add.accumulate(np.asarray(weights, dtype=float))
     cdf[-1] = 1.0
     edges = np.clip(np.floor(cdf * n + rng.random()), 0, n).astype(np.intp)
     return np.diff(edges, prepend=0)
 
 
 def logsumexp(log_values) -> float:
-    """Exact-order-invariant log-sum-exp over a 1-D array: logsumexp_rows
-    of a single row (-inf when empty)."""
+    """Log-sum-exp over a 1-D array: logsumexp_rows of a single row (-inf
+    when empty)."""
     lv = np.asarray(log_values, dtype=float)
     if not lv.size:
         return -math.inf
@@ -316,64 +311,23 @@ def logsumexp(log_values) -> float:
 
 
 def logsumexp_rows(log_values: np.ndarray) -> list[float]:
-    """Exact-order-invariant log-sum-exp of each row of a 2-D array.
+    """Log-sum-exp of each row of a 2-D array: the row maximum plus the
+    log of np.add.reduce over the exps shifted by it.
 
-    Each row's sum of exps (shifted by the row maximum) is the correctly
-    rounded sum of its terms: math.fsum for rows shorter than LARGE_N_MIN,
-    _exact_sum for longer ones.  The correctly rounded sum of a set of
-    numbers is unique, so both paths give the same bits, permuting a row
-    cannot change its result (so a filter step's log mean weight does not
-    depend on particle order), and a row's result does not depend on the
-    other rows.  A row whose maximum is not finite (all -inf, or
-    holding NaN or +inf) gives -inf.
+    Each row is reduced on its own, so a row's result equals that row
+    reduced alone, whatever the other rows hold; the batched CSMC-AS pass
+    relies on this to give each chain the bits of its pass alone.  The
+    sum is numpy's pairwise sum, which differs from the exact sum of the
+    terms by a few ulps and depends on their order.  A row whose maximum
+    is not finite (all -inf, or holding NaN or +inf) gives -inf.
     """
     peak = np.maximum.reduce(log_values, axis=1, keepdims=True)
-    peaks = peak.ravel().tolist()
-    finite = [math.isfinite(p) for p in peaks]
-    if not all(finite):
+    finite = np.isfinite(peak[:, 0])
+    if not finite.all():
         # Shift those rows by 0, so that their exps raise no warning.
-        peak = np.where(np.array(finite)[:, None], peak, 0.0)
-    exps = np.exp(log_values - peak)
-    if exps.shape[1] < LARGE_N_MIN:
-        sums = [math.fsum(row) for row in exps.tolist()]
-    else:
-        sums = [_exact_sum(row) if ok else 0.0 for ok, row in zip(finite, exps)]
+        peak[~finite] = 0.0
+    sums = np.add.reduce(np.exp(log_values - peak), axis=1).tolist()
     return [
         p + math.log(total) if ok else -math.inf
-        for p, ok, total in zip(peaks, finite, sums)
+        for p, ok, total in zip(peak[:, 0].tolist(), finite.tolist(), sums)
     ]
-
-
-# Bit fields of a float64, read as an int64.
-_MANTISSA_BITS = (1 << 52) - 1
-_IMPLICIT_BIT = 1 << 52
-_LOW_HALF = (1 << 26) - 1
-_SUM_SCALE = 2.0**600
-
-
-def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms) bit for bit, for finite terms in [0, 1] of which
-    at least one is 1.0, fewer than 2^26 of them.
-
-    Error-free summation by exponent buckets (after Rump, Ogita & Oishi
-    2008, SIAM J. Sci. Comput.).  Scaling by 2^600 is exact and makes
-    every nonzero term normal.  A term is then M * 2^(E - 1075) with its
-    biased exponent E and a 53-bit integer mantissa M, which splits into
-    the integers M >> 26 (27 bits) and M & (2^26 - 1) (26 bits).  Each
-    exponent's halves are added by bincount; fewer than 2^26 terms keep
-    every bucket's sum an integer below 2^53, so it is exact, and so is
-    each bucket's value (that integer times a power of two).  Zeros fall
-    into bucket E = 0, which is dropped.  math.fsum of the bucket values
-    is then the correctly rounded sum of all the terms, which is unique,
-    and the sum is at least 1, so scaling back is exact too.
-    """
-    if len(terms) >= 1 << 26:
-        return math.fsum(terms.tolist())
-    bits = (terms * _SUM_SCALE).view(np.int64)
-    expo = bits >> 52
-    mantissa = (bits & _MANTISSA_BITS) | _IMPLICIT_BIT
-    high = np.bincount(expo, weights=mantissa >> 26)[1:]
-    low = np.bincount(expo, weights=mantissa & _LOW_HALF)[1:]
-    expo = np.arange(1, len(high) + 1)
-    parts = np.concatenate([np.ldexp(high, expo - 1049), np.ldexp(low, expo - 1075)])
-    return math.fsum(parts[parts != 0.0].tolist()) / _SUM_SCALE

@@ -21,9 +21,8 @@ three-regime series at N = 10^4 it cuts the variance of log Z about
 threefold.  Its draws depend on particle order.  The conditional filter
 resamples multinomially, one uniform and one binary search per index.
 Within a step all particle work is vectorized; weight normalization uses
-a correctly rounded log-sum-exp (math.fsum, or an exact bucketed sum for
-long rows, which gives the same bits), so a step's weights and log mean
-weight do not depend on particle order.
+a max-shifted log-sum-exp (distributions.logsumexp_rows), which reduces
+each chain's row on its own.
 
 The bootstrap filter holds a step's particles component-first, as one
 contiguous (4, N) array, and gathers, propagates and weighs them in that
@@ -40,9 +39,10 @@ weights, their exps and row sums run once per step over all chains.
 What makes a chain's result its own stays per chain, in the order a
 chain alone would take it: every draw from its generator (resampling
 uniforms, Gamma variates, the ancestor-sampling uniform), each CDF
-search, each log-sum-exp's math.fsum, and the degeneracy check.  A chain
-whose weights degenerate leaves the pass at that step with its
-DegenerateWeightsError; the others go on.  So each chain's result equals
+search, and the degeneracy check.  Each row sum, the log-sum-exps'
+included, has the bits of that row reduced alone.  A chain whose weights
+degenerate leaves the pass at that step with its DegenerateWeightsError;
+the others go on.  So each chain's result equals
 its pass alone bit for bit, whatever the other chains hold.  What is
 constant over a pass is computed once per pass.
 """

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from switchseir.distributions import (
-    LARGE_N_MIN,
     DirichletParams,
     GammaParams,
     TruncNormalParams,
@@ -31,6 +30,7 @@ from switchseir.rng import substream
 # Frozen reference values computed with 60-digit arithmetic (mpmath).
 BETA_LOGPDF_OBS_CASE = 4.515928836563838  # y=0.05, a=125, b=2375
 DIRICHLET_LOGPDF_PRIOR_CASE = 12.850280266616979  # x=[.99,.001,.003,.006], conc=[100,1,1,1]
+EPS = np.finfo(float).eps
 
 
 def rng(seed=0):
@@ -278,7 +278,9 @@ class TestCategorical:
         counts = np.bincount(draws, minlength=cats)
         freq = counts / n
         se = math.sqrt(0.01 * 0.99 / n)
-        assert np.all(np.abs(freq - 0.01) < 3 * se)
+        # Bonferroni over the 100 cells: a correct sampler puts some cell
+        # past 4.2 SE on about 0.27% of seeds (3 SE would fail 24%).
+        assert np.all(np.abs(freq - 0.01) < 4.2 * se)
         # Seed-robust companion: chi-square goodness of fit at 1%.
         _, pvalue = stats.chisquare(counts)
         assert pvalue > 0.01
@@ -372,10 +374,13 @@ class TestLogsumexp:
         x = rng(13).normal(size=257)
         assert logsumexp(x) == pytest.approx(sp_lse(x), abs=1e-12)
 
-    def test_permutation_invariant_bitwise(self):
+    def test_permutation_moves_result_by_rounding_only(self):
+        # The row sum is numpy's pairwise sum, so permuting a row may move
+        # its bits, but only within the rounding of two such sums
+        # (ceil(log2 100) = 7 ulps of a sum >= 1 each, and of the results).
         x = rng(14).normal(size=100) * 50
         perm = rng(15).permutation(100)
-        assert logsumexp(x) == logsumexp(x[perm])
+        assert logsumexp(x[perm]) == pytest.approx(logsumexp(x), rel=4 * EPS, abs=14 * EPS)
 
     def test_all_neg_inf(self):
         assert logsumexp(np.full(5, -np.inf)) == -math.inf
@@ -407,11 +412,10 @@ def test_trunc_normal_logpdf_never_nan(x, mean, sd, lo, width):
 class TestKernelsMatchPlainNumpyFormulas:
     """The hot kernels add short rows column by column and update in
     place; they must equal the plain formulas (row reductions, np.clip, an
-    fsum over an array, a per-particle loop) exactly, on every shape the
+    row-alone reduction, a per-particle loop) exactly, on every shape the
     samplers use."""
 
     SHAPES = [(100, 4), (2, 100, 4), (149, 4), (50, 2), (50, 3), (20, 9), (4,)]
-    SWITCH = LARGE_N_MIN
 
     @staticmethod
     def log_uniform(g, shape, lo=-12.0, hi=3.0):
@@ -469,7 +473,7 @@ class TestKernelsMatchPlainNumpyFormulas:
             assert a.random() == b.random()
 
     # Each length runs a bounded property test; 5 lengths x 25 examples.
-    @pytest.mark.parametrize("n", [2, 100, 300, SWITCH, 10_000])
+    @pytest.mark.parametrize("n", [2, 100, 300, 1024, 10_000])
     @settings(max_examples=25, deadline=None)
     @given(
         shape=st.sampled_from(["spread", "flat runs", "point mass"]),
@@ -496,7 +500,7 @@ class TestKernelsMatchPlainNumpyFormulas:
         assert a.random() == b.random()
 
     # Each length runs a bounded property test; 7 lengths x 25 examples.
-    @pytest.mark.parametrize("n", [2, 7, 8, 100, SWITCH - 1, SWITCH, 10_000])
+    @pytest.mark.parametrize("n", [2, 7, 8, 100, 1023, 1024, 10_000])
     @settings(max_examples=25, deadline=None)
     @given(
         zeros=st.floats(0.0, 0.9),
@@ -505,10 +509,12 @@ class TestKernelsMatchPlainNumpyFormulas:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_logsumexp(self, n, zeros, subnormal, repeats, seed):
-        # Rows on both sides of the bucketed-sum switch, with -inf entries
-        # (zero exps), exps that underflow to 0 or land in the subnormals,
-        # and repeated values, against peak + log(fsum) row by row; a NaN
-        # row and an all -inf row give -inf.
+        # Rows with -inf entries (zero exps), exps that underflow to 0 or
+        # land in the subnormals, and repeated values, against the plain
+        # peak + log(np.add.reduce) row by row, and against the correctly
+        # rounded peak + log(fsum) within the rounding of a pairwise sum:
+        # ceil(log2 n) ulps of the sum, which is at least 1, plus 2 ulps of
+        # the result.  A NaN row and an all -inf row give -inf.
         g = rng(seed)
         rows = np.log(self.log_uniform(g, (3, n))) * g.uniform(0.1, 10.0, size=(3, 1))
         vanish = g.random(n) < zeros
@@ -525,8 +531,22 @@ class TestKernelsMatchPlainNumpyFormulas:
         got = logsumexp_rows(rows)
         for row, total in zip(rows[:3], got):
             m = row.max()
-            plain = float(m + math.log(math.fsum(np.exp(row - m))))
+            plain = float(m + math.log(np.add.reduce(np.exp(row - m))))
             assert total == plain
             assert logsumexp(row) == plain
-            assert logsumexp(g.permutation(row)) == plain
+            exact = float(m + math.log(math.fsum(np.exp(row - m))))
+            tol = math.ceil(math.log2(n)) * EPS + 2 * math.ulp(exact)
+            assert abs(total - exact) <= tol
         assert got[3:] == [-math.inf, -math.inf]
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 7, 8, 100, 1024, 10_000])
+    def test_logsumexp_rows_equal_each_row_alone(self, c, n):
+        # The batched CSMC-AS pass needs each chain's log-sum-exp to be
+        # the bits of its row reduced alone, whatever the other rows hold.
+        for seed in range(5):
+            g = rng(seed)
+            rows = g.normal(size=(c, n)) * g.uniform(0.1, 50.0, size=(c, 1))
+            got = logsumexp_rows(rows)
+            assert got == [logsumexp(row.copy()) for row in rows]
+            assert got == [logsumexp_rows(rows[r:r + 1])[0] for r in range(c)]

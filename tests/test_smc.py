@@ -8,7 +8,6 @@ import pytest
 
 from switchseir.data_io import generate_simulation, scenario_priors
 from switchseir.distributions import (
-    LARGE_N_MIN,
     DirichletParams,
     _dirichlet_log_kernel,
     logsumexp,
@@ -209,11 +208,11 @@ def plain_rk4_step(state, rates):
 
 def plain_normalize(log_w, t):
     """The step's normalized weights and log mean weight, with the
-    log-sum-exp taken by math.fsum over the whole vector."""
+    log-sum-exp taken as peak + log(np.add.reduce) over the whole vector."""
     peak = log_w.max()
     if not np.isfinite(peak):
         raise DegenerateWeightsError(t)
-    total = peak + math.log(math.fsum(np.exp(log_w - peak).tolist()))
+    total = peak + math.log(np.add.reduce(np.exp(log_w - peak)))
     w = np.exp(log_w - total)
     return w / w.sum(), total - math.log(len(log_w))
 
@@ -221,9 +220,9 @@ def plain_normalize(log_w, t):
 def plain_run_smc(y, params, priors, n, rng):
     """run_smc as a plain loop: fancy-index gathers in the row layout, an
     argmax regime proposal, systematic resampling as a per-particle loop,
-    the RK4 step of plain_rk4_step with per-step rates and an fsum
-    normalization.  The reference for the compact store, the
-    component-first step, the offspring kernel and the bucketed sum."""
+    the RK4 step of plain_rk4_step with per-step rates and a plain
+    log-sum-exp normalization.  The reference for the compact store, the
+    component-first step and the offspring kernel."""
     horizon, k = len(y), params.n_regimes
     thetas = np.empty((horizon, n, 4))
     regimes = np.empty((horizon, n), dtype=int)
@@ -262,7 +261,7 @@ class TestRunSmcMatchesPlainLoop:
     MODIFIERS = {1: [1.0], 2: [1.0, 0.4], 3: [1.0, 0.7, 0.3]}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("n", [64, 2 * LARGE_N_MIN])
+    @pytest.mark.parametrize("n", [64, 2048])
     def test_every_output_equal(self, k, n):
         y, base, priors, _ = make_data(horizon=6)
         params = replace(
@@ -299,13 +298,16 @@ class TestEstimateLogMarginal:
         with pytest.raises(DegenerateWeightsError):
             _normalize_step(lw, 2)
 
-    def test_label_permutation_leaves_marginal_bit_identical(self):
+    def test_label_permutation_moves_marginal_by_rounding_only(self):
+        # The step's sum of weights is numpy's pairwise sum, whose bits may
+        # depend on particle order, but only within its rounding.
         y, params, priors, _ = make_data(horizon=10)
         system = run_smc(y, params, priors, 100, rng(6))
         g = rng(7)
         for t, lw in enumerate(system.log_weights):
             permuted = lw[g.permutation(100)]
-            assert _normalize_step(permuted, t)[1] == _normalize_step(lw, t)[1]
+            want = _normalize_step(lw, t)[1]
+            assert _normalize_step(permuted, t)[1] == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 class TestSampleReference:
