@@ -42,9 +42,9 @@ uniforms, Gamma variates, the ancestor-sampling uniform), each CDF
 search, and the degeneracy check.  Each row sum, the log-sum-exps'
 included, has the bits of that row reduced alone.  A chain whose weights
 degenerate leaves the pass at that step with its DegenerateWeightsError;
-the others go on.  So each chain's result equals
-its pass alone bit for bit, whatever the other chains hold.  What is
-constant over a pass is computed once per pass.
+the others go on.  So each chain's result equals its pass alone bit for
+bit, whatever the other chains hold.  What is constant over a pass is
+computed once per pass.
 """
 
 from __future__ import annotations

@@ -411,8 +411,8 @@ def test_trunc_normal_logpdf_never_nan(x, mean, sd, lo, width):
 
 class TestKernelsMatchPlainNumpyFormulas:
     """The hot kernels add short rows column by column and update in
-    place; they must equal the plain formulas (row reductions, np.clip, an
-    row-alone reduction, a per-particle loop) exactly, on every shape the
+    place; they must equal the plain formulas (row reductions, np.clip, a
+    one-row reduction, a per-particle loop) exactly, on every shape the
     samplers use."""
 
     SHAPES = [(100, 4), (2, 100, 4), (149, 4), (50, 2), (50, 3), (20, 9), (4,)]
