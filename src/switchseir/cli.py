@@ -48,7 +48,7 @@ from .data_io import (
     write_summary_table,
     write_truth,
 )
-from .diagnostics import gelman_rubin_table, select_regimes, summarize
+from .diagnostics import RHAT_GATE, gelman_rubin_table, select_regimes, summarize
 from .pg import acceptance_rates, run_pg
 from .rng import TAG_INIT, substream
 from .smc import run_smc
@@ -261,6 +261,10 @@ def cmd_select(args) -> int:
     if not candidates or any(k < 1 for k in candidates):
         _err(f"select: bad --K list {args.K!r}")
         return 2
+    repeated = sorted({k for k in candidates if candidates.count(k) > 1})
+    if repeated:
+        _err(f"select: --K list {args.K!r} repeats K={','.join(map(str, repeated))}")
+        return 2
     priors_by_k = {k: priors_for_k(config.priors, k) for k in candidates}
     report = select_regimes(
         dataset.y, priors_by_k, candidates, config.sampler, jobs=args.jobs
@@ -299,7 +303,7 @@ def cmd_diagnose(args) -> int:
     write_rhat_table(table_path, rhats)
     worst = max(rhats.values())
     for name, value in rhats.items():
-        status = "PASS" if value < 1.2 else "FAIL"
+        status = "PASS" if value < RHAT_GATE else "FAIL"
         _err(f"rhat[{name}] = {value:.4f} {status}")
     _err(f"diagnose: wrote {table_path} (worst rhat {worst:.4f})")
     return 0

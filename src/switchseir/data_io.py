@@ -23,7 +23,8 @@ quote or a line break are double-quoted (the csv module's default).
 - regime curves: ``t,label,p_regime_1..K,y_obs,Ey_mean,Ey_lo,Ey_hi``.
 - SEIR curves: ``t,S_mean,S_lo,S_hi,...,R_hi``.
 - model selection: ``K,log_ml_mean,log_ml_sd``.
-- R-hat table: ``parameter,rhat,status``.
+- R-hat table: ``parameter,rhat,status``; status is PASS below
+  diagnostics.RHAT_GATE, FAIL otherwise.
 - particle dump: ``t,particle,regime,S,E,I,R,log_weight,norm_weight,
   ancestor`` (ancestor is -1 at t=1).
 """
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import RHAT_GATE
 from .distributions import DirichletParams, GammaParams, TruncNormalParams
 from .model import (
     OBS_EPS,
@@ -247,13 +249,13 @@ def scenario_priors(name: str) -> PriorSpec:
     )
 
 
-def diagonal_row_priors(n_regimes: int, stay: float = 10.0) -> tuple:
-    """Stay-favoring Dirichlet row priors (concentration `stay` on the
+def diagonal_row_priors(n_regimes: int) -> tuple:
+    """Stay-favoring Dirichlet row priors (concentration 10 on the
     diagonal, 1 elsewhere); empty for a single-regime model."""
     if n_regimes == 1:
         return ()
     return tuple(
-        tuple(stay if i == j else 1.0 for j in range(n_regimes))
+        tuple(10.0 if i == j else 1.0 for j in range(n_regimes))
         for i in range(n_regimes)
     )
 
@@ -733,11 +735,11 @@ def write_selection_table(path, report) -> None:
     )
 
 
-def write_rhat_table(path, rhats: dict, threshold: float = 1.2) -> None:
+def write_rhat_table(path, rhats: dict) -> None:
     _write_rows(
         path,
         ["parameter", "rhat", "status"],
-        ([name, value, "PASS" if value < threshold else "FAIL"] for name, value in rhats.items()),
+        ([name, value, "PASS" if value < RHAT_GATE else "FAIL"] for name, value in rhats.items()),
     )
 
 

@@ -6,8 +6,11 @@ log space; outside-support evaluations return -inf rather than NaN.
 Samplers take an explicit numpy Generator so each thread of execution
 can own its stream.
 
-Parameter containers accept scalars or arrays (fields broadcast), which
-lets the particle engine evaluate whole particle populations in one call.
+Only the Dirichlet and Beta kernels broadcast over arrays, which lets the
+particle engine weigh and propagate whole particle populations in one
+call.  The truncated Normal, Gamma and Uniform functions, which the
+priors and the MH proposals use one value at a time, take and return
+floats.
 """
 
 from __future__ import annotations
@@ -155,34 +158,23 @@ def _normalize_gamma_draws(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def gamma_logpdf(x, params: GammaParams):
+def gamma_logpdf(x: float, params: GammaParams) -> float:
     """Log density of Gamma(shape, rate) at x; -inf for x <= 0."""
-    x = np.asarray(x, dtype=float)
+    if not x > 0:
+        return -math.inf
     a, b = params.shape, params.rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x > 0,
-            a * math.log(b) - gammaln(a) + (a - 1) * np.log(np.where(x > 0, x, 1.0)) - b * x,
-            -np.inf,
-        )
-    return out if out.ndim else float(out)
+    # np.log, not math.log: they differ in the last bit on a few inputs.
+    return float(a * math.log(b) - gammaln(a) + (a - 1) * np.log(x) - b * x)
 
 
-def sample_gamma(params: GammaParams, rng: np.random.Generator, size=None):
+def sample_gamma(params: GammaParams, rng: np.random.Generator) -> float:
     """Draw from Gamma(shape, rate)."""
-    return rng.standard_gamma(params.shape, size=size) / params.rate
+    return rng.standard_gamma(params.shape) / params.rate
 
 
-def uniform_logpdf(x, lower: float, upper: float):
+def uniform_logpdf(x: float, lower: float, upper: float) -> float:
     """Log density of Uniform(lower, upper); -inf outside the interval."""
-    x = np.asarray(x, dtype=float)
-    out = np.where((x > lower) & (x < upper), -math.log(upper - lower), -np.inf)
-    return out if out.ndim else float(out)
-
-
-def sample_uniform(lower: float, upper: float, rng: np.random.Generator, size=None):
-    """Draw from Uniform(lower, upper)."""
-    return rng.uniform(lower, upper, size=size)
+    return -math.log(upper - lower) if lower < x < upper else -math.inf
 
 
 def _standardized_bounds(params: TruncNormalParams) -> tuple[float, float]:
@@ -191,18 +183,11 @@ def _standardized_bounds(params: TruncNormalParams) -> tuple[float, float]:
     return lo, hi
 
 
-def trunc_normal_mass(params: TruncNormalParams) -> float:
-    """Probability a Normal(mean, sd^2) draw lands in (lower, upper)."""
+def trunc_normal_log_mass(params: TruncNormalParams) -> float:
+    """log of the probability that a Normal(mean, sd^2) draw lands in
+    (lower, upper), accurate even for far-tail windows."""
     lo, hi = _standardized_bounds(params)
     # Work in the left tail (symmetry) to avoid cancellation of CDFs near 1.
-    if lo >= 0:
-        lo, hi = -hi, -lo
-    return float(ndtr(hi) - ndtr(lo))
-
-
-def trunc_normal_log_mass(params: TruncNormalParams) -> float:
-    """log of the truncation mass, accurate even for far-tail windows."""
-    lo, hi = _standardized_bounds(params)
     if lo >= 0:
         lo, hi = -hi, -lo
     a, b = float(log_ndtr(lo)), float(log_ndtr(hi))
@@ -215,56 +200,39 @@ def trunc_normal_log_mass(params: TruncNormalParams) -> float:
     return b + math.log1p(-math.exp(d))
 
 
-def trunc_normal_logpdf(x, params: TruncNormalParams):
+def trunc_normal_logpdf(x: float, params: TruncNormalParams) -> float:
     """Log density of the truncated Normal; -inf outside (lower, upper)."""
-    x = np.asarray(x, dtype=float)
+    if not params.lower < x < params.upper:
+        return -math.inf
     z = (x - params.mean) / params.sd
     log_mass = trunc_normal_log_mass(params)
-    core = -0.5 * z * z - 0.5 * math.log(2 * math.pi) - math.log(params.sd) - log_mass
-    out = np.where((x > params.lower) & (x < params.upper), core, -np.inf)
-    return out if out.ndim else float(out)
+    return -0.5 * z * z - 0.5 * math.log(2 * math.pi) - math.log(params.sd) - log_mass
 
 
-def sample_trunc_normal(
-    params: TruncNormalParams, rng: np.random.Generator, size=None
-):
+def sample_trunc_normal(params: TruncNormalParams, rng: np.random.Generator) -> float:
     """Draw from the truncated Normal.
 
-    Uses plain rejection from the untruncated Normal when the acceptance
-    mass exceeds 0.1 (cheap, exact), and inverse-CDF sampling otherwise
-    (robust for narrow or far-out truncation windows).
+    Uses plain rejection from the untruncated Normal, 16 draws at a time,
+    when the acceptance mass exceeds 0.1 (cheap, exact), and inverse-CDF
+    sampling otherwise (robust for narrow or far-out truncation windows).
     """
-    n = 1 if size is None else int(np.prod(size))
-    mass = trunc_normal_mass(params)
-    if mass > 0.1:
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            # Expected acceptance ratio is `mass`; over-draw accordingly.
-            want = n - filled
-            draws = params.mean + params.sd * rng.standard_normal(
-                max(16, int(want / mass * 1.2))
-            )
+    if trunc_normal_log_mass(params) > math.log(0.1):
+        while True:
+            draws = params.mean + params.sd * rng.standard_normal(16)
             good = draws[(draws > params.lower) & (draws < params.upper)]
-            take = min(want, good.size)
-            out[filled : filled + take] = good[:take]
-            filled += take
-    else:
-        lo, hi = _standardized_bounds(params)
-        flip = lo >= 0
-        if flip:
-            lo, hi = -hi, -lo
-        u = rng.uniform(ndtr(lo), ndtr(hi), size=n)
-        z = ndtri(u)
-        if flip:
-            z = -z
-        out = params.mean + params.sd * z
-        # Inverse CDF can land exactly on a bound in float arithmetic.
-        out = np.clip(out, np.nextafter(params.lower, math.inf),
-                      np.nextafter(params.upper, -math.inf))
-    if size is None:
-        return float(out[0])
-    return out.reshape(size)
+            if good.size:
+                return float(good[0])
+    lo, hi = _standardized_bounds(params)
+    flip = lo >= 0
+    if flip:
+        lo, hi = -hi, -lo
+    z = ndtri(rng.uniform(ndtr(lo), ndtr(hi)))
+    if flip:
+        z = -z
+    # Inverse CDF can land exactly on a bound in float arithmetic.
+    return float(np.clip(params.mean + params.sd * z,
+                         np.nextafter(params.lower, math.inf),
+                         np.nextafter(params.upper, -math.inf)))
 
 
 def sample_categorical(weights, rng: np.random.Generator) -> int:

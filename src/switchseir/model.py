@@ -40,7 +40,6 @@ from .distributions import (
     sample_dirichlet,
     sample_gamma,
     sample_trunc_normal,
-    sample_uniform,
     trunc_normal_logpdf,
     uniform_logpdf,
 )
@@ -576,7 +575,7 @@ def draw_params(priors: PriorSpec, rng: np.random.Generator) -> ParameterSet:
     mods = np.ones(k)
     for j in range(1, k):
         lo, hi = modifier_band(j, k)
-        mods[j] = sample_uniform(lo, hi, rng)
+        mods[j] = rng.uniform(lo, hi)
     return ParameterSet(
         alpha=sample_trunc_normal(priors.alpha, rng),
         beta=sample_trunc_normal(priors.beta, rng),

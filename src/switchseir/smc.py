@@ -150,14 +150,10 @@ def _normalize_step(log_w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
 
 
 def _draw_initial_thetas(
-    priors: PriorSpec, n: int, rng: np.random.Generator, deterministic: bool
+    priors: PriorSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    conc = priors.theta1.concentration
-    if deterministic:
-        return np.broadcast_to(conc / conc.sum(), (n, 4)).copy()
-    return sample_dirichlet(
-        DirichletParams(np.broadcast_to(conc, (n, 4))), rng
-    )
+    conc = np.broadcast_to(priors.theta1.concentration, (n, 4))
+    return sample_dirichlet(DirichletParams(conc), rng)
 
 
 def run_smc(
@@ -166,18 +162,17 @@ def run_smc(
     priors: PriorSpec,
     n_particles: int,
     rng: np.random.Generator,
-    deterministic_transitions: bool = False,
 ) -> ParticleSystem:
     """Bootstrap particle filter over the observation series.
 
-    Resamples systematically at every step (systematic_offspring): each
-    particle's expected offspring count is N times its weight, so
-    exp(log_marginal) is unbiased for the likelihood, and the draws
-    depend on particle order.
-
-    deterministic_transitions collapses the Dirichlet state transition to
-    a point mass at its mean and pins theta_1 at its prior mean; it
-    exists only so tests can compare against exact path enumeration.
+    Draws theta_1 from priors.theta1 and the first regime uniformly; at
+    each later step, a particle's regime from its ancestor's row of the
+    transition matrix and its state from the Dirichlet transition
+    (concentration kappa times the RK4 mean).  Its weight is the
+    observation density alone.  Resamples systematically at every step
+    (systematic_offspring): each particle's expected offspring count is N
+    times its weight, so exp(log_marginal) is unbiased for the
+    likelihood, and the draws depend on particle order.
     """
     y = np.asarray(y, dtype=float)
     horizon, n = len(y), n_particles
@@ -197,7 +192,7 @@ def run_smc(
     infect_rates = params.modifiers * params.beta
     log_y = [math.log(v) for v in y]
     log1m_y = [math.log1p(-v) for v in y]
-    thetas[0] = _draw_initial_thetas(priors, n, rng, deterministic_transitions)
+    thetas[0] = _draw_initial_thetas(priors, n, rng)
     regimes[0] = rng.integers(k, size=n)
     x = np.ascontiguousarray(thetas[0].T)
     log_w[0] = _obs_log_density(x[2], p[0], lam, log_y[0], log1m_y[0])
@@ -222,15 +217,11 @@ def run_smc(
         for col in cdf_cols:
             regime += u >= col.take(prev)
         eta = rk4_components(x.take(anc, axis=1), infect_rates.take(regime), alpha, gamma)
-        if deterministic_transitions:
-            x = eta
-            thetas[t] = x.T
-        else:
-            eta *= kappa
-            # The draw reads the concentrations in (particle, component)
-            # order, as the row layout does, so the Gamma variates match.
-            thetas[t] = sample_dirichlet(DirichletParams(eta.T), rng)
-            x = np.ascontiguousarray(thetas[t].T)
+        eta *= kappa
+        # The draw reads the concentrations in (particle, component)
+        # order, as the row layout does, so the Gamma variates match.
+        thetas[t] = sample_dirichlet(DirichletParams(eta.T), rng)
+        x = np.ascontiguousarray(thetas[t].T)
         log_w[t] = _obs_log_density(x[2], p[t], lam, log_y[t], log1m_y[t])
         norm_w[t], inc = _normalize_step(log_w[t], t)
         log_marginal += inc
@@ -298,7 +289,7 @@ def run_csmc_as_batch(
     b = _ChainBatch(list(range(len(params))), params, references, rngs, m, horizon)
 
     for i, g in enumerate(b.rngs):
-        b.thetas[0, i] = _draw_initial_thetas(priors, n, g, False)
+        b.thetas[0, i] = _draw_initial_thetas(priors, n, g)
     b.thetas[0].reshape(-1, 4)[b.ref_flat[0]] = b.ref_thetas[0]
     b = _weigh_step(b, 0, log_y, log1m_y, results)
     if b is None:

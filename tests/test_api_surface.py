@@ -3,10 +3,12 @@
 Every top-level public function or class in src/switchseir must be
 referenced by the package itself (outside its own definition) or by the
 benchmark in perfbench/, and so must every public method and property of
-those classes (by attribute, outside the method's own body).  Tests do
-not count as consumers: a name they alone need is a duplicate path or
-dead code.  Exceptions are listed in ALLOWED with the reason each one
-stays.
+those classes (by attribute, outside the method's own body).  Every
+parameter with a default of a top-level public function must be set, by
+keyword or by position, by some call in the package or the benchmark.
+Tests do not count as consumers: a name or a mode they alone need is a
+duplicate path or dead code.  Exceptions are listed in ALLOWED and
+ALLOWED_DEFAULTS with the reason each one stays.
 """
 
 import ast
@@ -21,6 +23,9 @@ ALLOWED = {
     "read_truth": "reads the truth.csv that `simulate` writes, for users "
     "comparing a fit with the simulated path",
 }
+
+# "function.parameter" -> the reason its default stays unset by callers.
+ALLOWED_DEFAULTS: dict[str, str] = {}
 
 
 def _public_definitions() -> set[str]:
@@ -138,3 +143,75 @@ def test_allowlist_is_current():
         )
     )
     assert stale == [], f"ALLOWED names that are gone or now consumed: {stale}"
+
+
+def _public_functions() -> dict[str, ast.AST]:
+    """module.name -> definition, for every top-level public function."""
+    return {
+        f"{path.stem}.{node.name}": node
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _defaulted_parameters(fn: ast.AST) -> dict[str, int | None]:
+    """name -> position (None for keyword-only) of each parameter of fn
+    that has a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    out.update(
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+    return out
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package or the benchmark, by the bare name of
+    the function called (f(...) and x.f(...) both count for f)."""
+    calls = {}
+    for tree in _consumer_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether call passes parameter name, by keyword or by position
+    (a *args or **kwargs in the call counts as passing it)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+
+def _unset_defaults() -> set[str]:
+    """module.function.parameter of every defaulted parameter that no
+    call in the package or the benchmark sets."""
+    calls = _calls_by_name()
+    return {
+        f"{qual}.{param}"
+        for qual, fn in _public_functions().items()
+        for param, position in _defaulted_parameters(fn).items()
+        if not any(_sets(c, param, position) for c in calls.get(fn.name, ()))
+    }
+
+
+def test_every_defaulted_parameter_is_set_by_a_non_test_caller():
+    unset = {qual.split(".", 1)[1] for qual in _unset_defaults()}
+    assert sorted(unset - set(ALLOWED_DEFAULTS)) == [], (
+        "defaulted parameters that only tests (or nothing) set; delete "
+        "them, make them constants or add them to ALLOWED_DEFAULTS with a "
+        f"reason: {sorted(unset - set(ALLOWED_DEFAULTS))}"
+    )
+    stale = sorted(set(ALLOWED_DEFAULTS) - unset)
+    assert stale == [], f"ALLOWED_DEFAULTS entries that are gone or now set: {stale}"

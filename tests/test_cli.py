@@ -1,12 +1,16 @@
 import json
+import math
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from switchseir import cli
 from switchseir.cli import main
+from switchseir.diagnostics import RHAT_GATE
 from switchseir.data_io import read_chain
 
 # A 5-iteration fit of a 12-step series.  Its checkpoint also holds the
@@ -258,10 +262,16 @@ class TestSelect:
         assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
         assert not (out / "model_selection.csv").exists()
 
-    def test_bad_k_list(self, sim_dir, tmp_path):
+    @pytest.mark.parametrize("k_list,message", [
+        ("a,b", "bad --K list 'a,b'"),
+        ("2,1,2", "--K list '2,1,2' repeats K=2"),
+    ])
+    def test_bad_k_list(self, sim_dir, tmp_path, capsys, k_list, message):
         cfg = shrink_config(sim_dir)
-        assert main(["select", "--config", str(cfg), "--K", "a,b",
+        assert main(["select", "--config", str(cfg), "--K", k_list,
                      "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "model_selection.csv").exists()
 
 
 class TestDiagnoseAndSummarize:
@@ -284,6 +294,23 @@ class TestDiagnoseAndSummarize:
         names = {line.split(",")[0] for line in table[1:]}
         assert {"alpha", "beta", "gamma", "lambda", "kappa", "p", "f2",
                 "r0"} <= names
+
+    def test_console_and_table_status_agree_at_the_gate(self, tmp_path, capsys,
+                                                        monkeypatch):
+        rhats = {"far_below": 1.0, "below": math.nextafter(RHAT_GATE, 0.0),
+                 "at": RHAT_GATE, "above": math.nextafter(RHAT_GATE, 2.0),
+                 "far_above": 3.0}
+        monkeypatch.setattr(cli, "_load_chains", lambda paths: [[], []])
+        monkeypatch.setattr(cli, "gelman_rubin_table", lambda chains: rhats)
+        assert main(["diagnose", "a.jsonl", "b.jsonl", "--out", str(tmp_path)]) == 0
+        console = dict(re.findall(r"rhat\[(\w+)\] = \S+ (PASS|FAIL)",
+                                  capsys.readouterr().err))
+        rows = (tmp_path / "rhat.csv").read_text().split()[1:]
+        table = {name: status for name, _, status in (r.split(",") for r in rows)}
+        assert console == table == {
+            "far_below": "PASS", "below": "PASS", "at": "FAIL",
+            "above": "FAIL", "far_above": "FAIL",
+        }
 
     def test_diagnose_refuses_single_chain(self, fitted, tmp_path):
         _, out = fitted

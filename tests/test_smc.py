@@ -93,15 +93,21 @@ class TestRunSmc:
         assert system.log_marginal == pytest.approx(direct, abs=1e-12)
 
     def test_deterministic_limit_matches_enumeration(self):
-        # The likelihood estimate is unbiased: over 20 seeded passes the
-        # mean of Z_hat / Z - 1 lies within 0.02 of 0 and within 3 standard
-        # errors of it.  One pass's error has an SD of about 0.02.
+        # With kappa and the theta_1 concentration at 1e12 (theta_1 keeps
+        # its prior mean), every Dirichlet draw lies within about 1e-6 of
+        # its mean, so the filter's likelihood is that of the
+        # deterministic state path, which enumeration gives exactly.  The
+        # estimate is unbiased: over 20 seeded passes the mean of
+        # Z_hat / Z - 1 lies within 0.02 of 0 and within 3 standard errors
+        # of it.  One pass's error has an SD of about 0.02.
         y, params, priors, _ = make_data(horizon=8)
         exact = exact_deterministic_log_likelihood(y, params, priors)
+        conc = priors.theta1.concentration
+        sharp_priors = replace(priors, theta1=DirichletParams(conc / conc.sum() * 1e12))
+        sharp_params = replace(params, kappa=1e12)
         rel_errs = [
             math.expm1(
-                run_smc(y, params, priors, 10_000, rng(seed),
-                        deterministic_transitions=True).log_marginal
+                run_smc(y, sharp_params, sharp_priors, 10_000, rng(seed)).log_marginal
                 - exact
             )
             for seed in range(20)
@@ -230,7 +236,7 @@ def plain_run_smc(y, params, priors, n, rng):
     norm_w = np.empty((horizon, n))
     ancestors = np.empty((horizon - 1, n), dtype=int)
     obs_log_weights = obs_log_weights_for(y, params)
-    thetas[0] = _draw_initial_thetas(priors, n, rng, False)
+    thetas[0] = _draw_initial_thetas(priors, n, rng)
     regimes[0] = rng.integers(k, size=n)
     log_w[0] = obs_log_weights(thetas[0], 0)
     norm_w[0], log_marginal = plain_normalize(log_w[0], 0)
@@ -387,7 +393,7 @@ def serial_csmc_as(y, params, priors, reference, m, rng):
         return (int(ref.regimes[t]) + 1) * m - 1
 
     try:
-        thetas[0] = _draw_initial_thetas(priors, n, rng, False)
+        thetas[0] = _draw_initial_thetas(priors, n, rng)
         thetas[0, ref_slot(0)] = ref.thetas[0]
         log_w[0] = obs_log_weights(thetas[0], 0)
         norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
