@@ -12,8 +12,7 @@ from .model import ROW_ID, ParameterSet, PriorSpec, param_table
 from .pg import ChainRecord, SamplerConfig, run_pg
 
 # A parameter whose R-hat lies below this passes the convergence check
-# (Gelman & Rubin 1992 suggest 1.2); `diagnose` reports it on the
-# console and in rhat.csv.
+# that `diagnose` reports on the console and in rhat.csv.
 RHAT_GATE = 1.2
 
 

@@ -159,8 +159,9 @@ def _normalize_gamma_draws(x: np.ndarray) -> np.ndarray:
 
 
 def gamma_logpdf(x: float, params: GammaParams) -> float:
-    """Log density of Gamma(shape, rate) at x; -inf for x <= 0."""
-    if not x > 0:
+    """Log density of Gamma(shape, rate) at x; -inf for x <= 0 and for
+    x = +inf."""
+    if not 0 < x < math.inf:
         return -math.inf
     a, b = params.shape, params.rate
     # np.log, not math.log: they differ in the last bit on a few inputs.

@@ -240,6 +240,7 @@ class TestGamma:
     def test_logpdf_outside_support(self):
         assert gamma_logpdf(-1.0, GammaParams(2.0, 1.0)) == -math.inf
         assert gamma_logpdf(0.0, GammaParams(2.0, 1.0)) == -math.inf
+        assert gamma_logpdf(math.inf, GammaParams(2.0, 1.0)) == -math.inf
 
     @pytest.mark.parametrize("shape,rate", [(2.0, 0.001), (200.0, 0.01), (0.8, 2.0)])
     def test_integrates_to_one(self, shape, rate):
