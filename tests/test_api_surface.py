@@ -208,10 +208,11 @@ def _unset_defaults() -> set[str]:
 
 def test_every_defaulted_parameter_is_set_by_a_non_test_caller():
     unset = {qual.split(".", 1)[1] for qual in _unset_defaults()}
-    assert sorted(unset - set(ALLOWED_DEFAULTS)) == [], (
+    test_only = sorted(unset - set(ALLOWED_DEFAULTS))
+    assert test_only == [], (
         "defaulted parameters that only tests (or nothing) set; delete "
         "them, make them constants or add them to ALLOWED_DEFAULTS with a "
-        f"reason: {sorted(unset - set(ALLOWED_DEFAULTS))}"
+        f"reason: {test_only}"
     )
     stale = sorted(set(ALLOWED_DEFAULTS) - unset)
     assert stale == [], f"ALLOWED_DEFAULTS entries that are gone or now set: {stale}"

@@ -10,8 +10,8 @@ import pytest
 
 from switchseir import cli
 from switchseir.cli import main
-from switchseir.diagnostics import RHAT_GATE
 from switchseir.data_io import read_chain
+from switchseir.diagnostics import RHAT_GATE
 
 # A 5-iteration fit of a 12-step series.  Its checkpoint also holds the
 # post-burn-in acceptance totals (total_counts) that older versions wrote,
@@ -265,7 +265,7 @@ class TestSelect:
     @pytest.mark.parametrize("k_list,message", [
         ("a,b", "bad --K list 'a,b'"),
         ("2,1,2", "--K list '2,1,2' repeats K=2"),
-    ])
+    ], ids=["non-numeric", "repeated"])
     def test_bad_k_list(self, sim_dir, tmp_path, capsys, k_list, message):
         cfg = shrink_config(sim_dir)
         assert main(["select", "--config", str(cfg), "--K", k_list,
