@@ -248,11 +248,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
-    os.makedirs(out, exist_ok=True)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    dataset = load_dataset(config.data, base_dir)
     try:
         candidates = [int(v) for v in args.K.split(",") if v.strip()]
     except ValueError:
@@ -265,6 +260,11 @@ def cmd_select(args) -> int:
     if repeated:
         _err(f"select: --K list {args.K!r} repeats K={','.join(map(str, repeated))}")
         return 2
+    config = load_config(args.config)
+    out = _resolve_out(args, config)
+    os.makedirs(out, exist_ok=True)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    dataset = load_dataset(config.data, base_dir)
     priors_by_k = {k: priors_for_k(config.priors, k) for k in candidates}
     report = select_regimes(
         dataset.y, priors_by_k, candidates, config.sampler, jobs=args.jobs

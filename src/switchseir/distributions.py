@@ -213,16 +213,15 @@ def trunc_normal_logpdf(x: float, params: TruncNormalParams) -> float:
 def sample_trunc_normal(params: TruncNormalParams, rng: np.random.Generator) -> float:
     """Draw from the truncated Normal.
 
-    Uses plain rejection from the untruncated Normal, 16 draws at a time,
+    Uses plain rejection from the untruncated Normal, one draw per try,
     when the acceptance mass exceeds 0.1 (cheap, exact), and inverse-CDF
     sampling otherwise (robust for narrow or far-out truncation windows).
     """
     if trunc_normal_log_mass(params) > math.log(0.1):
         while True:
-            draws = params.mean + params.sd * rng.standard_normal(16)
-            good = draws[(draws > params.lower) & (draws < params.upper)]
-            if good.size:
-                return float(good[0])
+            draw = params.mean + params.sd * rng.standard_normal()
+            if params.lower < draw < params.upper:
+                return draw
     lo, hi = _standardized_bounds(params)
     flip = lo >= 0
     if flip:

@@ -1,9 +1,11 @@
 """Particle Gibbs kernel: conditional-SMC latent updates alternated with
 Metropolis-Hastings parameter updates.
 
-Each iteration runs the block-conditional SMC with ancestor sampling
-against the previous reference trajectory, draws a fresh reference, then
-applies several full MH sweeps conditional on that reference.  A sweep
+Each iteration runs conditional SMC with ancestor sampling
+(smc.run_csmc_as_batch, which proposes regimes and states from the
+model) against the previous reference trajectory, draws a fresh
+reference from its particle system, then applies several full MH sweeps
+conditional on that reference.  A sweep
 visits the entries of model.param_table in order.  Proposals are
 truncated Normals on each entry's support, with the asymmetric-proposal
 correction (truncation breaks symmetry).  The MH target is the joint log
@@ -65,6 +67,8 @@ class SamplerConfig:
 
     n_iterations counts all iterations including burn-in; records are
     emitted for post-burn-in iterations at the given thinning stride.
+    Every SMC and CSMC-AS pass of the chain runs N = K * m_per_regime
+    particles.
     step_sizes maps MH ids (the keys of model.param_table) to proposal
     standard deviations; missing ids fall back to the table's
     prior-scaled defaults, and run_pg rejects ids the table lacks.

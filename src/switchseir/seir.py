@@ -7,8 +7,8 @@ so components are clamped away from 0 and 1 and renormalized.
 States are arrays [S, E, I, R] on the simplex; any number of leading
 axes is supported, so whole particle populations propagate in one call.
 rk4_step takes and returns rows (..., 4); rk4_components, the RK4 it
-wraps, works component-first (4, ...), the layout of the bootstrap
-filter's particles.
+wraps, works component-first (4, ...), the layout in which both particle
+filters propagate.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ class EpidemicRates:
     modifier scales the transmission term (1 = baseline, smaller values
     encode intervention-suppressed transmission).  Every field broadcasts
     against the component-first state (leading axes of the population),
-    so each may be an array: modifiers aligned with the particles' regimes,
-    or all four given per propagated row when the particles of several
-    chains, each with its own rates, propagate in one call.
+    so each may be an array, such as modifiers aligned with the regimes
+    of a path's steps.
     """
 
     alpha: float | np.ndarray

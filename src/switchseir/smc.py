@@ -1,50 +1,38 @@
-"""Particle machinery: bootstrap SMC, block-conditional SMC with ancestor
-sampling and reference-trajectory extraction.  Each pass also returns its
-marginal-likelihood estimate.
+"""Particle machinery: bootstrap SMC, conditional SMC with ancestor
+sampling (CSMC-AS) and reference-trajectory extraction.  Each pass also
+returns its marginal-likelihood estimate.
 
-The bootstrap filter draws states and regimes from their transition
-densities, so its unnormalized importance weight at every step reduces
-to the observation density.  The conditional filter draws states from
-the state transition density, but assigns regimes by block, M particles
-per regime, and its step weights also carry only the observation
-density: the regime transition probabilities enter that filter only
-through ancestor sampling.  Both filters weigh particles with
+Both filters propose from the model: a particle's regime from its
+ancestor's row of the transition matrix (_propose_regimes), its state
+from the Dirichlet transition around the RK4 mean under that regime
+(seir.rk4_components on component-first particles, then _draw_states).
+So every step weight is the observation density alone,
 model._obs_log_density, whose sum over a path is the observation factor
 of the MH target (model.PosteriorTerms).
 
-The bootstrap filter resamples systematically at every step
+The bootstrap filter (run_smc) resamples systematically at every step
 (distributions.systematic_offspring): one uniform per step gives each
 particle N times its weight as offspring on average, so the likelihood
 estimate stays unbiased.  The scheme is not guaranteed to beat
 multinomial draws (Douc, Cappe & Moulines 2005), but on the stored
 three-regime series at N = 10^4 it cuts the variance of log Z about
-threefold.  Its draws depend on particle order.  The conditional filter
-resamples multinomially, one uniform and one binary search per index.
-Within a step all particle work is vectorized; weight normalization uses
-a max-shifted log-sum-exp (distributions.logsumexp_rows), which reduces
-each chain's row on its own.
+threefold.  Its draws depend on particle order.
 
-The bootstrap filter holds a step's particles component-first, as one
-contiguous (4, N) array, and gathers, propagates and weighs them in that
-layout; each step's Dirichlet draws are stored in the (T, N, 4) output.
-Its infection rates per regime are taken once per pass from the
-ParameterSet, whose modifiers are already checked.
-
-The conditional filter runs C chains in one pass (run_csmc_as_batch),
-each with its own parameters, reference and generator, and one chain is
-the case C = 1.  The particles of all chains sit on one chain axis:
-propagation (a per-step transition cache of the previous particles under
-every regime), the gathers, the observation and ancestor-sampling
-weights, their exps and row sums run once per step over all chains.
+The conditional filter (run_csmc_as_batch; Andrieu, Doucet & Holenstein
+2010; Lindsten, Jordan & Schon 2014) keeps the reference trajectory in
+the last particle slot.  The other N - 1 ancestors are multinomial draws
+from the previous weights; the reference's ancestor is drawn in
+proportion to each candidate's weight times its probability of moving to
+the reference pair.  It runs C chains in one pass, each with its own
+parameters, reference and generator, and one chain is the case C = 1.
+The particle work of all chains runs once per step on a chain axis.
 What makes a chain's result its own stays per chain, in the order a
-chain alone would take it: every draw from its generator (resampling
-uniforms, Gamma variates, the ancestor-sampling uniform), each CDF
-search, and the degeneracy check.  Each row sum, the log-sum-exps'
-included, has the bits of that row reduced alone.  A chain whose weights
+chain alone would take it: every draw from its generator, each CDF
+search, and the degeneracy check.  Each row sum has the bits of that row
+reduced alone (distributions.logsumexp_rows).  A chain whose weights
 degenerate leaves the pass at that step with its DegenerateWeightsError;
 the others go on.  So each chain's result equals its pass alone bit for
-bit, whatever the other chains hold.  What is constant over a pass is
-computed once per pass.
+bit, whatever the other chains hold.
 """
 
 from __future__ import annotations
@@ -62,12 +50,12 @@ from .distributions import (
     logsumexp,
     logsumexp_rows,
     require_open_simplex,
-    sample_categorical,
     sample_dirichlet,
+    sample_categorical,
     systematic_offspring,
 )
-from .model import LatentPath, ParameterSet, PriorSpec, _obs_log_density, transition_mean
-from .seir import EpidemicRates, rk4_components
+from .model import LatentPath, ParameterSet, PriorSpec, _obs_log_density
+from .seir import rk4_components
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -92,9 +80,9 @@ class ParticleSystem:
     integer type that holds K (int8 for every K <= 128); log_weights and
     norm_weights: (T, N) float64; ancestors: (T-1, N) int32, with
     ancestors[t] indexing the time-t parents of the time-t+1 particles;
-    log_marginal: sum over t of log mean unnormalized weight.  The
-    conditional filter's regimes are one read-only row broadcast over the
-    steps, since its blocks fix every particle's regime.
+    log_marginal: sum over t of log mean unnormalized weight.  In a
+    conditional pass, particle N-1 holds the reference pair at every
+    step.
     """
 
     thetas: np.ndarray
@@ -156,6 +144,35 @@ def _draw_initial_thetas(
     return sample_dirichlet(DirichletParams(conc), rng)
 
 
+def _regime_cdf_cols(params: Sequence[ParameterSet]) -> np.ndarray:
+    """Columns 0..K-2 of every chain's transition-row CDFs, one contiguous
+    row each: entry [j, c * K + x] is column j of chain c's row x.  The
+    regime proposal takes the last column as 1.0."""
+    rows = np.concatenate([np.cumsum(p.trans_matrix, axis=1) for p in params])
+    return rows.T[:-1].copy()
+
+
+def _propose_regimes(u, rows, cdf_cols: np.ndarray, out: np.ndarray) -> None:
+    """Draw regimes into out from the transition rows `rows` (indices into
+    the columns of _regime_cdf_cols), one uniform u per particle.  The
+    regime is the first j with u < cdf[j], last entry 1.0: the number of
+    columns j < K-1 with cdf[j] <= u, as those columns are nondecreasing.
+    """
+    out[...] = 0
+    for col in cdf_cols:
+        out += u >= col.take(rows)
+
+
+def _draw_states(conc: np.ndarray, rngs, out: np.ndarray) -> None:
+    """Dirichlet draws into out (C, L, 4) from concentrations conc (C, L,
+    4).  Chain c's Gamma variates come from rngs[c] in (particle,
+    component) order, as sample_dirichlet draws them, and are normalized
+    as sample_dirichlet normalizes them."""
+    for c, g in enumerate(rngs):
+        g.standard_gamma(conc[c], out=out[c])
+    _normalize_gamma_draws(out)
+
+
 def run_smc(
     y: np.ndarray,
     params: ParameterSet,
@@ -190,6 +207,7 @@ def run_smc(
     p, lam = params.ident_series(horizon), params.lambda_
     alpha, gamma, kappa = params.alpha, params.gamma, params.kappa
     infect_rates = params.modifiers * params.beta
+    cdf_cols = _regime_cdf_cols([params])
     log_y = [math.log(v) for v in y]
     log1m_y = [math.log1p(-v) for v in y]
     thetas[0] = _draw_initial_thetas(priors, n, rng)
@@ -198,29 +216,14 @@ def run_smc(
     log_w[0] = _obs_log_density(x[2], p[0], lam, log_y[0], log1m_y[0])
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
-    # Columns 0..K-2 of the row CDFs, one contiguous row each; the regime
-    # proposal takes the last column as 1.0.
-    cdf_cols = np.cumsum(params.trans_matrix, axis=1).T[:-1].copy()
-
     labels = np.arange(n, dtype=np.int32)
     for t in range(1, horizon):
         anc = np.repeat(labels, systematic_offspring(norm_w[t - 1], rng))
         ancestors[t - 1] = anc
-        # Regime proposal: one uniform u per particle through the ancestor's
-        # row CDF, last entry 1.0.  The first j with u < cdf[j] is the number
-        # of columns j < K-1 with cdf[j] <= u, since those columns are
-        # nondecreasing and the last entry exceeds u.
-        prev = regimes[t - 1].take(anc)
-        u = rng.random(n)
-        regime = regimes[t]
-        regime[...] = 0
-        for col in cdf_cols:
-            regime += u >= col.take(prev)
-        eta = rk4_components(x.take(anc, axis=1), infect_rates.take(regime), alpha, gamma)
+        _propose_regimes(rng.random(n), regimes[t - 1].take(anc), cdf_cols, regimes[t])
+        eta = rk4_components(x.take(anc, axis=1), infect_rates.take(regimes[t]), alpha, gamma)
         eta *= kappa
-        # The draw reads the concentrations in (particle, component)
-        # order, as the row layout does, so the Gamma variates match.
-        thetas[t] = sample_dirichlet(DirichletParams(eta.T), rng)
+        _draw_states(eta.T[None], [rng], thetas[t][None])
         x = np.ascontiguousarray(thetas[t].T)
         log_w[t] = _obs_log_density(x[2], p[t], lam, log_y[t], log1m_y[t])
         norm_w[t], inc = _normalize_step(log_w[t], t)
@@ -237,30 +240,26 @@ def run_csmc_as_batch(
     m_per_regime: int,
     rngs: Sequence[np.random.Generator],
 ) -> list[ParticleSystem | DegenerateWeightsError]:
-    """Conditional SMC with block-deterministic regimes and ancestor
-    sampling, for C chains at once.
+    """Conditional SMC with ancestor sampling, for C chains at once.
 
     Chain c runs on params[c] against references[c] and draws from
-    rngs[c]; all chains share the series y, the priors, K and M.  The
-    result of chain c is its ParticleSystem, or the DegenerateWeightsError
-    its pass raised: a chain whose weights degenerate stops there, as it
-    would alone, and the other chains go on unchanged.  Each result
-    equals a pass of its chain alone bit for bit.
+    rngs[c]; all chains share the series y, the priors, K and
+    N = K * m_per_regime particles.  The result of chain c is its
+    ParticleSystem, or the DegenerateWeightsError its pass raised: a
+    chain whose weights degenerate stops there, as it would alone, and
+    the other chains go on unchanged.
 
-    Regimes are assigned deterministically in K blocks of M particles;
-    the reference pair overwrites the last slot of its regime's block at
-    every step, and its ancestor is redrawn with ancestor-sampling
-    weights.  Non-reference ancestors are M multinomial draws from the
-    previous weights, replicated across the K blocks.
-
-    At each step one transition_mean call propagates the previous
-    particles of every chain under all K regimes into a cache of C * K * N
-    rows in (chain, regime, particle) order: block propagation gathers
-    row (chain, regime of the block, ancestor) from it, and ancestor
-    sampling reads the N rows of (chain, reference regime).  The
-    reference states must lie on the open simplex (rows
-    summing to 1 within 1e-9); every chain's inputs are checked before
-    any particle work.
+    Particle N-1 holds the reference pair at every step.  The others are
+    proposed as run_smc proposes them, from multinomial ancestors.  The
+    reference's ancestor i is drawn with weight w_i * P(x_i -> x_ref) *
+    Dir(theta_ref | kappa * eta(theta_i, x_ref)), so each step runs one
+    RK4 over 2N - 1 rows: the resampled ancestors under their new
+    regimes, then every previous particle under the reference regime.
+    Per step a chain draws N - 1 resampling uniforms, N - 1 regime
+    uniforms, the ancestor-sampling uniform and the Gamma variates of
+    N - 1 states.  The reference states must lie on the open simplex
+    (rows summing to 1 within 1e-9); every chain's inputs are checked
+    before any particle work.
     """
     y = np.asarray(y, dtype=float)
     horizon, m = len(y), m_per_regime
@@ -281,77 +280,78 @@ def run_csmc_as_batch(
 
     n = k * m
     _check_particle_count(n)
-    # Particle j descends from the (j mod M)-th of the M resampled ancestors.
-    block_slots = np.tile(np.arange(m), k)
     log_y = [math.log(v) for v in y]
     log1m_y = [math.log1p(-v) for v in y]
     results: list = [None] * len(params)
-    b = _ChainBatch(list(range(len(params))), params, references, rngs, m, horizon)
+    b = _ChainBatch(list(range(len(params))), params, references, rngs, n, horizon)
 
     for i, g in enumerate(b.rngs):
-        b.thetas[0, i] = _draw_initial_thetas(priors, n, g)
-    b.thetas[0].reshape(-1, 4)[b.ref_flat[0]] = b.ref_thetas[0]
+        b.thetas[0, i, :-1] = _draw_initial_thetas(priors, n - 1, g)
+        b.regimes[0, i, :-1] = g.integers(k, size=n - 1)
     b = _weigh_step(b, 0, log_y, log1m_y, results)
     if b is None:
         return results
 
     for t in range(1, horizon):
         c = len(b.ids)
-        eta = transition_mean(np.repeat(b.thetas[t - 1], k, axis=0).reshape(-1, 4), b.rates)
-        log_as = _ancestor_log_weights(b, eta, t)
-        as_totals = logsumexp_rows(log_as)
-        if -math.inf in as_totals:
+        x = np.ascontiguousarray(b.thetas[t - 1].transpose(2, 0, 1))
+        cdf = np.add.accumulate(b.norm_w[t - 1], axis=1)
+        cdf[:, -1] = 1.0
+        # N - 1 resampling uniforms, then N - 1 regime uniforms per chain.
+        # A uniform is below 1.0 = cdf[-1], so every index found is below N.
+        anc, u = b.ancestors[t - 1], b.uniforms
+        for i, g in enumerate(b.rngs):
+            g.random(out=u[i])
+            anc[i, :-1] = cdf[i].searchsorted(u[i, :n - 1], side="right")
+        parents = np.add(anc[:, :-1], b.chain_base, out=b.gather[:, :n - 1])
+        new = b.regimes[t, :, :-1]
+        _propose_regimes(u[:, n - 1:], b.regimes[t - 1].take(parents) + b.row_base,
+                         b.cdf_cols, new)
+
+        # One propagation: the resampled ancestors under their new regimes,
+        # then every previous particle under the reference regime, written
+        # in row layout (C, 2N - 1, 4) for the Gamma draws and the density.
+        rows = np.concatenate([new + b.row_base, b.ref_row[t]], axis=1)
+        conc = b.conc
+        rk4_components(
+            x.reshape(4, -1).take(b.gather, axis=1), b.infect_rates.take(rows), b.alpha, b.gamma,
+            out=conc.transpose(2, 0, 1),
+        )
+        conc *= b.kappa
+        log_as = _ancestor_log_weights(
+            b.log_ref[t], conc[:, n - 1:],
+            b.log_into.take(b.regimes[t - 1] + b.into_base[t]), b.log_w[t - 1],
+        )
+        peak = np.maximum.reduce(log_as, axis=1, keepdims=True)
+        finite = np.isfinite(peak[:, 0])
+        if not finite.all():
             details = [
                 "ancestor-sampling weights not a number" if nan
                 else "ancestor-sampling weights all zero"
                 for nan in np.isnan(log_as).any(axis=1).tolist()
             ]
-            live = _retire(b, as_totals, results, t, details)
+            live = _retire(b, finite.tolist(), results, t, details)
             if not live:
                 return results
-            eta = eta.reshape(c, -1, 4).take(live, axis=0).reshape(-1, 4)
-            b, log_as = b.keep(live), log_as.take(live, axis=0)
-            as_totals = [as_totals[r] for r in live]
-            c = len(live)
-        as_cdf = np.add.accumulate(_normalize_rows(log_as, as_totals), axis=1)
-        as_cdf[:, -1] = 1.0
-
-        cdf = np.add.accumulate(b.norm_w[t - 1], axis=1)
-        cdf[:, -1] = 1.0
-        draws = np.empty((c, m), dtype=np.int32)
+            b, conc = b.keep(live), conc.take(live, axis=0)
+            log_as, peak = log_as.take(live, axis=0), peak.take(live, axis=0)
+            anc = b.ancestors[t - 1]
+        # Inverse CDF of the unnormalized weights: the key is a uniform times
+        # the row total, which can round up to the total, hence the min.
+        as_cdf = np.add.accumulate(np.exp(log_as - peak), axis=1)
         for i, g in enumerate(b.rngs):
-            draws[i] = cdf[i].searchsorted(g.random(m), side="right")
-        np.minimum(draws, n - 1, out=draws)
-        anc = draws.take(block_slots, axis=1, out=b.ancestors[t - 1])
-        conc = eta.take(b.block_base + anc.ravel(), axis=0)
-        conc *= b.kappa
-
-        x = b.thetas[t]
-        slots = b.ref_slot[t]
-        for i, g in enumerate(b.rngs):
-            g.standard_gamma(conc[i * n:(i + 1) * n], out=x[i])
-            idx = int(as_cdf[i].searchsorted(g.random(), side="right"))
-            anc[i, slots[i]] = min(idx, n - 1)
-        _normalize_gamma_draws(x)
-        x.reshape(-1, 4)[b.ref_flat[t]] = b.ref_thetas[t]
+            key = g.random() * as_cdf[i, -1]
+            anc[i, -1] = min(as_cdf[i].searchsorted(key, side="right"), n - 1)
+        # A contiguous array normalizes faster than the storage's view.
+        _draw_states(conc[:, :n - 1], b.rngs, b.drawn)
+        b.thetas[t, :, :-1] = b.drawn
 
         b = _weigh_step(b, t, log_y, log1m_y, results)
         if b is None:
             return results
 
-    # The reference slot lies in its own regime's block, so every particle
-    # carries its block's regime at every step: one row, shared read-only.
-    block_regimes = np.repeat(np.arange(k, dtype=_regime_dtype(k)), m)
-    regimes = np.broadcast_to(block_regimes, (horizon, n))
     for i, chain in enumerate(b.ids):
-        results[chain] = ParticleSystem(
-            b.thetas[:, i],
-            regimes,
-            b.log_w[:, i],
-            b.norm_w[:, i],
-            b.ancestors[:, i],
-            b.log_marginal[i],
-        )
+        results[chain] = ParticleSystem(*(a[:, i] for a in b.storage), b.log_marginal[i])
     return results
 
 
@@ -360,65 +360,67 @@ class _ChainBatch:
 
     Holds each chain's id (its position in the caller's lists), inputs,
     generator and running log marginal, the pass constants with a chain
-    axis (after the time axis where there is one) and the particle
-    storage: thetas (T, C, N, 4), log_w and norm_w (T, C, N), ancestors
-    (T-1, C, N) int32.  Flat row indices address the chain-major
-    reshapes of the transition cache and of the particles of one step.
+    axis (after the time axis where there is one), and the particle
+    storage: thetas (T, C, N, 4), regimes (T, C, N), log_w and norm_w
+    (T, C, N), ancestors (T-1, C, N) int32, in ParticleSystem's field
+    order.  The reference pair is written into slot N-1 of every step
+    when the storage is made.
     """
 
-    def __init__(self, ids, params, references, rngs, m, horizon,
-                 storage=None, log_marginal=None):
+    def __init__(self, ids, params, references, rngs, n, horizon, storage=None,
+                 log_marginal=None):
         c, k = len(ids), params[0].n_regimes
-        n = k * m
         self.ids, self.params, self.references = list(ids), list(params), list(references)
-        self.rngs, self.m, self.n = list(rngs), m, n
+        self.rngs, self.n = list(rngs), n
         # A pass starts each log marginal at 0.0, and 0.0 + x == x bit for
         # bit, so adding step 0's increment gives that increment.
         self.log_marginal = [0.0] * c if log_marginal is None else log_marginal
-        block_regimes = np.repeat(np.arange(k), m)
-        chain = np.arange(c)
+        chain = np.arange(c)[:, None]
 
-        def per_row(values, repeats):
-            return np.repeat(np.asarray(values, dtype=float), repeats)
+        def per_chain(values):
+            return np.array(values, dtype=float)[:, None]
 
-        # One rate per row of the flat (C * K * N) transition cache, and one
-        # precision per particle of the (C * N) particles of a step (the
-        # identification rate and log reference state are spread to the
-        # particles step by step): every kernel then works on 1-D rows.
-        self.rates = EpidemicRates(
-            per_row([p.alpha for p in params], k * n),
-            per_row([p.beta for p in params], k * n),
-            per_row([p.gamma for p in params], k * n),
-            per_row(np.concatenate([p.modifiers for p in params]), n),
-        )
-        self.kappa = per_row([p.kappa for p in params], n)[:, None]
-        self.lam = per_row([p.lambda_ for p in params], n)
-        self.ident = np.stack([p.ident_series(horizon) for p in params], axis=1)
-        # log_p_into[c * K + x, j]: log probability, in chain c, of moving
-        # from particle j's regime to x.
+        self.alpha = per_chain([p.alpha for p in params])
+        self.gamma = per_chain([p.gamma for p in params])
+        self.kappa = per_chain([p.kappa for p in params])[..., None]
+        self.lam = per_chain([p.lambda_ for p in params])
+        self.ident = np.stack([p.ident_series(horizon) for p in params], axis=1)[..., None]
+        # Regime x of chain c is entry c * K + x of the infection rates and
+        # row c * K + x of the transition matrices; particle j of chain c is
+        # entry c * N + j of a step's flattened particles.
+        self.infect_rates = np.concatenate([p.modifiers * p.beta for p in params])
+        self.cdf_cols = _regime_cdf_cols(params)
+        self.row_base = chain * k
+        self.chain_base = chain * n
+        # Flat indices of the particles one step propagates: the resampled
+        # ancestors (written per step), then every previous particle.
+        self.gather = np.empty((c, 2 * n - 1), dtype=np.intp)
+        self.gather[:, n - 1:] = np.arange(c * n).reshape(c, n)
+        # Work arrays of one step: uniforms, propagated rows, drawn states.
+        self.uniforms = np.empty((c, 2 * n - 2))
+        self.conc = np.empty((c, 2 * n - 1, 4))
+        self.drawn = np.empty((c, n - 1, 4))
+        # log_into[(c * K + x) * K + j]: log probability, in chain c, of
+        # moving from regime j to regime x.
         with np.errstate(divide="ignore"):
-            self.log_p_into = np.concatenate(
-                [np.log(p.trans_matrix.T[:, block_regimes]) for p in params]
-            )
+            self.log_into = np.concatenate([np.log(p.trans_matrix.T).ravel() for p in params])
         ref_regimes = np.stack([r.path.regimes for r in references], axis=1)
-        self.ref_thetas = np.stack([r.path.thetas for r in references], axis=1)
-        self.log_ref = np.stack([np.log(r.path.thetas) for r in references], axis=1)
-        # Row of (chain, reference regime) in log_p_into and in the
-        # (C * K, N, 4) view of the transition cache, per step.
-        self.ref_row = chain * k + ref_regimes
-        ref_slot = (ref_regimes + 1) * m - 1
-        self.ref_slot = ref_slot.tolist()
-        self.ref_flat = chain * n + ref_slot
-        # Flat cache row of (chain, block regime, ancestor 0) per particle.
-        self.block_base = ((chain[:, None] * k + block_regimes) * n).ravel()
+        ref_thetas = np.stack([r.path.thetas for r in references], axis=1)
+        self.log_ref = np.log(ref_thetas)[:, :, None]
+        self.ref_row = np.broadcast_to(chain * k + ref_regimes[..., None], (horizon, c, n))
+        self.into_base = (chain * k + ref_regimes[..., None]) * k
         if storage is None:
             storage = (
                 np.empty((horizon, c, n, 4)),
+                np.empty((horizon, c, n), dtype=_regime_dtype(k)),
                 np.empty((horizon, c, n)),
                 np.empty((horizon, c, n)),
                 np.empty((max(horizon - 1, 0), c, n), dtype=np.int32),
             )
-        self.thetas, self.log_w, self.norm_w, self.ancestors = storage
+            storage[0][:, :, -1] = ref_thetas
+            storage[1][:, :, -1] = ref_regimes
+        self.storage = storage
+        self.thetas, self.regimes, self.log_w, self.norm_w, self.ancestors = storage
 
     def keep(self, rows: list[int]) -> _ChainBatch:
         """The batch of the chains in the given rows, storage included."""
@@ -426,26 +428,25 @@ class _ChainBatch:
         def pick(values):
             return [values[r] for r in rows]
 
-        storage = (self.thetas, self.log_w, self.norm_w, self.ancestors)
         return _ChainBatch(
             pick(self.ids), pick(self.params), pick(self.references), pick(self.rngs),
-            self.m, self.thetas.shape[0],
-            storage=tuple(a.take(rows, axis=1) for a in storage),
+            self.n, self.thetas.shape[0],
+            storage=tuple(a.take(rows, axis=1) for a in self.storage),
             log_marginal=pick(self.log_marginal),
         )
 
 
-def _retire(b: _ChainBatch, totals: list[float], results: list, t: int,
+def _retire(b: _ChainBatch, ok: list[bool], results: list, t: int,
             details: list[str] | None = None) -> list[int]:
     """Make DegenerateWeightsError(t, details[row]) (no detail when details
-    is None) the result of every chain whose row total is -inf; return the
+    is None) the result of every chain whose ok[row] is false; return the
     rows of the other chains."""
     live = []
-    for row, total in enumerate(totals):
-        if total == -math.inf:
-            results[b.ids[row]] = DegenerateWeightsError(t, details[row] if details else "")
-        else:
+    for row, chain_ok in enumerate(ok):
+        if chain_ok:
             live.append(row)
+        else:
+            results[b.ids[row]] = DegenerateWeightsError(t, details[row] if details else "")
     return live
 
 
@@ -453,13 +454,10 @@ def _weigh_step(b: _ChainBatch, t: int, log_y, log1m_y, results: list) -> _Chain
     """Weigh and normalize the step-t particles of every chain and add the
     step's log mean weight to its log marginal.  Chains whose weights all
     vanish are retired; returns the batch of the others (None if none)."""
-    p_t = np.repeat(b.ident[t], b.n)
-    b.log_w[t] = _obs_log_density(
-        b.thetas[t].reshape(-1, 4)[:, 2], p_t, b.lam, log_y[t], log1m_y[t]
-    ).reshape(-1, b.n)
+    b.log_w[t] = _obs_log_density(b.thetas[t, :, :, 2], b.ident[t], b.lam, log_y[t], log1m_y[t])
     totals = logsumexp_rows(b.log_w[t])
     if -math.inf in totals:
-        live = _retire(b, totals, results, t)
+        live = _retire(b, [total != -math.inf for total in totals], results, t)
         if not live:
             return None
         b, totals = b.keep(live), [totals[r] for r in live]
@@ -476,25 +474,21 @@ def _normalize_rows(log_w: np.ndarray, totals: list[float], out=None) -> np.ndar
     return np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=out)
 
 
-def _ancestor_log_weights(b: _ChainBatch, eta: np.ndarray, t: int) -> np.ndarray:
-    """Unnormalized log ancestor-sampling weights of every chain's
-    reference particle at step t, one row per chain.
-
-    Weights are proportional to transition density to the reference state
-    times regime transition probability times the previous normalized
-    weight (the observation factor is constant across candidates and
-    drops out of the normalization).  eta is the transition cache of
-    step t, C * K * N rows in (chain, regime, particle) order.  A weight
-    whose density overflows (inf - inf in the kernel at a huge kappa) is
-    NaN, without a warning; the caller retires its chain.
+def _ancestor_log_weights(log_ref, conc, log_into, log_w) -> np.ndarray:
+    """Unnormalized log ancestor-sampling weights of the reference
+    particle, one row per chain: for each previous particle i, the
+    Dirichlet log density of the reference state log_ref (C, 1, 4) under
+    conc[:, i] (C, N, 4), plus log_into[:, i], the log probability of
+    moving from particle i's regime to the reference regime, plus its
+    unnormalized log weight log_w[:, i].  Factors common to all
+    candidates drop out.  A weight whose density overflows (inf - inf in
+    the kernel at a huge kappa) is NaN, without a warning; the caller
+    retires its chain.
     """
-    conc_ref = eta.reshape(-1, b.n, 4).take(b.ref_row[t], axis=0).reshape(-1, 4)
-    conc_ref *= b.kappa
-    log_ref = np.repeat(b.log_ref[t], b.n, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_as = _dirichlet_log_kernel(log_ref, conc_ref).reshape(-1, b.n)
-        log_as += b.log_p_into.take(b.ref_row[t], axis=0)
-        log_as += np.log(b.norm_w[t - 1])
+    with np.errstate(invalid="ignore"):
+        log_as = _dirichlet_log_kernel(log_ref, conc)
+        log_as += log_into
+        log_as += log_w
     return log_as
 
 

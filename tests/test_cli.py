@@ -268,10 +268,11 @@ class TestSelect:
     ], ids=["non-numeric", "repeated"])
     def test_bad_k_list(self, sim_dir, tmp_path, capsys, k_list, message):
         cfg = shrink_config(sim_dir)
+        out = tmp_path / "sel"
         assert main(["select", "--config", str(cfg), "--K", k_list,
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "model_selection.csv").exists()
+        assert not out.exists()
 
 
 class TestDiagnoseAndSummarize:
