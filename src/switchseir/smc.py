@@ -50,8 +50,8 @@ from .distributions import (
     logsumexp,
     logsumexp_rows,
     require_open_simplex,
-    sample_dirichlet,
     sample_categorical,
+    sample_dirichlet,
     systematic_offspring,
 )
 from .model import LatentPath, ParameterSet, PriorSpec, _obs_log_density
@@ -293,7 +293,6 @@ def run_csmc_as_batch(
         return results
 
     for t in range(1, horizon):
-        c = len(b.ids)
         x = np.ascontiguousarray(b.thetas[t - 1].transpose(2, 0, 1))
         cdf = np.add.accumulate(b.norm_w[t - 1], axis=1)
         cdf[:, -1] = 1.0
