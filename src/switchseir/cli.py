@@ -48,7 +48,14 @@ from .data_io import (
     write_summary_table,
     write_truth,
 )
-from .diagnostics import RHAT_GATE, gelman_rubin_table, select_regimes, summarize
+from .diagnostics import (
+    MIN_RHAT_RECORDS,
+    MIN_SUMMARY_RECORDS,
+    RHAT_GATE,
+    gelman_rubin_table,
+    select_regimes,
+    summarize,
+)
 from .pg import acceptance_rates, run_pg
 from .rng import TAG_INIT, substream
 from .smc import run_smc
@@ -281,12 +288,18 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_chains(paths):
+def _load_chains(paths, min_each: int):
+    """The records of each chain file; a file with fewer than min_each
+    (>= 1) records is an input error that names it."""
     chains = []
     for p in paths:
         _, records = read_chain(p)
-        if not records:
-            raise ChainFileError(f"{p}: chain file holds no records", -1)
+        if len(records) < min_each:
+            raise ChainFileError(
+                f"{p}: chain file holds {len(records)} records, "
+                f"need at least {min_each}",
+                -1,
+            )
         chains.append(records)
     return chains
 
@@ -295,7 +308,7 @@ def cmd_diagnose(args) -> int:
     if len(args.chains) < 2:
         _err("diagnose: needs at least 2 chain files")
         return 2
-    chains = _load_chains(args.chains)
+    chains = _load_chains(args.chains, MIN_RHAT_RECORDS)
     rhats = gelman_rubin_table(chains)
     out = _resolve_out(args)
     os.makedirs(out, exist_ok=True)
@@ -312,11 +325,18 @@ def cmd_diagnose(args) -> int:
 def cmd_summarize(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args, config)
-    os.makedirs(out, exist_ok=True)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     dataset = load_dataset(config.data, base_dir)
-    chains = _load_chains(args.chains)
+    chains = _load_chains(args.chains, 1)
+    pooled = sum(len(c) for c in chains)
+    if pooled < MIN_SUMMARY_RECORDS:
+        raise ChainFileError(
+            f"{', '.join(args.chains)}: {pooled} records pooled, "
+            f"need at least {MIN_SUMMARY_RECORDS} to summarize",
+            -1,
+        )
     summary = summarize(chains)
+    os.makedirs(out, exist_ok=True)
     write_summary_table(os.path.join(out, "summary.csv"), summary)
     write_regime_curves(os.path.join(out, "regime_curves.csv"), summary, dataset)
     write_seir_curves(os.path.join(out, "seir_curves.csv"), summary)

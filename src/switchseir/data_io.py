@@ -36,7 +36,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -266,17 +266,8 @@ def priors_for_k(base: PriorSpec, n_regimes: int) -> PriorSpec:
     Scalar priors are kept; row priors follow the stay-favoring rule and
     modifier bands are implied by the regime count.
     """
-    return PriorSpec(
-        n_regimes=n_regimes,
-        alpha=base.alpha,
-        beta=base.beta,
-        gamma=base.gamma,
-        lambda_=base.lambda_,
-        kappa=base.kappa,
-        ident=base.ident,
-        ident_start_times=base.ident_start_times,
-        row_concentrations=diagonal_row_priors(n_regimes),
-        theta1=base.theta1,
+    return replace(
+        base, n_regimes=n_regimes, row_concentrations=diagonal_row_priors(n_regimes)
     )
 
 
@@ -621,9 +612,7 @@ def parse_config(raw: dict) -> RunConfig:
     sampler_raw = dict(raw["sampler"])
     try:
         sampler = SamplerConfig(**sampler_raw)
-    except TypeError as exc:
-        raise ConfigError(f"sampler block invalid: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sampler block invalid: {exc}") from None
     table = param_table(n_regimes, len(starts))
     for pid in sampler.step_sizes or {}:

@@ -14,6 +14,9 @@ from .pg import ChainRecord, SamplerConfig, run_pg
 # A parameter whose R-hat lies below this passes the convergence check
 # that `diagnose` reports on the console and in rhat.csv.
 RHAT_GATE = 1.2
+# Fewest records per chain for R-hat, and pooled records for a summary.
+MIN_RHAT_RECORDS = 10
+MIN_SUMMARY_RECORDS = 100
 
 
 def param_values(params: ParameterSet) -> dict[str, float]:
@@ -99,8 +102,8 @@ def summarize(chains: list[list[ChainRecord]]) -> PosteriorSummary:
     if not chains or any(len(c) == 0 for c in chains):
         raise ValueError("summarize needs at least one non-empty chain")
     records = [rec for chain in chains for rec in chain]
-    if len(records) < 100:
-        raise ValueError("need at least 100 retained records to summarize")
+    if len(records) < MIN_SUMMARY_RECORDS:
+        raise ValueError(f"need at least {MIN_SUMMARY_RECORDS} retained records to summarize")
 
     stats = {lab: _stats(col) for lab, col in _param_columns(records).items()}
 
@@ -135,14 +138,14 @@ def gelman_rubin(chains) -> float:
     """Potential scale reduction factor of one scalar across chains.
 
     chains is an (m, n) array-like of m >= 2 equal-length chains with
-    n >= 10.  Raises when the within-chain variance is zero.
+    n >= MIN_RHAT_RECORDS.  Raises when the within-chain variance is zero.
     """
     z = np.asarray(chains, dtype=float)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("need >= 2 equal-length chains")
     m, n = z.shape
-    if n < 10:
-        raise ValueError("chains must have length >= 10")
+    if n < MIN_RHAT_RECORDS:
+        raise ValueError(f"chains must have length >= {MIN_RHAT_RECORDS}")
     within = z.var(axis=1, ddof=1).mean()
     if within == 0:
         raise ValueError("within-chain variance is zero")
@@ -155,8 +158,8 @@ def gelman_rubin_table(chains: list[list[ChainRecord]]) -> dict[str, float]:
     if len(chains) < 2:
         raise ValueError("Gelman-Rubin needs at least two chains")
     n = min(len(c) for c in chains)
-    if n < 10:
-        raise ValueError("chains must have at least 10 records each")
+    if n < MIN_RHAT_RECORDS:
+        raise ValueError(f"chains must have at least {MIN_RHAT_RECORDS} records each")
     columns = [_param_columns(chain[:n]) for chain in chains]
     return {
         lab: gelman_rubin(np.stack([col[lab] for col in columns]))

@@ -251,19 +251,10 @@ def _obs_loglik(log_y, log1m_y, thetas: np.ndarray, params: ParameterSet) -> flo
     return float(np.sum(_obs_log_density(thetas[:, 2], p, params.lambda_, log_y, log1m_y)))
 
 
-def transition_mean(theta: np.ndarray, rates: EpidemicRates) -> np.ndarray:
-    """Dirichlet mean of the next state: theta propagated one step by RK4.
-
-    rates carries the destination regime's modifier(s), as built by
-    ParameterSet.rates_for; a filter that propagates under the same
-    regimes at every step builds it once per pass.
-    """
-    return rk4_step(theta, rates)
-
-
 def _path_means(path: LatentPath, params: ParameterSet) -> np.ndarray:
-    """Transition means of steps t = 1..T-1 along a path."""
-    return transition_mean(path.thetas[:-1], params.rates_for(path.regimes[1:]))
+    """Dirichlet means of steps t = 1..T-1 along a path: each state
+    propagated one RK4 step under the next step's regime."""
+    return rk4_step(path.thetas[:-1], params.rates_for(path.regimes[1:]))
 
 
 def _trans_loglik(log_next: np.ndarray | None, eta: np.ndarray, kappa: float) -> float:
@@ -302,17 +293,20 @@ class ParamEntry:
     """One MH-updated entry of psi, as listed by param_table.
 
     id is the MH id, the step-size key and the report label.  get and set
-    read and replace the entry (for ROW_ID, the whole transition matrix);
-    support(priors) bounds its proposals (for ROW_ID, each row entry);
-    log_prior(params, priors) gives its prior terms (one per row for
-    ROW_ID); default_step(priors) is its initial proposal SD; factor
-    names the likelihood factor of PosteriorTerms that a move changes.
+    read and replace the entry (for ROW_ID, the whole transition matrix).
+    propose(params, step, priors, rng) draws a new value of the entry
+    with proposal scale step and returns (value, log_q_fwd, log_q_rev):
+    the log proposal densities of the move and of its reverse, or value
+    None for a proposal outside the entry's support.  log_prior(params,
+    priors) gives its prior terms (one per row for ROW_ID);
+    default_step(priors) is its initial proposal scale; factor names the
+    likelihood factor of PosteriorTerms that a move changes.
     """
 
     id: str
     get: Callable[[ParameterSet], Any]
     set: Callable[[ParameterSet, Any], ParameterSet]
-    support: Callable[[PriorSpec], tuple[float, float]]
+    propose: Callable[..., tuple[Any, float, float]]
     log_prior: Callable[[ParameterSet, PriorSpec], tuple[float, ...]]
     default_step: Callable[[PriorSpec], float]
     factor: str
@@ -326,6 +320,22 @@ def _gamma_step(prior: GammaParams) -> float:
     return 0.5 * math.sqrt(prior.shape) / prior.rate
 
 
+def _random_walk(get, support):
+    """propose of a scalar entry read by get: a Normal random walk with
+    SD step, truncated to support(priors).  Truncation makes the walk
+    asymmetric, so both transition densities are returned."""
+
+    def propose(params, step, priors, rng):
+        cur = get(params)
+        lo, hi = support(priors)
+        fwd = TruncNormalParams(cur, step, lo, hi)
+        value = sample_trunc_normal(fwd, rng)
+        rev = TruncNormalParams(value, step, lo, hi)
+        return value, trunc_normal_logpdf(value, fwd), trunc_normal_logpdf(cur, rev)
+
+    return propose
+
+
 def _rate_entry(pid: str, name: str, logpdf, step, factor: str) -> ParamEntry:
     """A positive rate: ParameterSet field `name` with prior PriorSpec.`name`."""
 
@@ -333,11 +343,12 @@ def _rate_entry(pid: str, name: str, logpdf, step, factor: str) -> ParamEntry:
         _check_positive(pid, value)
         return _with_fields(params, **{name: value})
 
+    get = operator.attrgetter(name)
     return ParamEntry(
         pid,
-        get=operator.attrgetter(name),
-        set=set_,
-        support=lambda priors: (0.0, math.inf),
+        get,
+        set_,
+        propose=_random_walk(get, lambda priors: (0.0, math.inf)),
         log_prior=lambda params, priors: (
             logpdf(getattr(params, name), getattr(priors, name)),
         ),
@@ -362,7 +373,7 @@ def _ident_entry(j: int, pid: str) -> ParamEntry:
         pid,
         get,
         set_,
-        support=lambda priors: (priors.ident[j].lower, priors.ident[j].upper),
+        propose=_random_walk(get, lambda priors: (priors.ident[j].lower, priors.ident[j].upper)),
         log_prior=lambda params, priors: (
             trunc_normal_logpdf(get(params), priors.ident[j]),
         ),
@@ -389,7 +400,7 @@ def _modifier_entry(k: int, n_regimes: int) -> ParamEntry:
         f"f{k + 1}",
         get,
         set_,
-        support=lambda priors: (lo, hi),
+        propose=_random_walk(get, lambda priors: (lo, hi)),
         log_prior=lambda params, priors: (uniform_logpdf(get(params), lo, hi),),
         default_step=lambda priors: 0.1 * (hi - lo),
         factor="trans",
@@ -410,6 +421,35 @@ def _row_log_priors(params: ParameterSet, priors: PriorSpec) -> tuple[float, ...
     return tuple(terms)
 
 
+def _propose_row(params: ParameterSet, step: float, priors, rng):
+    """propose of ROW_ID: move one uniformly chosen row of the transition
+    matrix.  Its first K-1 entries are drawn in turn from Normals with SD
+    step around the current ones, truncated to (0, 1 - the sum of the
+    entries before); the last entry closes the row, and a closing entry
+    <= 0 gives value None."""
+    matrix = params.trans_matrix
+    k = params.n_regimes
+    row = int(rng.uniform() * k)
+    cur_row = matrix[row]
+    prop_row = np.empty(k)
+    log_q_fwd = log_q_rev = 0.0
+    partial_prop = partial_cur = 0.0
+    for j in range(k - 1):
+        fwd = TruncNormalParams(cur_row[j], step, 0.0, 1.0 - partial_prop)
+        prop_row[j] = sample_trunc_normal(fwd, rng)
+        log_q_fwd += trunc_normal_logpdf(prop_row[j], fwd)
+        rev = TruncNormalParams(prop_row[j], step, 0.0, 1.0 - partial_cur)
+        log_q_rev += trunc_normal_logpdf(cur_row[j], rev)
+        partial_prop += prop_row[j]
+        partial_cur += cur_row[j]
+    prop_row[k - 1] = 1.0 - partial_prop
+    if prop_row[k - 1] <= 0.0:
+        return None, log_q_fwd, log_q_rev
+    matrix = matrix.copy()
+    matrix[row] = prop_row
+    return matrix, log_q_fwd, log_q_rev
+
+
 # Entries that exist for every (K, number of p segments), in sweep order.
 _RATE_ENTRIES = (
     _rate_entry("alpha", "alpha", trunc_normal_logpdf, _trunc_normal_step, "trans"),
@@ -422,7 +462,7 @@ _ROWS_ENTRY = ParamEntry(
     ROW_ID,
     get=operator.attrgetter("trans_matrix"),
     set=lambda params, m: _with_fields(params, trans_matrix=_checked_trans_matrix(m)),
-    support=lambda priors: (0.0, 1.0),
+    propose=_propose_row,
     log_prior=_row_log_priors,
     default_step=lambda priors: 0.05,
     factor="regime",
@@ -610,7 +650,7 @@ def simulate_dataset(
         regimes[0] = int(initial[1])
     for t in range(1, horizon):
         regimes[t] = sample_categorical(params.trans_matrix[regimes[t - 1]], rng)
-        eta = transition_mean(thetas[t - 1], params.rates_for(regimes[t]))
+        eta = rk4_step(thetas[t - 1], params.rates_for(regimes[t]))
         thetas[t] = sample_dirichlet(DirichletParams(params.kappa * eta), rng)
     p_t = params.ident_series(horizon)
     mean = p_t * thetas[:, 2]

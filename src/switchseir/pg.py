@@ -5,12 +5,14 @@ Each iteration runs conditional SMC with ancestor sampling
 (smc.run_csmc_as_batch, which proposes regimes and states from the
 model) against the previous reference trajectory, draws a fresh
 reference from its particle system, then applies several full MH sweeps
-conditional on that reference.  A sweep
-visits the entries of model.param_table in order.  Proposals are
-truncated Normals on each entry's support, with the asymmetric-proposal
-correction (truncation breaks symmetry).  The MH target is the joint log
-posterior kept as model.PosteriorTerms: a proposal recomputes only the
-likelihood factor and prior terms of the entry it moves.
+conditional on that reference.  A sweep visits the entries of
+model.param_table in order and moves each by mh_step, the one accept
+rule: the entry's own propose draws the proposal with its forward and
+reverse densities (a truncated-Normal random walk for a scalar,
+sequential truncated Normals along one row for the transition matrix).
+The MH target is the joint log posterior kept as model.PosteriorTerms: a
+proposal recomputes only the likelihood factor and prior terms of the
+entry it moves.
 
 run_pg drives a list of chains in lockstep: each round advances every
 unfinished chain by one iteration, its CSMC-AS pass shared with the
@@ -34,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TruncNormalParams, sample_trunc_normal, trunc_normal_logpdf
 from .model import (
-    ROW_ID,
     LatentPath,
     ParamEntry,
     ParameterSet,
@@ -125,74 +125,23 @@ class PgState:
     record: ChainRecord | None = None
 
 
-def mh_scalar(
-    target, entry: ParamEntry, step: float, support, rng: np.random.Generator
+def mh_step(
+    target, entry: ParamEntry, step: float, priors: PriorSpec, rng: np.random.Generator
 ):
-    """One truncated-Normal random-walk update of a scalar entry of psi.
+    """One Metropolis-Hastings update of a model.param_table entry.
 
     target is any object with params, total and moved(which, params)
-    (model.PosteriorTerms in run_pg); the proposal is bounded to support.
-    Returns (target at the kept parameters, accepted)."""
-    cur = entry.get(target.params)
-    fwd = TruncNormalParams(cur, step, support[0], support[1])
-    prop_value = sample_trunc_normal(fwd, rng)
-    proposal = target.moved(entry.id, entry.set(target.params, prop_value))
-    prop_lp, cur_lp = proposal.total, target.total
+    (model.PosteriorTerms in run_pg).  The proposal comes from
+    entry.propose with scale step, then one uniform decides: a proposal
+    outside the support or at a non-finite target is rejected, one from a
+    non-finite target is accepted, and otherwise the usual ratio with the
+    proposal densities applies.  Returns (target at the kept parameters,
+    accepted)."""
+    value, log_q_fwd, log_q_rev = entry.propose(target.params, step, priors, rng)
     u = rng.random()
-    if not np.isfinite(prop_lp):
+    if value is None:
         return target, False
-    if not np.isfinite(cur_lp):
-        return proposal, True
-    rev = TruncNormalParams(prop_value, step, support[0], support[1])
-    log_ratio = (
-        prop_lp
-        - cur_lp
-        + trunc_normal_logpdf(cur, rev)
-        - trunc_normal_logpdf(prop_value, fwd)
-    )
-    if math.log(u) < log_ratio:
-        return proposal, True
-    return target, False
-
-
-def mh_trans_row(
-    target, entry: ParamEntry, steps: np.ndarray, rng: np.random.Generator
-):
-    """MH update of one uniformly chosen transition-matrix row (K >= 2).
-
-    entry is the ROW_ID entry of model.param_table.  The first K-1
-    entries of the row are proposed sequentially from truncated Normals
-    with SDs steps[j], whose upper bounds keep the running sum below 1;
-    the last entry closes the row deterministically.  target is as for
-    mh_scalar.  Returns (target at the kept parameters, accepted).
-    """
-    params = target.params
-    matrix = entry.get(params)
-    k = params.n_regimes
-    row = int(rng.uniform() * k)
-    cur_row = matrix[row]
-    prop_row = np.empty(k)
-    log_q_fwd = 0.0
-    log_q_rev = 0.0
-    partial_prop = 0.0
-    partial_cur = 0.0
-    for j in range(k - 1):
-        hi_fwd = 1.0 - partial_prop
-        hi_rev = 1.0 - partial_cur
-        fwd = TruncNormalParams(cur_row[j], steps[j], 0.0, hi_fwd)
-        prop_row[j] = sample_trunc_normal(fwd, rng)
-        log_q_fwd += trunc_normal_logpdf(prop_row[j], fwd)
-        rev = TruncNormalParams(prop_row[j], steps[j], 0.0, hi_rev)
-        log_q_rev += trunc_normal_logpdf(cur_row[j], rev)
-        partial_prop += prop_row[j]
-        partial_cur += cur_row[j]
-    prop_row[k - 1] = 1.0 - partial_prop
-    u = rng.random()
-    if prop_row[k - 1] <= 0.0:
-        return target, False
-    matrix = matrix.copy()
-    matrix[row] = prop_row
-    proposal = target.moved(entry.id, entry.set(params, matrix))
+    proposal = target.moved(entry.id, entry.set(target.params, value))
     prop_lp, cur_lp = proposal.total, target.total
     if not np.isfinite(prop_lp):
         return target, False
@@ -352,13 +301,7 @@ def _finish_iteration(
     for s in range(config.mh_sweeps_per_iter):
         rng = substream(seed, TAG_MH, r, s)
         for pid, entry in table.items():
-            step = state.step_sizes[pid]
-            if pid == ROW_ID:
-                row_steps = np.full(priors.n_regimes - 1, step)
-                target, ok = mh_trans_row(target, entry, row_steps, rng)
-            else:
-                support = entry.support(priors)
-                target, ok = mh_scalar(target, entry, step, support, rng)
+            target, ok = mh_step(target, entry, state.step_sizes[pid], priors, rng)
             accepted[pid].append(ok)
     state.params = target.params
 

@@ -12,6 +12,7 @@ ALLOWED_DEFAULTS with the reason each one stays.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +27,18 @@ ALLOWED = {
 
 # "function.parameter" -> the reason its default stays unset by callers.
 ALLOWED_DEFAULTS: dict[str, str] = {}
+
+# "module.attribute" of each perfbench/tracing.py hook that no longer
+# binds, with the reason; the traced run reads its span as zero.
+STALE_HOOKS = {
+    "switchseir.pg.run_csmc_as": "the CSMC pass is smc.run_csmc_as_batch",
+    "switchseir.pg.joint_log_posterior": "run_pg keeps its MH target as "
+    "model.PosteriorTerms",
+    "switchseir.smc.transition_mean": "the filters propagate through "
+    "seir.rk4_components",
+    "switchseir.smc.dirichlet_logpdf": "the CSMC ancestor weights call "
+    "distributions._dirichlet_log_kernel",
+}
 
 
 def _public_definitions() -> set[str]:
@@ -216,3 +229,31 @@ def test_every_defaulted_parameter_is_set_by_a_non_test_caller():
     )
     stale = sorted(set(ALLOWED_DEFAULTS) - unset)
     assert stale == [], f"ALLOWED_DEFAULTS entries that are gone or now set: {stale}"
+
+
+def _trace_hooks() -> list[str]:
+    """module.attribute of every Hook listed in perfbench/tracing.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return [
+        f"{node.args[0].value}.{node.args[1].value}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Hook"
+    ]
+
+
+def test_every_trace_hook_binds():
+    hooks = _trace_hooks()
+    assert hooks, "no Hook found in perfbench/tracing.py"
+    unbound = set()
+    for hook in hooks:
+        module, attr = hook.rsplit(".", 1)
+        if not hasattr(importlib.import_module(module), attr):
+            unbound.add(hook)
+    unlisted = sorted(unbound - set(STALE_HOOKS))
+    assert unlisted == [], (
+        "perfbench trace hooks that name no attribute; rename them or list "
+        f"them in STALE_HOOKS with a reason: {unlisted}"
+    )
+    stale = sorted(set(STALE_HOOKS) - unbound)
+    assert stale == [], f"STALE_HOOKS entries that are gone from HOOKS or bind: {stale}"

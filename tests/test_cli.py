@@ -301,7 +301,7 @@ class TestDiagnoseAndSummarize:
         rhats = {"far_below": 1.0, "below": math.nextafter(RHAT_GATE, 0.0),
                  "at": RHAT_GATE, "above": math.nextafter(RHAT_GATE, 2.0),
                  "far_above": 3.0}
-        monkeypatch.setattr(cli, "_load_chains", lambda paths: [[], []])
+        monkeypatch.setattr(cli, "_load_chains", lambda paths, min_each: [[], []])
         monkeypatch.setattr(cli, "gelman_rubin_table", lambda chains: rhats)
         assert main(["diagnose", "a.jsonl", "b.jsonl", "--out", str(tmp_path)]) == 0
         console = dict(re.findall(r"rhat\[(\w+)\] = \S+ (PASS|FAIL)",
@@ -318,6 +318,32 @@ class TestDiagnoseAndSummarize:
         code = main(["diagnose", str(out / "chain_0.jsonl"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.fixture()
+    def short_chains(self, sim_dir, tmp_path):
+        """Two chain files of 6 records each, and the config."""
+        cfg = shrink_config(sim_dir)
+        out = tmp_path / "short"
+        assert main(["fit", "--config", str(cfg), "--chains", "2",
+                     "--out", str(out)]) == 0
+        return cfg, [str(out / f"chain_{i}.jsonl") for i in range(2)]
+
+    def test_diagnose_names_a_short_chain_file(self, short_chains, tmp_path, capsys):
+        _, chains = short_chains
+        assert main(["diagnose", *chains, "--out", str(tmp_path / "diag")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {chains[0]}: chain file holds 6 records, need at least 10" in err
+        assert not (tmp_path / "diag").exists()
+
+    def test_summarize_names_too_few_pooled_records(self, short_chains, tmp_path,
+                                                    capsys):
+        cfg, chains = short_chains
+        assert main(["summarize", *chains, "--config", str(cfg),
+                     "--out", str(tmp_path / "sum")]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {chains[0]}, {chains[1]}: 12 records pooled, "
+                "need at least 100 to summarize") in err
+        assert not (tmp_path / "sum").exists()
 
     def test_summarize_outputs(self, fitted, tmp_path):
         cfg, out = fitted

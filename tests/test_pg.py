@@ -19,8 +19,7 @@ from switchseir.pg import (
     SamplerConfig,
     _adjusted_step,
     acceptance_rates,
-    mh_scalar,
-    mh_trans_row,
+    mh_step,
     run_pg,
 )
 from tests.test_model import log_prior, two_regime_params, two_regime_priors
@@ -61,9 +60,18 @@ class TestMhScalar:
         accepted = 0
         target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(200):
-            target, ok = mh_scalar(target, beta, 1e-9, beta.support(priors), g)
+            target, ok = mh_step(target, beta, 1e-9, priors, g)
             accepted += ok
         assert accepted >= 195
+
+    def test_rate_proposals_stay_positive(self):
+        # A walk 50 times wider than alpha's prior SD: every proposal
+        # stays inside the rate's support (0, inf).
+        _, params, priors, _ = make_data(horizon=4)
+        alpha = entry(priors, "alpha")
+        g = rng(9)
+        values = [alpha.propose(params, 5.0, priors, g)[0] for _ in range(500)]
+        assert min(values) > 0.0
 
     def test_identification_rate_proposals_respect_bounds(self):
         y, params, priors, path = make_data(horizon=10)
@@ -71,7 +79,7 @@ class TestMhScalar:
         p = entry(priors, "p")
         target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(500):
-            target, _ = mh_scalar(target, p, 5.0, p.support(priors), g)
+            target, _ = mh_step(target, p, 5.0, priors, g)
             assert 0.1 < target.params.ident_rates[0][0] < 0.4
 
     def test_modifier_proposals_respect_band(self):
@@ -80,7 +88,7 @@ class TestMhScalar:
         f2 = entry(priors, "f2")
         target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(500):
-            target, _ = mh_scalar(target, f2, 3.0, f2.support(priors), g)
+            target, _ = mh_step(target, f2, 3.0, priors, g)
             assert 0.0 < target.params.modifiers[1] < 1.0
 
     @pytest.mark.slow
@@ -92,12 +100,11 @@ class TestMhScalar:
         _, params, priors, _ = make_data(horizon=4)
         g = rng(4)
         alpha = entry(priors, "alpha")
-        support = alpha.support(priors)
         n, thin = 1_000_000, 10
         kept = np.empty(n // thin)
         cur = CallableTarget(log_target, params)
         for i in range(n):
-            cur, _ = mh_scalar(cur, alpha, 0.4, support, g)
+            cur, _ = mh_step(cur, alpha, 0.4, priors, g)
             if i % thin == thin - 1:
                 kept[i // thin] = cur.params.alpha
         a = (0.0 - 0.7) / 0.2
@@ -110,12 +117,11 @@ class TestMhScalar:
         _, params, priors, _ = make_data(horizon=4)
         g = rng(5)
         alpha = entry(priors, "alpha")
-        support = alpha.support(priors)
         n = 100_000
         draws = np.empty(n)
         cur = CallableTarget(lambda ps: log_prior(ps, priors), params)
         for i in range(n):
-            cur, _ = mh_scalar(cur, alpha, 0.15, support, g)
+            cur, _ = mh_step(cur, alpha, 0.15, priors, g)
             draws[i] = cur.params.alpha
         a = (0.0 - 0.3) / 0.1
         expect_mean = stats.truncnorm.mean(a, np.inf, loc=0.3, scale=0.1)
@@ -126,31 +132,30 @@ class TestMhScalar:
 
 def test_cached_target_matches_full_posterior_target():
     # The cached-terms target run_pg uses and an explicit full
-    # joint_log_posterior target must make the same decisions bit for bit.
+    # joint_log_posterior target must make the same decisions bit for bit,
+    # for every entry of the table.
     y, params, priors, path = make_data(horizon=12)
     full = lambda ps: joint_log_posterior(path, y, ps, priors)
-    table = param_table(priors.n_regimes, len(priors.ident))
-    for which, e in table.items():
-        if which == ROW_ID:
-            continue
-        step, support = e.default_step(priors), e.support(priors)
+    for which, e in param_table(priors.n_regimes, len(priors.ident)).items():
+        step = e.default_step(priors)
         a = PosteriorTerms.build(path, y, params, priors)
         b = CallableTarget(full, params)
         ga, gb = rng(31), rng(31)
         for _ in range(20):
-            a, ok_a = mh_scalar(a, e, step, support, ga)
-            b, ok_b = mh_scalar(b, e, step, support, gb)
-            assert ok_a == ok_b and e.get(a.params) == e.get(b.params)
-            assert a.total == b.total
-    a = PosteriorTerms.build(path, y, params, priors)
-    b = CallableTarget(full, params)
-    ga, gb = rng(32), rng(32)
-    for _ in range(20):
-        a, ok_a = mh_trans_row(a, table[ROW_ID], np.array([0.05]), ga)
-        b, ok_b = mh_trans_row(b, table[ROW_ID], np.array([0.05]), gb)
-        assert ok_a == ok_b
-        assert np.array_equal(a.params.trans_matrix, b.params.trans_matrix)
-        assert a.total == b.total
+            a, ok_a = mh_step(a, e, step, priors, ga)
+            b, ok_b = mh_step(b, e, step, priors, gb)
+            assert ok_a == ok_b, which
+            assert np.array_equal(e.get(a.params), e.get(b.params)), which
+            assert a.total == b.total, which
+
+
+def three_regime_params():
+    return two_regime_params(
+        trans_matrix=np.array(
+            [[0.94, 0.03, 0.03], [0.03, 0.94, 0.03], [0.03, 0.03, 0.94]]
+        ),
+        modifiers=np.array([1.0, 0.6, 0.05]),
+    )
 
 
 class TestMhTransRow:
@@ -160,35 +165,37 @@ class TestMhTransRow:
         rows = entry(priors, ROW_ID)
         target = PosteriorTerms.build(path, y, params, priors)
         for _ in range(300):
-            target, _ = mh_trans_row(target, rows, np.array([0.2]), g)
+            target, _ = mh_step(target, rows, 0.2, priors, g)
             cur = target.params
             np.testing.assert_allclose(cur.trans_matrix.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(cur.trans_matrix > 0)
 
-    def test_prior_recovery_rows(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_prior_recovery_rows(self, k):
         # Flat likelihood: accepted rows must match their Dirichlet priors
-        # Dir(10,1) / Dir(1,10) in mean within 3 batch SEs.
+        # (10 on the diagonal, 1 elsewhere) in mean within 3 batch SEs, for
+        # every entry.  At K = 3 the second entry's upper bound 1 - partial
+        # depends on the first entry, so its correction is checked too.
         _, params, priors, _ = make_data(horizon=4)
+        if k == 3:
+            params, priors = three_regime_params(), priors_for_k(priors, 3)
         g = rng(7)
         rows = entry(priors, ROW_ID)
         n = 60_000
-        pi11 = np.empty(n)
-        pi22 = np.empty(n)
+        draws = np.empty((n, k, k))
         cur = CallableTarget(lambda ps: log_prior(ps, priors), params)
         for i in range(n):
-            cur, _ = mh_trans_row(cur, rows, np.array([0.15]), g)
-            pi11[i] = cur.params.trans_matrix[0, 0]
-            pi22[i] = cur.params.trans_matrix[1, 1]
-        assert abs(pi11.mean() - 10 / 11) < 3 * batch_se(pi11)
-        assert abs(pi22.mean() - 10 / 11) < 3 * batch_se(pi22)
+            cur, _ = mh_step(cur, rows, 0.15, priors, g)
+            draws[i] = cur.params.trans_matrix
+        conc = np.asarray(priors.row_concentrations)
+        expect = conc / conc.sum(axis=1, keepdims=True)
+        for i in range(k):
+            for j in range(k):
+                x = draws[:, i, j]
+                assert abs(x.mean() - expect[i, j]) < 3 * batch_se(x), (i, j)
 
     def test_three_regime_rows_stay_stochastic(self):
-        params = two_regime_params(
-            trans_matrix=np.array(
-                [[0.94, 0.03, 0.03], [0.03, 0.94, 0.03], [0.03, 0.03, 0.94]]
-            ),
-            modifiers=np.array([1.0, 0.6, 0.05]),
-        )
+        params = three_regime_params()
         priors3 = priors_for_k(two_regime_priors(), 3)
         y, _, _, path3 = make_data(horizon=10)
         # Rebuild a 3-regime path by clamping regimes into range.
@@ -197,7 +204,7 @@ class TestMhTransRow:
         rows = entry(priors3, ROW_ID)
         target = PosteriorTerms.build(path, y, params, priors3)
         for _ in range(300):
-            target, _ = mh_trans_row(target, rows, np.array([0.1, 0.1]), g)
+            target, _ = mh_step(target, rows, 0.1, priors3, g)
             cur = target.params
             np.testing.assert_allclose(cur.trans_matrix.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(cur.trans_matrix > 0)

@@ -15,9 +15,9 @@ from switchseir.distributions import (
     require_open_simplex,
     sample_dirichlet,
 )
-from switchseir.model import LatentPath, _obs_log_density, transition_mean
+from switchseir.model import LatentPath, _obs_log_density
 from switchseir.rng import substream
-from switchseir.seir import STATE_FLOOR, EpidemicRates
+from switchseir.seir import STATE_FLOOR, EpidemicRates, rk4_step
 from switchseir.smc import (
     DegenerateWeightsError,
     ParticleSystem,
@@ -77,7 +77,7 @@ def deterministic_path_log_weights(y, params, priors):
         theta = theta1
         lp += obs_logdensity(y[0], theta, 0)
         for t in range(1, horizon):
-            theta = transition_mean(theta, params.rates_for(regime_path[t]))
+            theta = rk4_step(theta, params.rates_for(regime_path[t]))
             lp += obs_logdensity(y[t], theta, t)
         log_terms.append(lp)
     return np.array(paths), np.array(log_terms)
@@ -473,7 +473,7 @@ class TestCsmcAs:
         # ancestor must be that particle, whatever the transition densities.
         n = 10
         prev = rng(18).dirichlet(np.array([50.0, 2, 2, 2]), size=n)
-        conc = 5500.0 * transition_mean(prev, EpidemicRates(0.3, 0.5, 0.2))
+        conc = 5500.0 * rk4_step(prev, EpidemicRates(0.3, 0.5, 0.2))
         log_ref = np.log(rng(19).dirichlet(np.array([50.0, 2, 2, 2])))
         point_mass = np.eye(n)[3]
         with np.errstate(divide="ignore"):
