@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .data_io import (
-    ChainFileError,
-    ConfigError,
+    InputError,
     append_chain_record,
     chain_header,
     dump_particle_system,
     generate_simulation,
+    load_checkpoint,
     load_config,
     load_dataset,
     params_to_dict,
@@ -34,9 +35,7 @@ from .data_io import (
     priors_for_k,
     priors_to_dict,
     read_chain,
-    read_checkpoint,
     scenario_priors,
-    state_from_dict,
     truncate_chain,
     write_chain,
     write_checkpoint,
@@ -52,8 +51,9 @@ from .diagnostics import (
     MIN_RHAT_RECORDS,
     MIN_SUMMARY_RECORDS,
     RHAT_GATE,
+    SelectionRow,
     gelman_rubin_table,
-    select_regimes,
+    score_records,
     summarize,
 )
 from .pg import acceptance_rates, run_pg
@@ -113,19 +113,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _resume_state(chain_path, ckpt_path, cfg_hash):
-    """The checkpointed state of a chain, its chain file cut back to the
-    records that state has emitted; None without a checkpoint."""
-    if not os.path.exists(ckpt_path):
-        return None
-    ck = read_checkpoint(ckpt_path)
-    if ck["config_hash"] != cfg_hash:
-        raise ConfigError(f"{ckpt_path}: checkpoint belongs to a different configuration")
-    state = state_from_dict(ck)
-    truncate_chain(chain_path, state.n_emitted)
-    return state
-
-
 def _chain_callback(fh, ckpt_path, cfg_hash, cfg):
     """run_pg callback of one chain: stream its records and checkpoints."""
 
@@ -139,14 +126,30 @@ def _chain_callback(fh, ckpt_path, cfg_hash, cfg):
     return callback
 
 
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn applied to each task, results in task order: in min(jobs,
+    len(tasks)) worker processes, or in this process when that is 1.
+    Workers are spawned, not forked, since numpy may hold threads."""
+    workers = min(jobs, len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _fit_chains(task) -> list[dict]:
     """Run one group of chains end to end in one lockstep run_pg call,
     streaming each chain's records and checkpoints to its own files."""
     y, priors, cfg_hash, resume, chains = task
-    states = [
-        _resume_state(chain_path, ckpt_path, cfg_hash) if resume else None
-        for _, chain_path, ckpt_path, _ in chains
-    ]
+    states = []
+    for _, chain_path, ckpt_path, _ in chains:
+        state = None
+        if resume and os.path.exists(ckpt_path):
+            # Cut the chain file back to the records the state has emitted.
+            state = load_checkpoint(ckpt_path, priors, len(y), cfg_hash)
+            truncate_chain(chain_path, state.n_emitted)
+        states.append(state)
     with ExitStack() as stack:
         callbacks = []
         for (cfg, chain_path, ckpt_path, _), state in zip(chains, states):
@@ -164,13 +167,8 @@ def _fit_chains(task) -> list[dict]:
         if state is not None:
             _, records = read_chain(chain_path)
         if dump_path is not None and records:
-            system = run_smc(
-                y,
-                records[-1].params,
-                priors,
-                priors.n_regimes * cfg.m_per_regime,
-                substream(cfg.seed, TAG_INIT, 3),
-            )
+            system = run_smc(y, records[-1].params, priors, cfg.n_particles(priors.n_regimes),
+                             substream(cfg.seed, TAG_INIT, 3))
             dump_particle_system(dump_path, system)
         kappas = np.array([rec.params.kappa for rec in records])
         results.append({
@@ -218,11 +216,7 @@ def cmd_fit(args) -> int:
         (dataset.y, config.priors, cfg_hash, args.resume, [chains[i] for i in group])
         for group in groups
     ]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = [res for group in pool.map(_fit_chains, tasks) for res in group]
-    else:
-        results = _fit_chains(tasks[0])
+    results = [res for group in _map_tasks(_fit_chains, tasks, args.jobs) for res in group]
 
     prior_kappa_sd = math.sqrt(config.priors.kappa.shape) / config.priors.kappa.rate
     for res in results:
@@ -254,13 +248,36 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _fit_candidate(task) -> SelectionRow:
+    """Fit one candidate regime count and score its records; a failing
+    fit is reported in its row rather than raised."""
+    k, y, priors, cfg = task
+    try:
+        (records,) = run_pg(y, priors, [cfg])
+        mean, sd = score_records(records)
+        return SelectionRow(k, mean, sd, len(records))
+    except Exception as exc:  # per-K failures are reported, not fatal
+        return SelectionRow(k, -math.inf, math.nan, 0, str(exc))
+
+
+def _select_rows(y, priors_by_k: dict, sampler, jobs: int) -> list[SelectionRow]:
+    """Fit each candidate regime count K (the keys of priors_by_k) with
+    the sampler settings, its seed offset by K so the fits are
+    independent, in up to jobs processes; the rows best first."""
+    tasks = [
+        (k, y, priors, replace(sampler, seed=sampler.seed + k))
+        for k, priors in priors_by_k.items()
+    ]
+    rows = _map_tasks(_fit_candidate, tasks, jobs)
+    return sorted(rows, key=lambda row: row.log_ml_mean, reverse=True)
+
+
 def cmd_select(args) -> int:
     try:
         candidates = [int(v) for v in args.K.split(",") if v.strip()]
     except ValueError:
-        _err(f"select: bad --K list {args.K!r}")
-        return 2
-    if not candidates or any(k < 1 for k in candidates):
+        candidates = []
+    if not candidates or min(candidates) < 1:
         _err(f"select: bad --K list {args.K!r}")
         return 2
     repeated = sorted({k for k in candidates if candidates.count(k) > 1})
@@ -273,12 +290,10 @@ def cmd_select(args) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.config))
     dataset = load_dataset(config.data, base_dir)
     priors_by_k = {k: priors_for_k(config.priors, k) for k in candidates}
-    report = select_regimes(
-        dataset.y, priors_by_k, candidates, config.sampler, jobs=args.jobs
-    )
+    rows = _select_rows(dataset.y, priors_by_k, config.sampler, args.jobs)
     table_path = os.path.join(out, "model_selection.csv")
-    write_selection_table(table_path, report)
-    for row in report.rows:
+    write_selection_table(table_path, rows)
+    for row in rows:
         note = f"  [failed: {row.error}]" if row.error else ""
         _err(
             f"K={row.n_regimes}: log-ml {row.log_ml_mean:.3f} "
@@ -295,10 +310,9 @@ def _load_chains(paths, min_each: int):
     for p in paths:
         _, records = read_chain(p)
         if len(records) < min_each:
-            raise ChainFileError(
+            raise InputError(
                 f"{p}: chain file holds {len(records)} records, "
-                f"need at least {min_each}",
-                -1,
+                f"need at least {min_each}"
             )
         chains.append(records)
     return chains
@@ -330,10 +344,9 @@ def cmd_summarize(args) -> int:
     chains = _load_chains(args.chains, 1)
     pooled = sum(len(c) for c in chains)
     if pooled < MIN_SUMMARY_RECORDS:
-        raise ChainFileError(
+        raise InputError(
             f"{', '.join(args.chains)}: {pooled} records pooled, "
-            f"need at least {MIN_SUMMARY_RECORDS} to summarize",
-            -1,
+            f"need at least {MIN_SUMMARY_RECORDS} to summarize"
         )
     summary = summarize(chains)
     os.makedirs(out, exist_ok=True)
@@ -393,7 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help="compare regime counts")
     p_sel.add_argument("--config", required=True)
     p_sel.add_argument("--K", required=True, help="comma-separated regime counts")
-    p_sel.add_argument("--jobs", type=_positive_int, default=1)
+    p_sel.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="processes to run the candidate fits in, at most one per "
+        "candidate; outputs do not depend on it",
+    )
     p_sel.add_argument("--out")
     p_sel.set_defaults(func=cmd_select)
 
@@ -415,10 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ChainFileError) as exc:
-        _err(f"error: {exc}")
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         _err(f"error: {exc}")
         return 2
     except KeyboardInterrupt:

@@ -18,7 +18,7 @@ quote or a line break are double-quoted (the csv module's default).
   iteration; append-friendly.
 - checkpoint: single JSON object with the full sampler state.  Keys it
   does not use, such as the total_counts of older checkpoints, are
-  ignored.
+  ignored; load_checkpoint checks it against the run it resumes.
 - summary table: ``parameter,mean,median,sd,ci_lo,ci_hi``.
 - regime curves: ``t,label,p_regime_1..K,y_obs,Ey_mean,Ey_lo,Ey_hi``.
 - SEIR curves: ``t,S_mean,S_lo,S_hi,...,R_hi``.
@@ -27,6 +27,25 @@ quote or a line break are double-quoted (the csv module's default).
   diagnostics.RHAT_GATE, FAIL otherwise.
 - particle dump: ``t,particle,regime,S,E,I,R,log_weight,norm_weight,
   ancestor`` (ancestor is -1 at t=1).
+
+Run configuration: a JSON object of these blocks (parse_config); an
+unknown block or key is an error that names it.
+
+- model: ``n_regimes`` (integer K >= 1) and ``ident_change_times``
+  (1-based steps where the identification rate changes, starting with
+  1; default ``[1]``).
+- priors: ``alpha``, ``beta``, ``gamma`` and one ``ident`` entry per
+  change time are truncated Normals ``{mean, sd, lower, upper}``
+  (bounds default to 0 and infinity); ``lambda`` and ``kappa`` are
+  Gammas ``{shape, rate}``; optional ``rows`` (K Dirichlet rows,
+  default 10 on the diagonal and 1 elsewhere) and ``theta1`` (default
+  ``[100, 1, 1, 1]``).
+- sampler: the fields of pg.SamplerConfig.
+- data: ``path`` (relative to the config file), ``format`` (``counts``,
+  the default, with ``population`` and ``aggregation`` ``none`` or
+  ``weekly``; or ``proportions``).
+- output (optional): ``directory`` (default ``out``) and
+  ``dump_particles`` (default false).
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,22 +71,20 @@ from .model import (
 )
 from .pg import ChainRecord, PgState, SamplerConfig
 from .rng import TAG_SIM, substream
-from .smc import ParticleSystem, ReferenceTrajectory
+from .smc import ParticleSystem, ReferenceTrajectory, check_reference
 
 CHAIN_SCHEMA = 1
 
 
-class ConfigError(ValueError):
-    """Invalid or incomplete run configuration, or a data file it names
-    that cannot be loaded."""
+class InputError(ValueError):
+    """An input that cannot be used: an invalid or incomplete run
+    configuration, or a data, chain or checkpoint file that cannot be
+    loaded.  The message names the config key or the file."""
 
 
-class ChainFileError(ValueError):
-    """Unreadable chain file; carries the last complete record index."""
-
-    def __init__(self, msg: str, last_complete: int):
-        super().__init__(msg)
-        self.last_complete = last_complete
+def _reason(exc: Exception) -> str:
+    """What a KeyError, TypeError or ValueError says went wrong."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def fmt(x) -> str:
@@ -83,7 +100,6 @@ class Dataset:
 
     times: tuple[str, ...]
     y: np.ndarray
-    population: float | None = None
 
     def __post_init__(self):
         yy = np.asarray(self.y, dtype=float)
@@ -157,7 +173,8 @@ def load_counts(path, population: float, aggregation: str = "none") -> Dataset:
     """Read a label,active_count file into clamped infectious proportions.
 
     aggregation="weekly" averages consecutive chunks of up to 7 daily
-    rows into one weekly value (the rule is recorded in output headers).
+    rows into one weekly value; only the config, which fit copies into
+    manifest.json, records the rule.
     """
     if aggregation not in ("none", "weekly"):
         raise ValueError("aggregation must be 'none' or 'weekly'")
@@ -169,7 +186,7 @@ def load_counts(path, population: float, aggregation: str = "none") -> Dataset:
         labels = [labels[i] for i in range(0, len(series), 7)]
         series = np.asarray(weekly)
     y = np.clip(series / population, OBS_EPS, 1.0 - OBS_EPS)
-    return Dataset(tuple(labels), y, population)
+    return Dataset(tuple(labels), y)
 
 
 def load_proportions(path) -> Dataset:
@@ -344,13 +361,8 @@ def priors_to_dict(priors: PriorSpec) -> dict:
 
 
 def priors_from_dict(d: dict, n_regimes: int, ident_start_times=(0,)) -> PriorSpec:
-    def tn(e: dict, default_lower=0.0, default_upper=math.inf) -> TruncNormalParams:
-        return TruncNormalParams(
-            e["mean"],
-            e["sd"],
-            e.get("lower", default_lower),
-            e.get("upper", default_upper),
-        )
+    def tn(e: dict) -> TruncNormalParams:
+        return TruncNormalParams(e["mean"], e["sd"], e.get("lower", 0.0), e.get("upper", math.inf))
 
     rows = tuple(tuple(float(c) for c in row) for row in d.get("rows", ()))
     if n_regimes == 1:
@@ -424,37 +436,46 @@ def append_chain_record(fh, rec: ChainRecord) -> None:
     fh.flush()
 
 
+def _check_schema(path, d, kind: str) -> None:
+    """Raise InputError unless d is an object of this kind and schema."""
+    if not isinstance(d, dict) or d.get("kind") != f"switchseir-{kind}":
+        raise InputError(f"{path}: not a {kind} file")
+    if d.get("schema") != CHAIN_SCHEMA:
+        raise InputError(
+            f"{path}: schema version {d.get('schema')} unsupported "
+            f"(expected {CHAIN_SCHEMA})"
+        )
+
+
 def read_chain(path) -> tuple[dict, list[ChainRecord]]:
-    """Read a chain file; raises ChainFileError naming the last complete
-    record when the file is truncated or corrupt."""
+    """Read a chain file; raises InputError naming the file, and for a
+    truncated or corrupt record its number and the last complete one.
+    Each record's path must have the header's horizon and regime count
+    and states on the open simplex."""
     with open(path) as fh:
         lines = fh.readlines()
     if not lines:
-        raise ChainFileError(f"{path}: empty chain file", last_complete=-1)
+        raise InputError(f"{path}: empty chain file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError:
-        raise ChainFileError(f"{path}: unreadable header", last_complete=-1) from None
-    if header.get("kind") != "switchseir-chain":
-        raise ChainFileError(f"{path}: not a chain file", last_complete=-1)
-    if header.get("schema") != CHAIN_SCHEMA:
-        raise ChainFileError(
-            f"{path}: schema version {header.get('schema')} unsupported "
-            f"(expected {CHAIN_SCHEMA})",
-            last_complete=-1,
-        )
+        raise InputError(f"{path}: unreadable header") from None
+    _check_schema(path, header, "chain")
     records = []
     for i, line in enumerate(lines[1:], start=1):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError):
-            raise ChainFileError(
-                f"{path}: record {i} unreadable; last complete record is "
-                f"{i - 1}",
-                last_complete=i - 1,
+            rec = record_from_dict(json.loads(line))
+            if rec.params.n_regimes != header["n_regimes"]:
+                raise ValueError(f"parameters for {rec.params.n_regimes} regimes")
+            check_reference(rec.path, header["horizon"], header["n_regimes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"{path}: record {i} unreadable ({_reason(exc)}); last "
+                f"complete record is {i - 1}"
             ) from None
+        records.append(rec)
     return header, records
 
 
@@ -488,17 +509,40 @@ def state_to_dict(state: PgState, config_hash: str, seed: int) -> dict:
     }
 
 
-def state_from_dict(d: dict) -> PgState:
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _state_from_dict(d: dict, priors: PriorSpec, horizon: int) -> PgState:
+    """load_checkpoint's state; raises KeyError, TypeError or ValueError."""
+    params = params_from_dict(d["params"])
+    starts = tuple(s for _, s in params.ident_rates)
+    if params.n_regimes != priors.n_regimes or starts != priors.ident_start_times:
+        raise ValueError(f"parameters for K={params.n_regimes}, p segments at {starts}; the "
+                         f"run has K={priors.n_regimes}, p segments at {priors.ident_start_times}")
     ref = ReferenceTrajectory(
         path_from_dict(d["reference"]["path"]),
         np.asarray(d["reference"]["lineage"]),
     )
+    check_reference(ref.path, horizon, priors.n_regimes)
+    ids = set(param_table(priors.n_regimes, len(priors.ident)))
+    steps, windows = d["step_sizes"], d["window_counts"]
+    if not (isinstance(steps, dict) and isinstance(windows, dict)
+            and set(steps) == set(windows) == ids):
+        raise ValueError(f"step_sizes and window_counts must map the MH ids {sorted(ids)}")
+    if not all(type(v) in (int, float) and 0 < v < math.inf for v in steps.values()):
+        raise ValueError("step sizes must be finite and strictly positive")
+    counts = [d["iteration"], d["n_emitted"], d["n_degenerate"]]
+    if not (all(map(_is_count, counts + [c for w in windows.values() for c in w]))
+            and all(len(w) == 2 for w in windows.values())):
+        raise ValueError("iteration, n_emitted, n_degenerate and each window's "
+                         "two counts must be integers >= 0")
     return PgState(
         iteration=d["iteration"],
-        params=params_from_dict(d["params"]),
+        params=params,
         reference=ref,
-        step_sizes=dict(d["step_sizes"]),
-        window_counts={k: list(v) for k, v in d["window_counts"].items()},
+        step_sizes=dict(steps),
+        window_counts={k: list(w) for k, w in windows.items()},
         n_emitted=d["n_emitted"],
         n_degenerate=d["n_degenerate"],
     )
@@ -512,29 +556,41 @@ def write_checkpoint(path, state: PgState, config_hash: str, seed: int) -> None:
 
 
 def read_checkpoint(path) -> dict:
+    """A checkpoint file as written; raises InputError naming the file
+    unless it is JSON of the checkpoint kind and the current schema."""
     with open(path) as fh:
-        d = json.load(fh)
-    if d.get("kind") != "switchseir-checkpoint":
-        raise ValueError(f"{path}: not a checkpoint file")
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+    _check_schema(path, d, "checkpoint")
     return d
+
+
+def load_checkpoint(path, priors: PriorSpec, horizon: int, config_hash: str) -> PgState:
+    """The sampler state of a checkpoint file, to resume a run of the
+    given priors on a series of horizon steps.  Raises InputError naming
+    the file for another configuration's checkpoint, a missing key, or a
+    wrong type or value (the reference path by smc.check_reference)."""
+    d = read_checkpoint(path)
+    if d.get("config_hash") != config_hash:
+        raise InputError(f"{path}: checkpoint belongs to a different configuration")
+    try:
+        return _state_from_dict(d, priors, horizon)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: invalid checkpoint: {_reason(exc)}") from None
 
 
 # --- run configuration -------------------------------------------------------
 
-_CONFIG_BLOCKS = {"model", "priors", "sampler", "data", "output"}
-_MODEL_KEYS = {"n_regimes", "ident_change_times"}
-_PRIOR_KEYS = {"alpha", "beta", "gamma", "lambda", "kappa", "ident", "rows", "theta1"}
-_SAMPLER_KEYS = {
-    "n_iterations",
-    "burn_in",
-    "m_per_regime",
-    "seed",
-    "mh_sweeps_per_iter",
-    "step_sizes",
-    "thin",
+# The keys each config block may hold, in the order parse_config checks them.
+_CONFIG_KEYS = {
+    "model": {"n_regimes", "ident_change_times"},
+    "priors": {"alpha", "beta", "gamma", "lambda", "kappa", "ident", "rows", "theta1"},
+    "sampler": {f.name for f in fields(SamplerConfig)},
+    "data": {"path", "population", "aggregation", "format"},
+    "output": {"directory", "dump_particles"},
 }
-_DATA_KEYS = {"path", "population", "aggregation", "format"}
-_OUTPUT_KEYS = {"directory", "dump_particles"}
 
 
 @dataclass(frozen=True)
@@ -573,64 +629,65 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _check_keys(block: str, entries: dict, allowed: set) -> None:
-    for key in entries:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {block}.{key}")
-
-
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a config dict (see README for the schema)."""
+    """Validate a config dict (schema in the module docstring)."""
     for block in raw:
-        if block not in _CONFIG_BLOCKS:
-            raise ConfigError(f"unknown config block {block!r}")
+        if block not in _CONFIG_KEYS:
+            raise InputError(f"unknown config block {block!r}")
     for block in ("model", "priors", "sampler", "data"):
         if block not in raw:
-            raise ConfigError(f"missing config block {block!r}")
-    _check_keys("model", raw["model"], _MODEL_KEYS)
-    _check_keys("priors", raw["priors"], _PRIOR_KEYS)
-    _check_keys("sampler", raw["sampler"], _SAMPLER_KEYS)
-    _check_keys("data", raw["data"], _DATA_KEYS)
-    _check_keys("output", raw.get("output", {}), _OUTPUT_KEYS)
+            raise InputError(f"missing config block {block!r}")
+    for block, allowed in _CONFIG_KEYS.items():
+        entries = raw.get(block, {})
+        if not isinstance(entries, dict):
+            raise InputError(f"config block {block!r} must be a JSON object")
+        for key in entries:
+            if key not in allowed:
+                raise InputError(f"unknown config key {block}.{key}")
 
     model = raw["model"]
     if "n_regimes" not in model:
-        raise ConfigError("missing config key model.n_regimes")
-    n_regimes = int(model["n_regimes"])
+        raise InputError("missing config key model.n_regimes")
+    n_regimes = model["n_regimes"]
+    if not _is_count(n_regimes) or n_regimes < 1:
+        raise InputError(f"model.n_regimes must be an integer >= 1, got {n_regimes!r}")
     change_times = model.get("ident_change_times", [1])
-    if not change_times or int(change_times[0]) != 1:
-        raise ConfigError("model.ident_change_times must start with 1")
-    starts = tuple(int(t) - 1 for t in change_times)
+    if not (isinstance(change_times, list) and change_times
+            and all(map(_is_count, change_times)) and change_times[0] == 1):
+        raise InputError(
+            "model.ident_change_times must be a list of integers starting "
+            f"with 1, got {change_times!r}"
+        )
+    starts = tuple(t - 1 for t in change_times)
 
     try:
         priors = priors_from_dict(raw["priors"], n_regimes, starts)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"priors block incomplete: missing {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"priors block invalid: {exc}") from None
-
-    sampler_raw = dict(raw["sampler"])
-    try:
-        sampler = SamplerConfig(**sampler_raw)
+    except KeyError as exc:
+        raise InputError(f"priors block incomplete: missing {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sampler block invalid: {exc}") from None
+        raise InputError(f"priors block invalid: {exc}") from None
+
+    try:
+        sampler = SamplerConfig(**raw["sampler"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"sampler block invalid: {exc}") from None
     table = param_table(n_regimes, len(starts))
     for pid in sampler.step_sizes or {}:
         if pid not in table:
-            raise ConfigError(
+            raise InputError(
                 f"unknown config key sampler.step_sizes.{pid}; the MH ids "
                 f"for this model are {', '.join(table)}"
             )
 
     data = dict(raw["data"])
     if "path" not in data:
-        raise ConfigError("missing config key data.path")
+        raise InputError("missing config key data.path")
     data.setdefault("aggregation", "none")
     data.setdefault("format", "counts")
     if data["format"] not in ("counts", "proportions"):
-        raise ConfigError("data.format must be 'counts' or 'proportions'")
+        raise InputError("data.format must be 'counts' or 'proportions'")
     if data["format"] == "counts" and "population" not in data:
-        raise ConfigError("missing config key data.population")
+        raise InputError("missing config key data.population")
 
     output = dict(raw.get("output", {}))
     output.setdefault("directory", "out")
@@ -643,13 +700,13 @@ def load_config(path) -> RunConfig:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
     return parse_config(raw)
 
 
 def load_dataset(data_block: dict, base_dir=".") -> Dataset:
     """Load the observation series named by a config data block; a file or
-    value the loaders reject raises ConfigError."""
+    value the loaders reject raises InputError."""
     path = data_block["path"]
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
@@ -662,7 +719,7 @@ def load_dataset(data_block: dict, base_dir=".") -> Dataset:
             data_block.get("aggregation", "none"),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InputError(str(exc)) from None
 
 
 # --- output writers ----------------------------------------------------------
@@ -716,11 +773,11 @@ def write_seir_curves(path, summary) -> None:
     _write_rows(path, header, ([t + 1, *row.ravel()] for t, row in enumerate(cells)))
 
 
-def write_selection_table(path, report) -> None:
+def write_selection_table(path, rows) -> None:
     _write_rows(
         path,
         ["K", "log_ml_mean", "log_ml_sd"],
-        ([row.n_regimes, row.log_ml_mean, row.log_ml_sd] for row in report.rows),
+        ([row.n_regimes, row.log_ml_mean, row.log_ml_sd] for row in rows),
     )
 
 

@@ -1,15 +1,19 @@
-"""Posterior summaries, Gelman-Rubin convergence checks, and marginal-
-likelihood comparison across regime counts."""
+"""Post-processing of chain records: posterior summaries, Gelman-Rubin
+convergence checks, and the score that ranks candidate regime counts.
+
+Nothing here runs the sampler.  `select` fits its candidates through
+cli and scores each one's records with score_records.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ROW_ID, ParameterSet, PriorSpec, param_table
-from .pg import ChainRecord, SamplerConfig, run_pg
+from .model import ROW_ID, ParameterSet, param_table
+from .pg import ChainRecord
 
 # A parameter whose R-hat lies below this passes the convergence check
 # that `diagnose` reports on the console and in rhat.csv.
@@ -176,13 +180,6 @@ class SelectionRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ModelSelectionReport:
-    """Per-K marginal-likelihood scores, sorted best first."""
-
-    rows: list[SelectionRow]
-
-
 def score_records(records: list[ChainRecord]) -> tuple[float, float]:
     """Mean and SD of the per-iteration marginal log likelihoods.
 
@@ -192,41 +189,3 @@ def score_records(records: list[ChainRecord]) -> tuple[float, float]:
     lm = np.array([rec.log_marginal for rec in records])
     sd = float(lm.std(ddof=1)) if len(lm) > 1 else 0.0
     return float(lm.mean()), sd
-
-
-def _fit_candidate(task) -> SelectionRow:
-    k, y, priors, cfg = task
-    try:
-        (records,) = run_pg(y, priors, [cfg])
-        mean, sd = score_records(records)
-        return SelectionRow(k, mean, sd, len(records))
-    except Exception as exc:  # per-K failures are reported, not fatal
-        return SelectionRow(k, -math.inf, math.nan, 0, str(exc))
-
-
-def select_regimes(
-    y: np.ndarray,
-    priors_by_k: dict[int, PriorSpec],
-    candidate_ks: list[int],
-    config: SamplerConfig,
-    jobs: int = 1,
-) -> ModelSelectionReport:
-    """Fit each candidate regime count and compare marginal likelihoods.
-
-    Seeds are offset by K so candidate fits are independent; a failing
-    fit is reported in its row rather than aborting the others.  With
-    jobs > 1 the candidate fits run in parallel processes.
-    """
-    tasks = [
-        (k, y, priors_by_k[k], dc_replace(config, seed=config.seed + k))
-        for k in candidate_ks
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_fit_candidate, tasks))
-    else:
-        rows = [_fit_candidate(t) for t in tasks]
-    rows.sort(key=lambda r: r.log_ml_mean, reverse=True)
-    return ModelSelectionReport(rows)

@@ -67,8 +67,8 @@ class SamplerConfig:
 
     n_iterations counts all iterations including burn-in; records are
     emitted for post-burn-in iterations at the given thinning stride.
-    Every SMC and CSMC-AS pass of the chain runs N = K * m_per_regime
-    particles.
+    Every SMC and CSMC-AS pass of the chain runs n_particles(K) =
+    K * m_per_regime particles.
     step_sizes maps MH ids (the keys of model.param_table) to proposal
     standard deviations; missing ids fall back to the table's
     prior-scaled defaults, and run_pg rejects ids the table lacks.
@@ -97,6 +97,11 @@ class SamplerConfig:
             v <= 0 for v in self.step_sizes.values()
         ):
             raise ValueError("step sizes must be strictly positive")
+
+    def n_particles(self, n_regimes: int) -> int:
+        """The particle count N = K * m_per_regime of every pass; the
+        filters check it."""
+        return n_regimes * self.m_per_regime
 
 
 @dataclass(frozen=True)
@@ -178,11 +183,12 @@ def run_pg(
     records.
 
     Chain c follows configs[c]; all chains share the series, the priors
-    and m_per_regime.  For each chain, iteration 0 draws the parameters
-    from their priors and the reference trajectory from a plain SMC pass;
-    each later iteration refreshes the reference through CSMC-AS and then
-    applies the configured number of MH sweeps.  Step sizes adapt toward
-    a 30% acceptance rate during burn-in and are frozen afterwards.
+    and m_per_regime, so every pass runs the same particle count.  For
+    each chain, iteration 0 draws the parameters from their priors and
+    the reference trajectory from a plain SMC pass; each later iteration
+    refreshes the reference through CSMC-AS and then applies the
+    configured number of MH sweeps.  Step sizes adapt toward a 30%
+    acceptance rate during burn-in and are frozen afterwards.
 
     Every round runs one run_csmc_as_batch pass over the chains that have
     iterations left, each at its own next iteration, then the rest of
@@ -203,9 +209,9 @@ def run_pg(
     resume = list(resume) if resume is not None else [None] * n_chains
     if not n_chains or len(callbacks) != n_chains or len(resume) != n_chains:
         raise ValueError("need one config, and at most one callback and state, per chain")
-    m = configs[0].m_per_regime
-    if any(cfg.m_per_regime != m for cfg in configs):
+    if any(cfg.m_per_regime != configs[0].m_per_regime for cfg in configs):
         raise ValueError("chains run in lockstep must share m_per_regime")
+    n = configs[0].n_particles(priors.n_regimes)
     table = param_table(priors.n_regimes, len(priors.ident))
     for cfg in configs:
         unknown = sorted(set(cfg.step_sizes or ()) - set(table))
@@ -215,7 +221,7 @@ def run_pg(
             )
 
     states = [
-        state if state is not None else _initial_state(y, priors, cfg, table)
+        state if state is not None else _initial_state(y, priors, cfg, n, table)
         for cfg, state in zip(configs, resume)
     ]
     records: list[list[ChainRecord]] = [[] for _ in configs]
@@ -228,7 +234,7 @@ def run_pg(
             priors,
             [states[c].params for c in live],
             [states[c].reference for c in live],
-            m,
+            n,
             [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in live],
         )
         for c, system in zip(live, systems):
@@ -241,22 +247,16 @@ def run_pg(
         del systems, system
 
 
-def _initial_state(y, priors: PriorSpec, config: SamplerConfig, table) -> PgState:
+def _initial_state(y, priors: PriorSpec, config: SamplerConfig, n: int, table) -> PgState:
     """Iteration 0 of a chain: prior parameters and a reference from a
-    plain SMC pass."""
+    plain SMC pass of n particles."""
     seed = config.seed
     steps = {pid: entry.default_step(priors) for pid, entry in table.items()}
     if config.step_sizes:
         steps.update(config.step_sizes)
     params = draw_params(priors, substream(seed, TAG_INIT, 0))
     try:
-        system = run_smc(
-            y,
-            params,
-            priors,
-            priors.n_regimes * config.m_per_regime,
-            substream(seed, TAG_INIT, 1),
-        )
+        system = run_smc(y, params, priors, n, substream(seed, TAG_INIT, 1))
     except DegenerateWeightsError as exc:
         raise DegenerateWeightsError(exc.step, "during chain initialization") from exc
     return PgState(

@@ -116,6 +116,17 @@ class ReferenceTrajectory:
         object.__setattr__(self, "lineage", lin)
 
 
+def check_reference(path: LatentPath, horizon: int, n_regimes: int) -> None:
+    """Raise ValueError unless path can be the reference of a conditional
+    pass: horizon steps long, regimes in 0..n_regimes-1 and states on the
+    open simplex (rows summing to 1 within 1e-9)."""
+    if len(path) != horizon:
+        raise ValueError(f"reference has {len(path)} steps, the series {horizon}")
+    if np.any(path.regimes < 0) or np.any(path.regimes >= n_regimes):
+        raise ValueError("reference regimes out of range")
+    require_open_simplex(path.thetas, "reference states")
+
+
 def _check_particle_count(n: int) -> None:
     if n < 2:
         raise ValueError("need at least two particles")
@@ -237,14 +248,14 @@ def run_csmc_as_batch(
     priors: PriorSpec,
     params: Sequence[ParameterSet],
     references: Sequence[ReferenceTrajectory],
-    m_per_regime: int,
+    n_particles: int,
     rngs: Sequence[np.random.Generator],
 ) -> list[ParticleSystem | DegenerateWeightsError]:
     """Conditional SMC with ancestor sampling, for C chains at once.
 
     Chain c runs on params[c] against references[c] and draws from
-    rngs[c]; all chains share the series y, the priors, K and
-    N = K * m_per_regime particles.  The result of chain c is its
+    rngs[c]; all chains share the series y, the priors, K and the N =
+    n_particles particles.  The result of chain c is its
     ParticleSystem, or the DegenerateWeightsError its pass raised: a
     chain whose weights degenerate stops there, as it would alone, and
     the other chains go on unchanged.
@@ -257,29 +268,20 @@ def run_csmc_as_batch(
     regimes, then every previous particle under the reference regime.
     Per step a chain draws N - 1 resampling uniforms, N - 1 regime
     uniforms, the ancestor-sampling uniform and the Gamma variates of
-    N - 1 states.  The reference states must lie on the open simplex
-    (rows summing to 1 within 1e-9); every chain's inputs are checked
-    before any particle work.
+    N - 1 states.  Every chain's inputs are checked before any particle
+    work: its reference by check_reference.
     """
     y = np.asarray(y, dtype=float)
-    horizon, m = len(y), m_per_regime
-    if m < 2:
-        raise ValueError("need at least two particles per regime")
+    horizon, n = len(y), n_particles
+    _check_particle_count(n)
     if not len(params) == len(references) == len(rngs) > 0:
         raise ValueError("need one parameter set, reference and generator per chain")
     k = params[0].n_regimes
     for chain_params, reference in zip(params, references):
         if chain_params.n_regimes != k:
             raise ValueError("the chains of one pass must share the number of regimes")
-        ref = reference.path
-        if len(ref) != horizon:
-            raise ValueError("reference length must match the observation series")
-        if np.any(ref.regimes < 0) or np.any(ref.regimes >= k):
-            raise ValueError("reference regimes out of range")
-        require_open_simplex(ref.thetas, "reference states")
+        check_reference(reference.path, horizon, k)
 
-    n = k * m
-    _check_particle_count(n)
     log_y = [math.log(v) for v in y]
     log1m_y = [math.log1p(-v) for v in y]
     results: list = [None] * len(params)

@@ -257,3 +257,35 @@ def test_every_trace_hook_binds():
     )
     stale = sorted(set(STALE_HOOKS) - unbound)
     assert stale == [], f"STALE_HOOKS entries that are gone from HOOKS or bind: {stale}"
+
+
+def _unread_imports(path: Path, hooked: set[str]) -> list[str]:
+    """Names that path imports (outside __future__) and never reads,
+    except those a perfbench trace hook rebinds in its module."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".", 1)[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{path.relative_to(ROOT)}: {name}"
+        for name in imported - read
+        if f"switchseir.{path.stem}.{name}" not in hooked
+    )
+
+
+def test_no_unread_imports():
+    # __init__.py imports are its re-exports.
+    hooked = set(_trace_hooks())
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unread = [name for path in paths for name in _unread_imports(path, hooked)]
+    assert unread == [], f"imported names never read; drop the imports: {unread}"

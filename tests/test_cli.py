@@ -1,17 +1,17 @@
 import json
 import math
-import os
+import operator
 import re
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from switchseir import cli
 from switchseir.cli import main
-from switchseir.data_io import read_chain
+from switchseir.data_io import priors_for_k, read_chain
 from switchseir.diagnostics import RHAT_GATE
+from switchseir.pg import SamplerConfig
 
 # A 5-iteration fit of a 12-step series.  Its checkpoint also holds the
 # post-burn-in acceptance totals (total_counts) that older versions wrote,
@@ -251,6 +251,21 @@ class TestSelect:
         table = (out / "model_selection.csv").read_text().strip().split("\n")
         assert len(table) == 2
 
+    def test_jobs_do_not_change_output(self, sim_dir, tmp_path, capsys):
+        # Three candidate fits in one process and in two write the same table
+        # and console text.
+        cfg = shrink_config(sim_dir)
+        tables, errs = {}, {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["select", "--config", str(cfg), "--K", "1,2,3", "--jobs",
+                         str(jobs), "--out", str(out)]) == 0
+            tables[jobs] = (out / "model_selection.csv").read_bytes()
+            errs[jobs] = capsys.readouterr().err.replace(str(out), "OUT")
+        assert tables[1] == tables[2]
+        assert errs[1] == errs[2]
+        assert len(tables[1].splitlines()) == 4
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_is_usage_error(self, sim_dir, tmp_path, capsys, jobs):
         cfg = shrink_config(sim_dir)
@@ -273,6 +288,147 @@ class TestSelect:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSelectRows:
+    """select's candidate fits: cli._select_rows."""
+
+    def _data(self):
+        from tests.test_smc import make_data
+
+        y, params, priors, _ = make_data(horizon=30)
+        return y, priors
+
+    def test_reports_one_row_per_candidate(self):
+        y, priors = self._data()
+        cfg = SamplerConfig(
+            n_iterations=12, burn_in=2, m_per_regime=4, seed=3, mh_sweeps_per_iter=1
+        )
+        priors_by_k = {k: priors_for_k(priors, k) for k in (1, 2)}
+        rows = cli._select_rows(y, priors_by_k, cfg, 1)
+        assert len(rows) == 2
+        assert {row.n_regimes for row in rows} == {1, 2}
+        assert all(row.error is None for row in rows)
+        # Sorted best first.
+        assert rows[0].log_ml_mean >= rows[1].log_ml_mean
+
+    def test_single_candidate(self):
+        y, priors = self._data()
+        cfg = SamplerConfig(
+            n_iterations=8, burn_in=2, m_per_regime=4, seed=4, mh_sweeps_per_iter=1
+        )
+        rows = cli._select_rows(y, {2: priors_for_k(priors, 2)}, cfg, 1)
+        assert len(rows) == 1
+
+    def test_per_candidate_failure_is_isolated(self):
+        y, priors = self._data()
+        cfg = SamplerConfig(
+            n_iterations=8, burn_in=2, m_per_regime=4, seed=5, mh_sweeps_per_iter=1
+        )
+        priors_by_k = {2: priors_for_k(priors, 2), 3: None}
+        rows = cli._select_rows(y, priors_by_k, cfg, 1)
+        by_k = {row.n_regimes: row for row in rows}
+        assert by_k[2].error is None
+        assert by_k[3].error is not None
+        assert by_k[3].log_ml_mean == -math.inf
+
+
+def _drop_last_step(path: dict) -> None:
+    for key in ("thetas", "regimes"):
+        path[key].pop()
+
+
+# Checkpoint defects: an edit of the checkpoint dict (None: the file is
+# not JSON) and the message that names it.
+BAD_CHECKPOINTS = {
+    "not-json": (None, "not valid JSON"),
+    "wrong-kind": (lambda ck: ck.update(kind="switchseir-chain"), "not a checkpoint file"),
+    "no-step-sizes": (lambda ck: ck.pop("step_sizes"),
+                      "invalid checkpoint: missing key 'step_sizes'"),
+    "schema-99": (lambda ck: ck.update(schema=99), "schema version 99 unsupported"),
+    "state-off-simplex": (
+        lambda ck: operator.setitem(ck["reference"]["path"]["thetas"], 3, [0.5] * 4),
+        "invalid checkpoint: reference states must sum to 1"),
+    "path-too-short": (
+        lambda ck: (_drop_last_step(ck["reference"]["path"]), ck["reference"]["lineage"].pop()),
+        "invalid checkpoint: reference has 149 steps, the series 150"),
+    "regime-out-of-range": (
+        lambda ck: operator.setitem(ck["reference"]["path"]["regimes"], 0, 2),
+        "invalid checkpoint: reference regimes out of range"),
+    "iteration-a-string": (lambda ck: ck.update(iteration="8"), "must be integers >= 0"),
+    "step-sizes-a-list": (lambda ck: ck.update(step_sizes=[0.1]),
+                          "step_sizes and window_counts must map the MH ids"),
+}
+
+# Chain-record defects: an edit of record 2's dict and what the message says.
+BAD_RECORDS = {
+    "negative-alpha": (lambda rec: rec["params"].update(alpha=-1.0),
+                       "alpha must be strictly positive"),
+    "one-step-short": (lambda rec: _drop_last_step(rec["path"]),
+                       "reference has 149 steps, the series 150"),
+}
+
+# Config defects: an edit of the raw config and the key the message names.
+BAD_CONFIGS = {
+    "n-regimes-a-word": (lambda raw: raw["model"].update(n_regimes="two"),
+                         "model.n_regimes must be an integer >= 1, got 'two'"),
+    "change-times-an-int": (lambda raw: raw["model"].update(ident_change_times=1),
+                            "model.ident_change_times must be a list of integers"),
+    "prior-a-number": (lambda raw: raw["priors"].update(alpha=5),
+                       "priors block invalid: "),
+}
+
+
+class TestBadInputs:
+    """An input file or config value that cannot be used exits 2 with a
+    message naming the file or the key."""
+
+    @pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+    def test_resume_from_bad_checkpoint(self, sim_dir, tmp_path, capsys, case):
+        edit, message = BAD_CHECKPOINTS[case]
+        cfg, out = shrink_config(sim_dir), tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--out", str(out)]) == 0
+        ckpt = out / "chain_0.ckpt.json"
+        if edit is None:
+            ckpt.write_text("{not json")
+        else:
+            raw = json.loads(ckpt.read_text())
+            edit(raw)
+            ckpt.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ")
+        assert message in err
+
+    @pytest.mark.parametrize("case", list(BAD_RECORDS))
+    def test_bad_chain_record(self, sim_dir, tmp_path, capsys, case):
+        edit, message = BAD_RECORDS[case]
+        cfg, out = shrink_config(sim_dir), tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--chains", "2", "--out", str(out)]) == 0
+        chain = out / "chain_0.jsonl"
+        lines = chain.read_text().splitlines()
+        record = json.loads(lines[2])
+        edit(record)
+        lines[2] = json.dumps(record)
+        chain.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", str(chain), str(out / "chain_1.jsonl"),
+                     "--out", str(tmp_path / "diag")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chain}: record 2 unreadable ({message}); last complete record is 1\n")
+
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_bad_config_value_names_the_key(self, sim_dir, tmp_path, capsys, case):
+        edit, message = BAD_CONFIGS[case]
+        cfg = shrink_config(sim_dir)
+        raw = json.loads(cfg.read_text())
+        edit(raw)
+        cfg.write_text(json.dumps(raw))
+        assert main(["fit", "--config", str(cfg), "--chains", "1",
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDiagnoseAndSummarize:

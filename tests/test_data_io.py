@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchseir.data_io import (
-    ChainFileError,
-    ConfigError,
     Dataset,
+    InputError,
     chain_header,
     config_hash,
     dump_particle_system,
     fmt,
     generate_simulation,
-    load_config,
+    load_checkpoint,
     load_counts,
     load_dataset,
     load_proportions,
@@ -29,12 +29,9 @@ from switchseir.data_io import (
     priors_from_dict,
     priors_to_dict,
     read_chain,
-    read_checkpoint,
     read_truth,
     scenario_params,
     scenario_priors,
-    state_from_dict,
-    state_to_dict,
     truncate_chain,
     write_chain,
     write_checkpoint,
@@ -46,13 +43,8 @@ from switchseir.data_io import (
     write_summary_table,
     write_truth,
 )
-from switchseir.diagnostics import (
-    ModelSelectionReport,
-    ParamStats,
-    PosteriorSummary,
-    SelectionRow,
-)
-from switchseir.model import LatentPath
+from switchseir.diagnostics import ParamStats, PosteriorSummary, SelectionRow
+from switchseir.model import LatentPath, param_table
 from switchseir.pg import ChainRecord, PgState
 from switchseir.smc import ParticleSystem, ReferenceTrajectory
 from tests.test_model import two_regime_params, two_regime_priors
@@ -87,10 +79,10 @@ def write_fixed_outputs(out: Path) -> list[str]:
         ey_lo=thetas[:, 2] / 5,
         ey_hi=thetas[:, 2] / 3,
     )
-    report = ModelSelectionReport([
+    rows = [
         SelectionRow(2, 715.5, 18.25, 6),
         SelectionRow(1, -math.inf, math.nan, 0, "degenerate"),
-    ])
+    ]
     system = ParticleSystem(
         thetas=np.stack([thetas, thetas[::-1]]),
         regimes=np.array([[0, 1, 1], [1, 1, 0]], dtype=np.int8),
@@ -104,7 +96,7 @@ def write_fixed_outputs(out: Path) -> list[str]:
     write_summary_table(out / "summary.csv", summary)
     write_regime_curves(out / "regime_curves.csv", summary, ds)
     write_seir_curves(out / "seir_curves.csv", summary)
-    write_selection_table(out / "model_selection.csv", report)
+    write_selection_table(out / "model_selection.csv", rows)
     write_rhat_table(out / "rhat.csv", {"alpha": 1.01, "r0": 1.5})
     dump_particle_system(out / "particles.csv", system)
     return sorted(path.name for path in out.iterdir())
@@ -309,17 +301,19 @@ class TestChainFiles:
         write_chain(path, records, chain_header(2, 8, "abc", 5))
         content = path.read_text()
         path.write_text(content[: int(len(content) * 0.83)])
-        with pytest.raises(ChainFileError) as exc_info:
+        with pytest.raises(InputError) as exc_info:
             read_chain(path)
-        assert exc_info.value.last_complete >= 1
-        assert "last complete record" in str(exc_info.value)
+        last = re.search(r"record (\d+) unreadable .*; last complete record is (\d+)$",
+                         str(exc_info.value))
+        assert str(exc_info.value).startswith(f"{path}: ")
+        assert int(last[2]) == int(last[1]) - 1 >= 1
 
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "chain.jsonl"
         header = chain_header(2, 8, "abc", 5)
         header["schema"] = 99
         write_chain(path, make_records(n=2), header)
-        with pytest.raises(ChainFileError, match="schema version"):
+        with pytest.raises(InputError, match="schema version"):
             read_chain(path)
 
     def test_truncate_chain_keeps_prefix(self, tmp_path):
@@ -336,20 +330,21 @@ class TestCheckpoints:
     def test_state_round_trip(self, tmp_path):
         records = make_records(n=1)
         ref = ReferenceTrajectory(records[0].path, np.arange(8))
+        ids = list(param_table(2, 1))
         state = PgState(
             iteration=17,
             params=records[0].params,
             reference=ref,
-            step_sizes={"alpha": 0.05, "rows": 0.02},
-            window_counts={"alpha": [3, 10]},
+            step_sizes={pid: 0.01 * (i + 1) for i, pid in enumerate(ids)},
+            window_counts={pid: [i, 10] for i, pid in enumerate(ids)},
             n_emitted=7,
             n_degenerate=0,
         )
         path = tmp_path / "chain.ckpt.json"
         write_checkpoint(path, state, "abc", 5)
-        loaded = read_checkpoint(path)
-        assert loaded["config_hash"] == "abc"
-        got = state_from_dict(loaded)
+        with pytest.raises(InputError, match="belongs to a different configuration"):
+            load_checkpoint(path, two_regime_priors(), 8, "abd")
+        got = load_checkpoint(path, two_regime_priors(), 8, "abc")
         assert got.iteration == 17
         assert got.step_sizes == state.step_sizes
         assert got.window_counts == state.window_counts
@@ -373,25 +368,25 @@ class TestConfig:
         raw = sample_config_dict()
         raw["sampler"]["n_iters"] = 5
         raw["sampler"].pop("n_iterations")
-        with pytest.raises(ConfigError, match="n_iters"):
+        with pytest.raises(InputError, match="n_iters"):
             parse_config(raw)
 
     def test_unknown_block_named(self):
         raw = sample_config_dict()
         raw["plotting"] = {}
-        with pytest.raises(ConfigError, match="plotting"):
+        with pytest.raises(InputError, match="plotting"):
             parse_config(raw)
 
     def test_missing_block(self):
         raw = sample_config_dict()
         del raw["priors"]
-        with pytest.raises(ConfigError, match="priors"):
+        with pytest.raises(InputError, match="priors"):
             parse_config(raw)
 
     def test_counts_format_requires_population(self):
         raw = sample_config_dict()
         raw["data"] = {"path": "x.csv", "format": "counts"}
-        with pytest.raises(ConfigError, match="population"):
+        with pytest.raises(InputError, match="population"):
             parse_config(raw)
 
     def test_hash_ignores_iteration_count_only(self):

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from switchseir.diagnostics import (
-    ModelSelectionReport,
     gelman_rubin,
     gelman_rubin_table,
     param_values,
     score_records,
-    select_regimes,
     summarize,
     _stats,
 )
 from switchseir.model import LatentPath
-from switchseir.pg import ChainRecord, SamplerConfig
+from switchseir.pg import ChainRecord
 from tests.test_model import two_regime_params, two_regime_priors
 
 
@@ -183,50 +181,3 @@ class TestScoreRecords:
             )
         mean, _ = score_records(records[:4])
         assert mean == pytest.approx(2.5, abs=1e-15)
-
-
-class TestSelectRegimes:
-    def _data(self):
-        from tests.test_smc import make_data
-
-        y, params, priors, _ = make_data(horizon=30)
-        return y, priors
-
-    def test_reports_one_row_per_candidate(self):
-        from switchseir.data_io import priors_for_k
-
-        y, priors = self._data()
-        cfg = SamplerConfig(
-            n_iterations=12, burn_in=2, m_per_regime=4, seed=3, mh_sweeps_per_iter=1
-        )
-        priors_by_k = {k: priors_for_k(priors, k) for k in (1, 2)}
-        report = select_regimes(y, priors_by_k, [1, 2], cfg)
-        assert len(report.rows) == 2
-        assert {row.n_regimes for row in report.rows} == {1, 2}
-        assert all(row.error is None for row in report.rows)
-        # Sorted best first.
-        assert report.rows[0].log_ml_mean >= report.rows[1].log_ml_mean
-
-    def test_single_candidate(self):
-        from switchseir.data_io import priors_for_k
-
-        y, priors = self._data()
-        cfg = SamplerConfig(
-            n_iterations=8, burn_in=2, m_per_regime=4, seed=4, mh_sweeps_per_iter=1
-        )
-        report = select_regimes(y, {2: priors_for_k(priors, 2)}, [2], cfg)
-        assert len(report.rows) == 1
-
-    def test_per_candidate_failure_is_isolated(self):
-        from switchseir.data_io import priors_for_k
-
-        y, priors = self._data()
-        cfg = SamplerConfig(
-            n_iterations=8, burn_in=2, m_per_regime=4, seed=5, mh_sweeps_per_iter=1
-        )
-        priors_by_k = {2: priors_for_k(priors, 2), 3: None}
-        report = select_regimes(y, priors_by_k, [2, 3], cfg)
-        by_k = {row.n_regimes: row for row in report.rows}
-        assert by_k[2].error is None
-        assert by_k[3].error is not None
-        assert by_k[3].log_ml_mean == -math.inf

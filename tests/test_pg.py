@@ -52,7 +52,7 @@ def batch_se(x, n_blocks=50):
     return blocks.std(ddof=1) / math.sqrt(n_blocks)
 
 
-class TestMhScalar:
+class TestMhStepScalar:
     def test_tiny_step_accepts_almost_always(self):
         y, params, priors, path = make_data(horizon=20)
         g = rng(1)
@@ -158,7 +158,7 @@ def three_regime_params():
     )
 
 
-class TestMhTransRow:
+class TestMhStepRow:
     def test_row_closure_is_exact(self):
         y, params, priors, path = make_data(horizon=10)
         g = rng(6)

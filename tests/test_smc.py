@@ -372,8 +372,9 @@ class TestSampleReference:
 
 
 def csmc(y, params, priors, ref, m, rng):
-    """One chain's CSMC-AS pass: run_csmc_as_batch with C = 1."""
-    (result,) = run_csmc_as_batch(y, priors, [params], [ref], m, [rng])
+    """One chain's CSMC-AS pass of K * m particles: run_csmc_as_batch
+    with C = 1."""
+    (result,) = run_csmc_as_batch(y, priors, [params], [ref], params.n_regimes * m, [rng])
     if isinstance(result, DegenerateWeightsError):
         raise result
     return result
@@ -557,11 +558,11 @@ class TestBatchedPass:
         y, priors, params, refs = batch_inputs(k)
         for seed in (1, 2):
             got = run_csmc_as_batch(
-                y, priors, params, refs, m, [substream(seed, c) for c in range(3)]
+                y, priors, params, refs, k * m, [substream(seed, c) for c in range(3)]
             )
             for c in range(3):
                 (alone,) = run_csmc_as_batch(
-                    y, priors, [params[c]], [refs[c]], m, [substream(seed, c)]
+                    y, priors, [params[c]], [refs[c]], k * m, [substream(seed, c)]
                 )
                 assert_same_pass(got[c], alone)
                 assert_same_pass(got[c], serial_csmc_as(
@@ -580,7 +581,7 @@ class TestBatchedPass:
             regimes[5] = 1
             refs[1] = ReferenceTrajectory(LatentPath(refs[1].path.thetas, regimes),
                                           refs[1].lineage)
-        got = run_csmc_as_batch(y, priors, params, refs, 5,
+        got = run_csmc_as_batch(y, priors, params, refs, 2 * 5,
                                 [substream(3, c) for c in range(3)])
         want = [serial_csmc_as(y, p, priors, r, 5, substream(3, c))
                 for c, (p, r) in enumerate(zip(params, refs))]
@@ -588,7 +589,7 @@ class TestBatchedPass:
         assert want[1].step == (5 if case.startswith("ancestor") else 0)
         for c in range(3):
             assert_same_pass(got[c], want[c])
-            (alone,) = run_csmc_as_batch(y, priors, [params[c]], [refs[c]], 5,
+            (alone,) = run_csmc_as_batch(y, priors, [params[c]], [refs[c]], 2 * 5,
                                          [substream(3, c)])
             assert_same_pass(alone, want[c])
 
@@ -601,7 +602,7 @@ class TestBatchedPass:
         rngs = [substream(4, c) for c in range(2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = run_csmc_as_batch(y, priors, params, refs, 5, rngs)
+            got = run_csmc_as_batch(y, priors, params, refs, 2 * 5, rngs)
         return y, priors, params, refs, got
 
     def test_nan_ancestor_weights_retire_their_chain_by_name(self):
@@ -617,7 +618,7 @@ class TestBatchedPass:
     def test_nan_ancestor_weights_recover_nothing_and_spare_the_rest(self):
         y, priors, params, refs, got = self.huge_kappa_batch()
         assert not isinstance(got[0], ParticleSystem)
-        (alone,) = run_csmc_as_batch(y, priors, [params[1]], [refs[1]], 5,
+        (alone,) = run_csmc_as_batch(y, priors, [params[1]], [refs[1]], 2 * 5,
                                      [substream(4, 1)])
         assert_same_pass(got[1], alone)
         assert_same_pass(got[1], serial_csmc_as(y, params[1], priors, refs[1], 5,
@@ -626,7 +627,7 @@ class TestBatchedPass:
     def test_compact_store(self):
         # int8 regimes and int32 ancestors.
         y, priors, params, refs = batch_inputs(3, n_chains=2)
-        got = run_csmc_as_batch(y, priors, params, refs, 4, [rng(1), rng(2)])
+        got = run_csmc_as_batch(y, priors, params, refs, 3 * 4, [rng(1), rng(2)])
         for system in got:
             assert system.regimes.dtype == np.int8
             assert system.regimes.shape == (len(y), 12)
@@ -635,14 +636,14 @@ class TestBatchedPass:
     def test_every_chain_degenerate_returns_only_errors(self):
         y, priors, params, refs = batch_inputs(2, n_chains=2)
         params = [replace(p, lambda_=1e308) for p in params]
-        got = run_csmc_as_batch(y, priors, params, refs, 3, [rng(1), rng(2)])
+        got = run_csmc_as_batch(y, priors, params, refs, 2 * 3, [rng(1), rng(2)])
         assert [type(r) for r in got] == [DegenerateWeightsError] * 2
 
     def test_chains_must_share_the_regime_count(self):
         y, priors, params2, refs2 = batch_inputs(2, n_chains=1)
         _, _, params3, refs3 = batch_inputs(3, n_chains=1)
         with pytest.raises(ValueError, match="share the number of regimes"):
-            run_csmc_as_batch(y, priors, params2 + params3, refs2 + refs3, 3,
+            run_csmc_as_batch(y, priors, params2 + params3, refs2 + refs3, 6,
                               [rng(1), rng(2)])
 
 
