@@ -143,11 +143,11 @@ def _fit_chains(task) -> list[dict]:
     streaming each chain's records and checkpoints to its own files."""
     y, priors, cfg_hash, resume, chains = task
     states = []
-    for _, chain_path, ckpt_path, _ in chains:
+    for cfg, chain_path, ckpt_path, _ in chains:
         state = None
         if resume and os.path.exists(ckpt_path):
             # Cut the chain file back to the records the state has emitted.
-            state = load_checkpoint(ckpt_path, priors, len(y), cfg_hash)
+            state = load_checkpoint(ckpt_path, priors, len(y), cfg_hash, cfg.seed)
             truncate_chain(chain_path, state.n_emitted)
         states.append(state)
     with ExitStack() as stack:

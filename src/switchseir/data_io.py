@@ -17,8 +17,9 @@ quote or a line break are double-quoted (the csv module's default).
 - chain files: one JSON header line, then one JSON record per retained
   iteration; append-friendly.
 - checkpoint: single JSON object with the full sampler state.  Keys it
-  does not use, such as the total_counts of older checkpoints, are
-  ignored; load_checkpoint checks it against the run it resumes.
+  does not use, such as the total_counts and reference lineage of older
+  checkpoints, are ignored; load_checkpoint checks it against the run
+  and the chain it resumes.
 - summary table: ``parameter,mean,median,sd,ci_lo,ci_hi``.
 - regime curves: ``t,label,p_regime_1..K,y_obs,Ey_mean,Ey_lo,Ey_hi``.
 - SEIR curves: ``t,S_mean,S_lo,S_hi,...,R_hi``.
@@ -29,7 +30,8 @@ quote or a line break are double-quoted (the csv module's default).
   ancestor`` (ancestor is -1 at t=1).
 
 Run configuration: a JSON object of these blocks (parse_config); an
-unknown block or key is an error that names it.
+unknown block or key, or a value of the wrong type or range, is an error
+that names it.
 
 - model: ``n_regimes`` (integer K >= 1) and ``ident_change_times``
   (1-based steps where the identification rate changes, starting with
@@ -55,7 +57,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from .model import (
 )
 from .pg import ChainRecord, PgState, SamplerConfig
 from .rng import TAG_SIM, substream
-from .smc import ParticleSystem, ReferenceTrajectory, check_reference
+from .smc import ParticleSystem, check_reference
 
 CHAIN_SCHEMA = 1
 
@@ -498,10 +500,7 @@ def state_to_dict(state: PgState, config_hash: str, seed: int) -> dict:
         "seed": seed,
         "iteration": state.iteration,
         "params": params_to_dict(state.params),
-        "reference": {
-            "path": path_to_dict(state.reference.path),
-            "lineage": state.reference.lineage.tolist(),
-        },
+        "reference": {"path": path_to_dict(state.reference)},
         "step_sizes": {k: float(v) for k, v in state.step_sizes.items()},
         "window_counts": state.window_counts,
         "n_emitted": state.n_emitted,
@@ -520,11 +519,8 @@ def _state_from_dict(d: dict, priors: PriorSpec, horizon: int) -> PgState:
     if params.n_regimes != priors.n_regimes or starts != priors.ident_start_times:
         raise ValueError(f"parameters for K={params.n_regimes}, p segments at {starts}; the "
                          f"run has K={priors.n_regimes}, p segments at {priors.ident_start_times}")
-    ref = ReferenceTrajectory(
-        path_from_dict(d["reference"]["path"]),
-        np.asarray(d["reference"]["lineage"]),
-    )
-    check_reference(ref.path, horizon, priors.n_regimes)
+    ref = path_from_dict(d["reference"]["path"])
+    check_reference(ref, horizon, priors.n_regimes)
     ids = set(param_table(priors.n_regimes, len(priors.ident)))
     steps, windows = d["step_sizes"], d["window_counts"]
     if not (isinstance(steps, dict) and isinstance(windows, dict)
@@ -567,14 +563,19 @@ def read_checkpoint(path) -> dict:
     return d
 
 
-def load_checkpoint(path, priors: PriorSpec, horizon: int, config_hash: str) -> PgState:
-    """The sampler state of a checkpoint file, to resume a run of the
-    given priors on a series of horizon steps.  Raises InputError naming
-    the file for another configuration's checkpoint, a missing key, or a
-    wrong type or value (the reference path by smc.check_reference)."""
+def load_checkpoint(path, priors: PriorSpec, horizon: int, config_hash: str,
+                    seed: int) -> PgState:
+    """The sampler state of a checkpoint file, to resume the chain of the
+    given seed in a run of the given priors on a series of horizon steps.
+    Raises InputError naming the file for another configuration's or
+    another chain's checkpoint, a missing key, or a wrong type or value
+    (the reference path by smc.check_reference)."""
     d = read_checkpoint(path)
     if d.get("config_hash") != config_hash:
         raise InputError(f"{path}: checkpoint belongs to a different configuration")
+    if d.get("seed") != seed:
+        raise InputError(f"{path}: checkpoint belongs to the chain of seed "
+                         f"{d.get('seed')!r}, not {seed}")
     try:
         return _state_from_dict(d, priors, horizon)
     except (KeyError, TypeError, ValueError) as exc:
@@ -583,13 +584,68 @@ def load_checkpoint(path, priors: PriorSpec, horizon: int, config_hash: str) -> 
 
 # --- run configuration -------------------------------------------------------
 
-# The keys each config block may hold, in the order parse_config checks them.
+
+def _number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
+def _fields(value, required: set, optional=frozenset()) -> bool:
+    """An object of numbers with the required keys and optional ones."""
+    return (isinstance(value, dict) and required <= value.keys() <= required | optional
+            and all(map(_number, value.values())))
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+def _integer(least: int):
+    return lambda v: _is_count(v) and v >= least, f"an integer >= {least}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, " or ".join(map(repr, choices))
+
+
+def _trunc_normal(value) -> bool:
+    return _fields(value, {"mean", "sd"}, {"lower", "upper"})
+
+
+_TRUNC_NORMAL = _trunc_normal, "an object of numbers mean, sd and optional lower, upper"
+_GAMMA = lambda v: _fields(v, {"shape", "rate"}), "an object of numbers shape, rate"
+_STRING = lambda v: isinstance(v, str), "a string"
+
+# The keys each config block may hold, each with the check of its value
+# and what the check expects, in the order parse_config checks them.
 _CONFIG_KEYS = {
-    "model": {"n_regimes", "ident_change_times"},
-    "priors": {"alpha", "beta", "gamma", "lambda", "kappa", "ident", "rows", "theta1"},
-    "sampler": {f.name for f in fields(SamplerConfig)},
-    "data": {"path", "population", "aggregation", "format"},
-    "output": {"directory", "dump_particles"},
+    "model": {
+        "n_regimes": _integer(1),
+        "ident_change_times": (lambda v: _list_of(_is_count)(v) and v[:1] == [1],
+                               "a list of integers starting with 1"),
+    },
+    "priors": {
+        "alpha": _TRUNC_NORMAL, "beta": _TRUNC_NORMAL, "gamma": _TRUNC_NORMAL,
+        "lambda": _GAMMA, "kappa": _GAMMA,
+        "ident": (_list_of(_trunc_normal),
+                  "a list of objects of numbers mean, sd and optional lower, upper"),
+        "rows": (_list_of(_list_of(_number)), "a list of lists of numbers"),
+        "theta1": (_list_of(_number), "a list of numbers"),
+    },
+    "sampler": {
+        "n_iterations": _integer(1), "burn_in": _integer(0), "m_per_regime": _integer(2),
+        "seed": _integer(0), "mh_sweeps_per_iter": _integer(1), "thin": _integer(1),
+        "step_sizes": (lambda v: v is None or isinstance(v, dict) and all(
+            _number(step) and step > 0 for step in v.values()), "an object of positive numbers"),
+    },
+    "data": {
+        "path": _STRING,
+        "population": (lambda v: _number(v) and v > 0, "a positive number"),
+        "aggregation": _one_of("none", "weekly"),
+        "format": _one_of("counts", "proportions"),
+    },
+    "output": {"directory": _STRING,
+               "dump_particles": (lambda v: type(v) is bool, "true or false")},
 }
 
 
@@ -630,35 +686,30 @@ def config_hash(raw: dict) -> str:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a config dict (schema in the module docstring)."""
+    """Validate a config dict (schema in the module docstring): each key's
+    value by its check in _CONFIG_KEYS, then what involves several keys."""
     for block in raw:
         if block not in _CONFIG_KEYS:
             raise InputError(f"unknown config block {block!r}")
     for block in ("model", "priors", "sampler", "data"):
         if block not in raw:
             raise InputError(f"missing config block {block!r}")
-    for block, allowed in _CONFIG_KEYS.items():
+    for block, checks in _CONFIG_KEYS.items():
         entries = raw.get(block, {})
         if not isinstance(entries, dict):
             raise InputError(f"config block {block!r} must be a JSON object")
-        for key in entries:
-            if key not in allowed:
+        for key, value in entries.items():
+            if key not in checks:
                 raise InputError(f"unknown config key {block}.{key}")
+            check, expected = checks[key]
+            if not check(value):
+                raise InputError(f"{block}.{key} must be {expected}, got {value!r}")
 
     model = raw["model"]
     if "n_regimes" not in model:
         raise InputError("missing config key model.n_regimes")
     n_regimes = model["n_regimes"]
-    if not _is_count(n_regimes) or n_regimes < 1:
-        raise InputError(f"model.n_regimes must be an integer >= 1, got {n_regimes!r}")
-    change_times = model.get("ident_change_times", [1])
-    if not (isinstance(change_times, list) and change_times
-            and all(map(_is_count, change_times)) and change_times[0] == 1):
-        raise InputError(
-            "model.ident_change_times must be a list of integers starting "
-            f"with 1, got {change_times!r}"
-        )
-    starts = tuple(t - 1 for t in change_times)
+    starts = tuple(t - 1 for t in model.get("ident_change_times", [1]))
 
     try:
         priors = priors_from_dict(raw["priors"], n_regimes, starts)
@@ -684,8 +735,6 @@ def parse_config(raw: dict) -> RunConfig:
         raise InputError("missing config key data.path")
     data.setdefault("aggregation", "none")
     data.setdefault("format", "counts")
-    if data["format"] not in ("counts", "proportions"):
-        raise InputError("data.format must be 'counts' or 'proportions'")
     if data["format"] == "counts" and "population" not in data:
         raise InputError("missing config key data.population")
 

@@ -17,9 +17,11 @@ entry it moves.
 run_pg drives a list of chains in lockstep: each round advances every
 unfinished chain by one iteration, its CSMC-AS pass shared with the
 others in one smc.run_csmc_as_batch call, and each chain at its own
-iteration number (resumed chains may differ).  The reference draw, the
-MH sweeps, step-size adaptation, the degeneracy watchdog, the records
-and the callback stay per chain.
+iteration number (resumed chains may differ).  That pass is all or
+nothing: it raises when any chain's weights degenerate, and run_pg then
+reruns each chain's pass alone, so every chain still gets the result of
+its own pass.  The reference draw, the MH sweeps, step-size adaptation,
+the degeneracy watchdog, the records and the callback stay per chain.
 
 Every random draw of iteration r comes from counter-based streams keyed
 by (seed, stage, r, ...), so chains are bit-reproducible, a chain's
@@ -46,13 +48,7 @@ from .model import (
     param_table,
 )
 from .rng import TAG_CSMC, TAG_INIT, TAG_MH, TAG_REFERENCE, substream
-from .smc import (
-    DegenerateWeightsError,
-    ReferenceTrajectory,
-    run_csmc_as_batch,
-    run_smc,
-    sample_reference,
-)
+from .smc import DegenerateWeightsError, run_csmc_as_batch, run_smc, sample_reference
 
 ADAPT_EVERY = 100
 TARGET_ACCEPT = 0.3
@@ -118,11 +114,15 @@ class ChainRecord:
 
 @dataclass
 class PgState:
-    """Mutable sampler state, exposed to callbacks for checkpointing."""
+    """Mutable sampler state, exposed to callbacks for checkpointing.
+
+    reference is the path the next CSMC-AS pass conditions on; it stays
+    when the chain's own pass raises (run_pg reruns a batched pass that
+    raised chain by chain), and n_degenerate counts one more."""
 
     iteration: int
     params: ParameterSet
-    reference: ReferenceTrajectory
+    reference: LatentPath
     step_sizes: dict[str, float]
     window_counts: dict[str, list[int]]
     n_emitted: int
@@ -192,8 +192,11 @@ def run_pg(
 
     Every round runs one run_csmc_as_batch pass over the chains that have
     iterations left, each at its own next iteration, then the rest of
-    each chain's iteration in chain order.  A chain's draws come from its
-    own streams, so its records do not depend on the other chains.
+    each chain's iteration in chain order.  The pass is all or nothing:
+    when it raises, each chain's pass reruns alone (_csmc_round), and a
+    chain whose pass alone raises keeps its reference.  A chain's draws
+    come from its own streams, so its records do not depend on the other
+    chains.
 
     callbacks[c], when given and not None, is invoked with chain c's
     PgState after each of its iterations (state.record is set on
@@ -229,14 +232,7 @@ def run_pg(
         live = [c for c in range(n_chains) if states[c].iteration < configs[c].n_iterations]
         if not live:
             return records
-        systems = run_csmc_as_batch(
-            y,
-            priors,
-            [states[c].params for c in live],
-            [states[c].reference for c in live],
-            n,
-            [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in live],
-        )
+        systems = _csmc_round(y, priors, configs, states, live, n)
         for c, system in zip(live, systems):
             rec = _finish_iteration(y, priors, configs[c], table, states[c], system)
             if rec is not None:
@@ -245,6 +241,32 @@ def run_pg(
                 callbacks[c](states[c])
         # The systems share one particle store: free it before the next pass.
         del systems, system
+
+
+def _csmc_round(y, priors: PriorSpec, configs, states, live: list[int], n: int) -> list:
+    """The CSMC-AS result of each live chain's next iteration: its
+    ParticleSystem, or the DegenerateWeightsError its pass alone raises.
+    One run_csmc_as_batch pass serves every chain unless it raises; then
+    each chain's pass runs alone, on fresh copies of its generator.  A
+    pass of one chain raises that chain's own error, so it is not rerun."""
+
+    def csmc_pass(chains):
+        return run_csmc_as_batch(
+            y, priors, [states[c].params for c in chains], [states[c].reference for c in chains],
+            n, [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in chains])
+
+    try:
+        return csmc_pass(live)
+    except DegenerateWeightsError as exc:
+        if len(live) == 1:
+            return [exc]
+    results = []
+    for c in live:
+        try:
+            results += csmc_pass([c])
+        except DegenerateWeightsError as exc:
+            results.append(exc)
+    return results
 
 
 def _initial_state(y, priors: PriorSpec, config: SamplerConfig, n: int, table) -> PgState:
@@ -262,7 +284,7 @@ def _initial_state(y, priors: PriorSpec, config: SamplerConfig, n: int, table) -
     return PgState(
         iteration=0,
         params=params,
-        reference=sample_reference(system, substream(seed, TAG_INIT, 2)),
+        reference=sample_reference(system, substream(seed, TAG_INIT, 2)).path,
         step_sizes=steps,
         window_counts={pid: [0, 0] for pid in table},
         n_emitted=0,
@@ -293,10 +315,10 @@ def _finish_iteration(
                 "check priors and precision parameters"
             ) from system
     else:
-        state.reference = sample_reference(system, substream(seed, TAG_REFERENCE, r))
+        state.reference = sample_reference(system, substream(seed, TAG_REFERENCE, r)).path
         log_ml = system.log_marginal
 
-    target = PosteriorTerms.build(state.reference.path, y, state.params, priors)
+    target = PosteriorTerms.build(state.reference, y, state.params, priors)
     accepted: dict[str, list[bool]] = {pid: [] for pid in table}
     for s in range(config.mh_sweeps_per_iter):
         rng = substream(seed, TAG_MH, r, s)
@@ -323,7 +345,7 @@ def _finish_iteration(
         state.record = ChainRecord(
             iteration=r,
             params=state.params,
-            path=state.reference.path,
+            path=state.reference,
             log_marginal=log_ml,
             mh_accepted={pid: tuple(flags) for pid, flags in accepted.items()},
         )

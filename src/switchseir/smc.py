@@ -29,10 +29,12 @@ The particle work of all chains runs once per step on a chain axis.
 What makes a chain's result its own stays per chain, in the order a
 chain alone would take it: every draw from its generator, each CDF
 search, and the degeneracy check.  Each row sum has the bits of that row
-reduced alone (distributions.logsumexp_rows).  A chain whose weights
-degenerate leaves the pass at that step with its DegenerateWeightsError;
-the others go on.  So each chain's result equals its pass alone bit for
-bit, whatever the other chains hold.
+reduced alone (distributions.logsumexp_rows).  So each chain's result
+equals its pass alone bit for bit, whatever the other chains hold.  The
+pass is all or nothing: when any chain's weights degenerate it raises
+that chain's DegenerateWeightsError, as the chain's pass alone would, and
+returns no result; the caller (pg.run_pg) then reruns the chains one by
+one.
 """
 
 from __future__ import annotations
@@ -247,18 +249,19 @@ def run_csmc_as_batch(
     y: np.ndarray,
     priors: PriorSpec,
     params: Sequence[ParameterSet],
-    references: Sequence[ReferenceTrajectory],
+    references: Sequence[LatentPath],
     n_particles: int,
     rngs: Sequence[np.random.Generator],
-) -> list[ParticleSystem | DegenerateWeightsError]:
+) -> list[ParticleSystem]:
     """Conditional SMC with ancestor sampling, for C chains at once.
 
     Chain c runs on params[c] against references[c] and draws from
     rngs[c]; all chains share the series y, the priors, K and the N =
-    n_particles particles.  The result of chain c is its
-    ParticleSystem, or the DegenerateWeightsError its pass raised: a
-    chain whose weights degenerate stops there, as it would alone, and
-    the other chains go on unchanged.
+    n_particles particles.  The pass is all or nothing: it returns each
+    chain's ParticleSystem, or raises the DegenerateWeightsError of the
+    first chain whose weights degenerate, with the step and detail that
+    chain's pass alone raises.  The ancestor-sampling check raises before
+    any state of its step is drawn.
 
     Particle N-1 holds the reference pair at every step.  The others are
     proposed as run_smc proposes them, from multinomial ancestors.  The
@@ -272,200 +275,125 @@ def run_csmc_as_batch(
     work: its reference by check_reference.
     """
     y = np.asarray(y, dtype=float)
-    horizon, n = len(y), n_particles
+    horizon, n, c = len(y), n_particles, len(params)
     _check_particle_count(n)
-    if not len(params) == len(references) == len(rngs) > 0:
+    if not c == len(references) == len(rngs) > 0:
         raise ValueError("need one parameter set, reference and generator per chain")
     k = params[0].n_regimes
     for chain_params, reference in zip(params, references):
         if chain_params.n_regimes != k:
             raise ValueError("the chains of one pass must share the number of regimes")
-        check_reference(reference.path, horizon, k)
+        check_reference(reference, horizon, k)
 
     log_y = [math.log(v) for v in y]
     log1m_y = [math.log1p(-v) for v in y]
-    results: list = [None] * len(params)
-    b = _ChainBatch(list(range(len(params))), params, references, rngs, n, horizon)
+    chain = np.arange(c)[:, None]
 
-    for i, g in enumerate(b.rngs):
-        b.thetas[0, i, :-1] = _draw_initial_thetas(priors, n - 1, g)
-        b.regimes[0, i, :-1] = g.integers(k, size=n - 1)
-    b = _weigh_step(b, 0, log_y, log1m_y, results)
-    if b is None:
-        return results
+    def per_chain(values):
+        return np.array(values, dtype=float)[:, None]
+
+    alpha = per_chain([p.alpha for p in params])
+    gamma = per_chain([p.gamma for p in params])
+    kappa = per_chain([p.kappa for p in params])[..., None]
+    lam = per_chain([p.lambda_ for p in params])
+    ident = np.stack([p.ident_series(horizon) for p in params], axis=1)[..., None]
+    # Regime x of chain c is entry c * K + x of the infection rates and row
+    # c * K + x of the transition matrices; particle j of chain c is entry
+    # c * N + j of a step's flattened particles.
+    infect_rates = np.concatenate([p.modifiers * p.beta for p in params])
+    cdf_cols = _regime_cdf_cols(params)
+    row_base, chain_base = chain * k, chain * n
+    # Flat indices of the particles one step propagates: the resampled
+    # ancestors (written per step), then every previous particle.
+    gather = np.empty((c, 2 * n - 1), dtype=np.intp)
+    gather[:, n - 1:] = np.arange(c * n).reshape(c, n)
+    # Work arrays of one step: uniforms, propagated rows, drawn states.
+    u = np.empty((c, 2 * n - 2))
+    conc = np.empty((c, 2 * n - 1, 4))
+    drawn = np.empty((c, n - 1, 4))
+    # log_into[(c * K + x) * K + j]: log probability, in chain c, of moving
+    # from regime j to regime x.
+    with np.errstate(divide="ignore"):
+        log_into = np.concatenate([np.log(p.trans_matrix.T).ravel() for p in params])
+    ref_regimes = np.stack([r.regimes for r in references], axis=1)
+    ref_thetas = np.stack([r.thetas for r in references], axis=1)
+    log_ref = np.log(ref_thetas)[:, :, None]
+    ref_row = np.broadcast_to(row_base + ref_regimes[..., None], (horizon, c, n))
+    into_base = (row_base + ref_regimes[..., None]) * k
+
+    # Particle storage in ParticleSystem's field order, chain axis second.
+    thetas = np.empty((horizon, c, n, 4))
+    regimes = np.empty((horizon, c, n), dtype=_regime_dtype(k))
+    log_w = np.empty((horizon, c, n))
+    norm_w = np.empty((horizon, c, n))
+    ancestors = np.empty((max(horizon - 1, 0), c, n), dtype=np.int32)
+    thetas[:, :, -1] = ref_thetas
+    regimes[:, :, -1] = ref_regimes
+
+    def weigh(t: int) -> list[float]:
+        """Weigh and normalize every chain's step-t particles; return each
+        chain's log mean weight, or raise for the first whose weights all
+        vanish."""
+        log_w[t] = _obs_log_density(thetas[t, :, :, 2], ident[t], lam, log_y[t], log1m_y[t])
+        totals = logsumexp_rows(log_w[t])
+        if -math.inf in totals:
+            raise DegenerateWeightsError(t)
+        _normalize_rows(log_w[t], totals, out=norm_w[t])
+        return [total - math.log(n) for total in totals]
+
+    for i, g in enumerate(rngs):
+        thetas[0, i, :-1] = _draw_initial_thetas(priors, n - 1, g)
+        regimes[0, i, :-1] = g.integers(k, size=n - 1)
+    log_marginal = weigh(0)
 
     for t in range(1, horizon):
-        x = np.ascontiguousarray(b.thetas[t - 1].transpose(2, 0, 1))
-        cdf = np.add.accumulate(b.norm_w[t - 1], axis=1)
+        x = np.ascontiguousarray(thetas[t - 1].transpose(2, 0, 1))
+        cdf = np.add.accumulate(norm_w[t - 1], axis=1)
         cdf[:, -1] = 1.0
         # N - 1 resampling uniforms, then N - 1 regime uniforms per chain.
         # A uniform is below 1.0 = cdf[-1], so every index found is below N.
-        anc, u = b.ancestors[t - 1], b.uniforms
-        for i, g in enumerate(b.rngs):
+        anc = ancestors[t - 1]
+        for i, g in enumerate(rngs):
             g.random(out=u[i])
             anc[i, :-1] = cdf[i].searchsorted(u[i, :n - 1], side="right")
-        parents = np.add(anc[:, :-1], b.chain_base, out=b.gather[:, :n - 1])
-        new = b.regimes[t, :, :-1]
-        _propose_regimes(u[:, n - 1:], b.regimes[t - 1].take(parents) + b.row_base,
-                         b.cdf_cols, new)
+        parents = np.add(anc[:, :-1], chain_base, out=gather[:, :n - 1])
+        new = regimes[t, :, :-1]
+        _propose_regimes(u[:, n - 1:], regimes[t - 1].take(parents) + row_base, cdf_cols, new)
 
         # One propagation: the resampled ancestors under their new regimes,
         # then every previous particle under the reference regime, written
         # in row layout (C, 2N - 1, 4) for the Gamma draws and the density.
-        rows = np.concatenate([new + b.row_base, b.ref_row[t]], axis=1)
-        conc = b.conc
+        rows = np.concatenate([new + row_base, ref_row[t]], axis=1)
         rk4_components(
-            x.reshape(4, -1).take(b.gather, axis=1), b.infect_rates.take(rows), b.alpha, b.gamma,
+            x.reshape(4, -1).take(gather, axis=1), infect_rates.take(rows), alpha, gamma,
             out=conc.transpose(2, 0, 1),
         )
-        conc *= b.kappa
+        conc *= kappa
         log_as = _ancestor_log_weights(
-            b.log_ref[t], conc[:, n - 1:],
-            b.log_into.take(b.regimes[t - 1] + b.into_base[t]), b.log_w[t - 1],
+            log_ref[t], conc[:, n - 1:], log_into.take(regimes[t - 1] + into_base[t]),
+            log_w[t - 1],
         )
         peak = np.maximum.reduce(log_as, axis=1, keepdims=True)
-        finite = np.isfinite(peak[:, 0])
-        if not finite.all():
-            details = [
-                "ancestor-sampling weights not a number" if nan
-                else "ancestor-sampling weights all zero"
-                for nan in np.isnan(log_as).any(axis=1).tolist()
-            ]
-            live = _retire(b, finite.tolist(), results, t, details)
-            if not live:
-                return results
-            b, conc = b.keep(live), conc.take(live, axis=0)
-            log_as, peak = log_as.take(live, axis=0), peak.take(live, axis=0)
-            anc = b.ancestors[t - 1]
+        if not np.isfinite(peak).all():
+            i = int(np.argmin(np.isfinite(peak[:, 0])))
+            detail = "not a number" if np.isnan(log_as[i]).any() else "all zero"
+            raise DegenerateWeightsError(t, f"ancestor-sampling weights {detail}")
         # Inverse CDF of the unnormalized weights: the key is a uniform times
         # the row total, which can round up to the total, hence the min.
         as_cdf = np.add.accumulate(np.exp(log_as - peak), axis=1)
-        for i, g in enumerate(b.rngs):
+        for i, g in enumerate(rngs):
             key = g.random() * as_cdf[i, -1]
             anc[i, -1] = min(as_cdf[i].searchsorted(key, side="right"), n - 1)
         # A contiguous array normalizes faster than the storage's view.
-        _draw_states(conc[:, :n - 1], b.rngs, b.drawn)
-        b.thetas[t, :, :-1] = b.drawn
+        _draw_states(conc[:, :n - 1], rngs, drawn)
+        thetas[t, :, :-1] = drawn
+        log_marginal = [lm + inc for lm, inc in zip(log_marginal, weigh(t))]
 
-        b = _weigh_step(b, t, log_y, log1m_y, results)
-        if b is None:
-            return results
-
-    for i, chain in enumerate(b.ids):
-        results[chain] = ParticleSystem(*(a[:, i] for a in b.storage), b.log_marginal[i])
-    return results
-
-
-class _ChainBatch:
-    """The chains still live in a run_csmc_as_batch pass.
-
-    Holds each chain's id (its position in the caller's lists), inputs,
-    generator and running log marginal, the pass constants with a chain
-    axis (after the time axis where there is one), and the particle
-    storage: thetas (T, C, N, 4), regimes (T, C, N), log_w and norm_w
-    (T, C, N), ancestors (T-1, C, N) int32, in ParticleSystem's field
-    order.  The reference pair is written into slot N-1 of every step
-    when the storage is made.
-    """
-
-    def __init__(self, ids, params, references, rngs, n, horizon, storage=None,
-                 log_marginal=None):
-        c, k = len(ids), params[0].n_regimes
-        self.ids, self.params, self.references = list(ids), list(params), list(references)
-        self.rngs, self.n = list(rngs), n
-        # A pass starts each log marginal at 0.0, and 0.0 + x == x bit for
-        # bit, so adding step 0's increment gives that increment.
-        self.log_marginal = [0.0] * c if log_marginal is None else log_marginal
-        chain = np.arange(c)[:, None]
-
-        def per_chain(values):
-            return np.array(values, dtype=float)[:, None]
-
-        self.alpha = per_chain([p.alpha for p in params])
-        self.gamma = per_chain([p.gamma for p in params])
-        self.kappa = per_chain([p.kappa for p in params])[..., None]
-        self.lam = per_chain([p.lambda_ for p in params])
-        self.ident = np.stack([p.ident_series(horizon) for p in params], axis=1)[..., None]
-        # Regime x of chain c is entry c * K + x of the infection rates and
-        # row c * K + x of the transition matrices; particle j of chain c is
-        # entry c * N + j of a step's flattened particles.
-        self.infect_rates = np.concatenate([p.modifiers * p.beta for p in params])
-        self.cdf_cols = _regime_cdf_cols(params)
-        self.row_base = chain * k
-        self.chain_base = chain * n
-        # Flat indices of the particles one step propagates: the resampled
-        # ancestors (written per step), then every previous particle.
-        self.gather = np.empty((c, 2 * n - 1), dtype=np.intp)
-        self.gather[:, n - 1:] = np.arange(c * n).reshape(c, n)
-        # Work arrays of one step: uniforms, propagated rows, drawn states.
-        self.uniforms = np.empty((c, 2 * n - 2))
-        self.conc = np.empty((c, 2 * n - 1, 4))
-        self.drawn = np.empty((c, n - 1, 4))
-        # log_into[(c * K + x) * K + j]: log probability, in chain c, of
-        # moving from regime j to regime x.
-        with np.errstate(divide="ignore"):
-            self.log_into = np.concatenate([np.log(p.trans_matrix.T).ravel() for p in params])
-        ref_regimes = np.stack([r.path.regimes for r in references], axis=1)
-        ref_thetas = np.stack([r.path.thetas for r in references], axis=1)
-        self.log_ref = np.log(ref_thetas)[:, :, None]
-        self.ref_row = np.broadcast_to(chain * k + ref_regimes[..., None], (horizon, c, n))
-        self.into_base = (chain * k + ref_regimes[..., None]) * k
-        if storage is None:
-            storage = (
-                np.empty((horizon, c, n, 4)),
-                np.empty((horizon, c, n), dtype=_regime_dtype(k)),
-                np.empty((horizon, c, n)),
-                np.empty((horizon, c, n)),
-                np.empty((max(horizon - 1, 0), c, n), dtype=np.int32),
-            )
-            storage[0][:, :, -1] = ref_thetas
-            storage[1][:, :, -1] = ref_regimes
-        self.storage = storage
-        self.thetas, self.regimes, self.log_w, self.norm_w, self.ancestors = storage
-
-    def keep(self, rows: list[int]) -> _ChainBatch:
-        """The batch of the chains in the given rows, storage included."""
-
-        def pick(values):
-            return [values[r] for r in rows]
-
-        return _ChainBatch(
-            pick(self.ids), pick(self.params), pick(self.references), pick(self.rngs),
-            self.n, self.thetas.shape[0],
-            storage=tuple(a.take(rows, axis=1) for a in self.storage),
-            log_marginal=pick(self.log_marginal),
-        )
-
-
-def _retire(b: _ChainBatch, ok: list[bool], results: list, t: int,
-            details: list[str] | None = None) -> list[int]:
-    """Make DegenerateWeightsError(t, details[row]) (no detail when details
-    is None) the result of every chain whose ok[row] is false; return the
-    rows of the other chains."""
-    live = []
-    for row, chain_ok in enumerate(ok):
-        if chain_ok:
-            live.append(row)
-        else:
-            results[b.ids[row]] = DegenerateWeightsError(t, details[row] if details else "")
-    return live
-
-
-def _weigh_step(b: _ChainBatch, t: int, log_y, log1m_y, results: list) -> _ChainBatch | None:
-    """Weigh and normalize the step-t particles of every chain and add the
-    step's log mean weight to its log marginal.  Chains whose weights all
-    vanish are retired; returns the batch of the others (None if none)."""
-    b.log_w[t] = _obs_log_density(b.thetas[t, :, :, 2], b.ident[t], b.lam, log_y[t], log1m_y[t])
-    totals = logsumexp_rows(b.log_w[t])
-    if -math.inf in totals:
-        live = _retire(b, [total != -math.inf for total in totals], results, t)
-        if not live:
-            return None
-        b, totals = b.keep(live), [totals[r] for r in live]
-    _normalize_rows(b.log_w[t], totals, out=b.norm_w[t])
-    log_n = math.log(b.n)
-    b.log_marginal = [lm + (total - log_n) for lm, total in zip(b.log_marginal, totals)]
-    return b
+    return [
+        ParticleSystem(thetas[:, i], regimes[:, i], log_w[:, i], norm_w[:, i], ancestors[:, i],
+                       log_marginal[i])
+        for i in range(c)
+    ]
 
 
 def _normalize_rows(log_w: np.ndarray, totals: list[float], out=None) -> np.ndarray:
@@ -484,7 +412,7 @@ def _ancestor_log_weights(log_ref, conc, log_into, log_w) -> np.ndarray:
     unnormalized log weight log_w[:, i].  Factors common to all
     candidates drop out.  A weight whose density overflows (inf - inf in
     the kernel at a huge kappa) is NaN, without a warning; the caller
-    retires its chain.
+    raises for its chain.
     """
     with np.errstate(invalid="ignore"):
         log_as = _dirichlet_log_kernel(log_ref, conc)

@@ -350,7 +350,7 @@ BAD_CHECKPOINTS = {
         lambda ck: operator.setitem(ck["reference"]["path"]["thetas"], 3, [0.5] * 4),
         "invalid checkpoint: reference states must sum to 1"),
     "path-too-short": (
-        lambda ck: (_drop_last_step(ck["reference"]["path"]), ck["reference"]["lineage"].pop()),
+        lambda ck: _drop_last_step(ck["reference"]["path"]),
         "invalid checkpoint: reference has 149 steps, the series 150"),
     "regime-out-of-range": (
         lambda ck: operator.setitem(ck["reference"]["path"]["regimes"], 0, 2),
@@ -375,7 +375,18 @@ BAD_CONFIGS = {
     "change-times-an-int": (lambda raw: raw["model"].update(ident_change_times=1),
                             "model.ident_change_times must be a list of integers"),
     "prior-a-number": (lambda raw: raw["priors"].update(alpha=5),
-                       "priors block invalid: "),
+                       "priors.alpha must be an object of numbers mean, sd and optional "
+                       "lower, upper, got 5"),
+    "population-a-string": (lambda raw: raw["data"].update(format="counts", population="abc"),
+                            "data.population must be a positive number, got 'abc'"),
+    "aggregation-monthly": (
+        lambda raw: raw["data"].update(format="counts", population=1e6, aggregation="monthly"),
+        "data.aggregation must be 'none' or 'weekly', got 'monthly'"),
+    "step-size-a-string": (lambda raw: raw["sampler"].update(step_sizes={"alpha": "x"}),
+                           "sampler.step_sizes must be an object of positive numbers, "
+                           "got {'alpha': 'x'}"),
+    "thin-a-string": (lambda raw: raw["sampler"].update(thin="2"),
+                      "sampler.thin must be an integer >= 1, got '2'"),
 }
 
 
@@ -401,6 +412,21 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ")
         assert message in err
+
+    def test_resume_from_another_chains_checkpoint(self, sim_dir, tmp_path, capsys):
+        # Chain 1's files copied over chain 0's: chain 0 (seed 1) refuses
+        # chain 1's (seed 2) checkpoint rather than continue its streams.
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(shrink_config(sim_dir)), "--chains", "2",
+                     "--out", str(out)]) == 0
+        for suffix in ("jsonl", "ckpt.json"):
+            shutil.copy(out / f"chain_1.{suffix}", out / f"chain_0.{suffix}")
+        cfg = shrink_config(sim_dir, n_iterations=10)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--chains", "2", "--resume",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {out / 'chain_0.ckpt.json'}: checkpoint "
+                                           "belongs to the chain of seed 2, not 1\n")
 
     @pytest.mark.parametrize("case", list(BAD_RECORDS))
     def test_bad_chain_record(self, sim_dir, tmp_path, capsys, case):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchseir.data_io import (
+    _CONFIG_KEYS,
     Dataset,
     InputError,
     chain_header,
@@ -45,8 +47,8 @@ from switchseir.data_io import (
 )
 from switchseir.diagnostics import ParamStats, PosteriorSummary, SelectionRow
 from switchseir.model import LatentPath, param_table
-from switchseir.pg import ChainRecord, PgState
-from switchseir.smc import ParticleSystem, ReferenceTrajectory
+from switchseir.pg import ChainRecord, PgState, SamplerConfig
+from switchseir.smc import ParticleSystem
 from tests.test_model import two_regime_params, two_regime_priors
 
 
@@ -329,7 +331,7 @@ class TestChainFiles:
 class TestCheckpoints:
     def test_state_round_trip(self, tmp_path):
         records = make_records(n=1)
-        ref = ReferenceTrajectory(records[0].path, np.arange(8))
+        ref = records[0].path
         ids = list(param_table(2, 1))
         state = PgState(
             iteration=17,
@@ -343,16 +345,16 @@ class TestCheckpoints:
         path = tmp_path / "chain.ckpt.json"
         write_checkpoint(path, state, "abc", 5)
         with pytest.raises(InputError, match="belongs to a different configuration"):
-            load_checkpoint(path, two_regime_priors(), 8, "abd")
-        got = load_checkpoint(path, two_regime_priors(), 8, "abc")
+            load_checkpoint(path, two_regime_priors(), 8, "abd", 5)
+        with pytest.raises(InputError, match="belongs to the chain of seed 5, not 6$"):
+            load_checkpoint(path, two_regime_priors(), 8, "abc", 6)
+        got = load_checkpoint(path, two_regime_priors(), 8, "abc", 5)
         assert got.iteration == 17
         assert got.step_sizes == state.step_sizes
         assert got.window_counts == state.window_counts
         assert got.n_emitted == 7
-        np.testing.assert_array_equal(
-            got.reference.path.thetas, ref.path.thetas
-        )
-        np.testing.assert_array_equal(got.reference.lineage, ref.lineage)
+        np.testing.assert_array_equal(got.reference.thetas, ref.thetas)
+        np.testing.assert_array_equal(got.reference.regimes, ref.regimes)
         assert params_to_dict(got.params) == params_to_dict(state.params)
 
 
@@ -382,6 +384,9 @@ class TestConfig:
         del raw["priors"]
         with pytest.raises(InputError, match="priors"):
             parse_config(raw)
+
+    def test_sampler_keys_are_the_sampler_config_fields(self):
+        assert set(_CONFIG_KEYS["sampler"]) == {f.name for f in fields(SamplerConfig)}
 
     def test_counts_format_requires_population(self):
         raw = sample_config_dict()

@@ -444,9 +444,7 @@ class TestLockstepChains:
         state = captured_states(y, priors, configs[0], {5})[5]
         regimes = np.zeros(25, dtype=int)
         regimes[3] = 1
-        state.reference = type(state.reference)(
-            LatentPath(state.reference.path.thetas, regimes), state.reference.lineage
-        )
+        state.reference = LatentPath(state.reference.thetas, regimes)
         state.params = param_table(2, 1)[ROW_ID].set(
             state.params, np.array([[1.0, 0.0], [1.0, 0.0]])
         )
@@ -467,6 +465,44 @@ class TestLockstepChains:
         records_equal(together[1], alone)
         (first,) = run_pg(y, priors, [configs[0]])
         records_equal(together[0], first)
+
+    def test_degenerate_round_reruns_each_live_chain_alone(self, monkeypatch):
+        # Chain 1 resumes at iteration 5 with a reference that its
+        # transition matrix cannot reach, so its iteration 6 degenerates in
+        # round 1.  That round's pass raises and each live chain reruns
+        # alone; healthy rounds make one pass, and so does every round of
+        # a one-chain run, degenerate or not.
+        import copy
+
+        from switchseir import pg
+
+        sizes, original = [], pg.run_csmc_as_batch
+
+        def counting(*args):
+            sizes.append(len(args[2]))  # the chains of the pass
+            return original(*args)
+
+        monkeypatch.setattr(pg, "run_csmc_as_batch", counting)
+        y, _, priors, _ = make_data(horizon=25)
+        configs = [small_config(seed=31, n_iterations=8, burn_in=2),
+                   small_config(seed=32, n_iterations=6, burn_in=2),
+                   small_config(seed=33, n_iterations=8, burn_in=2)]
+        state = captured_states(y, priors, configs[0], {5})[5]
+        state.reference = LatentPath(state.reference.thetas, np.r_[0, 0, 0, 1, [0] * 21])
+        state.params = param_table(2, 1)[ROW_ID].set(
+            state.params, np.array([[1.0, 0.0], [1.0, 0.0]])
+        )
+        sizes.clear()
+        with pytest.warns(UserWarning, match="iteration 6: .* at time step 3"):
+            run_pg(y, priors, configs, resume=[None, copy.deepcopy(state), None])
+        assert sizes == [3, 1, 1, 1] + [2] * 7
+        sizes.clear()
+        with pytest.warns(UserWarning, match="iteration 6: .* at time step 3"):
+            run_pg(y, priors, [configs[1]], resume=[state])
+        assert sizes == [1]
+        sizes.clear()
+        run_pg(y, priors, [configs[0]])
+        assert sizes == [1] * 8
 
     def test_chains_must_share_m_per_regime(self):
         y, _, priors, _ = make_data(horizon=25)

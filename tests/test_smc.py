@@ -21,7 +21,6 @@ from switchseir.seir import STATE_FLOOR, EpidemicRates, rk4_step
 from switchseir.smc import (
     DegenerateWeightsError,
     ParticleSystem,
-    ReferenceTrajectory,
     _ancestor_log_weights,
     _check_particle_count,
     _draw_initial_thetas,
@@ -375,9 +374,15 @@ def csmc(y, params, priors, ref, m, rng):
     """One chain's CSMC-AS pass of K * m particles: run_csmc_as_batch
     with C = 1."""
     (result,) = run_csmc_as_batch(y, priors, [params], [ref], params.n_regimes * m, [rng])
-    if isinstance(result, DegenerateWeightsError):
-        raise result
     return result
+
+
+def pass_result(y, priors, params, refs, n, rngs):
+    """run_csmc_as_batch's systems, or the DegenerateWeightsError it raised."""
+    try:
+        return run_csmc_as_batch(y, priors, params, refs, n, rngs)
+    except DegenerateWeightsError as exc:
+        return exc
 
 
 def serial_csmc_as(y, params, priors, reference, m, rng):
@@ -388,7 +393,7 @@ def serial_csmc_as(y, params, priors, reference, m, rng):
     normalizations: the reference for run_csmc_as_batch.  Returns the
     ParticleSystem, or the DegenerateWeightsError the pass hit."""
     horizon, k = len(y), params.n_regimes
-    ref = reference.path
+    ref = reference
     require_open_simplex(ref.thetas, "reference states")
     n = k * m
     with np.errstate(divide="ignore"):
@@ -454,14 +459,14 @@ def assert_same_pass(got, want):
 class TestCsmcAs:
     def _reference(self, y, params, priors, seed=13):
         system = run_smc(y, params, priors, 50, rng(seed))
-        return sample_reference(system, rng(seed + 1))
+        return sample_reference(system, rng(seed + 1)).path
 
     def test_reference_survives_in_the_last_slot(self):
         y, params, priors, _ = make_data(horizon=15)
         ref = self._reference(y, params, priors)
         system = csmc(y, params, priors, ref, 10, rng(14))
-        np.testing.assert_array_equal(system.thetas[:, -1], ref.path.thetas)
-        np.testing.assert_array_equal(system.regimes[:, -1], ref.path.regimes)
+        np.testing.assert_array_equal(system.thetas[:, -1], ref.thetas)
+        np.testing.assert_array_equal(system.regimes[:, -1], ref.regimes)
 
     def test_weight_rows_normalized(self):
         y, params, priors, _ = make_data(horizon=15)
@@ -489,12 +494,12 @@ class TestCsmcAs:
     def test_reference_checked_before_particle_work(self, defect):
         y, params, priors, _ = make_data(horizon=6)
         ref = self._reference(y, params, priors)
-        thetas = ref.path.thetas.copy()
+        thetas = ref.thetas.copy()
         if defect == "zero component":
             thetas[3] = [0.9, 0.0, 0.05, 0.05]
         else:
             thetas[3, 0] += 1e-7
-        bad = ReferenceTrajectory(LatentPath(thetas, ref.path.regimes), ref.lineage)
+        bad = LatentPath(thetas, ref.regimes)
         g = rng(42)
         before = g.bit_generator.state
         with pytest.raises(ValueError):
@@ -506,11 +511,9 @@ class TestCsmcAs:
         ref = self._reference(y, params, priors)
         with pytest.raises(ValueError):
             csmc(y[:4], params, priors, ref, 5, rng(19))
-        bad_regimes = ref.path.regimes.copy()
+        bad_regimes = ref.regimes.copy()
         bad_regimes[2] = 7
-        bad = ReferenceTrajectory(
-            LatentPath(ref.path.thetas, bad_regimes), ref.lineage
-        )
+        bad = LatentPath(ref.thetas, bad_regimes)
         with pytest.raises(ValueError):
             csmc(y, params, priors, bad, 5, rng(20))
 
@@ -546,8 +549,7 @@ def batch_inputs(k, horizon=12, n_chains=3):
         system = run_smc(y, params[c], priors, 30, rng(60 + c))
         path = sample_reference(system, rng(70 + c)).path
         regimes = (np.arange(horizon) // (2 + c) + c) % k
-        refs.append(ReferenceTrajectory(LatentPath(path.thetas, regimes),
-                                        np.zeros(horizon, dtype=int)))
+        refs.append(LatentPath(path.thetas, regimes))
     return y, priors, params, refs
 
 
@@ -569,7 +571,7 @@ class TestBatchedPass:
                     y, params[c], priors, refs[c], m, substream(seed, c)))
 
     @pytest.mark.parametrize("case", ["ancestor weights at step 5", "step-0 weights"])
-    def test_degenerate_chain_stops_alone_and_others_go_on(self, case):
+    def test_degenerate_chain_raises_its_error_alone(self, case):
         y, priors, params, refs = batch_inputs(2)
         if case == "step-0 weights":
             # lambda so large that every Beta log density is NaN.
@@ -579,50 +581,54 @@ class TestBatchedPass:
             params[1] = replace(params[1], trans_matrix=np.array([[1.0, 0.0], [1.0, 0.0]]))
             regimes = np.zeros(len(y), dtype=int)
             regimes[5] = 1
-            refs[1] = ReferenceTrajectory(LatentPath(refs[1].path.thetas, regimes),
-                                          refs[1].lineage)
-        got = run_csmc_as_batch(y, priors, params, refs, 2 * 5,
-                                [substream(3, c) for c in range(3)])
+            refs[1] = LatentPath(refs[1].thetas, regimes)
         want = [serial_csmc_as(y, p, priors, r, 5, substream(3, c))
                 for c, (p, r) in enumerate(zip(params, refs))]
         assert isinstance(want[1], DegenerateWeightsError)
         assert want[1].step == (5 if case.startswith("ancestor") else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pass_result(y, priors, params, refs, 2 * 5, [substream(3, c) for c in range(3)])
+        assert_same_pass(got, want[1])
         for c in range(3):
-            assert_same_pass(got[c], want[c])
-            (alone,) = run_csmc_as_batch(y, priors, [params[c]], [refs[c]], 2 * 5,
-                                         [substream(3, c)])
-            assert_same_pass(alone, want[c])
+            alone = pass_result(y, priors, [params[c]], [refs[c]], 2 * 5, [substream(3, c)])
+            assert_same_pass(alone if c == 1 else alone[0], want[c])
+        rest = run_csmc_as_batch(y, priors, [params[0], params[2]], [refs[0], refs[2]], 2 * 5,
+                                 [substream(3, 0), substream(3, 2)])
+        assert_same_pass(rest[0], want[0])
+        assert_same_pass(rest[1], want[2])
 
     def huge_kappa_batch(self):
         """Chain 0 at kappa = 1e306, whose ancestor-sampling Dirichlet
         density overflows to inf - inf at step 1, batched with a sound
-        chain 1 on the 12-step series; warnings raise."""
+        chain 1 on the 12-step series; warnings raise.  Returns the
+        inputs and the error the pass raised."""
         y, priors, params, refs = batch_inputs(2, n_chains=2)
         params[0] = replace(params[0], kappa=1e306)
         rngs = [substream(4, c) for c in range(2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = run_csmc_as_batch(y, priors, params, refs, 2 * 5, rngs)
-        return y, priors, params, refs, got
+            with pytest.raises(DegenerateWeightsError) as caught:
+                run_csmc_as_batch(y, priors, params, refs, 2 * 5, rngs)
+        return y, priors, params, refs, caught.value
 
-    def test_nan_ancestor_weights_retire_their_chain_by_name(self):
-        *_, got = self.huge_kappa_batch()
-        assert isinstance(got[0], DegenerateWeightsError)
-        assert got[0].step == 1
-        assert "(ancestor-sampling weights not a number)" in str(got[0])
+    def test_nan_ancestor_weights_name_their_cause(self):
+        *_, error = self.huge_kappa_batch()
+        assert error.step == 1
+        assert "(ancestor-sampling weights not a number)" in str(error)
 
     def test_nan_ancestor_weights_raise_no_warning(self):
         # huge_kappa_batch turns every warning into an error.
         self.huge_kappa_batch()
 
-    def test_nan_ancestor_weights_recover_nothing_and_spare_the_rest(self):
-        y, priors, params, refs, got = self.huge_kappa_batch()
-        assert not isinstance(got[0], ParticleSystem)
+    def test_nan_ancestor_weights_spare_the_rest_alone(self):
+        y, priors, params, refs, error = self.huge_kappa_batch()
+        assert_same_pass(error, serial_csmc_as(y, params[0], priors, refs[0], 5,
+                                               substream(4, 0)))
         (alone,) = run_csmc_as_batch(y, priors, [params[1]], [refs[1]], 2 * 5,
                                      [substream(4, 1)])
-        assert_same_pass(got[1], alone)
-        assert_same_pass(got[1], serial_csmc_as(y, params[1], priors, refs[1], 5,
-                                                substream(4, 1)))
+        assert_same_pass(alone, serial_csmc_as(y, params[1], priors, refs[1], 5,
+                                               substream(4, 1)))
 
     def test_compact_store(self):
         # int8 regimes and int32 ancestors.
@@ -633,11 +639,19 @@ class TestBatchedPass:
             assert system.regimes.shape == (len(y), 12)
             assert system.ancestors.dtype == np.int32
 
-    def test_every_chain_degenerate_returns_only_errors(self):
+    def test_first_degenerate_chain_names_the_error(self):
+        # At step 1 chain 0's ancestor weights are NaN (kappa = 1e306) and
+        # chain 1's all zero (its reference enters a regime no row reaches):
+        # in either order the pass raises the first chain's error.
         y, priors, params, refs = batch_inputs(2, n_chains=2)
-        params = [replace(p, lambda_=1e308) for p in params]
-        got = run_csmc_as_batch(y, priors, params, refs, 2 * 3, [rng(1), rng(2)])
-        assert [type(r) for r in got] == [DegenerateWeightsError] * 2
+        params[0] = replace(params[0], kappa=1e306)
+        params[1] = replace(params[1], trans_matrix=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        refs[1] = LatentPath(refs[1].thetas, np.r_[0, 1, np.zeros(len(y) - 2, dtype=int)])
+        for order, detail in (([0, 1], "not a number"), ([1, 0], "all zero")):
+            with pytest.raises(DegenerateWeightsError,
+                               match=rf"step 1 \(ancestor-sampling weights {detail}\)$"):
+                run_csmc_as_batch(y, priors, [params[c] for c in order],
+                                  [refs[c] for c in order], 2 * 3, [rng(1), rng(2)])
 
     def test_chains_must_share_the_regime_count(self):
         y, priors, params2, refs2 = batch_inputs(2, n_chains=1)
@@ -660,12 +674,12 @@ def test_csmc_regime_switches_follow_markov_prior():
     )
     priors = scenario_priors("two-regime")
     ref = sample_reference(run_smc(y, params, priors, 100, substream(0, 1)),
-                           substream(0, 2))
+                           substream(0, 2)).path
     switches = []
     for sweep in range(150):
         system = csmc(y, params, priors, ref, 50, substream(1, sweep))
-        ref = sample_reference(system, substream(2, sweep))
-        switches.append(np.count_nonzero(np.diff(ref.path.regimes)))
+        ref = sample_reference(system, substream(2, sweep)).path
+        switches.append(np.count_nonzero(np.diff(ref.regimes)))
     assert np.mean(switches[20:]) < 3
 
 
@@ -687,13 +701,13 @@ def test_csmc_regime_marginals_match_enumeration(m):
     exact = np.exp(log_w - logsumexp(log_w)) @ paths
 
     ref = sample_reference(run_smc(y, params, priors, 2 * m, substream(0, m, 0)),
-                           substream(0, m, 1))
+                           substream(0, m, 1)).path
     kept = []
     for sweep in range(1550):
         ref = sample_reference(csmc(y, params, priors, ref, m, substream(0, m, 2, sweep)),
-                               substream(0, m, 3, sweep))
+                               substream(0, m, 3, sweep)).path
         if sweep >= 50:
-            kept.append(ref.path.regimes)
+            kept.append(ref.regimes)
     batches = np.reshape(kept, (20, -1, len(y))).mean(axis=1)
     mean = batches.mean(axis=0)
     se = batches.std(axis=0, ddof=1) / math.sqrt(len(batches))
@@ -723,13 +737,13 @@ def test_repeated_csmc_sweeps_are_stationary():
     filtering-distribution transient has passed."""
     y, params, priors, _ = make_data(horizon=40, seed=101)
     system = run_smc(y, params, priors, 20, rng(22))
-    ref = sample_reference(system, rng(23))
+    ref = sample_reference(system, rng(23)).path
     g = rng(24)
     transient, kept = 100, 500
     track = np.empty(kept)
     for sweep in range(transient + kept):
         system = csmc(y, params, priors, ref, 10, g)
-        ref = sample_reference(system, g)
+        ref = sample_reference(system, g).path
         if sweep >= transient:
             filtered_i = (system.norm_weights * system.thetas[:, :, 2]).sum(axis=1)
             track[sweep - transient] = filtered_i.mean()
