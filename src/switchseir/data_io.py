@@ -30,18 +30,22 @@ quote or a line break are double-quoted (the csv module's default).
   ancestor`` (ancestor is -1 at t=1).
 
 Run configuration: a JSON object of these blocks (parse_config); an
-unknown block or key, or a value of the wrong type or range, is an error
-that names it.
+unknown block or key, a missing key, or a value of the wrong type or
+range, is an error that names it as ``block.key``.  Every number must be
+finite: json reads NaN and Infinity, and the config refuses them.
 
 - model: ``n_regimes`` (integer K >= 1) and ``ident_change_times``
   (1-based steps where the identification rate changes, starting with
-  1; default ``[1]``).
+  1 and increasing; default ``[1]``).
 - priors: ``alpha``, ``beta``, ``gamma`` and one ``ident`` entry per
-  change time are truncated Normals ``{mean, sd, lower, upper}``
-  (bounds default to 0 and infinity); ``lambda`` and ``kappa`` are
-  Gammas ``{shape, rate}``; optional ``rows`` (K Dirichlet rows,
-  default 10 on the diagonal and 1 elsewhere) and ``theta1`` (default
-  ``[100, 1, 1, 1]``).
+  change time are truncated Normals ``{mean, sd, lower, upper}`` (sd > 0,
+  lower < upper; bounds default to 0 and infinity).  Each support lies
+  in its parameter's domain: lower >= 0 for alpha, beta and gamma, and
+  both ident bounds within [0, 1], so an ident entry needs its upper
+  bound.  ``lambda`` and ``kappa`` are Gammas ``{shape, rate}`` (both
+  positive); optional ``rows`` (K Dirichlet rows of K positive
+  concentrations, default 10 on the diagonal and 1 elsewhere) and
+  ``theta1`` (4 positive concentrations, default ``[100, 1, 1, 1]``).
 - sampler: the fields of pg.SamplerConfig.
 - data: ``path`` (relative to the config file), ``format`` (``counts``,
   the default, with ``population`` and ``aggregation`` ``none`` or
@@ -67,6 +71,7 @@ from .model import (
     OBS_EPS,
     LatentPath,
     ParameterSet,
+    PriorFieldError,
     PriorSpec,
     param_table,
     simulate_dataset,
@@ -199,73 +204,50 @@ def load_proportions(path) -> Dataset:
 
 # --- simulation scenarios ---------------------------------------------------
 
+# Each scenario's horizon, true parameters and lambda prior.
 SCENARIOS = {
-    "two-regime": dict(
-        horizon=150,
-        alpha=1.0 / 3.0,
-        beta=0.39,
-        gamma=0.18,
-        lambda_=2500.0,
-        kappa=5500.0,
-        ident=0.25,
-        modifiers=(1.0, 0.1),
-        trans_matrix=((0.9, 0.1), (0.1, 0.9)),
-        theta1=(0.99, 0.001, 0.003, 0.006),
-        x1=0,
+    "two-regime": (
+        150,
+        ParameterSet(alpha=1.0 / 3.0, beta=0.39, gamma=0.18, lambda_=2500.0, kappa=5500.0,
+                     ident_rates=((0.25, 0),), trans_matrix=((0.9, 0.1), (0.1, 0.9)),
+                     modifiers=(1.0, 0.1)),
+        GammaParams(2.0, 0.001),
     ),
-    "three-regime": dict(
-        horizon=175,
-        alpha=0.3,
-        beta=0.5,
-        gamma=0.2,
-        lambda_=2000.0,
-        kappa=8000.0,
-        ident=0.25,
-        modifiers=(1.0, 0.6, 0.05),
-        trans_matrix=(
-            (0.94, 0.03, 0.03),
-            (0.03, 0.94, 0.03),
-            (0.03, 0.03, 0.94),
-        ),
-        theta1=(0.99, 0.001, 0.003, 0.006),
-        x1=0,
+    "three-regime": (
+        175,
+        ParameterSet(alpha=0.3, beta=0.5, gamma=0.2, lambda_=2000.0, kappa=8000.0,
+                     ident_rates=((0.25, 0),),
+                     trans_matrix=((0.94, 0.03, 0.03), (0.03, 0.94, 0.03), (0.03, 0.03, 0.94)),
+                     modifiers=(1.0, 0.6, 0.05)),
+        GammaParams(20.0, 0.01),
     ),
 }
+# The initial pair (theta_1, x_1) of every scenario's simulation.
+_SCENARIO_START = ((0.99, 0.001, 0.003, 0.006), 0)
+# The fitting priors of every scenario; scenario_priors sets the regime
+# count and the lambda prior.
+_SCENARIO_PRIORS = PriorSpec(
+    n_regimes=1,
+    alpha=TruncNormalParams(0.3, 0.1, 0.0, math.inf),
+    beta=TruncNormalParams(0.4, 0.1, 0.0, math.inf),
+    gamma=TruncNormalParams(0.2, 0.1, 0.0, math.inf),
+    lambda_=GammaParams(2.0, 0.001),
+    kappa=GammaParams(200.0, 0.01),
+    ident=(TruncNormalParams(0.25, 0.05, 0.1, 0.4),),
+    row_concentrations=(),
+)
 
 
-def scenario_params(name: str) -> ParameterSet:
-    """True parameter values of a named simulation scenario."""
+def _scenario(name: str) -> tuple:
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    s = SCENARIOS[name]
-    return ParameterSet(
-        alpha=s["alpha"],
-        beta=s["beta"],
-        gamma=s["gamma"],
-        lambda_=s["lambda_"],
-        kappa=s["kappa"],
-        ident_rates=((s["ident"], 0),),
-        trans_matrix=np.asarray(s["trans_matrix"]),
-        modifiers=np.asarray(s["modifiers"]),
-    )
+    return SCENARIOS[name]
 
 
 def scenario_priors(name: str) -> PriorSpec:
     """Fitting priors matching a named scenario's regime count."""
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    k = len(SCENARIOS[name]["modifiers"])
-    lam = GammaParams(2.0, 0.001) if name == "two-regime" else GammaParams(20.0, 0.01)
-    return PriorSpec(
-        n_regimes=k,
-        alpha=TruncNormalParams(0.3, 0.1, 0.0, math.inf),
-        beta=TruncNormalParams(0.4, 0.1, 0.0, math.inf),
-        gamma=TruncNormalParams(0.2, 0.1, 0.0, math.inf),
-        lambda_=lam,
-        kappa=GammaParams(200.0, 0.01),
-        ident=(TruncNormalParams(0.25, 0.05, 0.1, 0.4),),
-        row_concentrations=diagonal_row_priors(k),
-    )
+    _, params, lambda_prior = _scenario(name)
+    return replace(priors_for_k(_SCENARIO_PRIORS, params.n_regimes), lambda_=lambda_prior)
 
 
 def diagonal_row_priors(n_regimes: int) -> tuple:
@@ -291,14 +273,13 @@ def priors_for_k(base: PriorSpec, n_regimes: int) -> PriorSpec:
 
 
 def generate_simulation(scenario: str, seed: int = 0) -> tuple[Dataset, LatentPath, ParameterSet]:
-    """Simulate a dataset from a named scenario."""
-    params = scenario_params(scenario)
-    s = SCENARIOS[scenario]
+    """Simulate a dataset from a named scenario; returns the series, the
+    latent path and the scenario's true parameters."""
+    horizon, params, _ = _scenario(scenario)
     rng = substream(seed, TAG_SIM)
-    initial = (np.asarray(s["theta1"]), s["x1"])
-    y, path = simulate_dataset(params, scenario_priors(scenario), s["horizon"], rng, initial=initial)
-    times = tuple(str(t + 1) for t in range(s["horizon"]))
-    return Dataset(times, y), path, params
+    y, path = simulate_dataset(params, scenario_priors(scenario), horizon, rng,
+                               initial=_SCENARIO_START)
+    return Dataset(tuple(str(t + 1) for t in range(horizon)), y), path, params
 
 
 # --- JSON serialization of model objects ------------------------------------
@@ -363,28 +344,42 @@ def priors_to_dict(priors: PriorSpec) -> dict:
 
 
 def priors_from_dict(d: dict, n_regimes: int, ident_start_times=(0,)) -> PriorSpec:
+    """The PriorSpec of a config priors block (schema in the module
+    docstring) for a run of n_regimes regimes and 0-based ident start
+    times.  Raises InputError naming the config key of a missing value
+    or of one that a constructor rejects."""
     def tn(e: dict) -> TruncNormalParams:
         return TruncNormalParams(e["mean"], e["sd"], e.get("lower", 0.0), e.get("upper", math.inf))
 
-    rows = tuple(tuple(float(c) for c in row) for row in d.get("rows", ()))
-    if n_regimes == 1:
-        rows = ()
-    elif not rows:
-        rows = diagonal_row_priors(n_regimes)
-    return PriorSpec(
-        n_regimes=n_regimes,
-        alpha=tn(d["alpha"]),
-        beta=tn(d["beta"]),
-        gamma=tn(d["gamma"]),
-        lambda_=GammaParams(d["lambda"]["shape"], d["lambda"]["rate"]),
-        kappa=GammaParams(d["kappa"]["shape"], d["kappa"]["rate"]),
-        ident=tuple(tn(e) for e in d["ident"]),
-        ident_start_times=tuple(ident_start_times),
-        row_concentrations=rows,
-        theta1=DirichletParams(
-            np.asarray(d.get("theta1", [100.0, 1.0, 1.0, 1.0]))
-        ),
-    )
+    def gamma(e: dict) -> GammaParams:
+        return GammaParams(e["shape"], e["rate"])
+
+    def rows(value: list) -> tuple:
+        given = tuple(tuple(float(c) for c in row) for row in value)
+        return given if given and n_regimes > 1 else diagonal_row_priors(n_regimes)
+
+    fields = {"n_regimes": n_regimes, "ident_start_times": tuple(ident_start_times),
+              "row_concentrations": diagonal_row_priors(n_regimes)}
+    for key, name, build in (
+        ("alpha", "alpha", tn), ("beta", "beta", tn), ("gamma", "gamma", tn),
+        ("lambda", "lambda_", gamma), ("kappa", "kappa", gamma),
+        ("ident", "ident", lambda v: tuple(map(tn, v))),
+        ("rows", "row_concentrations", rows), ("theta1", "theta1", DirichletParams),
+    ):
+        if key not in d:
+            if key in ("rows", "theta1"):
+                continue  # PriorSpec's default, or the diagonal rows above
+            raise InputError(f"missing config key priors.{key}")
+        try:
+            fields[name] = build(d[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"priors.{key}: {_reason(exc)}") from None
+    try:
+        return PriorSpec(**fields)
+    except PriorFieldError as exc:
+        key = {"ident_start_times": "model.ident_change_times",
+               "row_concentrations": "priors.rows"}.get(exc.field, f"priors.{exc.field}")
+        raise InputError(f"{key}: {exc}") from None
 
 
 # --- chain files -------------------------------------------------------------
@@ -586,8 +581,9 @@ def load_checkpoint(path, priors: PriorSpec, horizon: int, config_hash: str,
 
 
 def _number(value) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return type(value) in (int, float)
+    """A finite JSON number: an int or a float, not a bool, NaN or an
+    infinity."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
 
 
 def _fields(value, required: set, optional=frozenset()) -> bool:
@@ -711,12 +707,7 @@ def parse_config(raw: dict) -> RunConfig:
     n_regimes = model["n_regimes"]
     starts = tuple(t - 1 for t in model.get("ident_change_times", [1]))
 
-    try:
-        priors = priors_from_dict(raw["priors"], n_regimes, starts)
-    except KeyError as exc:
-        raise InputError(f"priors block incomplete: missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"priors block invalid: {exc}") from None
+    priors = priors_from_dict(raw["priors"], n_regimes, starts)
 
     try:
         sampler = SamplerConfig(**raw["sampler"])

@@ -167,6 +167,20 @@ def _with_fields(params: ParameterSet, **fields) -> ParameterSet:
     return out
 
 
+class PriorFieldError(ValueError):
+    """A PriorSpec field value that its constructor rejects; field is the
+    name of the field."""
+
+    def __init__(self, field_name: str, reason: str):
+        super().__init__(reason)
+        self.field = field_name
+
+
+def _require(ok: bool, field_name: str, reason: str) -> None:
+    if not ok:
+        raise PriorFieldError(field_name, reason)
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Hyperparameters of every prior, plus the initial-state priors.
@@ -175,7 +189,10 @@ class PriorSpec:
     regime (empty for a single-regime model, whose transition matrix is
     the fixed 1x1 identity).  Modifier priors are the uniform bands
     implied by n_regimes.  ident_start_times mirrors
-    ParameterSet.ident_rates structure (0-based, first = 0).
+    ParameterSet.ident_rates structure (0-based, first = 0, increasing).
+    Every prior's support lies in its parameter's domain: the alpha,
+    beta and gamma priors have lower >= 0 and the ident priors bounds
+    within [0, 1].  A field value it rejects raises PriorFieldError.
     """
 
     n_regimes: int
@@ -192,22 +209,25 @@ class PriorSpec:
     )
 
     def __post_init__(self):
-        if self.n_regimes < 1:
-            raise ValueError("n_regimes must be >= 1")
-        if self.n_regimes == 1:
-            if self.row_concentrations:
-                raise ValueError("single-regime model takes no row priors")
-        elif len(self.row_concentrations) != self.n_regimes:
-            raise ValueError("need one row concentration vector per regime")
-        for row in self.row_concentrations:
-            if len(row) != self.n_regimes or any(c <= 0 for c in row):
-                raise ValueError("row concentrations must be positive, length K")
-        if len(self.ident) != len(self.ident_start_times):
-            raise ValueError("one identification-rate prior per segment")
-        if not self.ident or self.ident_start_times[0] != 0:
-            raise ValueError("first identification-rate segment must start at 0")
-        if self.theta1.concentration.shape != (4,):
-            raise ValueError("theta1 prior must be 4-dimensional")
+        k, rows, starts = self.n_regimes, self.row_concentrations, self.ident_start_times
+        _require(k >= 1, "n_regimes", "n_regimes must be >= 1")
+        _require(len(rows) == (k if k > 1 else 0), "row_concentrations",
+                 "need one row concentration vector per regime, none for K = 1")
+        _require(all(len(row) == k and all(c > 0 for c in row) for row in rows),
+                 "row_concentrations", "row concentrations must be positive, length K")
+        _require(len(starts) > 0 and starts[0] == 0, "ident_start_times",
+                 "first identification-rate segment must start at 0")
+        _require(all(a < b for a, b in zip(starts, starts[1:])), "ident_start_times",
+                 "identification-rate start indices must increase")
+        _require(len(self.ident) == len(starts), "ident",
+                 "one identification-rate prior per segment")
+        _require(all(0 <= p.lower and p.upper <= 1 for p in self.ident), "ident",
+                 "identification-rate prior bounds must lie within [0, 1]")
+        for name in ("alpha", "beta", "gamma"):
+            _require(getattr(self, name).lower >= 0, name,
+                     f"{name} prior lower bound must be >= 0")
+        _require(self.theta1.concentration.shape == (4,), "theta1",
+                 "theta1 prior must be 4-dimensional")
 
 
 @dataclass(frozen=True)

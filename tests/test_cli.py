@@ -9,7 +9,16 @@ import pytest
 
 from switchseir import cli
 from switchseir.cli import main
-from switchseir.data_io import priors_for_k, read_chain
+from switchseir.data_io import (
+    SCENARIOS,
+    load_config,
+    params_from_dict,
+    params_to_dict,
+    priors_for_k,
+    priors_to_dict,
+    read_chain,
+    scenario_priors,
+)
 from switchseir.diagnostics import RHAT_GATE
 from switchseir.pg import SamplerConfig
 
@@ -54,6 +63,16 @@ class TestSimulate:
                          "--out", str(out)]) == 0
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
         assert (a / "truth.csv").read_bytes() == (b / "truth.csv").read_bytes()
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_starter_files_parse_back_to_the_scenario(self, tmp_path, scenario):
+        assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        priors, expected = load_config(tmp_path / "config.json").priors, scenario_priors(scenario)
+        assert priors_to_dict(priors) == priors_to_dict(expected)
+        assert priors.n_regimes == expected.n_regimes
+        assert priors.ident_start_times == expected.ident_start_times
+        truth = json.loads((tmp_path / "truth_params.json").read_text())
+        assert params_to_dict(params_from_dict(truth)) == params_to_dict(SCENARIOS[scenario][1])
 
     def test_unknown_scenario_is_runtime_error(self, tmp_path):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
@@ -387,7 +406,55 @@ BAD_CONFIGS = {
                            "got {'alpha': 'x'}"),
     "thin-a-string": (lambda raw: raw["sampler"].update(thin="2"),
                       "sampler.thin must be an integer >= 1, got '2'"),
+    # json reads NaN and Infinity; a config number must be finite.
+    "population-infinite": (
+        lambda raw: raw["data"].update(format="counts", population=math.inf),
+        "data.population must be a positive number, got inf"),
+    "prior-mean-nan": (lambda raw: raw["priors"]["alpha"].update(mean=math.nan),
+                       "priors.alpha must be an object of numbers mean, sd and optional "
+                       "lower, upper, got {'lower': 0.0, 'mean': nan, 'sd': 0.1}"),
+    "prior-sd-infinite": (lambda raw: raw["priors"]["alpha"].update(sd=math.inf),
+                          "priors.alpha must be an object of numbers mean, sd and optional "
+                          "lower, upper, got {'lower': 0.0, 'mean': 0.3, 'sd': inf}"),
+    "gamma-shape-infinite": (lambda raw: raw["priors"]["kappa"].update(shape=math.inf),
+                             "priors.kappa must be an object of numbers shape, rate, "
+                             "got {'rate': 0.01, 'shape': inf}"),
+    # Identification-rate change times must increase.
+    "change-times-decreasing": (lambda raw: _set_change_times(raw, [1, 5, 3]),
+                                "model.ident_change_times: identification-rate start "
+                                "indices must increase"),
+    "change-times-repeated": (lambda raw: _set_change_times(raw, [1, 5, 5]),
+                              "model.ident_change_times: identification-rate start "
+                              "indices must increase"),
+    "change-time-zero": (lambda raw: _set_change_times(raw, [1, 0]),
+                         "model.ident_change_times: identification-rate start "
+                         "indices must increase"),
+    # A prior's support must lie in its parameter's domain.
+    "ident-upper-above-one": (lambda raw: raw["priors"]["ident"][0].update(upper=3),
+                              "priors.ident: identification-rate prior bounds must lie "
+                              "within [0, 1]"),
+    "alpha-lower-negative": (lambda raw: raw["priors"]["alpha"].update(lower=-1),
+                             "priors.alpha: alpha prior lower bound must be >= 0"),
+    # A prior value that its constructor rejects.
+    "prior-sd-negative": (lambda raw: raw["priors"]["alpha"].update(sd=-1),
+                          "priors.alpha: sd must be strictly positive"),
+    "prior-lower-not-below-upper": (
+        lambda raw: raw["priors"]["beta"].update(lower=0.5, upper=0.5),
+        "priors.beta: lower must be strictly less than upper"),
+    "theta1-three-entries": (lambda raw: raw["priors"].update(theta1=[100, 1, 1]),
+                             "priors.theta1: theta1 prior must be 4-dimensional"),
+    "theta1-negative-entry": (lambda raw: raw["priors"].update(theta1=[100, -1, 1, 1]),
+                              "priors.theta1: Dirichlet concentrations must be strictly "
+                              "positive"),
+    "rows-one-row-at-k2": (lambda raw: raw["priors"].update(rows=[[10, 1]]),
+                           "priors.rows: need one row concentration vector per regime"),
 }
+
+
+def _set_change_times(raw: dict, times: list) -> None:
+    """Give the config these change times and one ident prior for each."""
+    raw["model"]["ident_change_times"] = times
+    raw["priors"]["ident"] *= len(times)
 
 
 class TestBadInputs:

@@ -32,7 +32,6 @@ from switchseir.data_io import (
     priors_to_dict,
     read_chain,
     read_truth,
-    scenario_params,
     scenario_priors,
     truncate_chain,
     write_chain,
@@ -222,7 +221,7 @@ class TestLoadProportions:
 
 class TestScenarios:
     def test_two_regime_truth(self):
-        params = scenario_params("two-regime")
+        params = generate_simulation("two-regime", seed=0)[2]
         assert params.alpha == pytest.approx(1 / 3)
         assert params.beta / params.gamma == pytest.approx(0.39 / 0.18)
         np.testing.assert_allclose(params.modifiers, [1.0, 0.1])
@@ -231,10 +230,9 @@ class TestScenarios:
         )
 
     def test_three_regime_truth(self):
-        params = scenario_params("three-regime")
+        ds, path, params = generate_simulation("three-regime", seed=3)
         np.testing.assert_allclose(params.modifiers, [1.0, 0.6, 0.05])
         assert params.kappa == 8000.0
-        ds, path, _ = generate_simulation("three-regime", seed=3)
         assert ds.horizon == 175
 
     def test_deterministic_by_seed(self):
@@ -383,6 +381,12 @@ class TestConfig:
         raw = sample_config_dict()
         del raw["priors"]
         with pytest.raises(InputError, match="priors"):
+            parse_config(raw)
+
+    def test_missing_prior_named(self):
+        raw = sample_config_dict()
+        del raw["priors"]["kappa"]
+        with pytest.raises(InputError, match=r"^missing config key priors\.kappa$"):
             parse_config(raw)
 
     def test_sampler_keys_are_the_sampler_config_fields(self):

@@ -14,6 +14,7 @@ from switchseir.model import (
     LatentPath,
     ParameterSet,
     PosteriorTerms,
+    PriorFieldError,
     PriorSpec,
     draw_params,
     initial_logdensity,
@@ -149,6 +150,29 @@ class TestParameterSetValidation:
         )
         assert p.n_regimes == 1
         assert regime_loglik_series(np.array([0, 0]), p) == 0.0
+
+
+class TestPriorSpecValidation:
+    P = TruncNormalParams(0.25, 0.05, 0.1, 0.4)
+
+    @pytest.mark.parametrize("field_name, changes", [
+        ("ident_start_times", dict(ident_start_times=(0, 5, 3), ident=(P,) * 3)),
+        ("ident_start_times", dict(ident_start_times=(0, 5, 5), ident=(P,) * 3)),
+        ("ident_start_times", dict(ident_start_times=(1, 5), ident=(P,) * 2)),
+        ("ident", dict(ident_start_times=(0, 5))),
+        ("ident", dict(ident=(TruncNormalParams(0.25, 0.05, 0.1, 3.0),))),
+        ("ident", dict(ident=(TruncNormalParams(0.25, 0.05, -0.1, 0.4),))),
+        ("alpha", dict(alpha=TruncNormalParams(0.3, 0.1, -1.0, math.inf))),
+        ("gamma", dict(gamma=TruncNormalParams(0.2, 0.1))),
+        ("row_concentrations", dict(row_concentrations=((10.0, 1.0),))),
+        ("row_concentrations", dict(row_concentrations=((10.0, 1.0), (1.0, 0.0)))),
+        ("row_concentrations", dict(n_regimes=1)),
+        ("theta1", dict(theta1=DirichletParams(np.ones(3)))),
+    ])
+    def test_rejected_field_is_named(self, field_name, changes):
+        with pytest.raises(PriorFieldError) as exc_info:
+            replace(two_regime_priors(), **changes)
+        assert exc_info.value.field == field_name
 
 
 class TestObsDensity:
