@@ -4,6 +4,10 @@ Subcommands: simulate, fit, select, diagnose, summarize.  Progress goes
 to standard error; all data goes to files, keeping standard output clean
 for piping.  Exit codes: 0 success, 1 runtime failure, 2 usage,
 configuration or data-file error.
+
+Every command writes its files to --out.  Without it, fit, select and
+summarize write to the config's output.directory (default out), and
+simulate and diagnose to out.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .data_io import (
     InputError,
     append_chain_record,
     chain_header,
+    config_hash,
     dump_particle_system,
     generate_simulation,
     load_checkpoint,
@@ -60,7 +65,6 @@ from .pg import acceptance_rates, run_pg
 from .rng import TAG_INIT, substream
 from .smc import run_smc
 
-OUT_ENV_VAR = "SWITCHSEIR_OUT"
 PROGRESS_EVERY = 200
 
 
@@ -68,19 +72,30 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _resolve_out(args, config=None) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return env
-    if config is not None:
-        return config.output["directory"]
-    return "out"
+def _load_run(args):
+    """(config, output directory, series) of a fit, select or summarize
+    run: the config of --config with fit's --seed applied, --out or the
+    config's output.directory, and the data file, its path relative to
+    the config file.  Raises InputError for a series of fewer than two
+    observations or a change time past its last step."""
+    config = load_config(args.config)
+    if getattr(args, "seed", None) is not None:
+        config.raw["sampler"]["seed"] = args.seed
+        config = parse_config(config.raw)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    dataset = load_dataset(config.data, base_dir)
+    data_path = os.path.join(base_dir, config.data["path"])
+    if dataset.horizon < 2:
+        raise InputError(f"{data_path}: one observation, need at least two")
+    last = config.priors.ident_start_times[-1] + 1
+    if last > dataset.horizon:
+        raise InputError(f"model.ident_change_times: change time {last} lies past the "
+                         f"{dataset.horizon} steps of {data_path}")
+    return config, args.out or config.output["directory"], dataset
 
 
 def cmd_simulate(args) -> int:
-    out = _resolve_out(args)
+    out = args.out or "out"
     os.makedirs(out, exist_ok=True)
     dataset, latent, params = generate_simulation(args.scenario, seed=args.seed)
     write_dataset(os.path.join(out, "dataset.csv"), dataset)
@@ -183,15 +198,9 @@ def _fit_chains(task) -> list[dict]:
 
 
 def cmd_fit(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.raw["sampler"]["seed"] = args.seed
-        config = parse_config(config.raw)
-    out = _resolve_out(args, config)
+    config, out, dataset = _load_run(args)
     os.makedirs(out, exist_ok=True)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    dataset = load_dataset(config.data, base_dir)
-    cfg_hash = config.config_hash
+    cfg_hash = config_hash(config.raw)
 
     chains = []
     for i in range(args.chains):
@@ -284,11 +293,8 @@ def cmd_select(args) -> int:
     if repeated:
         _err(f"select: --K list {args.K!r} repeats K={','.join(map(str, repeated))}")
         return 2
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
+    config, out, dataset = _load_run(args)
     os.makedirs(out, exist_ok=True)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    dataset = load_dataset(config.data, base_dir)
     priors_by_k = {k: priors_for_k(config.priors, k) for k in candidates}
     rows = _select_rows(dataset.y, priors_by_k, config.sampler, args.jobs)
     table_path = os.path.join(out, "model_selection.csv")
@@ -303,17 +309,21 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_chains(paths, min_each: int):
+def _load_chains(paths, min_each: int, horizon: int | None = None):
     """The records of each chain file; a file with fewer than min_each
-    (>= 1) records is an input error that names it."""
+    (>= 1) records, or of another horizon than a given one, is an input
+    error that names it."""
     chains = []
     for p in paths:
-        _, records = read_chain(p)
+        header, records = read_chain(p)
         if len(records) < min_each:
             raise InputError(
                 f"{p}: chain file holds {len(records)} records, "
                 f"need at least {min_each}"
             )
+        if horizon is not None and header["horizon"] != horizon:
+            raise InputError(f"{p}: chain of a {header['horizon']}-step series, "
+                             f"the data holds {horizon} steps")
         chains.append(records)
     return chains
 
@@ -324,7 +334,7 @@ def cmd_diagnose(args) -> int:
         return 2
     chains = _load_chains(args.chains, MIN_RHAT_RECORDS)
     rhats = gelman_rubin_table(chains)
-    out = _resolve_out(args)
+    out = args.out or "out"
     os.makedirs(out, exist_ok=True)
     table_path = os.path.join(out, "rhat.csv")
     write_rhat_table(table_path, rhats)
@@ -337,11 +347,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    config = load_config(args.config)
-    out = _resolve_out(args, config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    dataset = load_dataset(config.data, base_dir)
-    chains = _load_chains(args.chains, 1)
+    _, out, dataset = _load_run(args)
+    chains = _load_chains(args.chains, 1, dataset.horizon)
     pooled = sum(len(c) for c in chains)
     if pooled < MIN_SUMMARY_RECORDS:
         raise InputError(

@@ -36,7 +36,8 @@ finite: json reads NaN and Infinity, and the config refuses them.
 
 - model: ``n_regimes`` (integer K >= 1) and ``ident_change_times``
   (1-based steps where the identification rate changes, starting with
-  1 and increasing; default ``[1]``).
+  1 and increasing, none past the last step of the series; default
+  ``[1]``).
 - priors: ``alpha``, ``beta``, ``gamma`` and one ``ident`` entry per
   change time are truncated Normals ``{mean, sd, lower, upper}`` (sd > 0,
   lower < upper; bounds default to 0 and infinity).  Each support lies
@@ -46,10 +47,13 @@ finite: json reads NaN and Infinity, and the config refuses them.
   positive); optional ``rows`` (K Dirichlet rows of K positive
   concentrations, default 10 on the diagonal and 1 elsewhere) and
   ``theta1`` (4 positive concentrations, default ``[100, 1, 1, 1]``).
-- sampler: the fields of pg.SamplerConfig.
+- sampler: the fields of pg.SamplerConfig; ``n_iterations``,
+  ``burn_in`` (below ``n_iterations``), ``m_per_regime`` and ``seed``
+  are required.
 - data: ``path`` (relative to the config file), ``format`` (``counts``,
   the default, with ``population`` and ``aggregation`` ``none`` or
-  ``weekly``; or ``proportions``).
+  ``weekly``; or ``proportions``).  The series it names needs at least
+  two observations, counted after aggregation.
 - output (optional): ``directory`` (default ``out``) and
   ``dump_particles`` (default false).
 """
@@ -61,6 +65,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -581,9 +586,10 @@ def load_checkpoint(path, priors: PriorSpec, horizon: int, config_hash: str,
 
 
 def _number(value) -> bool:
-    """A finite JSON number: an int or a float, not a bool, NaN or an
-    infinity."""
-    return type(value) is int or type(value) is float and math.isfinite(value)
+    """A JSON number within the float range: an int or a float, not a
+    bool, NaN, an infinity or an integer of larger magnitude than the
+    largest float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _fields(value, required: set, optional=frozenset()) -> bool:
@@ -644,6 +650,11 @@ _CONFIG_KEYS = {
                "dump_particles": (lambda v: type(v) is bool, "true or false")},
 }
 
+# The keys a config block must hold; the others have defaults.
+_REQUIRED_KEYS = {"model": ("n_regimes",),
+                  "sampler": ("n_iterations", "burn_in", "m_per_regime", "seed"),
+                  "data": ("path",)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -655,10 +666,6 @@ class RunConfig:
     data: dict
     output: dict
     raw: dict
-
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.raw)
 
 
 def config_hash(raw: dict) -> str:
@@ -701,18 +708,21 @@ def parse_config(raw: dict) -> RunConfig:
             if not check(value):
                 raise InputError(f"{block}.{key} must be {expected}, got {value!r}")
 
+    for block, keys in _REQUIRED_KEYS.items():
+        for key in keys:
+            if key not in raw[block]:
+                raise InputError(f"missing config key {block}.{key}")
     model = raw["model"]
-    if "n_regimes" not in model:
-        raise InputError("missing config key model.n_regimes")
     n_regimes = model["n_regimes"]
     starts = tuple(t - 1 for t in model.get("ident_change_times", [1]))
 
     priors = priors_from_dict(raw["priors"], n_regimes, starts)
 
-    try:
-        sampler = SamplerConfig(**raw["sampler"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"sampler block invalid: {exc}") from None
+    burn_in, n_iterations = raw["sampler"]["burn_in"], raw["sampler"]["n_iterations"]
+    if burn_in >= n_iterations:
+        raise InputError(f"sampler.burn_in must be less than sampler.n_iterations "
+                         f"({n_iterations}), got {burn_in}")
+    sampler = SamplerConfig(**raw["sampler"])
     table = param_table(n_regimes, len(starts))
     for pid in sampler.step_sizes or {}:
         if pid not in table:
@@ -722,8 +732,6 @@ def parse_config(raw: dict) -> RunConfig:
             )
 
     data = dict(raw["data"])
-    if "path" not in data:
-        raise InputError("missing config key data.path")
     data.setdefault("aggregation", "none")
     data.setdefault("format", "counts")
     if data["format"] == "counts" and "population" not in data:
@@ -745,19 +753,14 @@ def load_config(path) -> RunConfig:
 
 
 def load_dataset(data_block: dict, base_dir=".") -> Dataset:
-    """Load the observation series named by a config data block; a file or
-    value the loaders reject raises InputError."""
-    path = data_block["path"]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
+    """Load the observation series named by the data block of a
+    parse_config result, its path relative to base_dir; a file or value
+    the loaders reject raises InputError."""
+    path = os.path.join(base_dir, data_block["path"])
     try:
-        if data_block.get("format", "counts") == "proportions":
+        if data_block["format"] == "proportions":
             return load_proportions(path)
-        return load_counts(
-            path,
-            float(data_block["population"]),
-            data_block.get("aggregation", "none"),
-        )
+        return load_counts(path, float(data_block["population"]), data_block["aggregation"])
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

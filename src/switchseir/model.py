@@ -273,8 +273,11 @@ def _obs_loglik(log_y, log1m_y, thetas: np.ndarray, params: ParameterSet) -> flo
 
 def _path_means(path: LatentPath, params: ParameterSet) -> np.ndarray:
     """Dirichlet means of steps t = 1..T-1 along a path: each state
-    propagated one RK4 step under the next step's regime."""
-    return rk4_step(path.thetas[:-1], params.rates_for(path.regimes[1:]))
+    propagated one RK4 step under the next step's regime.  An MH proposal
+    may put a rate where RK4 overflows: that happens without warnings,
+    and the NaN means it leaves make _trans_loglik -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rk4_step(path.thetas[:-1], params.rates_for(path.regimes[1:]))
 
 
 def _trans_loglik(log_next: np.ndarray | None, eta: np.ndarray, kappa: float) -> float:

@@ -87,9 +87,14 @@ def rk4_components(x: np.ndarray, infect_rate, alpha, gamma, out=None) -> np.nda
     (4, ...) array when None), with infect_rate = modifier * beta.
 
     The one RK4: the stages skip the R midpoints, which the flow never
-    reads, and work in place; it raises FloatingPointError on a
-    non-finite result.  The rates are not checked: callers pass rates of
-    a checked ParameterSet or EpidemicRates.
+    reads, and work in place.  Neither the rates nor the result are
+    checked: callers pass rates of a checked ParameterSet or
+    EpidemicRates.  Rates so large that a stage overflows (numpy warns
+    unless told otherwise) leave infinite components, which the clamp
+    bounds like any other, or NaN ones, which stay NaN: the transition
+    and weight densities downstream read a NaN mean as zero density,
+    which rejects an MH move and ends a filter pass with
+    DegenerateWeightsError.
     """
     k1 = _flow(x, infect_rate, alpha, gamma)
     k2 = _flow(_midpoint(x, 0.5, k1), infect_rate, alpha, gamma)
@@ -104,10 +109,6 @@ def rk4_components(x: np.ndarray, infect_rate, alpha, gamma, out=None) -> np.nda
     k1 *= 1.0 / 6.0
     k1 += x
     x = k1
-    if not np.isfinite(x).all():
-        raise FloatingPointError(
-            "RK4 produced non-finite state; rate combination is pathological"
-        )
     np.clip(x, STATE_FLOOR, 1.0 - STATE_FLOOR, out=x)
     total = ((x[0] + x[1]) + x[2]) + x[3]
     return np.divide(x, total, out=out)

@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import operator
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,16 @@ class TestFit:
                      "--out", str(out)]) == 0
         ckpt = json.loads((out / "chain_0.ckpt.json").read_text())
         assert {pid: ckpt["step_sizes"][pid] for pid in steps} == steps
+
+    def test_overflowing_proposals_are_rejected(self, sim_dir, tmp_path, capsys):
+        # A proposal step this large puts alpha where RK4 overflows; the
+        # move is rejected quietly and the fit completes.
+        cfg = shrink_config(sim_dir, step_sizes={"alpha": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", str(cfg), "--chains", "1",
+                         "--out", str(tmp_path / "fit")]) == 0
+        assert "accept[alpha] = 0.000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data_format, rows, bad_line", [
         ("counts", ["label,active_count", "d1,5", "d2,-3", "d3,4"], 3),
@@ -448,6 +460,20 @@ BAD_CONFIGS = {
                               "positive"),
     "rows-one-row-at-k2": (lambda raw: raw["priors"].update(rows=[[10, 1]]),
                            "priors.rows: need one row concentration vector per regime"),
+    # An integer beyond the float range is not a number the config takes.
+    "population-past-float-range": (
+        lambda raw: raw["data"].update(format="counts", population=10**400),
+        "data.population must be a positive number, got 1" + "0" * 400),
+    # Sampler keys are named like the other blocks' keys.
+    "sampler-seed-missing": (lambda raw: raw["sampler"].pop("seed"),
+                             "missing config key sampler.seed"),
+    "burn-in-not-below-iterations": (lambda raw: raw["sampler"].update(burn_in=8),
+                                     "sampler.burn_in must be less than "
+                                     "sampler.n_iterations (8), got 8"),
+    # Change times must lie within the series.
+    "change-time-past-series": (lambda raw: _set_change_times(raw, [1, 500]),
+                                "model.ident_change_times: change time 500 lies past "
+                                "the 150 steps of "),
 }
 
 
@@ -524,6 +550,58 @@ class TestBadInputs:
         assert message in capsys.readouterr().err
 
 
+class TestLoadRun:
+    """fit, select and summarize load their config, output directory and
+    series through one loader, which checks the config against the
+    series."""
+
+    def test_out_falls_back_to_the_config_directory(self, sim_dir):
+        cfg = shrink_config(sim_dir)
+        args = argparse.Namespace(config=str(cfg), out=None, seed=7)
+        config, out, dataset = cli._load_run(args)
+        assert out == str(sim_dir) == config.output["directory"]
+        assert config.sampler.seed == 7
+        assert dataset.horizon == 150
+        args.out = "elsewhere"
+        assert cli._load_run(args)[1] == "elsewhere"
+
+    def test_change_time_at_the_last_step_is_within_the_series(self, sim_dir):
+        cfg = shrink_config(sim_dir)
+        raw = json.loads(cfg.read_text())
+        _set_change_times(raw, [1, 150])
+        cfg.write_text(json.dumps(raw))
+        config, _, _ = cli._load_run(argparse.Namespace(config=str(cfg), out=None))
+        assert config.priors.ident_start_times == (0, 149)
+
+    @pytest.mark.parametrize("command", ["fit", "select", "summarize"])
+    @pytest.mark.parametrize("case", ["one-row", "one-week", "change-time-past-series"])
+    def test_series_checks_exit_2_in_every_command(self, sim_dir, tmp_path, capsys,
+                                                   command, case):
+        cfg = shrink_config(sim_dir)
+        raw = json.loads(cfg.read_text())
+        data = sim_dir / "dataset.csv"
+        if case == "change-time-past-series":
+            _set_change_times(raw, [1, 151])
+            message = f"model.ident_change_times: change time 151 lies past the 150 steps of {data}"
+        else:
+            data = sim_dir / "short.csv"
+            if case == "one-row":
+                data.write_text("label,y\nd1,0.1\n")
+            else:  # seven daily counts aggregate to one weekly value
+                data.write_text("".join(f"d{i},{i}\n" for i in range(1, 8)))
+                raw["data"] = {"path": "short.csv", "format": "counts",
+                               "population": 1000, "aggregation": "weekly"}
+            raw["data"]["path"] = "short.csv"
+            message = f"{data}: one observation, need at least two"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        extra = {"fit": ["--chains", "1"], "select": ["--K", "1,2"],
+                 "summarize": [str(tmp_path / "chain_0.jsonl")]}[command]
+        assert main([command, *extra, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestDiagnoseAndSummarize:
     @pytest.fixture()
     def fitted(self, sim_dir, tmp_path):
@@ -594,6 +672,23 @@ class TestDiagnoseAndSummarize:
                 "need at least 100 to summarize") in err
         assert not (tmp_path / "sum").exists()
 
+    @pytest.mark.parametrize("horizon", [100, 170])
+    def test_summarize_names_a_chain_of_another_horizon(self, short_chains, tmp_path,
+                                                         capsys, horizon):
+        cfg, chains = short_chains
+        raw = json.loads(cfg.read_text())
+        series = (cfg.parent / "dataset.csv").read_text().splitlines()[1:]
+        series = (series * 2)[:horizon]
+        (cfg.parent / "other.csv").write_text("\n".join(series) + "\n")
+        raw["data"]["path"] = "other.csv"
+        cfg.write_text(json.dumps(raw))
+        assert main(["summarize", *chains, "--config", str(cfg),
+                     "--out", str(tmp_path / "sum")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chains[0]}: chain of a 150-step series, the data holds "
+            f"{horizon} steps\n")
+        assert not (tmp_path / "sum").exists()
+
     def test_summarize_outputs(self, fitted, tmp_path):
         cfg, out = fitted
         sumdir = tmp_path / "sum"
@@ -620,10 +715,3 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
-
-    def test_env_var_output_dir(self, sim_dir, tmp_path, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv("SWITCHSEIR_OUT", str(target))
-        cfg = shrink_config(sim_dir)
-        assert main(["fit", "--config", str(cfg), "--chains", "1"]) == 0
-        assert (target / "chain_0.jsonl").exists()

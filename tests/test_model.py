@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -562,6 +563,17 @@ class TestPosteriorTerms:
         ):
             got = terms.moved(which, moved).total
             assert got == joint_log_posterior(path, y, moved, priors) == -math.inf, which
+
+    def test_overflowing_transition_move_is_minus_inf_without_warning(self):
+        # An alpha this far out overflows RK4: the transition means are NaN,
+        # which the transition factor reads as -inf, and nothing warns.
+        params, priors, path, y = build_t5_case()
+        terms = PosteriorTerms.build(path, y, params, priors)
+        huge = replace(params, alpha=1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = terms.moved("alpha", huge).total
+            assert got == joint_log_posterior(path, y, huge, priors) == -math.inf
 
 
 class TestMhTargetChain:

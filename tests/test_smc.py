@@ -128,6 +128,15 @@ class TestRunSmc:
         assert abs(mean) < 0.02
         assert abs(mean) < 3 * se
 
+    def test_overflowing_rates_raise_degenerate_weights(self):
+        # alpha = 1e300 overflows RK4 at the first transition: NaN means
+        # give NaN weights, which end the pass as degenerate.
+        y, params, priors, _ = make_data(horizon=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DegenerateWeightsError, match="time step 1$"):
+                run_smc(y, replace(params, alpha=1e300), priors, 100, rng(2))
+
     def test_variance_shrinks_with_more_particles(self):
         y, params, priors, _ = make_data(horizon=8)
         estimates = {n: [] for n in (100, 400)}
