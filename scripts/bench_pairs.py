@@ -76,16 +76,17 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
            str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    parsed = []
-    for line in lines[-2:]:
-        try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError:
-            parsed.append(None)
-    parsed = [None] * (2 - len(parsed)) + parsed
-    meta = parsed[0].get("meta") if isinstance(parsed[0], dict) else None
-    return {"exit_code": proc.returncode, "result": parsed[1], "meta": meta}
+    meta_line, result = ([None, None] + [_json(line) for line in proc.stdout.splitlines()])[-2:]
+    meta = meta_line.get("meta") if isinstance(meta_line, dict) else None
+    return {"exit_code": proc.returncode, "result": result, "meta": meta}
+
+
+def _json(line: str):
+    """A line parsed as JSON, or None when it is not JSON."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return None
 
 
 def _value(run: dict, metric: str):
