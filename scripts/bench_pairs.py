@@ -1,15 +1,15 @@
 """Run the benchmark in alternated pairs: a parent revision against the
 working tree.
 
-Usage: python scripts/bench_pairs.py PARENT_REV --out FILE [--pairs 10]
-           [--seed 1] [--seconds 45] [--workload NAME ...] [--workdir DIR]
+Usage: python scripts/bench_pairs.py PARENT_REV --out FILE [--workdir DIR]
 
 Run from the root of a git checkout.  `git archive PARENT_REV` is
 extracted to DIR/parent, and the working tree's tracked files, as they
 are on disk (uncommitted edits included), are copied to DIR/change.  Each
-round runs one pair per workload, in the order BENCHMARK.json lists them:
+of 10 rounds runs one pair per workload, in the order BENCHMARK.json
+lists them:
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed 1 --seconds 45 --trace 0
 
 once in each copy, one after the other, the parent first in even rounds
 and the change first in odd rounds.  The workloads, end-to-end metrics
@@ -49,6 +49,7 @@ import tarfile
 import tempfile
 
 SIDES = ("parent", "change")
+PAIRS, SEED, SECONDS = 10, 1, 45
 
 
 def _git(*args: str) -> bytes:
@@ -69,12 +70,12 @@ def make_copies(parent_rev: str, workdir: str) -> dict[str, str]:
     return roots
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str) -> dict:
     """One untraced benchmark run in a source tree: its exit code, and its
     result and meta lines parsed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", "0"]
+           str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     meta_line, result = ([None, None] + [_json(line) for line in proc.stdout.splitlines()])[-2:]
     meta = meta_line.get("meta") if isinstance(meta_line, dict) else None
@@ -165,31 +166,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_rev")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=45.0)
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable); default: all in BENCHMARK.json")
     parser.add_argument("--workdir", help="where to put the two copies (kept)")
     args = parser.parse_args(argv)
 
     with open("BENCHMARK.json") as fh:
         bench = json.load(fh)
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     with tempfile.TemporaryDirectory() as tmp:
         roots = make_copies(args.parent_rev, args.workdir or tmp)
         runs = []
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 for position, side in enumerate(order):
-                    run = run_once(roots[side], workload, args.seed, args.seconds)
-                    runs.append({"side": side, "workload": workload, "seed": args.seed,
+                    run = run_once(roots[side], workload)
+                    runs.append({"side": side, "workload": workload, "seed": SEED,
                                  "trace": 0, "pair": pair, "order": position, **run})
                     print(f"pair {pair} {workload} {side}: exit {run['exit_code']}",
                           file=sys.stderr)
     summary = {
-        f"{w} seed {args.seed}": summarize_workload(
+        f"{w} seed {SEED}": summarize_workload(
             [r for r in runs if r["workload"] == w], bench["end_to_end"])
         for w in workloads
     }

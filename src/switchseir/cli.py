@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data_io import (
+    DEFAULT_OUT,
     InputError,
     append_chain_record,
     chain_header,
@@ -95,7 +96,7 @@ def _load_run(args):
 
 
 def cmd_simulate(args) -> int:
-    out = args.out or "out"
+    out = args.out or DEFAULT_OUT
     os.makedirs(out, exist_ok=True)
     dataset, latent, params = generate_simulation(args.scenario, seed=args.seed)
     write_dataset(os.path.join(out, "dataset.csv"), dataset)
@@ -334,7 +335,7 @@ def cmd_diagnose(args) -> int:
         return 2
     chains = _load_chains(args.chains, MIN_RHAT_RECORDS)
     rhats = gelman_rubin_table(chains)
-    out = args.out or "out"
+    out = args.out or DEFAULT_OUT
     os.makedirs(out, exist_ok=True)
     table_path = os.path.join(out, "rhat.csv")
     write_rhat_table(table_path, rhats)

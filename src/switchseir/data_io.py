@@ -66,7 +66,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -652,8 +652,11 @@ _CONFIG_KEYS = {
 
 # The keys a config block must hold; the others have defaults.
 _REQUIRED_KEYS = {"model": ("n_regimes",),
-                  "sampler": ("n_iterations", "burn_in", "m_per_regime", "seed"),
+                  "sampler": tuple(f.name for f in fields(SamplerConfig) if f.default is MISSING),
                   "data": ("path",)}
+
+# The output directory of a run whose config names none.
+DEFAULT_OUT = "out"
 
 
 @dataclass(frozen=True)
@@ -718,11 +721,10 @@ def parse_config(raw: dict) -> RunConfig:
 
     priors = priors_from_dict(raw["priors"], n_regimes, starts)
 
-    burn_in, n_iterations = raw["sampler"]["burn_in"], raw["sampler"]["n_iterations"]
-    if burn_in >= n_iterations:
-        raise InputError(f"sampler.burn_in must be less than sampler.n_iterations "
-                         f"({n_iterations}), got {burn_in}")
-    sampler = SamplerConfig(**raw["sampler"])
+    try:
+        sampler = SamplerConfig(**raw["sampler"])
+    except ValueError as exc:  # the key checks leave SamplerConfig's burn_in rule only
+        raise InputError(f"sampler.burn_in: {exc}") from None
     table = param_table(n_regimes, len(starts))
     for pid in sampler.step_sizes or {}:
         if pid not in table:
@@ -738,7 +740,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise InputError("missing config key data.population")
 
     output = dict(raw.get("output", {}))
-    output.setdefault("directory", "out")
+    output.setdefault("directory", DEFAULT_OUT)
     output.setdefault("dump_particles", False)
     return RunConfig(n_regimes, priors, sampler, data, output, raw)
 

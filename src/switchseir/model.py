@@ -274,8 +274,11 @@ def _obs_loglik(log_y, log1m_y, thetas: np.ndarray, params: ParameterSet) -> flo
 def _path_means(path: LatentPath, params: ParameterSet) -> np.ndarray:
     """Dirichlet means of steps t = 1..T-1 along a path: each state
     propagated one RK4 step under the next step's regime.  An MH proposal
-    may put a rate where RK4 overflows: that happens without warnings,
-    and the NaN means it leaves make _trans_loglik -inf."""
+    may put a rate where RK4 overflows: that happens without warnings.
+    The NaN means it may leave make _trans_loglik -inf; infinite
+    components without NaN are clamped into a finite mean that says
+    nothing of the flow, and the proposal's other terms decide (at
+    gamma = 1e100 a truncated-Normal prior of sd 0.1 reads -5e201)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return rk4_step(path.thetas[:-1], params.rates_for(path.regimes[1:]))
 

@@ -468,8 +468,7 @@ BAD_CONFIGS = {
     "sampler-seed-missing": (lambda raw: raw["sampler"].pop("seed"),
                              "missing config key sampler.seed"),
     "burn-in-not-below-iterations": (lambda raw: raw["sampler"].update(burn_in=8),
-                                     "sampler.burn_in must be less than "
-                                     "sampler.n_iterations (8), got 8"),
+                                     "sampler.burn_in: need n_iterations > burn_in >= 0"),
     # Change times must lie within the series.
     "change-time-past-series": (lambda raw: _set_change_times(raw, [1, 500]),
                                 "model.ident_change_times: change time 500 lies past "

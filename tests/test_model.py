@@ -575,6 +575,25 @@ class TestPosteriorTerms:
             got = terms.moved("alpha", huge).total
             assert got == joint_log_posterior(path, y, huge, priors) == -math.inf
 
+    def test_infinite_only_overflow_move_is_left_to_the_prior(self):
+        # gamma = 1e100 overflows RK4 to infinite components but no NaN,
+        # which the clamp bounds into a finite state.  The move's target is
+        # then finite, and its gamma prior term puts it some 5e201 below
+        # the current one, beyond any log-uniform draw of mh_step.
+        params, priors, path, y = build_t5_case()
+        terms = PosteriorTerms.build(path, y, params, priors)
+        huge = replace(params, gamma=1e100)
+        rates = huge.rates_for(path.regimes)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            rk4_step(path.thetas, rates)
+        with np.errstate(over="ignore", invalid="raise"):
+            assert np.isfinite(rk4_step(path.thetas, rates)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = terms.moved("gamma", huge).total
+        assert got == joint_log_posterior(path, y, huge, priors)
+        assert got - terms.total < -1e201
+
 
 class TestMhTargetChain:
     def test_kept_and_rejected_moves_equal_full_evaluation(self):
