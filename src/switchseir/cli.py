@@ -56,9 +56,9 @@ from .data_io import (
 from .diagnostics import (
     MIN_RHAT_RECORDS,
     MIN_SUMMARY_RECORDS,
-    RHAT_GATE,
     SelectionRow,
     gelman_rubin_table,
+    rhat_status,
     score_records,
     summarize,
 )
@@ -171,7 +171,7 @@ def _fit_chains(task) -> list[dict]:
         for (cfg, chain_path, ckpt_path, _), state in zip(chains, states):
             if state is None:
                 header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
-                write_chain(chain_path, [], header)
+                write_chain(chain_path, header)
             elif state.iteration >= cfg.n_iterations:
                 _err(f"chain {chain_path}: already complete")
             fh = stack.enter_context(open(chain_path, "a"))
@@ -310,11 +310,13 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_chains(paths, min_each: int, horizon: int | None = None):
-    """The records of each chain file; a file with fewer than min_each
-    (>= 1) records, or of another horizon than a given one, is an input
-    error that names it."""
-    chains = []
+def _load_chains(paths, min_each: int, horizon: int | None = None,
+                 n_regimes: int | None = None):
+    """The records of each chain file.  A file is an input error that
+    names it when it holds fewer than min_each (>= 1) records, when its
+    header's horizon or n_regimes differs from a given one, or when
+    either differs from the first file's."""
+    chains, first = [], None
     for p in paths:
         header, records = read_chain(p)
         if len(records) < min_each:
@@ -325,6 +327,14 @@ def _load_chains(paths, min_each: int, horizon: int | None = None):
         if horizon is not None and header["horizon"] != horizon:
             raise InputError(f"{p}: chain of a {header['horizon']}-step series, "
                              f"the data holds {horizon} steps")
+        if n_regimes is not None and header["n_regimes"] != n_regimes:
+            raise InputError(f"{p}: chain of {header['n_regimes']} regimes, "
+                             f"the config has {n_regimes}")
+        first = first or (p, header)
+        for key in ("n_regimes", "horizon"):
+            if header[key] != first[1][key]:
+                raise InputError(f"{p}: chain header has {key} {header[key]}, "
+                                 f"{first[0]} has {first[1][key]}")
         chains.append(records)
     return chains
 
@@ -341,15 +351,14 @@ def cmd_diagnose(args) -> int:
     write_rhat_table(table_path, rhats)
     worst = max(rhats.values())
     for name, value in rhats.items():
-        status = "PASS" if value < RHAT_GATE else "FAIL"
-        _err(f"rhat[{name}] = {value:.4f} {status}")
+        _err(f"rhat[{name}] = {value:.4f} {rhat_status(value)}")
     _err(f"diagnose: wrote {table_path} (worst rhat {worst:.4f})")
     return 0
 
 
 def cmd_summarize(args) -> int:
-    _, out, dataset = _load_run(args)
-    chains = _load_chains(args.chains, 1, dataset.horizon)
+    config, out, dataset = _load_run(args)
+    chains = _load_chains(args.chains, 1, dataset.horizon, config.n_regimes)
     pooled = sum(len(c) for c in chains)
     if pooled < MIN_SUMMARY_RECORDS:
         raise InputError(

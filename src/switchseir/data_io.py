@@ -24,8 +24,8 @@ quote or a line break are double-quoted (the csv module's default).
 - regime curves: ``t,label,p_regime_1..K,y_obs,Ey_mean,Ey_lo,Ey_hi``.
 - SEIR curves: ``t,S_mean,S_lo,S_hi,...,R_hi``.
 - model selection: ``K,log_ml_mean,log_ml_sd``.
-- R-hat table: ``parameter,rhat,status``; status is PASS below
-  diagnostics.RHAT_GATE, FAIL otherwise.
+- R-hat table: ``parameter,rhat,status``; status is
+  diagnostics.rhat_status (PASS below diagnostics.RHAT_GATE).
 - particle dump: ``t,particle,regime,S,E,I,R,log_weight,norm_weight,
   ancestor`` (ancestor is -1 at t=1).
 
@@ -49,7 +49,8 @@ finite: json reads NaN and Infinity, and the config refuses them.
   ``theta1`` (4 positive concentrations, default ``[100, 1, 1, 1]``).
 - sampler: the fields of pg.SamplerConfig; ``n_iterations``,
   ``burn_in`` (below ``n_iterations``), ``m_per_regime`` and ``seed``
-  are required.
+  are required.  MH proposal scales are not configured: pg starts them
+  from the priors and adapts them during burn-in.
 - data: ``path`` (relative to the config file), ``format`` (``counts``,
   the default, with ``population`` and ``aggregation`` ``none`` or
   ``weekly``; or ``proportions``).  The series it names needs at least
@@ -70,7 +71,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .diagnostics import RHAT_GATE
+from .diagnostics import rhat_status
 from .distributions import DirichletParams, GammaParams, TruncNormalParams
 from .model import (
     OBS_EPS,
@@ -425,12 +426,11 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=True) + "\n"
 
 
-def write_chain(path, records: list[ChainRecord], header: dict) -> None:
-    """Write a complete chain file (header line + one record per line)."""
+def write_chain(path, header: dict) -> None:
+    """Start a chain file: its header line; append_chain_record adds the
+    records."""
     with open(path, "w") as fh:
         fh.write(_json_line(header))
-        for rec in records:
-            fh.write(_json_line(record_to_dict(rec)))
 
 
 def append_chain_record(fh, rec: ChainRecord) -> None:
@@ -637,8 +637,6 @@ _CONFIG_KEYS = {
     "sampler": {
         "n_iterations": _integer(1), "burn_in": _integer(0), "m_per_regime": _integer(2),
         "seed": _integer(0), "mh_sweeps_per_iter": _integer(1), "thin": _integer(1),
-        "step_sizes": (lambda v: v is None or isinstance(v, dict) and all(
-            _number(step) and step > 0 for step in v.values()), "an object of positive numbers"),
     },
     "data": {
         "path": _STRING,
@@ -725,13 +723,6 @@ def parse_config(raw: dict) -> RunConfig:
         sampler = SamplerConfig(**raw["sampler"])
     except ValueError as exc:  # the key checks leave SamplerConfig's burn_in rule only
         raise InputError(f"sampler.burn_in: {exc}") from None
-    table = param_table(n_regimes, len(starts))
-    for pid in sampler.step_sizes or {}:
-        if pid not in table:
-            raise InputError(
-                f"unknown config key sampler.step_sizes.{pid}; the MH ids "
-                f"for this model are {', '.join(table)}"
-            )
 
     data = dict(raw["data"])
     data.setdefault("aggregation", "none")
@@ -830,7 +821,7 @@ def write_rhat_table(path, rhats: dict) -> None:
     _write_rows(
         path,
         ["parameter", "rhat", "status"],
-        ([name, value, "PASS" if value < RHAT_GATE else "FAIL"] for name, value in rhats.items()),
+        ([name, value, rhat_status(value)] for name, value in rhats.items()),
     )
 
 

@@ -157,6 +157,11 @@ def gelman_rubin(chains) -> float:
     return float(math.sqrt(((n - 1) / n * within + between / n) / within))
 
 
+def rhat_status(value: float) -> str:
+    """PASS for an R-hat below RHAT_GATE, FAIL otherwise."""
+    return "PASS" if value < RHAT_GATE else "FAIL"
+
+
 def gelman_rubin_table(chains: list[list[ChainRecord]]) -> dict[str, float]:
     """R-hat per reported parameter across >= 2 chains of records."""
     if len(chains) < 2:

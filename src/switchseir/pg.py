@@ -12,7 +12,9 @@ reverse densities (a truncated-Normal random walk for a scalar,
 sequential truncated Normals along one row for the transition matrix).
 The MH target is the joint log posterior kept as model.PosteriorTerms: a
 proposal recomputes only the likelihood factor and prior terms of the
-entry it moves.
+entry it moves.  Each entry's proposal scale starts at its prior-scaled
+default_step and adapts toward TARGET_ACCEPT during burn-in; PgState,
+and so a checkpoint, carries the adapted scales.
 
 run_pg drives a list of chains in lockstep: each round advances every
 unfinished chain by one iteration, its CSMC-AS pass shared with the
@@ -65,9 +67,6 @@ class SamplerConfig:
     emitted for post-burn-in iterations at the given thinning stride.
     Every SMC and CSMC-AS pass of the chain runs n_particles(K) =
     K * m_per_regime particles.
-    step_sizes maps MH ids (the keys of model.param_table) to proposal
-    standard deviations; missing ids fall back to the table's
-    prior-scaled defaults, and run_pg rejects ids the table lacks.
     """
 
     n_iterations: int
@@ -75,7 +74,6 @@ class SamplerConfig:
     m_per_regime: int
     seed: int
     mh_sweeps_per_iter: int = 5
-    step_sizes: dict[str, float] | None = None
     thin: int = 1
 
     def __post_init__(self):
@@ -89,10 +87,6 @@ class SamplerConfig:
             raise ValueError("thin must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.step_sizes is not None and any(
-            v <= 0 for v in self.step_sizes.values()
-        ):
-            raise ValueError("step sizes must be strictly positive")
 
     def n_particles(self, n_regimes: int) -> int:
         """The particle count N = K * m_per_regime of every pass; the
@@ -187,8 +181,9 @@ def run_pg(
     each chain, iteration 0 draws the parameters from their priors and
     the reference trajectory from a plain SMC pass; each later iteration
     refreshes the reference through CSMC-AS and then applies the
-    configured number of MH sweeps.  Step sizes adapt toward a 30%
-    acceptance rate during burn-in and are frozen afterwards.
+    configured number of MH sweeps.  Step sizes start at each entry's
+    default_step, adapt toward a 30% acceptance rate during burn-in and
+    are frozen afterwards.
 
     Every round runs one run_csmc_as_batch pass over the chains that have
     iterations left, each at its own next iteration, then the rest of
@@ -216,12 +211,6 @@ def run_pg(
         raise ValueError("chains run in lockstep must share m_per_regime")
     n = configs[0].n_particles(priors.n_regimes)
     table = param_table(priors.n_regimes, len(priors.ident))
-    for cfg in configs:
-        unknown = sorted(set(cfg.step_sizes or ()) - set(table))
-        if unknown:
-            raise ValueError(
-                f"step sizes for unknown parameter ids: {', '.join(unknown)}"
-            )
 
     states = [
         state if state is not None else _initial_state(y, priors, cfg, n, table)
@@ -274,8 +263,6 @@ def _initial_state(y, priors: PriorSpec, config: SamplerConfig, n: int, table) -
     plain SMC pass of n particles."""
     seed = config.seed
     steps = {pid: entry.default_step(priors) for pid, entry in table.items()}
-    if config.step_sizes:
-        steps.update(config.step_sizes)
     params = draw_params(priors, substream(seed, TAG_INIT, 0))
     try:
         system = run_smc(y, params, priors, n, substream(seed, TAG_INIT, 1))

@@ -186,33 +186,26 @@ class TestFit:
         assert code == 2
         assert "stepsizes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["alpah", "f3"])
-    def test_unknown_step_size_id_names_it(self, sim_dir, tmp_path, capsys, bad):
-        # f3 is a modifier id only from K = 3 on; the config is K = 2.
-        cfg = shrink_config(sim_dir, step_sizes={bad: 0.1})
-        code = main(["fit", "--config", str(cfg), "--chains", "1",
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert f"sampler.step_sizes.{bad}" in capsys.readouterr().err
-
-    def test_valid_step_size_ids_are_used(self, sim_dir, tmp_path):
-        steps = {"alpha": 0.05, "p": 0.01, "f2": 0.1, "rows": 0.02}
-        cfg = shrink_config(sim_dir, step_sizes=steps)
+    def test_overflowing_proposals_are_rejected(self, sim_dir, tmp_path):
+        # A proposal step this large, restored from a checkpoint, puts
+        # alpha where RK4 overflows; the move is rejected quietly and the
+        # resumed fit completes.
         out = tmp_path / "fit"
-        assert main(["fit", "--config", str(cfg), "--chains", "1",
-                     "--out", str(out)]) == 0
-        ckpt = json.loads((out / "chain_0.ckpt.json").read_text())
-        assert {pid: ckpt["step_sizes"][pid] for pid in steps} == steps
-
-    def test_overflowing_proposals_are_rejected(self, sim_dir, tmp_path, capsys):
-        # A proposal step this large puts alpha where RK4 overflows; the
-        # move is rejected quietly and the fit completes.
-        cfg = shrink_config(sim_dir, step_sizes={"alpha": 1e308})
+        cfg = shrink_config(sim_dir, n_iterations=4)
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--out", str(out)]) == 0
+        ckpt = out / "chain_0.ckpt.json"
+        raw = json.loads(ckpt.read_text())
+        raw["step_sizes"]["alpha"] = 1e308
+        ckpt.write_text(json.dumps(raw))
+        cfg = shrink_config(sim_dir, n_iterations=12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["fit", "--config", str(cfg), "--chains", "1",
-                         "--out", str(tmp_path / "fit")]) == 0
-        assert "accept[alpha] = 0.000" in capsys.readouterr().err
+            assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                         "--out", str(out)]) == 0
+        _, records = read_chain(out / "chain_0.jsonl")
+        resumed = [rec for rec in records if rec.iteration > 4]
+        assert len(resumed) == 8
+        assert not any(any(rec.mh_accepted["alpha"]) for rec in resumed)
 
     @pytest.mark.parametrize("data_format, rows, bad_line", [
         ("counts", ["label,active_count", "d1,5", "d2,-3", "d3,4"], 3),
@@ -413,9 +406,9 @@ BAD_CONFIGS = {
     "aggregation-monthly": (
         lambda raw: raw["data"].update(format="counts", population=1e6, aggregation="monthly"),
         "data.aggregation must be 'none' or 'weekly', got 'monthly'"),
+    # Proposal scales come from the priors; no sampler key sets them.
     "step-size-a-string": (lambda raw: raw["sampler"].update(step_sizes={"alpha": "x"}),
-                           "sampler.step_sizes must be an object of positive numbers, "
-                           "got {'alpha': 'x'}"),
+                           "unknown config key sampler.step_sizes"),
     "thin-a-string": (lambda raw: raw["sampler"].update(thin="2"),
                       "sampler.thin must be an integer >= 1, got '2'"),
     # json reads NaN and Infinity; a config number must be finite.
@@ -686,6 +679,60 @@ class TestDiagnoseAndSummarize:
         assert capsys.readouterr().err == (
             f"error: {chains[0]}: chain of a 150-step series, the data holds "
             f"{horizon} steps\n")
+        assert not (tmp_path / "sum").exists()
+
+    @pytest.fixture()
+    def other_chain(self, fitted, sim_dir, tmp_path):
+        """Fits a chain like fitted's (60 records, so R-hat is defined)
+        but of n_regimes regimes on the first horizon steps of the
+        series; returns its file."""
+
+        def fit(n_regimes: int, horizon: int) -> str:
+            raw = json.loads((sim_dir / "config.json").read_text())
+            raw["model"]["n_regimes"] = n_regimes
+            raw["priors"].pop("rows")
+            series = (sim_dir / "dataset.csv").read_text().splitlines()[: horizon + 1]
+            (sim_dir / "other.csv").write_text("\n".join(series) + "\n")
+            raw["data"]["path"] = "other.csv"
+            cfg, out = sim_dir / "other.json", tmp_path / "other"
+            cfg.write_text(json.dumps(raw))
+            assert main(["fit", "--config", str(cfg), "--chains", "1",
+                         "--out", str(out)]) == 0
+            return str(out / "chain_0.jsonl")
+
+        return fit
+
+    @pytest.mark.parametrize("other_first", [False, True])
+    @pytest.mark.parametrize("n_regimes, horizon, key", [(3, 150, "n_regimes"),
+                                                         (2, 100, "horizon")])
+    def test_diagnose_names_a_chain_of_another_shape(self, fitted, other_chain, tmp_path,
+                                                     capsys, n_regimes, horizon, key,
+                                                     other_first):
+        _, out = fitted
+        other = other_chain(n_regimes, horizon)
+        shape = {str(out / "chain_0.jsonl"): {"n_regimes": 2, "horizon": 150},
+                 other: {"n_regimes": n_regimes, "horizon": horizon}}
+        chains = list(shape)[::-1] if other_first else list(shape)
+        capsys.readouterr()
+        assert main(["diagnose", *chains, "--out", str(tmp_path / "diag")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chains[1]}: chain header has {key} {shape[chains[1]][key]}, "
+            f"{chains[0]} has {shape[chains[0]][key]}\n")
+        assert not (tmp_path / "diag").exists()
+
+    def test_summarize_names_a_chain_of_another_regime_count(self, fitted, tmp_path,
+                                                             capsys):
+        cfg, out = fitted
+        raw = json.loads(cfg.read_text())
+        raw["model"]["n_regimes"] = 3
+        raw["priors"].pop("rows")
+        cfg.write_text(json.dumps(raw))
+        chains = [str(out / f"chain_{i}.jsonl") for i in range(2)]
+        capsys.readouterr()
+        assert main(["summarize", *chains, "--config", str(cfg),
+                     "--out", str(tmp_path / "sum")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chains[0]}: chain of 2 regimes, the config has 3\n")
         assert not (tmp_path / "sum").exists()
 
     def test_summarize_outputs(self, fitted, tmp_path):

@@ -14,6 +14,7 @@ from switchseir.data_io import (
     _CONFIG_KEYS,
     Dataset,
     InputError,
+    append_chain_record,
     chain_header,
     config_hash,
     dump_particle_system,
@@ -278,12 +279,20 @@ def make_records(n=100, horizon=8, seed=0):
     return records
 
 
+def write_records(path, records, header):
+    """A chain file as fit writes it: the header, then each record appended."""
+    write_chain(path, header)
+    with open(path, "a") as fh:
+        for rec in records:
+            append_chain_record(fh, rec)
+
+
 class TestChainFiles:
     def test_round_trip_bitwise(self, tmp_path):
         records = make_records()
         path = tmp_path / "chain.jsonl"
         header = chain_header(2, 8, "abc123", 5)
-        write_chain(path, records, header)
+        write_records(path, records, header)
         got_header, got = read_chain(path)
         assert got_header == header
         assert len(got) == len(records)
@@ -298,7 +307,7 @@ class TestChainFiles:
     def test_truncated_file_names_last_complete_record(self, tmp_path):
         records = make_records(n=10)
         path = tmp_path / "chain.jsonl"
-        write_chain(path, records, chain_header(2, 8, "abc", 5))
+        write_records(path, records, chain_header(2, 8, "abc", 5))
         content = path.read_text()
         path.write_text(content[: int(len(content) * 0.83)])
         with pytest.raises(InputError) as exc_info:
@@ -312,14 +321,14 @@ class TestChainFiles:
         path = tmp_path / "chain.jsonl"
         header = chain_header(2, 8, "abc", 5)
         header["schema"] = 99
-        write_chain(path, make_records(n=2), header)
+        write_records(path, make_records(n=2), header)
         with pytest.raises(InputError, match="schema version"):
             read_chain(path)
 
     def test_truncate_chain_keeps_prefix(self, tmp_path):
         records = make_records(n=10)
         path = tmp_path / "chain.jsonl"
-        write_chain(path, records, chain_header(2, 8, "abc", 5))
+        write_records(path, records, chain_header(2, 8, "abc", 5))
         truncate_chain(path, 4)
         _, got = read_chain(path)
         assert len(got) == 4

@@ -348,20 +348,6 @@ class TestRunPg:
         with pytest.raises(ValueError):
             run_pg(np.array([0.01]), priors, [small_config()])
 
-    @pytest.mark.parametrize("bad", ["alpah", "f3"])
-    def test_unknown_step_size_id_raises_before_drawing(self, bad, monkeypatch):
-        # K = 2 has no f3; the ids are rejected before any draw, so they
-        # never reach PgState or a checkpoint.
-        y, _, priors, _ = make_data(horizon=25)
-
-        def no_draws(*args):
-            raise AssertionError("drew parameters before checking step sizes")
-
-        monkeypatch.setattr("switchseir.pg.draw_params", no_draws)
-        config = small_config(step_sizes={bad: 0.1, "alpha": 0.2})
-        with pytest.raises(ValueError, match=f"unknown parameter ids: {bad}$"):
-            run_pg(y, priors, [small_config(), config])
-
     def test_default_step_sizes_cover_all_parameters(self):
         priors = two_regime_priors()
         for e in param_table(2, 1).values():
@@ -518,7 +504,3 @@ class TestSamplerConfigValidation:
     def test_m_per_regime_minimum(self):
         with pytest.raises(ValueError):
             small_config(m_per_regime=1)
-
-    def test_positive_steps(self):
-        with pytest.raises(ValueError):
-            small_config(step_sizes={"alpha": 0.0})
