@@ -353,6 +353,17 @@ class TestRunPg:
         for e in param_table(2, 1).values():
             assert e.default_step(priors) > 0
 
+    def test_step_sizes_start_at_the_table_defaults(self):
+        # Without burn-in nothing adapts, so every iteration proposes with
+        # each entry's default_step and nothing else.
+        y, _, priors, _ = make_data(horizon=25)
+        defaults = {pid: e.default_step(priors)
+                    for pid, e in param_table(priors.n_regimes, len(priors.ident)).items()}
+        seen = []
+        run_pg(y, priors, [small_config(n_iterations=3, burn_in=0)],
+               callbacks=[lambda state: seen.append(dict(state.step_sizes))])
+        assert seen == [defaults] * 3
+
 
 def records_equal(a, b):
     assert [r.iteration for r in a] == [r.iteration for r in b]
@@ -504,3 +515,8 @@ class TestSamplerConfigValidation:
     def test_m_per_regime_minimum(self):
         with pytest.raises(ValueError):
             small_config(m_per_regime=1)
+
+    def test_no_step_size_override(self):
+        # Proposal scales come from the priors alone.
+        with pytest.raises(TypeError, match="step_sizes"):
+            small_config(step_sizes={"alpha": 0.1})
