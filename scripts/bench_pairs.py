@@ -21,8 +21,13 @@ FILE is written as a JSON object of two keys:
 
 - runs: one entry per run, in the order run: side, workload, seed,
   trace, pair, order (0 ran first, 1 second), exit_code, result (the
-  last line of standard output, parsed; null when it is not JSON) and
-  meta (the {"meta": ...} line's object, or null).
+  last line of standard output, parsed; null when it is not JSON), meta
+  (the {"meta": ...} line's object, or null) and host: loadavg_1m, the
+  host's 1-minute load average before and after the run
+  (/proc/loadavg), and steal_share, the share of all CPU time between
+  the two readings that the hypervisor stole (the cpu line of
+  /proc/stat).  A pair whose runs saw different load or steal may have
+  been moved by the host rather than the change.
 - summary: per workload, keyed "<workload> seed <seed>": pairs,
   correct_all, the exit codes seen, failed and attempted units per side,
   and per end-to-end metric: better, bound, each side's quartiles,
@@ -70,16 +75,31 @@ def make_copies(parent_rev: str, workdir: str) -> dict[str, str]:
     return roots
 
 
+def _host_sample() -> tuple[float, list[int]]:
+    """The 1-minute load average, and the CPU time so far (in clock
+    ticks) of each state of /proc/stat's cpu line, user to steal."""
+    with open("/proc/loadavg") as fh:
+        load = float(fh.read().split()[0])
+    with open("/proc/stat") as fh:
+        ticks = [int(v) for v in fh.readline().split()[1:9]]
+    return load, ticks
+
+
 def run_once(root: str, workload: str) -> dict:
-    """One untraced benchmark run in a source tree: its exit code, and its
-    result and meta lines parsed."""
+    """One untraced benchmark run in a source tree: its exit code, its
+    result and meta lines parsed, and the host's load around it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
            str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+    load_before, ticks_before = _host_sample()
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    load_after, ticks_after = _host_sample()
+    spent = [b - a for a, b in zip(ticks_before, ticks_after)]
     meta_line, result = ([None, None] + [_json(line) for line in proc.stdout.splitlines()])[-2:]
     meta = meta_line.get("meta") if isinstance(meta_line, dict) else None
-    return {"exit_code": proc.returncode, "result": result, "meta": meta}
+    host = {"loadavg_1m": [load_before, load_after],
+            "steal_share": spent[7] / sum(spent) if sum(spent) else 0.0}
+    return {"exit_code": proc.returncode, "result": result, "meta": meta, "host": host}
 
 
 def _json(line: str):

@@ -2,8 +2,10 @@
 
 Subcommands: simulate, fit, select, diagnose, summarize.  Progress goes
 to standard error; all data goes to files, keeping standard output clean
-for piping.  Exit codes: 0 success, 1 runtime failure, 2 usage,
-configuration or data-file error.
+for piping.  Exit codes: 0 success, 1 runtime failure (an output file
+that cannot be written included), 2 usage error or an input that cannot
+be used: a config, data, chain or checkpoint file that is missing,
+cannot be read or is invalid.
 
 Every command writes its files to --out.  Without it, fit, select and
 summarize write to the config's output.directory (default out), and
@@ -451,7 +453,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         _err(f"error: {exc}")
         return 2
     except KeyboardInterrupt:

@@ -67,6 +67,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -92,7 +93,19 @@ CHAIN_SCHEMA = 1
 class InputError(ValueError):
     """An input that cannot be used: an invalid or incomplete run
     configuration, or a data, chain or checkpoint file that cannot be
-    loaded.  The message names the config key or the file."""
+    opened, read or loaded.  The message names the config key or the
+    file."""
+
+
+@contextmanager
+def _input_file(path, **open_args):
+    """open(path) for reading; an OSError from opening or reading the
+    file is an InputError naming it."""
+    try:
+        with open(path, **open_args) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _reason(exc: Exception) -> str:
@@ -133,7 +146,7 @@ def _read_rows(path, n_columns: int):
     """(line number, stripped cells) of every non-blank row of a
     comma-delimited file, quoted cells unquoted; raises ValueError naming
     the file and line of a row with another column count."""
-    with open(path, newline="") as fh:
+    with _input_file(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -454,7 +467,7 @@ def read_chain(path) -> tuple[dict, list[ChainRecord]]:
     truncated or corrupt record its number and the last complete one.
     Each record's path must have the header's horizon and regime count
     and states on the open simplex."""
-    with open(path) as fh:
+    with _input_file(path) as fh:
         lines = fh.readlines()
     if not lines:
         raise InputError(f"{path}: empty chain file")
@@ -483,7 +496,7 @@ def read_chain(path) -> tuple[dict, list[ChainRecord]]:
 
 def truncate_chain(path, n_records: int) -> None:
     """Keep the header and the first n_records records (crash cleanup)."""
-    with open(path) as fh:
+    with _input_file(path) as fh:
         lines = fh.readlines()
     with open(path, "w") as fh:
         fh.writelines(lines[: n_records + 1])
@@ -554,7 +567,7 @@ def write_checkpoint(path, state: PgState, config_hash: str, seed: int) -> None:
 def read_checkpoint(path) -> dict:
     """A checkpoint file as written; raises InputError naming the file
     unless it is JSON of the checkpoint kind and the current schema."""
-    with open(path) as fh:
+    with _input_file(path) as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -737,7 +750,7 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
+    with _input_file(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -163,17 +163,20 @@ def rhat_status(value: float) -> str:
 
 
 def gelman_rubin_table(chains: list[list[ChainRecord]]) -> dict[str, float]:
-    """R-hat per reported parameter across >= 2 chains of records."""
+    """R-hat per reported parameter across >= 2 chains of records.  A
+    parameter that stays constant within every chain, for which
+    gelman_rubin raises, gets R-hat inf: rhat_status reports it as FAIL."""
     if len(chains) < 2:
         raise ValueError("Gelman-Rubin needs at least two chains")
     n = min(len(c) for c in chains)
     if n < MIN_RHAT_RECORDS:
         raise ValueError(f"chains must have at least {MIN_RHAT_RECORDS} records each")
     columns = [_param_columns(chain[:n]) for chain in chains]
-    return {
-        lab: gelman_rubin(np.stack([col[lab] for col in columns]))
-        for lab in columns[0]
-    }
+    table = {}
+    for lab in columns[0]:
+        z = np.stack([col[lab] for col in columns])
+        table[lab] = gelman_rubin(z) if z.var(axis=1, ddof=1).any() else math.inf
+    return table
 
 
 @dataclass(frozen=True)

@@ -79,12 +79,13 @@ class ParticleSystem:
     """Complete output of one SMC/CSMC pass.
 
     thetas: (T, N, 4) float64; regimes: (T, N) of the smallest signed
-    integer type that holds K (int8 for every K <= 128); log_weights and
-    norm_weights: (T, N) float64; ancestors: (T-1, N) int32, with
-    ancestors[t] indexing the time-t parents of the time-t+1 particles;
-    log_marginal: sum over t of log mean unnormalized weight.  In a
-    conditional pass, particle N-1 holds the reference pair at every
-    step.
+    integer type that holds 0..K-1 (int8 for every K <= 128);
+    log_weights and norm_weights: (T, N) float64; ancestors: (T-1, N) of
+    the smallest signed integer type that holds 0..N-1 (int8 up to N =
+    128, int16 up to 32,768, int32 beyond), with ancestors[t] indexing
+    the time-t parents of the time-t+1 particles; log_marginal: sum over
+    t of log mean unnormalized weight.  In a conditional pass, particle
+    N-1 holds the reference pair at every step.
     """
 
     thetas: np.ndarray
@@ -133,12 +134,13 @@ def _check_particle_count(n: int) -> None:
     if n < 2:
         raise ValueError("need at least two particles")
     if n > np.iinfo(np.int32).max:
-        raise ValueError("at most 2**31 - 1 particles: ancestors are stored as int32")
+        raise ValueError("at most 2**31 - 1 particles: the widest ancestor type is int32")
 
 
-def _regime_dtype(k: int) -> np.dtype:
-    """The smallest signed integer type that holds regimes 0..K-1."""
-    return np.min_scalar_type(-k)
+def _index_dtype(n: int) -> np.dtype:
+    """The smallest signed integer type that holds indices 0..n-1: the
+    type of stored regimes (n = K) and ancestors (n = N)."""
+    return np.min_scalar_type(-n)
 
 
 def _normalize_step(log_w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
@@ -212,10 +214,10 @@ def run_smc(
     k = params.n_regimes
 
     thetas = np.empty((horizon, n, 4))
-    regimes = np.empty((horizon, n), dtype=_regime_dtype(k))
+    regimes = np.empty((horizon, n), dtype=_index_dtype(k))
     log_w = np.empty((horizon, n))
     norm_w = np.empty((horizon, n))
-    ancestors = np.empty((max(horizon - 1, 0), n), dtype=np.int32)
+    ancestors = np.empty((max(horizon - 1, 0), n), dtype=_index_dtype(n))
 
     p, lam = params.ident_series(horizon), params.lambda_
     alpha, gamma, kappa = params.alpha, params.gamma, params.kappa
@@ -229,7 +231,7 @@ def run_smc(
     log_w[0] = _obs_log_density(x[2], p[0], lam, log_y[0], log1m_y[0])
     norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
 
-    labels = np.arange(n, dtype=np.int32)
+    labels = np.arange(n, dtype=ancestors.dtype)
     for t in range(1, horizon):
         anc = np.repeat(labels, systematic_offspring(norm_w[t - 1], rng))
         ancestors[t - 1] = anc
@@ -323,10 +325,10 @@ def run_csmc_as_batch(
 
     # Particle storage in ParticleSystem's field order, chain axis second.
     thetas = np.empty((horizon, c, n, 4))
-    regimes = np.empty((horizon, c, n), dtype=_regime_dtype(k))
+    regimes = np.empty((horizon, c, n), dtype=_index_dtype(k))
     log_w = np.empty((horizon, c, n))
     norm_w = np.empty((horizon, c, n))
-    ancestors = np.empty((max(horizon - 1, 0), c, n), dtype=np.int32)
+    ancestors = np.empty((max(horizon - 1, 0), c, n), dtype=_index_dtype(n))
     thetas[:, :, -1] = ref_thetas
     regimes[:, :, -1] = ref_regimes
 

@@ -5,6 +5,7 @@ import operator
 import re
 import shutil
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from switchseir import cli
 from switchseir.cli import main
 from switchseir.data_io import (
     SCENARIOS,
+    chain_header,
     load_config,
     params_from_dict,
     params_to_dict,
@@ -23,6 +25,7 @@ from switchseir.data_io import (
 )
 from switchseir.diagnostics import RHAT_GATE
 from switchseir.pg import SamplerConfig
+from tests.test_data_io import make_records, write_records
 
 # A 5-iteration fit of a 12-step series.  Its checkpoint also holds the
 # post-burn-in acceptance totals (total_counts) that older versions wrote,
@@ -530,6 +533,40 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             f"error: {chain}: record 2 unreadable ({message}); last complete record is 1\n")
 
+    def test_directory_as_the_config(self, tmp_path, capsys):
+        assert main(["fit", "--config", str(tmp_path), "--out", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert not (tmp_path / "fit").exists()
+
+    def test_directory_as_the_data_file(self, sim_dir, tmp_path, capsys):
+        cfg = shrink_config(sim_dir)
+        raw = json.loads(cfg.read_text())
+        raw["data"]["path"] = "series"
+        cfg.write_text(json.dumps(raw))
+        (sim_dir / "series").mkdir()
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == f"error: {sim_dir / 'series'}: Is a directory\n"
+        assert not (tmp_path / "fit").exists()
+
+    def test_directory_as_a_chain_file(self, tmp_path, capsys):
+        chain, folder = tmp_path / "chain_0.jsonl", tmp_path / "chain_1.jsonl"
+        write_records(chain, make_records(n=10), chain_header(2, 8, "abc", 1))
+        folder.mkdir()
+        assert main(["diagnose", str(chain), str(folder), "--out", str(tmp_path / "diag")]) == 2
+        assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+        assert not (tmp_path / "diag").exists()
+
+    def test_directory_as_the_checkpoint(self, sim_dir, tmp_path, capsys):
+        cfg, out = shrink_config(sim_dir), tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--out", str(out)]) == 0
+        ckpt = out / "chain_0.ckpt.json"
+        ckpt.unlink()
+        ckpt.mkdir()
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: Is a directory\n"
+
     @pytest.mark.parametrize("case", list(BAD_CONFIGS))
     def test_bad_config_value_names_the_key(self, sim_dir, tmp_path, capsys, case):
         edit, message = BAD_CONFIGS[case]
@@ -631,6 +668,23 @@ class TestDiagnoseAndSummarize:
             "far_below": "PASS", "below": "PASS", "at": "FAIL",
             "above": "FAIL", "far_above": "FAIL",
         }
+
+    def test_diagnose_reports_a_parameter_that_never_moves(self, tmp_path, capsys):
+        # Two hand-built 10-record chains in which alpha stays at 0.25:
+        # diagnose reports its R-hat as inf and FAIL beside the others.
+        chains = []
+        for seed in (1, 2):
+            records = [replace(r, params=replace(r.params, alpha=0.25))
+                       for r in make_records(n=10, seed=seed)]
+            chains.append(tmp_path / f"chain_{seed}.jsonl")
+            write_records(chains[-1], records, chain_header(2, 8, "abc", seed))
+        out = tmp_path / "diag"
+        assert main(["diagnose", *map(str, chains), "--out", str(out)]) == 0
+        assert "rhat[alpha] = inf FAIL\n" in capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "rhat.csv").read_text().split()[1:]]
+        assert ["alpha", "inf", "FAIL"] in rows
+        assert len(rows) == 12
+        assert all(math.isfinite(float(rhat)) for name, rhat, _ in rows if name != "alpha")
 
     def test_diagnose_refuses_single_chain(self, fitted, tmp_path):
         _, out = fitted

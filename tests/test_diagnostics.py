@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from switchseir.diagnostics import (
     gelman_rubin,
     gelman_rubin_table,
     param_values,
+    rhat_status,
     score_records,
     summarize,
     _stats,
@@ -90,6 +92,17 @@ class TestGelmanRubin:
         assert table["r0"] == gelman_rubin(r0)
         pi12 = [[r.params.trans_matrix[0, 1] for r in c] for c in chains]
         assert table["pi_12"] == gelman_rubin(pi12)
+
+    def test_table_gives_a_parameter_that_never_moves_inf(self):
+        # alpha stays at 0.25 in both 10-record chains: its R-hat is inf, a
+        # FAIL, and every other parameter's is the one computed without it.
+        chains = [make_records(n=10, seed=s) for s in (1, 2)]
+        frozen = [[replace(r, params=replace(r.params, alpha=0.25)) for r in c]
+                  for c in chains]
+        table = gelman_rubin_table(frozen)
+        assert table["alpha"] == math.inf
+        assert rhat_status(table["alpha"]) == "FAIL"
+        assert table == {**gelman_rubin_table(chains), "alpha": math.inf}
 
 
 class TestSummaryStats:

@@ -305,7 +305,7 @@ class TestRunSmcMatchesPlainLoop:
                 np.testing.assert_array_equal(g, w)
             assert a.random() == b.random()
             assert got.regimes.dtype == np.int8
-            assert got.ancestors.dtype == np.int32
+            assert got.ancestors.dtype == {64: np.int8, 2048: np.int16}[n]
         if k > 1:
             assert len(np.unique(got.regimes[1:])) == k
 
@@ -640,13 +640,13 @@ class TestBatchedPass:
                                                substream(4, 1)))
 
     def test_compact_store(self):
-        # int8 regimes and int32 ancestors.
+        # int8 regimes and, for N = 12 <= 128, int8 ancestors.
         y, priors, params, refs = batch_inputs(3, n_chains=2)
         got = run_csmc_as_batch(y, priors, params, refs, 3 * 4, [rng(1), rng(2)])
         for system in got:
             assert system.regimes.dtype == np.int8
             assert system.regimes.shape == (len(y), 12)
-            assert system.ancestors.dtype == np.int32
+            assert system.ancestors.dtype == np.int8
 
     def test_first_degenerate_chain_names_the_error(self):
         # At step 1 chain 0's ancestor weights are NaN (kappa = 1e306) and
@@ -668,6 +668,32 @@ class TestBatchedPass:
         with pytest.raises(ValueError, match="share the number of regimes"):
             run_csmc_as_batch(y, priors, params2 + params3, refs2 + refs3, 6,
                               [rng(1), rng(2)])
+
+
+# Particle counts at the edges of the ancestor type rule, and the type each
+# gets: the smallest signed integer type that holds 0..N-1.
+ANCESTOR_TYPES = [(128, np.int8), (129, np.int16), (32_768, np.int16), (32_769, np.int32)]
+
+
+class TestAncestorType:
+    """Both passes store ancestors at the smallest signed integer type
+    that holds 0..N-1.  A 2-step series keeps the largest store small."""
+
+    @pytest.mark.parametrize("n, dtype", ANCESTOR_TYPES)
+    def test_bootstrap_pass(self, n, dtype):
+        y, params, priors, _ = make_data(horizon=2)
+        system = run_smc(y, params, priors, n, rng(n))
+        assert system.ancestors.dtype == dtype
+        assert system.ancestors.shape == (1, n)
+        assert 0 <= system.ancestors.min() and system.ancestors.max() < n
+
+    @pytest.mark.parametrize("n, dtype", ANCESTOR_TYPES)
+    def test_conditional_pass(self, n, dtype):
+        y, priors, params, refs = batch_inputs(2, horizon=2, n_chains=2)
+        for system in run_csmc_as_batch(y, priors, params, refs, n, [rng(n), rng(n + 1)]):
+            assert system.ancestors.dtype == dtype
+            assert system.ancestors.shape == (1, n)
+            assert 0 <= system.ancestors.min() and system.ancestors.max() < n
 
 
 def test_csmc_regime_switches_follow_markov_prior():
