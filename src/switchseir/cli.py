@@ -10,6 +10,28 @@ cannot be read or is invalid.
 Every command writes its files to --out.  Without it, fit, select and
 summarize write to the config's output.directory (default out), and
 simulate and diagnose to out.
+
+fit runs chain i (i = 0 .. --chains - 1) with seed sampler.seed + i and
+writes, for each chain:
+
+- chain_<i>.jsonl: a header line, then one record per retained
+  iteration, appended as the chain runs;
+- chain_<i>.ckpt.json: the sampler state, rewritten every iteration;
+- particles_<i>.csv, when output.dump_particles is on: a bootstrap
+  filter pass at the last record's parameters.
+
+Then manifest.json lists the config, its hash and each chain's seed and
+file.  fit --resume continues every chain whose checkpoint exists from
+that checkpoint, after cutting its chain file back to the records the
+checkpoint has emitted.  It exits 2 naming the chain file, and leaves
+the file unchanged, when the file's header is not the one a fresh start
+of that chain would write (a chain file of another run or chain), or
+when the file holds fewer records than the checkpoint has emitted.
+
+select fits every candidate K under the stay-favoring row prior of
+data_io.priors_for_k (concentration 10 on the diagonal, 1 elsewhere),
+whatever priors.rows holds; the other priors and the sampler settings
+are the config's, with the seed offset by K.
 """
 
 from __future__ import annotations
@@ -23,6 +45,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -156,102 +179,85 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _fit_chains(task) -> list[dict]:
+def _chain(config, out: str, i: int) -> tuple:
+    """Chain i of a fit: its sampler settings (the config's seed + i) and
+    the paths of its record file, checkpoint and particle dump."""
+    files = (f"chain_{i}.jsonl", f"chain_{i}.ckpt.json", f"particles_{i}.csv")
+    return (replace(config.sampler, seed=config.sampler.seed + i),
+            *(os.path.join(out, name) for name in files))
+
+
+def _fit_chains(task) -> list[str]:
     """Run one group of chains end to end in one lockstep run_pg call,
-    streaming each chain's records and checkpoints to its own files."""
-    y, priors, cfg_hash, resume, chains = task
+    streaming each chain's records and checkpoints to its own files; the
+    console report of each chain."""
+    y, config, cfg_hash, resume, out, indices = task
+    priors = config.priors
+    chains = [_chain(config, out, i) for i in indices]
+    header = partial(chain_header, priors.n_regimes, len(y), cfg_hash)
     states = []
     for cfg, chain_path, ckpt_path, _ in chains:
         state = None
         if resume and os.path.exists(ckpt_path):
-            # Cut the chain file back to the records the state has emitted.
+            # Cut the chain file back to the records the state has emitted;
+            # another chain's file, or one holding fewer records, is refused.
             state = load_checkpoint(ckpt_path, priors, len(y), cfg_hash, cfg.seed)
-            truncate_chain(chain_path, state.n_emitted)
+            truncate_chain(chain_path, header(cfg.seed), state.n_emitted)
         states.append(state)
     with ExitStack() as stack:
         callbacks = []
         for (cfg, chain_path, ckpt_path, _), state in zip(chains, states):
             if state is None:
-                header = chain_header(priors.n_regimes, len(y), cfg_hash, cfg.seed)
-                write_chain(chain_path, header)
+                write_chain(chain_path, header(cfg.seed))
             elif state.iteration >= cfg.n_iterations:
                 _err(f"chain {chain_path}: already complete")
             fh = stack.enter_context(open(chain_path, "a"))
             callbacks.append(_chain_callback(fh, ckpt_path, cfg_hash, cfg))
         runs = run_pg(y, priors, [chain[0] for chain in chains], callbacks, states)
 
-    results = []
+    prior_kappa_sd = math.sqrt(priors.kappa.shape) / priors.kappa.rate
+    reports = []
     for (cfg, chain_path, _, dump_path), state, records in zip(chains, states, runs):
         if state is not None:
             _, records = read_chain(chain_path)
-        if dump_path is not None and records:
+        if config.output["dump_particles"] and records:
             system = run_smc(y, records[-1].params, priors, cfg.n_particles(priors.n_regimes),
                              substream(cfg.seed, TAG_INIT, 3))
             dump_particle_system(dump_path, system)
         kappas = np.array([rec.params.kappa for rec in records])
-        results.append({
-            "seed": cfg.seed,
-            "file": chain_path,
-            "n_records": len(records),
-            "acceptance": acceptance_rates(records),
-            "kappa_sd": float(kappas.std(ddof=1)) if len(kappas) > 1 else 0.0,
-            "log_ml_last": records[-1].log_marginal if records else math.nan,
-        })
-    return results
+        kappa_sd = float(kappas.std(ddof=1)) if len(kappas) > 1 else 0.0
+        log_ml = records[-1].log_marginal if records else math.nan
+        lines = [f"chain seed={cfg.seed}: {len(records)} records, final log-marginal {log_ml:.3f}"]
+        lines += [f"  accept[{pid}] = {rate:.3f}"
+                  for pid, rate in sorted(acceptance_rates(records).items())]
+        if kappa_sd > 0.5 * prior_kappa_sd:
+            lines.append(f"  warning: kappa chain SD {kappa_sd:.1f} exceeds half its prior "
+                         f"SD {prior_kappa_sd:.1f}; kappa may be poorly identified - "
+                         "consider tightening its prior")
+        reports.append("\n".join(lines))
+    return reports
 
 
 def cmd_fit(args) -> int:
     config, out, dataset = _load_run(args)
     os.makedirs(out, exist_ok=True)
     cfg_hash = config_hash(config.raw)
-
-    chains = []
-    for i in range(args.chains):
-        cfg_i = replace(config.sampler, seed=config.sampler.seed + i)
-        dump = (
-            os.path.join(out, f"particles_{i}.csv")
-            if config.output.get("dump_particles")
-            else None
-        )
-        chains.append(
-            (
-                cfg_i,
-                os.path.join(out, f"chain_{i}.jsonl"),
-                os.path.join(out, f"chain_{i}.ckpt.json"),
-                dump,
-            )
-        )
-
     # Contiguous groups whose sizes differ by at most one, larger first.
     groups = np.array_split(np.arange(args.chains), min(args.jobs, args.chains))
-    tasks = [
-        (dataset.y, config.priors, cfg_hash, args.resume, [chains[i] for i in group])
-        for group in groups
-    ]
-    results = [res for group in _map_tasks(_fit_chains, tasks, args.jobs) for res in group]
+    tasks = [(dataset.y, config, cfg_hash, args.resume, out, group.tolist())
+             for group in groups]
+    for reports in _map_tasks(_fit_chains, tasks, args.jobs):
+        for report in reports:
+            _err(report)
 
-    prior_kappa_sd = math.sqrt(config.priors.kappa.shape) / config.priors.kappa.rate
-    for res in results:
-        _err(
-            f"chain seed={res['seed']}: {res['n_records']} records, "
-            f"final log-marginal {res['log_ml_last']:.3f}"
-        )
-        for pid, rate in sorted(res["acceptance"].items()):
-            _err(f"  accept[{pid}] = {rate:.3f}")
-        if res["kappa_sd"] > 0.5 * prior_kappa_sd:
-            _err(
-                f"  warning: kappa chain SD {res['kappa_sd']:.1f} exceeds half "
-                f"its prior SD {prior_kappa_sd:.1f}; kappa may be poorly "
-                "identified - consider tightening its prior"
-            )
-
+    chains = [_chain(config, out, i) for i in range(args.chains)]
     manifest = {
         "command": "fit",
         "config_hash": cfg_hash,
         "config": config.raw,
         "chains": args.chains,
-        "chain_seeds": [config.sampler.seed + i for i in range(args.chains)],
-        "files": [res["file"] for res in results],
+        "chain_seeds": [cfg.seed for cfg, *_ in chains],
+        "files": [chain_path for _, chain_path, *_ in chains],
         "version": __version__,
     }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
@@ -424,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select", help="compare regime counts")
     p_sel.add_argument("--config", required=True)
-    p_sel.add_argument("--K", required=True, help="comma-separated regime counts")
+    p_sel.add_argument("--K", required=True, help="comma-separated regime counts, each "
+                       "fitted under the stay-favoring row prior (10 on the diagonal, 1 "
+                       "elsewhere) whatever priors.rows holds")
     p_sel.add_argument(
         "--jobs",
         type=_positive_int,

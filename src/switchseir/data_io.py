@@ -15,7 +15,9 @@ quote or a line break are double-quoted (the csv module's default).
   finite and within [0, 1], and are clamped like counts.
 - truth sidecar: ``t,S,E,I,R,regime`` with 1-based t and regimes.
 - chain files: one JSON header line, then one JSON record per retained
-  iteration; append-friendly.
+  iteration; append-friendly.  A resume extends one only when its header
+  line is the one a fresh start of the chain would write and it holds
+  every record the checkpoint has emitted (truncate_chain).
 - checkpoint: single JSON object with the full sampler state.  Keys it
   does not use, such as the total_counts and reference lineage of older
   checkpoints, are ignored; load_checkpoint checks it against the run
@@ -494,10 +496,21 @@ def read_chain(path) -> tuple[dict, list[ChainRecord]]:
     return header, records
 
 
-def truncate_chain(path, n_records: int) -> None:
-    """Keep the header and the first n_records records (crash cleanup)."""
+def truncate_chain(path, header: dict, n_records: int) -> None:
+    """Cut a chain file back to its header and first n_records records,
+    to resume a checkpoint that has emitted n_records.  Raises InputError
+    naming the file, and leaves it unchanged, unless its header line is
+    the one write_chain(path, header) writes and it holds at least
+    n_records complete records."""
     with _input_file(path) as fh:
         lines = fh.readlines()
+    if lines[:1] != [_json_line(header)]:
+        raise InputError(f"{path}: chain header differs from the chain being resumed "
+                         f"(config hash {header['config_hash']}, seed {header['seed']})")
+    held = sum(line.endswith("\n") for line in lines[1:])
+    if held < n_records:
+        raise InputError(f"{path}: chain file holds {held} records, its checkpoint "
+                         f"has emitted {n_records}")
     with open(path, "w") as fh:
         fh.writelines(lines[: n_records + 1])
 

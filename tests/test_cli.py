@@ -103,17 +103,25 @@ class TestFit:
         assert manifest["chains"] == 2
         assert manifest["chain_seeds"] == [1, 2]
 
-    def test_jobs_do_not_change_output(self, sim_dir, tmp_path):
+    def test_jobs_do_not_change_output(self, sim_dir, tmp_path, capsys):
         # --jobs J runs the chains in min(J, 3) groups, each advanced in
-        # lockstep by one process: every grouping writes the same files.
+        # lockstep by one process: every grouping writes the same files
+        # and the same console report.
         cfg = shrink_config(sim_dir)
-        outs = {}
+        raw = json.loads(cfg.read_text())
+        raw["output"]["dump_particles"] = True
+        cfg.write_text(json.dumps(raw))
+        outs, errs = {}, {}
         for jobs in (1, 2, 3):
             outs[jobs] = tmp_path / f"jobs{jobs}"
+            capsys.readouterr()
             assert main(["fit", "--config", str(cfg), "--chains", "3", "--jobs",
                          str(jobs), "--out", str(outs[jobs])]) == 0
+            errs[jobs] = capsys.readouterr().err
+        assert errs[1].count("chain seed=") == 3
+        assert errs[2] == errs[1] and errs[3] == errs[1]
         for i in range(3):
-            for name in (f"chain_{i}.jsonl", f"chain_{i}.ckpt.json"):
+            for name in (f"chain_{i}.jsonl", f"chain_{i}.ckpt.json", f"particles_{i}.csv"):
                 want = (outs[1] / name).read_bytes()
                 assert (outs[2] / name).read_bytes() == want
                 assert (outs[3] / name).read_bytes() == want
@@ -515,6 +523,44 @@ class TestBadInputs:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"error: {out / 'chain_0.ckpt.json'}: checkpoint "
                                            "belongs to the chain of seed 2, not 1\n")
+
+    def test_resume_of_a_chain_file_cut_short(self, sim_dir, tmp_path, capsys):
+        # The checkpoint has emitted 6 records and the chain file holds 3:
+        # resuming would leave a gap of 3 iterations in the chain.
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(shrink_config(sim_dir)), "--chains", "1",
+                     "--out", str(out)]) == 0
+        chain = out / "chain_0.jsonl"
+        chain.write_text("".join(chain.read_text().splitlines(keepends=True)[:4]))
+        before = chain.read_bytes()
+        cfg = shrink_config(sim_dir, n_iterations=12)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {chain}: chain file holds 3 records, "
+                                           "its checkpoint has emitted 6\n")
+        assert chain.read_bytes() == before
+
+    def test_resume_of_another_runs_chain_file(self, sim_dir, tmp_path, capsys):
+        # The chain file of a --seed 7 run copied over chain 0 of a seed-1
+        # run whose checkpoint stays: the resume refuses to extend it.
+        cfg = shrink_config(sim_dir)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--out", str(a)]) == 0
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--seed", "7",
+                     "--out", str(b)]) == 0
+        chain = a / "chain_0.jsonl"
+        shutil.copy(b / "chain_0.jsonl", chain)
+        before = chain.read_bytes()
+        cfg = shrink_config(sim_dir, n_iterations=12)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(a)]) == 2
+        cfg_hash = json.loads((a / "manifest.json").read_text())["config_hash"]
+        assert capsys.readouterr().err == (
+            f"error: {chain}: chain header differs from the chain being resumed "
+            f"(config hash {cfg_hash}, seed 1)\n")
+        assert chain.read_bytes() == before
 
     @pytest.mark.parametrize("case", list(BAD_RECORDS))
     def test_bad_chain_record(self, sim_dir, tmp_path, capsys, case):

@@ -328,11 +328,35 @@ class TestChainFiles:
     def test_truncate_chain_keeps_prefix(self, tmp_path):
         records = make_records(n=10)
         path = tmp_path / "chain.jsonl"
-        write_records(path, records, chain_header(2, 8, "abc", 5))
-        truncate_chain(path, 4)
+        header = chain_header(2, 8, "abc", 5)
+        write_records(path, records, header)
+        truncate_chain(path, header, 4)
         _, got = read_chain(path)
         assert len(got) == 4
         assert got[-1].iteration == records[3].iteration
+
+    @pytest.mark.parametrize("header, n_records, message", [
+        (chain_header(2, 8, "abc", 6), 4, "chain header differs"),
+        (chain_header(2, 8, "abd", 5), 4, "chain header differs"),
+        (chain_header(2, 8, "abc", 5), 11, "chain file holds 10 records, its checkpoint "
+                                           "has emitted 11"),
+    ])
+    def test_truncate_chain_refuses_and_leaves_the_file(self, tmp_path, header,
+                                                         n_records, message):
+        path = tmp_path / "chain.jsonl"
+        write_records(path, make_records(n=10), chain_header(2, 8, "abc", 5))
+        before = path.read_bytes()
+        with pytest.raises(InputError, match=message):
+            truncate_chain(path, header, n_records)
+        assert path.read_bytes() == before
+
+    def test_truncate_chain_does_not_count_a_partial_record(self, tmp_path):
+        path = tmp_path / "chain.jsonl"
+        header = chain_header(2, 8, "abc", 5)
+        write_records(path, make_records(n=3), header)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(InputError, match="holds 2 records, its checkpoint has emitted 3"):
+            truncate_chain(path, header, 3)
 
 
 class TestCheckpoints:
