@@ -9,16 +9,18 @@ scripts/bench_pairs.py makes them (make_copies): `git archive PARENT_REV`
 in DIR/parent and the working tree's tracked files, as they are on disk,
 in DIR/change.  In each tree's directory run/, so that every path the
 commands see or print is the same relative one, `python -m switchseir`
-of that tree runs, for each seed S of 1, 2 and 3:
+of that tree runs, for each scenario SCN, seed S and regime counts KS of
+two-regime seeds 1, 2 and 3 with KS = 1,2 and three-regime seed 17 (a
+series on which all three regimes are identifiable) with KS = 2,3:
 
-    simulate --scenario two-regime --seed S --out sS
+    simulate --scenario SCN --seed S --out sS
     fit --config sS/short.json --chains 3 --jobs 1 --out sS/jobs1
     fit --config sS/short.json --chains 3 --jobs 2 --out sS/jobs2
     fit --config sS/long.json --chains 3 --jobs 1 --resume --out sS/jobs1
     fit --config sS/long.json --chains 3 --jobs 2 --resume --out sS/jobs2
     summarize sS/jobs1/chain_0.jsonl ... chain_2.jsonl --config sS/long.json --out sS/summary
     diagnose sS/jobs1/chain_0.jsonl ... chain_2.jsonl --out sS/diagnose
-    select --config sS/short.json --K 1,2 --out sS/select
+    select --config sS/short.json --K KS --out sS/select
 
 short.json is the starter config that simulate writes, set to 30
 iterations, burn-in 5, m_per_regime 5, 2 MH sweeps and
@@ -47,7 +49,9 @@ from itertools import zip_longest
 
 from bench_pairs import SIDES, make_copies
 
-SEEDS = (1, 2, 3)
+# (scenario, seed, select's --K list) of each simulated series.
+RUNS = (("two-regime", 1, "1,2"), ("two-regime", 2, "1,2"), ("two-regime", 3, "1,2"),
+        ("three-regime", 17, "2,3"))
 SHORT = {"n_iterations": 30, "burn_in": 5, "m_per_regime": 5, "mh_sweeps_per_iter": 2}
 LONG_ITERATIONS = 45
 
@@ -64,7 +68,7 @@ def _write_configs(run_dir: str, seed_dir: str) -> None:
             json.dump(raw, fh, indent=1, sort_keys=True)
 
 
-def _commands(seed: int) -> list[list[str]]:
+def _commands(seed: int, k_list: str) -> list[list[str]]:
     """The commands of one seed after simulate, in the order they run."""
     d = f"s{seed}"
     chains = [f"{d}/jobs1/chain_{i}.jsonl" for i in range(3)]
@@ -74,7 +78,7 @@ def _commands(seed: int) -> list[list[str]]:
     return fits + [
         ["summarize", *chains, "--config", f"{d}/long.json", "--out", f"{d}/summary"],
         ["diagnose", *chains, "--out", f"{d}/diagnose"],
-        ["select", "--config", f"{d}/short.json", "--K", "1,2", "--out", f"{d}/select"],
+        ["select", "--config", f"{d}/short.json", "--K", k_list, "--out", f"{d}/select"],
     ]
 
 
@@ -115,9 +119,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = make_copies(args.parent_rev, args.workdir or tmp)
-        for seed in SEEDS:
-            commands = [["simulate", "--scenario", "two-regime", "--seed", str(seed),
-                         "--out", f"s{seed}"]] + _commands(seed)
+        for scenario, seed, k_list in RUNS:
+            commands = [["simulate", "--scenario", scenario, "--seed", str(seed),
+                         "--out", f"s{seed}"]] + _commands(seed, k_list)
             results = {}
             for side, root in roots.items():
                 os.makedirs(os.path.join(root, "run"), exist_ok=True)

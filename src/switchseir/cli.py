@@ -2,10 +2,14 @@
 
 Subcommands: simulate, fit, select, diagnose, summarize.  Progress goes
 to standard error; all data goes to files, keeping standard output clean
-for piping.  Exit codes: 0 success, 1 runtime failure (an output file
-that cannot be written included), 2 usage error or an input that cannot
-be used: a config, data, chain or checkpoint file that is missing,
-cannot be read or is invalid.
+for piping.  The commands return nothing and raise on failure; main
+alone sets the exit code: 0 success, 2 a usage error that argparse
+reports (a missing or unknown option, --scenario not a scenario name,
+--chains, --jobs or a --K entry not an integer >= 1, a --K list with a
+repeat, --seed not an integer >= 0) or an InputError (a config, data,
+chain or checkpoint file that is missing, cannot be read or is invalid;
+the message names the file or config key), and 1 any other failure, an
+output file that cannot be written included.
 
 Every command writes its files to --out.  Without it, fit, select and
 summarize write to the config's output.directory (default out), and
@@ -23,10 +27,12 @@ writes, for each chain:
 Then manifest.json lists the config, its hash and each chain's seed and
 file.  fit --resume continues every chain whose checkpoint exists from
 that checkpoint, after cutting its chain file back to the records the
-checkpoint has emitted.  It exits 2 naming the chain file, and leaves
-the file unchanged, when the file's header is not the one a fresh start
-of that chain would write (a chain file of another run or chain), or
-when the file holds fewer records than the checkpoint has emitted.
+checkpoint has emitted, and starts every other chain afresh.  It exits
+2 naming the chain file, and leaves the file unchanged, when the file's
+header is not the one a fresh start of that chain would write (a chain
+file of another run or chain), when the file holds fewer records than
+the checkpoint has emitted, or when the file holds a record and the
+checkpoint is missing (then the message names both files).
 
 select fits every candidate K under the stay-favoring row prior of
 data_io.priors_for_k (concentration 10 on the diagonal, 1 elsewhere),
@@ -44,7 +50,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -52,6 +58,7 @@ import numpy as np
 from . import __version__
 from .data_io import (
     DEFAULT_OUT,
+    SCENARIOS,
     InputError,
     append_chain_record,
     chain_header,
@@ -66,6 +73,7 @@ from .data_io import (
     priors_for_k,
     priors_to_dict,
     read_chain,
+    refuse_restart,
     scenario_priors,
     truncate_chain,
     write_chain,
@@ -87,7 +95,7 @@ from .diagnostics import (
     score_records,
     summarize,
 )
-from .pg import acceptance_rates, run_pg
+from .pg import SamplerConfig, acceptance_rates, run_pg
 from .rng import TAG_INIT, substream
 from .smc import run_smc
 
@@ -120,7 +128,7 @@ def _load_run(args):
     return config, args.out or config.output["directory"], dataset
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     out = args.out or DEFAULT_OUT
     os.makedirs(out, exist_ok=True)
     dataset, latent, params = generate_simulation(args.scenario, seed=args.seed)
@@ -133,14 +141,7 @@ def cmd_simulate(args) -> int:
     config = {
         "model": {"n_regimes": priors.n_regimes, "ident_change_times": [1]},
         "priors": priors_to_dict(priors),
-        "sampler": {
-            "n_iterations": 4000,
-            "burn_in": 1000,
-            "m_per_regime": 50,
-            "seed": args.seed,
-            "mh_sweeps_per_iter": 5,
-            "thin": 1,
-        },
+        "sampler": asdict(SamplerConfig(4000, 1000, 50, args.seed)),
         "data": {"path": "dataset.csv", "format": "proportions"},
         "output": {"directory": out},
     }
@@ -151,7 +152,6 @@ def cmd_simulate(args) -> int:
         f"simulate: wrote {dataset.horizon} observations, truth, and a "
         f"starter config to {out}/"
     )
-    return 0
 
 
 def _chain_callback(fh, ckpt_path, cfg_hash, cfg):
@@ -203,6 +203,8 @@ def _fit_chains(task) -> list[str]:
             # another chain's file, or one holding fewer records, is refused.
             state = load_checkpoint(ckpt_path, priors, len(y), cfg_hash, cfg.seed)
             truncate_chain(chain_path, header(cfg.seed), state.n_emitted)
+        elif resume and os.path.exists(chain_path):
+            refuse_restart(chain_path, ckpt_path)
         states.append(state)
     with ExitStack() as stack:
         callbacks = []
@@ -238,7 +240,7 @@ def _fit_chains(task) -> list[str]:
     return reports
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     config, out, dataset = _load_run(args)
     os.makedirs(out, exist_ok=True)
     cfg_hash = config_hash(config.raw)
@@ -263,7 +265,6 @@ def cmd_fit(args) -> int:
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 0
 
 
 def _fit_candidate(task) -> SelectionRow:
@@ -290,21 +291,10 @@ def _select_rows(y, priors_by_k: dict, sampler, jobs: int) -> list[SelectionRow]
     return sorted(rows, key=lambda row: row.log_ml_mean, reverse=True)
 
 
-def cmd_select(args) -> int:
-    try:
-        candidates = [int(v) for v in args.K.split(",") if v.strip()]
-    except ValueError:
-        candidates = []
-    if not candidates or min(candidates) < 1:
-        _err(f"select: bad --K list {args.K!r}")
-        return 2
-    repeated = sorted({k for k in candidates if candidates.count(k) > 1})
-    if repeated:
-        _err(f"select: --K list {args.K!r} repeats K={','.join(map(str, repeated))}")
-        return 2
+def cmd_select(args) -> None:
     config, out, dataset = _load_run(args)
     os.makedirs(out, exist_ok=True)
-    priors_by_k = {k: priors_for_k(config.priors, k) for k in candidates}
+    priors_by_k = {k: priors_for_k(config.priors, k) for k in args.K}
     rows = _select_rows(dataset.y, priors_by_k, config.sampler, args.jobs)
     table_path = os.path.join(out, "model_selection.csv")
     write_selection_table(table_path, rows)
@@ -315,7 +305,6 @@ def cmd_select(args) -> int:
             f"(sd {row.log_ml_sd:.3f}, {row.n_records} records){note}"
         )
     _err(f"select: wrote {table_path}")
-    return 0
 
 
 def _load_chains(paths, min_each: int, horizon: int | None = None,
@@ -347,10 +336,9 @@ def _load_chains(paths, min_each: int, horizon: int | None = None,
     return chains
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     if len(args.chains) < 2:
-        _err("diagnose: needs at least 2 chain files")
-        return 2
+        raise InputError(f"diagnose needs at least 2 chain files, got {args.chains[0]} alone")
     chains = _load_chains(args.chains, MIN_RHAT_RECORDS)
     rhats = gelman_rubin_table(chains)
     out = args.out or DEFAULT_OUT
@@ -361,10 +349,9 @@ def cmd_diagnose(args) -> int:
     for name, value in rhats.items():
         _err(f"rhat[{name}] = {value:.4f} {rhat_status(value)}")
     _err(f"diagnose: wrote {table_path} (worst rhat {worst:.4f})")
-    return 0
 
 
-def cmd_summarize(args) -> int:
+def cmd_summarize(args) -> None:
     config, out, dataset = _load_run(args)
     chains = _load_chains(args.chains, 1, dataset.horizon, config.n_regimes)
     pooled = sum(len(c) for c in chains)
@@ -382,18 +369,34 @@ def cmd_summarize(args) -> int:
         f"summarize: wrote summary.csv, regime_curves.csv, seir_curves.csv "
         f"to {out}/"
     )
-    return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the --chains and --jobs counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _integer_arg(least: int, expected: str):
+    """argparse type of an integer >= least; expected names the rule in
+    the message of a value it refuses."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _integer_arg(1, "a positive integer")
+_seed = _integer_arg(0, "an integer >= 0")
+
+
+def _regime_counts(text: str) -> list[int]:
+    """argparse type of --K: comma-separated distinct integers >= 1."""
+    counts = [_positive_int(entry) for entry in text.split(",")]
+    if len(set(counts)) < len(counts):
+        raise argparse.ArgumentTypeError(f"regime counts must be distinct, got {text!r}")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a simulation scenario")
-    p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -423,16 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
         "process advances its group in lockstep, one batched CSMC-AS pass "
         "per iteration; outputs do not depend on it",
     )
-    p_fit.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_fit.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p_fit.add_argument("--resume", action="store_true")
     p_fit.add_argument("--out")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sel = sub.add_parser("select", help="compare regime counts")
     p_sel.add_argument("--config", required=True)
-    p_sel.add_argument("--K", required=True, help="comma-separated regime counts, each "
-                       "fitted under the stay-favoring row prior (10 on the diagonal, 1 "
-                       "elsewhere) whatever priors.rows holds")
+    p_sel.add_argument("--K", required=True, type=_regime_counts,
+                       help="the regime counts to compare: comma-separated distinct "
+                       "integers >= 1, each fitted under the stay-favoring row prior (10 on "
+                       "the diagonal, 1 elsewhere) whatever priors.rows holds")
     p_sel.add_argument(
         "--jobs",
         type=_positive_int,
@@ -457,10 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; its exit code (see the module docstring).  A
+    usage error raises SystemExit(2) from argparse."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except InputError as exc:
         _err(f"error: {exc}")
         return 2
@@ -470,6 +475,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures map to exit code 1
         _err(f"error: {exc}")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

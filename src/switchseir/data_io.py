@@ -17,7 +17,9 @@ quote or a line break are double-quoted (the csv module's default).
 - chain files: one JSON header line, then one JSON record per retained
   iteration; append-friendly.  A resume extends one only when its header
   line is the one a fresh start of the chain would write and it holds
-  every record the checkpoint has emitted (truncate_chain).
+  every record the checkpoint has emitted (truncate_chain), and starts
+  one afresh without a checkpoint only when it holds no record
+  (refuse_restart).
 - checkpoint: single JSON object with the full sampler state.  Keys it
   does not use, such as the total_counts and reference lineage of older
   checkpoints, are ignored; load_checkpoint checks it against the run
@@ -46,17 +48,19 @@ finite: json reads NaN and Infinity, and the config refuses them.
   in its parameter's domain: lower >= 0 for alpha, beta and gamma, and
   both ident bounds within [0, 1], so an ident entry needs its upper
   bound.  ``lambda`` and ``kappa`` are Gammas ``{shape, rate}`` (both
-  positive); optional ``rows`` (K Dirichlet rows of K positive
-  concentrations, default 10 on the diagonal and 1 elsewhere) and
-  ``theta1`` (4 positive concentrations, default ``[100, 1, 1, 1]``).
+  positive); optional ``rows`` (Dirichlet rows of K positive
+  concentrations: K rows for K >= 2 and none for K = 1; default 10 on
+  the diagonal and 1 elsewhere) and ``theta1`` (4 positive
+  concentrations, default ``[100, 1, 1, 1]``).
 - sampler: the fields of pg.SamplerConfig; ``n_iterations``,
   ``burn_in`` (below ``n_iterations``), ``m_per_regime`` and ``seed``
   are required.  MH proposal scales are not configured: pg starts them
   from the priors and adapts them during burn-in.
 - data: ``path`` (relative to the config file), ``format`` (``counts``,
   the default, with ``population`` and ``aggregation`` ``none`` or
-  ``weekly``; or ``proportions``).  The series it names needs at least
-  two observations, counted after aggregation.
+  ``weekly``; or ``proportions``, which refuses those two counts keys).
+  The series it names needs at least two observations, counted after
+  aggregation.
 - output (optional): ``directory`` (default ``out``) and
   ``dump_particles`` (default false).
 """
@@ -376,8 +380,7 @@ def priors_from_dict(d: dict, n_regimes: int, ident_start_times=(0,)) -> PriorSp
         return GammaParams(e["shape"], e["rate"])
 
     def rows(value: list) -> tuple:
-        given = tuple(tuple(float(c) for c in row) for row in value)
-        return given if given and n_regimes > 1 else diagonal_row_priors(n_regimes)
+        return tuple(tuple(float(c) for c in row) for row in value)
 
     fields = {"n_regimes": n_regimes, "ident_start_times": tuple(ident_start_times),
               "row_concentrations": diagonal_row_priors(n_regimes)}
@@ -496,18 +499,36 @@ def read_chain(path) -> tuple[dict, list[ChainRecord]]:
     return header, records
 
 
+def _chain_lines(path) -> tuple[list[str], int]:
+    """The lines of a chain file and the number of complete records it
+    holds: lines after the header that end in a newline, so a record cut
+    mid-line is not counted."""
+    with _input_file(path) as fh:
+        lines = fh.readlines()
+    return lines, sum(line.endswith("\n") for line in lines[1:])
+
+
+def refuse_restart(path, checkpoint_path) -> None:
+    """Raise InputError naming a chain file and its checkpoint when the
+    file holds a complete record: a resume without the checkpoint would
+    start the chain afresh and overwrite them.  A file holding its
+    header alone (a chain stopped before its first checkpoint) passes."""
+    held = _chain_lines(path)[1]
+    if held:
+        raise InputError(f"{path}: chain file holds {held} records and its checkpoint "
+                         f"{checkpoint_path} is missing")
+
+
 def truncate_chain(path, header: dict, n_records: int) -> None:
     """Cut a chain file back to its header and first n_records records,
     to resume a checkpoint that has emitted n_records.  Raises InputError
     naming the file, and leaves it unchanged, unless its header line is
     the one write_chain(path, header) writes and it holds at least
     n_records complete records."""
-    with _input_file(path) as fh:
-        lines = fh.readlines()
+    lines, held = _chain_lines(path)
     if lines[:1] != [_json_line(header)]:
         raise InputError(f"{path}: chain header differs from the chain being resumed "
                          f"(config hash {header['config_hash']}, seed {header['seed']})")
-    held = sum(line.endswith("\n") for line in lines[1:])
     if held < n_records:
         raise InputError(f"{path}: chain file holds {held} records, its checkpoint "
                          f"has emitted {n_records}")
@@ -750,11 +771,13 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:  # the key checks leave SamplerConfig's burn_in rule only
         raise InputError(f"sampler.burn_in: {exc}") from None
 
-    data = dict(raw["data"])
-    data.setdefault("aggregation", "none")
-    data.setdefault("format", "counts")
+    data = {"format": "counts", **raw["data"]}
     if data["format"] == "counts" and "population" not in data:
         raise InputError("missing config key data.population")
+    for key in ("aggregation", "population"):
+        if data["format"] == "proportions" and key in data:
+            raise InputError(f"data.{key}: a proportions series takes no {key}")
+    data.setdefault("aggregation", "none")
 
     output = dict(raw.get("output", {}))
     output.setdefault("directory", DEFAULT_OUT)

@@ -79,9 +79,21 @@ class TestSimulate:
         truth = json.loads((tmp_path / "truth_params.json").read_text())
         assert params_to_dict(params_from_dict(truth)) == params_to_dict(SCENARIOS[scenario][1])
 
-    def test_unknown_scenario_is_runtime_error(self, tmp_path):
-        code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
-        assert code == 1
+    def test_unknown_scenario_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--scenario", "nope", "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "argument --scenario: invalid choice: 'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--scenario", "two-regime", "--seed", "-1", "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -255,6 +267,15 @@ class TestFit:
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_negative_seed_is_usage_error(self, sim_dir, tmp_path, capsys):
+        cfg = shrink_config(sim_dir)
+        out = tmp_path / "fit"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fit", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_particle_dump_flag(self, sim_dir, tmp_path):
         cfg_path = shrink_config(sim_dir)
         raw = json.loads(cfg_path.read_text())
@@ -313,15 +334,17 @@ class TestSelect:
         assert not (out / "model_selection.csv").exists()
 
     @pytest.mark.parametrize("k_list,message", [
-        ("a,b", "bad --K list 'a,b'"),
-        ("2,1,2", "--K list '2,1,2' repeats K=2"),
-    ], ids=["non-numeric", "repeated"])
+        ("0", "must be a positive integer, got '0'"),
+        ("a,b", "must be a positive integer, got 'a'"),
+        ("2,1,2", "regime counts must be distinct, got '2,1,2'"),
+    ], ids=["zero", "non-numeric", "repeated"])
     def test_bad_k_list(self, sim_dir, tmp_path, capsys, k_list, message):
         cfg = shrink_config(sim_dir)
         out = tmp_path / "sel"
-        assert main(["select", "--config", str(cfg), "--K", k_list,
-                     "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["select", "--config", str(cfg), "--K", k_list, "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert f"argument --K: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -464,6 +487,19 @@ BAD_CONFIGS = {
                               "positive"),
     "rows-one-row-at-k2": (lambda raw: raw["priors"].update(rows=[[10, 1]]),
                            "priors.rows: need one row concentration vector per regime"),
+    "rows-empty-at-k2": (lambda raw: raw["priors"].update(rows=[]),
+                         "priors.rows: need one row concentration vector per regime"),
+    "rows-given-at-k1": (lambda raw: (raw["model"].update(n_regimes=1),
+                                      raw["priors"].update(rows=[[5, 5]])),
+                         "priors.rows: need one row concentration vector per regime, "
+                         "none for K = 1"),
+    # The counts keys have no meaning for a series of proportions.
+    "aggregation-of-proportions": (lambda raw: raw["data"].update(aggregation="weekly"),
+                                   "data.aggregation: a proportions series takes no "
+                                   "aggregation"),
+    "population-of-proportions": (lambda raw: raw["data"].update(population=1000),
+                                  "data.population: a proportions series takes no "
+                                  "population"),
     # An integer beyond the float range is not a number the config takes.
     "population-past-float-range": (
         lambda raw: raw["data"].update(format="counts", population=10**400),
@@ -561,6 +597,37 @@ class TestBadInputs:
             f"error: {chain}: chain header differs from the chain being resumed "
             f"(config hash {cfg_hash}, seed 1)\n")
         assert chain.read_bytes() == before
+
+    def test_resume_of_a_chain_whose_checkpoint_is_missing(self, sim_dir, tmp_path, capsys):
+        # A fresh start would overwrite the 6 records the chain file holds.
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(shrink_config(sim_dir)), "--chains", "1",
+                     "--out", str(out)]) == 0
+        chain, ckpt = out / "chain_0.jsonl", out / "chain_0.ckpt.json"
+        ckpt.unlink()
+        before = chain.read_bytes()
+        cfg = shrink_config(sim_dir, n_iterations=12)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {chain}: chain file holds 6 records "
+                                           f"and its checkpoint {ckpt} is missing\n")
+        assert chain.read_bytes() == before
+        assert not ckpt.exists()
+
+    def test_resume_of_a_chain_stopped_before_its_first_checkpoint(self, sim_dir, tmp_path):
+        # A chain file holding its header alone starts afresh, as a fit
+        # without --resume would.
+        cfg = shrink_config(sim_dir, n_iterations=12)
+        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--out", str(fresh)]) == 0
+        resumed.mkdir()
+        header = (fresh / "chain_0.jsonl").read_text().splitlines(keepends=True)[0]
+        (resumed / "chain_0.jsonl").write_text(header)
+        assert main(["fit", "--config", str(cfg), "--chains", "1", "--resume",
+                     "--out", str(resumed)]) == 0
+        for name in ("chain_0.jsonl", "chain_0.ckpt.json"):
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
 
     @pytest.mark.parametrize("case", list(BAD_RECORDS))
     def test_bad_chain_record(self, sim_dir, tmp_path, capsys, case):
