@@ -311,11 +311,17 @@ def _load_chains(paths, min_each: int, horizon: int | None = None,
                  n_regimes: int | None = None):
     """The records of each chain file.  A file is an input error that
     names it when it holds fewer than min_each (>= 1) records, when its
-    header's horizon or n_regimes differs from a given one, or when
-    either differs from the first file's."""
-    chains, first = [], None
+    header's horizon or n_regimes differs from a given one, when either
+    differs from the first file's, or when it is a file listed before
+    under this or another name (the same device and inode)."""
+    chains, first, seen = [], None, {}
     for p in paths:
         header, records = read_chain(p)
+        st = os.stat(p)
+        if (st.st_dev, st.st_ino) in seen:
+            raise InputError(f"{p}: the same chain file as {seen[st.st_dev, st.st_ino]}, "
+                             "listed twice")
+        seen[st.st_dev, st.st_ino] = p
         if len(records) < min_each:
             raise InputError(
                 f"{p}: chain file holds {len(records)} records, "

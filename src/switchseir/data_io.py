@@ -20,10 +20,13 @@ quote or a line break are double-quoted (the csv module's default).
   every record the checkpoint has emitted (truncate_chain), and starts
   one afresh without a checkpoint only when it holds no record
   (refuse_restart).
-- checkpoint: single JSON object with the full sampler state.  Keys it
-  does not use, such as the total_counts and reference lineage of older
-  checkpoints, are ignored; load_checkpoint checks it against the run
-  and the chain it resumes.
+- checkpoint: single JSON object with the full sampler state: the
+  iteration, parameters, reference path, each MH id's step size and
+  adaptation window, and the emitted and degenerate counts.  What it
+  does not use is ignored: the total_counts and reference lineage of
+  older checkpoints, and their rows step size and window, from when the
+  transition rows had an MH move (pg now draws them exactly).
+  load_checkpoint checks it against the run and the chain it resumes.
 - summary table: ``parameter,mean,median,sd,ci_lo,ci_hi``.
 - regime curves: ``t,label,p_regime_1..K,y_obs,Ey_mean,Ey_lo,Ey_hi``.
 - SEIR curves: ``t,S_mean,S_lo,S_hi,...,R_hi``.
@@ -569,7 +572,9 @@ def _state_from_dict(d: dict, priors: PriorSpec, horizon: int) -> PgState:
     ref = path_from_dict(d["reference"]["path"])
     check_reference(ref, horizon, priors.n_regimes)
     ids = set(param_table(priors.n_regimes, len(priors.ident)))
-    steps, windows = d["step_sizes"], d["window_counts"]
+    # Older checkpoints also hold the rows entry of a removed MH move.
+    steps, windows = ({k: v for k, v in m.items() if k != "rows"} if isinstance(m, dict) else m
+                      for m in (d["step_sizes"], d["window_counts"]))
     if not (isinstance(steps, dict) and isinstance(windows, dict)
             and set(steps) == set(windows) == ids):
         raise ValueError(f"step_sizes and window_counts must map the MH ids {sorted(ids)}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ROW_ID, ParameterSet, param_table
+from .model import ParameterSet, param_table
 from .pg import ChainRecord
 
 # A parameter whose R-hat lies below this passes the convergence check
@@ -27,15 +27,13 @@ def param_values(params: ParameterSet) -> dict[str, float]:
     """Flatten psi into labeled scalars for reporting.
 
     Scalar entries carry their model.param_table ids (alpha, ..., p or
-    p1..pJ, f2..fK); the transition matrix is reported entry by entry as
-    pi_ij with 1-based indices.
+    p1..pJ, f2..fK); then, for K >= 2, the transition matrix entry by
+    entry as pi_ij with 1-based indices.
     """
-    out = {}
-    for pid, entry in param_table(params.n_regimes, len(params.ident_rates)).items():
-        if pid != ROW_ID:
-            out[pid] = entry.get(params)
-            continue
-        for i, row in enumerate(entry.get(params)):
+    table = param_table(params.n_regimes, len(params.ident_rates))
+    out = {pid: entry.get(params) for pid, entry in table.items()}
+    if params.n_regimes > 1:
+        for i, row in enumerate(params.trans_matrix):
             for j, value in enumerate(row):
                 out[f"pi_{i + 1}{j + 1}"] = float(value)
     return out

@@ -48,9 +48,6 @@ from .seir import EpidemicRates, rk4_step
 # Observed proportions are pulled this far inside (0,1) at ingestion; the
 # Beta density is undefined on the boundary.
 OBS_EPS = 1e-6
-# MH id of a transition-matrix row update (every id is listed by
-# param_table).
-ROW_ID = "rows"
 
 
 def modifier_band(k: int, n_regimes: int) -> tuple[float, float]:
@@ -319,14 +316,13 @@ class ParamEntry:
     """One MH-updated entry of psi, as listed by param_table.
 
     id is the MH id, the step-size key and the report label.  get and set
-    read and replace the entry (for ROW_ID, the whole transition matrix).
-    propose(params, step, priors, rng) draws a new value of the entry
-    with proposal scale step and returns (value, log_q_fwd, log_q_rev):
-    the log proposal densities of the move and of its reverse, or value
-    None for a proposal outside the entry's support.  log_prior(params,
-    priors) gives its prior terms (one per row for ROW_ID);
-    default_step(priors) is its initial proposal scale; factor names the
-    likelihood factor of PosteriorTerms that a move changes.
+    read and replace the entry.  propose(params, step, priors, rng) draws
+    a new value of the entry inside its support with proposal scale step
+    and returns (value, log_q_fwd, log_q_rev): the log proposal densities
+    of the move and of its reverse.  log_prior(params, priors) gives its
+    prior terms; default_step(priors) is its initial proposal scale;
+    factor names the likelihood factor of PosteriorTerms that a move
+    changes, obs or trans.
     """
 
     id: str
@@ -447,35 +443,6 @@ def _row_log_priors(params: ParameterSet, priors: PriorSpec) -> tuple[float, ...
     return tuple(terms)
 
 
-def _propose_row(params: ParameterSet, step: float, priors, rng):
-    """propose of ROW_ID: move one uniformly chosen row of the transition
-    matrix.  Its first K-1 entries are drawn in turn from Normals with SD
-    step around the current ones, truncated to (0, 1 - the sum of the
-    entries before); the last entry closes the row, and a closing entry
-    <= 0 gives value None."""
-    matrix = params.trans_matrix
-    k = params.n_regimes
-    row = int(rng.uniform() * k)
-    cur_row = matrix[row]
-    prop_row = np.empty(k)
-    log_q_fwd = log_q_rev = 0.0
-    partial_prop = partial_cur = 0.0
-    for j in range(k - 1):
-        fwd = TruncNormalParams(cur_row[j], step, 0.0, 1.0 - partial_prop)
-        prop_row[j] = sample_trunc_normal(fwd, rng)
-        log_q_fwd += trunc_normal_logpdf(prop_row[j], fwd)
-        rev = TruncNormalParams(prop_row[j], step, 0.0, 1.0 - partial_cur)
-        log_q_rev += trunc_normal_logpdf(cur_row[j], rev)
-        partial_prop += prop_row[j]
-        partial_cur += cur_row[j]
-    prop_row[k - 1] = 1.0 - partial_prop
-    if prop_row[k - 1] <= 0.0:
-        return None, log_q_fwd, log_q_rev
-    matrix = matrix.copy()
-    matrix[row] = prop_row
-    return matrix, log_q_fwd, log_q_rev
-
-
 # Entries that exist for every (K, number of p segments), in sweep order.
 _RATE_ENTRIES = (
     _rate_entry("alpha", "alpha", trunc_normal_logpdf, _trunc_normal_step, "trans"),
@@ -484,15 +451,6 @@ _RATE_ENTRIES = (
     _rate_entry("lambda", "lambda_", gamma_logpdf, _gamma_step, "obs"),
     _rate_entry("kappa", "kappa", gamma_logpdf, _gamma_step, "trans"),
 )
-_ROWS_ENTRY = ParamEntry(
-    ROW_ID,
-    get=operator.attrgetter("trans_matrix"),
-    set=lambda params, m: _with_fields(params, trans_matrix=_checked_trans_matrix(m)),
-    propose=_propose_row,
-    log_prior=_row_log_priors,
-    default_step=lambda priors: 0.05,
-    factor="regime",
-)
 
 
 @functools.cache
@@ -500,8 +458,11 @@ def param_table(n_regimes: int, n_segments: int) -> Mapping[str, ParamEntry]:
     """Every MH-updated entry of psi by id, in sweep order.
 
     The ids are alpha, beta, gamma, lambda, kappa, the identification
-    rates (p for a single segment, else p1..pJ), the modifiers f2..fK
-    and, for K >= 2, ROW_ID.  Built once per (K, segment count).
+    rates (p for a single segment, else p1..pJ) and the modifiers
+    f2..fK.  The transition matrix is not an entry: pg draws its rows
+    exactly from their full conditional given the regime path, and
+    PosteriorTerms adds their prior terms after those of the table.
+    Built once per (K, segment count).
     """
     entries = list(_RATE_ENTRIES)
     if n_segments == 1:
@@ -509,8 +470,6 @@ def param_table(n_regimes: int, n_segments: int) -> Mapping[str, ParamEntry]:
     else:
         entries += [_ident_entry(j, f"p{j + 1}") for j in range(n_segments)]
     entries += [_modifier_entry(k, n_regimes) for k in range(1, n_regimes)]
-    if n_regimes >= 2:
-        entries.append(_ROWS_ENTRY)
     return MappingProxyType({entry.id: entry for entry in entries})
 
 
@@ -525,11 +484,12 @@ class PosteriorTerms:
     """joint_log_posterior at (path, params), kept factor by factor.
 
     The factors are the observation, state-transition and regime
-    log-likelihoods, the initial-state prior and the prior terms of each
-    param_table entry.  moved(which, params) recomputes only the prior
-    terms of entry `which` and the likelihood factor it moves, then
-    re-adds all terms in the fixed order of joint_log_posterior, so an MH
-    target kept this way equals a full evaluation bit for bit.  Each
+    log-likelihoods, the initial-state prior, the prior terms of each
+    param_table entry and then the Dirichlet prior term of each
+    transition-matrix row (rows).  moved(which, params) recomputes only
+    the prior terms of entry `which` and the likelihood factor it moves,
+    then re-adds all terms in the fixed order of joint_log_posterior, so
+    an MH target kept this way equals a full evaluation bit for bit.  Each
     likelihood factor keeps its fixed inputs: log_y and log1m_y, log y
     and log(1 - y) taken once by build after checking y inside (0, 1);
     log_next, log theta_{2:T} taken once by build (None off the open
@@ -545,6 +505,7 @@ class PosteriorTerms:
     regime: float
     initial: float
     prior: dict[str, tuple[float, ...]]
+    rows: tuple[float, ...]
     log_y: np.ndarray = field(repr=False)
     log1m_y: np.ndarray = field(repr=False)
     log_next: np.ndarray | None = field(repr=False)
@@ -552,7 +513,8 @@ class PosteriorTerms:
     total: float = field(init=False)
 
     def __post_init__(self):
-        prior = _sum_in_order(t for terms in self.prior.values() for t in terms)
+        prior = _sum_in_order(
+            t for terms in (*self.prior.values(), self.rows) for t in terms)
         parts = self.obs + self.trans + self.regime + self.initial + prior
         object.__setattr__(self, "total", parts if np.isfinite(parts) else -math.inf)
 
@@ -578,6 +540,7 @@ class PosteriorTerms:
             regime=regime_loglik_series(path.regimes, params),
             initial=initial_logdensity(path.thetas[0], int(path.regimes[0]), priors),
             prior={pid: e.log_prior(params, priors) for pid, e in table.items()},
+            rows=_row_log_priors(params, priors),
             log_y=log_y,
             log1m_y=log1m_y,
             log_next=log_next,
@@ -592,8 +555,6 @@ class PosteriorTerms:
         if entry.factor == "obs":
             obs = _obs_loglik(self.log_y, self.log1m_y, self.path.thetas, params)
             changed = {"obs": obs}
-        elif entry.factor == "regime":
-            changed = {"regime": regime_loglik_series(self.path.regimes, params)}
         else:  # kappa scales the Dirichlet concentrations, not the means.
             eta = self.eta if which == "kappa" else _path_means(self.path, params)
             trans = _trans_loglik(self.log_next, eta, params.kappa)

@@ -3,18 +3,21 @@ Metropolis-Hastings parameter updates.
 
 Each iteration runs conditional SMC with ancestor sampling
 (smc.run_csmc_as_batch, which proposes regimes and states from the
-model) against the previous reference trajectory, draws a fresh
-reference from its particle system, then applies several full MH sweeps
-conditional on that reference.  A sweep visits the entries of
-model.param_table in order and moves each by mh_step, the one accept
-rule: the entry's own propose draws the proposal with its forward and
-reverse densities (a truncated-Normal random walk for a scalar,
-sequential truncated Normals along one row for the transition matrix).
-The MH target is the joint log posterior kept as model.PosteriorTerms: a
-proposal recomputes only the likelihood factor and prior terms of the
-entry it moves.  Each entry's proposal scale starts at its prior-scaled
-default_step and adapts toward TARGET_ACCEPT during burn-in; PgState,
-and so a checkpoint, carries the adapted scales.
+model) against the previous reference trajectory and draws a fresh
+reference from its particle system.  Given the reference's regimes,
+every row j of the transition matrix is then drawn exactly from its full
+conditional Dir(c_j + n_j), where c_j is the row's prior concentration
+and n_jk counts the j -> k moves of the path (Chib 1996, J.
+Econometrics); the initial regime is uniform and adds no count.  Then
+several full MH sweeps run conditional on the reference.  A sweep visits
+the entries of model.param_table in order and moves each by mh_step, the
+one accept rule: the entry's own propose draws a truncated-Normal random
+walk with its forward and reverse densities.  The MH target is the joint
+log posterior kept as model.PosteriorTerms: a proposal recomputes only
+the likelihood factor and prior terms of the entry it moves.  Each
+entry's proposal scale starts at its prior-scaled default_step and
+adapts toward TARGET_ACCEPT during burn-in; PgState, and so a
+checkpoint, carries the adapted scales.
 
 run_pg drives a list of chains in lockstep: each round advances every
 unfinished chain by one iteration, its CSMC-AS pass shared with the
@@ -22,11 +25,13 @@ others in one smc.run_csmc_as_batch call, and each chain at its own
 iteration number (resumed chains may differ).  That pass is all or
 nothing: it raises when any chain's weights degenerate, and run_pg then
 reruns each chain's pass alone, so every chain still gets the result of
-its own pass.  The reference draw, the MH sweeps, step-size adaptation,
-the degeneracy watchdog, the records and the callback stay per chain.
+its own pass.  The reference and row draws, the MH sweeps, step-size
+adaptation, the degeneracy watchdog, the records and the callback stay
+per chain.
 
 Every random draw of iteration r comes from counter-based streams keyed
-by (seed, stage, r, ...), so chains are bit-reproducible, a chain's
+by (seed, stage, r, ...) (the rows continue the reference draw's
+stream), so chains are bit-reproducible, a chain's
 records do not depend on which chains run beside it, and a run can
 resume from an iteration boundary with no drift.
 """
@@ -36,10 +41,11 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distributions import DirichletParams, sample_dirichlet
 from .model import (
     LatentPath,
     ParamEntry,
@@ -132,14 +138,12 @@ def mh_step(
     target is any object with params, total and moved(which, params)
     (model.PosteriorTerms in run_pg).  The proposal comes from
     entry.propose with scale step, then one uniform decides: a proposal
-    outside the support or at a non-finite target is rejected, one from a
-    non-finite target is accepted, and otherwise the usual ratio with the
-    proposal densities applies.  Returns (target at the kept parameters,
+    at a non-finite target is rejected, one from a non-finite target is
+    accepted, and otherwise the usual ratio with the proposal densities
+    applies.  Returns (target at the kept parameters,
     accepted)."""
     value, log_q_fwd, log_q_rev = entry.propose(target.params, step, priors, rng)
     u = rng.random()
-    if value is None:
-        return target, False
     proposal = target.moved(entry.id, entry.set(target.params, value))
     prop_lp, cur_lp = proposal.total, target.total
     if not np.isfinite(prop_lp):
@@ -180,10 +184,10 @@ def run_pg(
     and m_per_regime, so every pass runs the same particle count.  For
     each chain, iteration 0 draws the parameters from their priors and
     the reference trajectory from a plain SMC pass; each later iteration
-    refreshes the reference through CSMC-AS and then applies the
-    configured number of MH sweeps.  Step sizes start at each entry's
-    default_step, adapt toward a 30% acceptance rate during burn-in and
-    are frozen afterwards.
+    refreshes the reference through CSMC-AS, draws the transition rows
+    given it and then applies the configured number of MH sweeps.  Step
+    sizes start at each entry's default_step, adapt toward a 30%
+    acceptance rate during burn-in and are frozen afterwards.
 
     Every round runs one run_csmc_as_batch pass over the chains that have
     iterations left, each at its own next iteration, then the rest of
@@ -258,6 +262,20 @@ def _csmc_round(y, priors: PriorSpec, configs, states, live: list[int], n: int) 
     return results
 
 
+def _draw_rows(regimes: np.ndarray, params: ParameterSet, priors: PriorSpec,
+               rng: np.random.Generator) -> ParameterSet:
+    """params with every transition-matrix row j drawn from Dir(c_j +
+    n_j) given the regime path; a single-regime model's fixed matrix is
+    kept.  sample_dirichlet's floor keeps an entry of a row with a small
+    concentration from underflowing to 0, a -inf row prior."""
+    if not priors.row_concentrations:
+        return params
+    counts = np.zeros((params.n_regimes,) * 2)
+    np.add.at(counts, (regimes[:-1], regimes[1:]), 1.0)
+    conc = np.asarray(priors.row_concentrations, dtype=float) + counts
+    return replace(params, trans_matrix=sample_dirichlet(DirichletParams(conc), rng))
+
+
 def _initial_state(y, priors: PriorSpec, config: SamplerConfig, n: int, table) -> PgState:
     """Iteration 0 of a chain: prior parameters and a reference from a
     plain SMC pass of n particles."""
@@ -284,9 +302,11 @@ def _finish_iteration(
 ) -> ChainRecord | None:
     """The rest of iteration state.iteration + 1 of one chain, given the
     result of its CSMC-AS pass: the new reference (or, when the pass
-    degenerated, the old one), the MH sweeps, step-size adaptation and the
-    record, which is returned when the iteration emits one."""
+    degenerated, the old one), the rows drawn given it, the MH sweeps,
+    step-size adaptation and the record, which is returned when the
+    iteration emits one."""
     seed, r = config.seed, state.iteration + 1
+    rng = substream(seed, TAG_REFERENCE, r)
     if isinstance(system, DegenerateWeightsError):
         # Keep the previous reference (a rejected latent update) but
         # abort when degeneracy dominates the early iterations.
@@ -302,8 +322,9 @@ def _finish_iteration(
                 "check priors and precision parameters"
             ) from system
     else:
-        state.reference = sample_reference(system, substream(seed, TAG_REFERENCE, r)).path
+        state.reference = sample_reference(system, rng).path
         log_ml = system.log_marginal
+    state.params = _draw_rows(state.reference.regimes, state.params, priors, rng)
 
     target = PosteriorTerms.build(state.reference, y, state.params, priors)
     accepted: dict[str, list[bool]] = {pid: [] for pid in table}

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import re
 import shutil
 import warnings
@@ -24,12 +25,14 @@ from switchseir.data_io import (
     scenario_priors,
 )
 from switchseir.diagnostics import RHAT_GATE
+from switchseir.model import _row_log_priors
 from switchseir.pg import SamplerConfig
 from tests.test_data_io import make_records, write_records
 
-# A 5-iteration fit of a 12-step series.  Its checkpoint also holds the
-# post-burn-in acceptance totals (total_counts) that older versions wrote,
-# filled as they filled them: the sums of the chain records' flags.
+# A 5-iteration fit of a 12-step series.  Its checkpoint also holds keys
+# that older versions wrote: the post-burn-in acceptance totals
+# (total_counts, the sums of the chain records' flags), the reference
+# lineage, and the step size and window of the transition rows' MH move.
 OLD_CHECKPOINT_RUN = Path(__file__).parent / "data" / "old_checkpoint_run"
 
 
@@ -115,6 +118,19 @@ class TestFit:
         assert manifest["chains"] == 2
         assert manifest["chain_seeds"] == [1, 2]
 
+    def test_small_row_concentration_records_finite_row_priors(self, sim_dir, tmp_path):
+        cfg = shrink_config(sim_dir)
+        raw = json.loads(cfg.read_text())
+        raw["priors"]["rows"] = [[0.01, 0.01], [0.01, 0.01]]
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--chains", "2", "--out", str(out)]) == 0
+        priors = load_config(cfg).priors
+        for i in range(2):
+            _, records = read_chain(out / f"chain_{i}.jsonl")
+            for rec in records:
+                assert all(map(math.isfinite, _row_log_priors(rec.params, priors)))
+
     def test_jobs_do_not_change_output(self, sim_dir, tmp_path, capsys):
         # --jobs J runs the chains in min(J, 3) groups, each advanced in
         # lockstep by one process: every grouping writes the same files
@@ -159,7 +175,9 @@ class TestFit:
     def test_resume_from_checkpoint_holding_total_counts(self, tmp_path):
         resumed = tmp_path / "resumed"
         shutil.copytree(OLD_CHECKPOINT_RUN, resumed)
-        assert "total_counts" in json.loads((resumed / "chain_0.ckpt.json").read_text())
+        legacy = json.loads((resumed / "chain_0.ckpt.json").read_text())
+        assert "total_counts" in legacy and "lineage" in legacy["reference"]
+        assert "rows" in legacy["step_sizes"] and "rows" in legacy["window_counts"]
         cfg = resumed / "config.json"
         raw = json.loads(cfg.read_text())
         raw["sampler"]["n_iterations"] = 10
@@ -799,6 +817,24 @@ class TestDiagnoseAndSummarize:
         assert len(rows) == 12
         assert all(math.isfinite(float(rhat)) for name, rhat, _ in rows if name != "alpha")
 
+    @pytest.mark.parametrize("alias", ["same", "dotted", "symlink", "hard-link"])
+    def test_diagnose_refuses_a_chain_file_named_twice(self, tmp_path, capsys, alias):
+        # One chain counted twice agrees with itself: every R-hat would
+        # read below 1 and pass.
+        chain = str(tmp_path / "chain_0.jsonl")
+        write_records(chain, make_records(n=10), chain_header(2, 8, "abc", 1))
+        twin = {"same": chain, "dotted": f"{tmp_path}/./chain_0.jsonl",
+                "symlink": str(tmp_path / "sym.jsonl"),
+                "hard-link": str(tmp_path / "hard.jsonl")}[alias]
+        if alias == "symlink":
+            os.symlink(chain, twin)
+        elif alias == "hard-link":
+            os.link(chain, twin)
+        assert main(["diagnose", chain, twin, "--out", str(tmp_path / "diag")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {twin}: the same chain file as {chain}, listed twice\n")
+        assert not (tmp_path / "diag").exists()
+
     def test_diagnose_refuses_single_chain(self, fitted, tmp_path):
         _, out = fitted
         code = main(["diagnose", str(out / "chain_0.jsonl"),
@@ -829,6 +865,15 @@ class TestDiagnoseAndSummarize:
         err = capsys.readouterr().err
         assert (f"error: {chains[0]}, {chains[1]}: 12 records pooled, "
                 "need at least 100 to summarize") in err
+        assert not (tmp_path / "sum").exists()
+
+    def test_summarize_refuses_a_chain_file_named_twice(self, short_chains, tmp_path,
+                                                        capsys):
+        cfg, chains = short_chains
+        assert main(["summarize", chains[0], chains[1], chains[0], "--config", str(cfg),
+                     "--out", str(tmp_path / "sum")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {chains[0]}: the same chain file as {chains[0]}, listed twice\n")
         assert not (tmp_path / "sum").exists()
 
     @pytest.mark.parametrize("horizon", [100, 170])

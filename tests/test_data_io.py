@@ -273,7 +273,7 @@ def make_records(n=100, horizon=8, seed=0):
                 params=params,
                 path=LatentPath(thetas, regimes),
                 log_marginal=float(g.normal(100, 5)),
-                mh_accepted={"alpha": (True, False), "rows": (False,)},
+                mh_accepted={"alpha": (True, False), "f2": (False,)},
             )
         )
     return records

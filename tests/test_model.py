@@ -9,9 +9,9 @@ from switchseir.distributions import (
     DirichletParams,
     GammaParams,
     TruncNormalParams,
+    dirichlet_logpdf,
 )
 from switchseir.model import (
-    ROW_ID,
     LatentPath,
     ParameterSet,
     PosteriorTerms,
@@ -67,9 +67,12 @@ def table_for(params):
 
 
 def log_prior(params, priors):
-    """Sum of the prior terms of every param_table entry."""
+    """Sum of the prior terms of every param_table entry and of every
+    transition-matrix row."""
     table = table_for(params)
-    return sum(t for e in table.values() for t in e.log_prior(params, priors))
+    rows = [dirichlet_logpdf(row, DirichletParams(np.asarray(c)))
+            for row, c in zip(params.trans_matrix, priors.row_concentrations)]
+    return sum(t for e in table.values() for t in e.log_prior(params, priors)) + sum(rows)
 
 
 def obs_loglik_series(y, thetas, params):
@@ -540,8 +543,6 @@ class TestPosteriorTerms:
                 cur = terms.params
                 step = entry.default_step(priors)
                 value, _, _ = entry.propose(cur, step, priors, g)
-                if value is None:  # a row proposal off the simplex
-                    continue
                 moved = entry.set(cur, value)
                 terms = terms.moved(which, moved)
                 assert terms.total == joint_log_posterior(path, y, moved, priors), which
@@ -558,11 +559,13 @@ class TestPosteriorTerms:
         outside_prior = table_for(params)["p2"].set(params, 0.45)
         for which, moved in (
             ("f3", outside_band),
-            (ROW_ID, zero_row),
             ("p2", outside_prior),
         ):
             got = terms.moved(which, moved).total
             assert got == joint_log_posterior(path, y, moved, priors) == -math.inf, which
+        # A zero transition probability: the row prior term and the total.
+        zero = PosteriorTerms.build(path, y, zero_row, priors)
+        assert zero.rows[0] == zero.total == -math.inf
 
     def test_overflowing_transition_move_is_minus_inf_without_warning(self):
         # An alpha this far out overflows RK4: the transition means are NaN,
@@ -631,7 +634,6 @@ class TestTableSetters:
     BAD = {
         "alpha": -0.1, "beta": 0.0, "gamma": -1.0, "lambda": 0.0, "kappa": -5.0,
         "p1": 1.2, "p2": 0.0, "f2": 0.3, "f3": 0.6,
-        ROW_ID: np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.2], [0.2, 0.2, 0.6]]),
     }
 
     def full_check_message(self, params, which, value):
@@ -642,7 +644,7 @@ class TestTableSetters:
         if which in ("p1", "p2"):
             j = int(which[1]) - 1
             rates[j] = (value, rates[j][1])
-        field = {"lambda": "lambda_", ROW_ID: "trans_matrix"}.get(which, which)
+        field = {"lambda": "lambda_"}.get(which, which)
         fields = {field: value} if hasattr(params, field) else {}
         with pytest.raises(ValueError) as exc:
             replace(params, modifiers=mods, ident_rates=tuple(rates), **fields)
@@ -656,9 +658,6 @@ class TestTableSetters:
             with pytest.raises(ValueError) as exc:
                 table[which].set(params, bad)
             assert str(exc.value) == self.full_check_message(params, which, bad), which
-        negative = np.array([[1.1, -0.1, 0.0], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            table[ROW_ID].set(params, negative)
 
     def test_setters_return_read_only_arrays(self):
         params, _, _, _ = three_regime_case()
@@ -666,7 +665,6 @@ class TestTableSetters:
         good = {
             "alpha": 0.31, "beta": 0.5, "gamma": 0.21, "lambda": 1900.0,
             "kappa": 4000.0, "p1": 0.26, "p2": 0.29, "f2": 0.6, "f3": 0.2,
-            ROW_ID: np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
         }
         for which, value in good.items():
             moved = table[which].set(params, value)
@@ -784,7 +782,7 @@ class TestParamAccessors:
     def test_table_ids_in_sweep_order(self):
         assert list(param_table(3, 2)) == [
             "alpha", "beta", "gamma", "lambda", "kappa",
-            "p1", "p2", "f2", "f3", ROW_ID,
+            "p1", "p2", "f2", "f3",
         ]
         # A single-regime model has a fixed 1x1 matrix and no modifiers.
         assert list(param_table(1, 1)) == [

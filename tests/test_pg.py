@@ -1,23 +1,37 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from switchseir.data_io import priors_for_k
-from switchseir.distributions import TruncNormalParams, trunc_normal_logpdf
+from switchseir import pg, smc
+from switchseir.data_io import priors_for_k, scenario_priors
+from switchseir.distributions import (
+    SIMPLEX_FLOOR,
+    DirichletParams,
+    GammaParams,
+    TruncNormalParams,
+    trunc_normal_logpdf,
+)
 from switchseir.model import (
-    ROW_ID,
+    OBS_EPS,
     LatentPath,
     PosteriorTerms,
+    _row_log_priors,
+    draw_params,
     joint_log_posterior,
     param_table,
+    simulate_dataset,
 )
 from switchseir.pg import (
     TARGET_ACCEPT,
     ChainRecord,
+    PgState,
     SamplerConfig,
     _adjusted_step,
+    _draw_rows,
     acceptance_rates,
     mh_step,
     run_pg,
@@ -158,67 +172,192 @@ def three_regime_params():
     )
 
 
-class TestMhStepRow:
-    def test_row_closure_is_exact(self):
-        y, params, priors, path = make_data(horizon=10)
-        g = rng(6)
-        rows = entry(priors, ROW_ID)
-        target = PosteriorTerms.build(path, y, params, priors)
-        for _ in range(300):
-            target, _ = mh_step(target, rows, 0.2, priors, g)
-            cur = target.params
-            np.testing.assert_allclose(cur.trans_matrix.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(cur.trans_matrix > 0)
+def transition_counts(regimes, k):
+    counts = np.zeros((k, k))
+    for a, b in zip(regimes, regimes[1:]):
+        counts[a, b] += 1
+    return counts
 
+
+class TestRowDraw:
     @pytest.mark.parametrize("k", [2, 3])
-    def test_prior_recovery_rows(self, k):
-        # Flat likelihood: accepted rows must match their Dirichlet priors
-        # (10 on the diagonal, 1 elsewhere) in mean within 3 batch SEs, for
-        # every entry.  At K = 3 the second entry's upper bound 1 - partial
-        # depends on the first entry, so its correction is checked too.
-        _, params, priors, _ = make_data(horizon=4)
+    def test_rows_match_dirichlet_of_prior_plus_path_counts(self, k):
+        # Given a fixed path, each row must be an exact Dir(c_j + n_j) draw:
+        # every entry's mean and variance within 4 standard errors of the
+        # Beta marginal's, and a KS test per entry at the 0.001 level.
+        params, priors = two_regime_params(), two_regime_priors()
+        regimes = np.array([0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0])
         if k == 3:
             params, priors = three_regime_params(), priors_for_k(priors, 3)
-        g = rng(7)
-        rows = entry(priors, ROW_ID)
-        n = 60_000
-        draws = np.empty((n, k, k))
-        cur = CallableTarget(lambda ps: log_prior(ps, priors), params)
-        for i in range(n):
-            cur, _ = mh_step(cur, rows, 0.15, priors, g)
-            draws[i] = cur.params.trans_matrix
-        conc = np.asarray(priors.row_concentrations)
-        expect = conc / conc.sum(axis=1, keepdims=True)
+            regimes = np.array([0, 0, 2, 2, 1, 0, 1, 1, 2, 0, 0, 2, 2])
+        conc = np.asarray(priors.row_concentrations) + transition_counts(regimes, k)
+        g, n = rng(12), 20_000
+        draws = np.array([_draw_rows(regimes, params, priors, g).trans_matrix
+                          for _ in range(n)])
         for i in range(k):
             for j in range(k):
+                a, b = conc[i, j], conc[i].sum() - conc[i, j]
+                mean, var, _, kurt = stats.beta.stats(a, b, moments="mvsk")
                 x = draws[:, i, j]
-                assert abs(x.mean() - expect[i, j]) < 3 * batch_se(x), (i, j)
+                assert abs(x.mean() - mean) < 4 * math.sqrt(var / n), (i, j)
+                assert abs(x.var() - var) < 4 * var * math.sqrt((kurt + 2) / n), (i, j)
+                assert stats.kstest(x, "beta", args=(a, b)).pvalue > 1e-3, (i, j)
 
-    def test_three_regime_rows_stay_stochastic(self):
-        params = three_regime_params()
-        priors3 = priors_for_k(two_regime_priors(), 3)
-        y, _, _, path3 = make_data(horizon=10)
-        # Rebuild a 3-regime path by clamping regimes into range.
-        path = LatentPath(path3.thetas[:10], path3.regimes[:10] % 3)
-        g = rng(8)
-        rows = entry(priors3, ROW_ID)
-        target = PosteriorTerms.build(path, y, params, priors3)
-        for _ in range(300):
-            target, _ = mh_step(target, rows, 0.1, priors3, g)
-            cur = target.params
-            np.testing.assert_allclose(cur.trans_matrix.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(cur.trans_matrix > 0)
+    def test_small_concentration_never_gives_a_minus_inf_row_prior(self):
+        # A Gamma(0.01) variate underflows to exactly 0 about once in 1,800
+        # draws; the Dirichlet floor keeps every row entry inside (0, 1).
+        params = two_regime_params()
+        priors = replace(two_regime_priors(), row_concentrations=((0.01, 0.01),) * 2)
+        regimes = np.zeros(3, dtype=int)
+        g = rng(13)
+        smallest = 1.0
+        for _ in range(5000):
+            drawn = _draw_rows(regimes, params, priors, g)
+            assert np.isfinite(_row_log_priors(drawn, priors)).all()
+            smallest = min(smallest, drawn.trans_matrix.min())
+        assert smallest < 2 * SIMPLEX_FLOOR
 
-    def test_single_regime_is_noop(self):
-        # A single-regime model's table has no row entry, so run_pg never
-        # moves its fixed 1x1 transition matrix.
+    def test_single_regime_keeps_its_fixed_matrix(self):
         y, _, priors, _ = make_data(horizon=12)
-        priors1 = priors_for_k(priors, 1)
-        assert ROW_ID not in param_table(1, 1)
-        (records,) = run_pg(y, priors1, [small_config(n_iterations=5, burn_in=2)])
+        (records,) = run_pg(y, priors_for_k(priors, 1), [small_config(n_iterations=5, burn_in=2)])
         for rec in records:
-            assert ROW_ID not in rec.mh_accepted
             np.testing.assert_array_equal(rec.params.trans_matrix, [[1.0]])
+
+
+# Geweke (2004, JASA, "Getting it right") test of the whole PG iteration:
+# the prior draws of (psi, x, y) must have the law of a successive-
+# conditional chain that alternates y | (psi, x) with one run_pg iteration
+# resumed from (psi, x).  The priors keep short series off the
+# observation clamp and the state floor, which the likelihood ignores:
+# theta_1 ~ Dir(50, 5, 5, 1) and lambda ~ Gamma(20, 0.01).  kappa ~
+# Gamma(10, 0.01) leaves the rates weakly tied to the path, so that the
+# chain mixes within the run (integrated autocorrelation of alpha about 50
+# steps, against about 1,000 at the scenario's Gamma(200, 0.01)), and
+# rows of concentration 2 and 1 spread pi_11 enough that a row draw
+# ignoring the path shows.
+GEWEKE_PRIORS = replace(
+    scenario_priors("two-regime"),
+    theta1=DirichletParams(np.array([50.0, 5.0, 5.0, 1.0])),
+    lambda_=GammaParams(20.0, 0.01),
+    kappa=GammaParams(10.0, 0.01),
+    row_concentrations=((2.0, 1.0), (1.0, 2.0)),
+)
+GEWEKE_T, GEWEKE_M = 10, 5
+GEWEKE_STATS = ("alpha", "beta", "gamma", "kappa", "f2", "pi_11", "switches",
+                "pi_11 x stays")
+# Bound on each statistic's |z|: two-sided 0.0005 each, so about 0.004
+# over the eight.
+GEWEKE_Z = 3.5
+
+
+def geweke_stats(params, regimes):
+    stays = np.mean((regimes[:-1] == 0) & (regimes[1:] == 0))
+    pi11 = params.trans_matrix[0, 0]
+    return [params.alpha, params.beta, params.gamma, params.kappa, params.modifiers[1],
+            pi11, np.count_nonzero(np.diff(regimes)), pi11 * stays]
+
+
+def at_clamp_or_floor(y, path):
+    return bool(np.any((y <= OBS_EPS) | (y >= 1 - OBS_EPS))
+                or np.any(path.thetas < 2 * SIMPLEX_FLOOR))
+
+
+@pytest.fixture(scope="module")
+def geweke_prior_draws():
+    """10,000 independent draws of the statistics under the prior, and the
+    share of their series at a clamp or a floor."""
+    g = rng(2004)
+    values, hit = [], 0
+    for _ in range(10_000):
+        params = draw_params(GEWEKE_PRIORS, g)
+        y, path = simulate_dataset(params, GEWEKE_PRIORS, GEWEKE_T, g)
+        hit += at_clamp_or_floor(y, path)
+        values.append(geweke_stats(params, path.regimes))
+    return np.array(values), hit / 10_000
+
+
+def successive_conditional(n_steps, seed):
+    """The statistics of n_steps successive-conditional steps, and the
+    share of their series at a clamp or a floor."""
+    table = param_table(2, 1)
+    g = rng(seed)
+    params = draw_params(GEWEKE_PRIORS, g)
+    path = simulate_dataset(params, GEWEKE_PRIORS, GEWEKE_T, g)[1]
+    values, hit = [], 0
+    for i in range(n_steps):
+        mean = params.ident_series(GEWEKE_T) * path.thetas[:, 2]
+        y = g.beta(params.lambda_ * mean, params.lambda_ * (1.0 - mean))
+        y = np.clip(y, OBS_EPS, 1.0 - OBS_EPS)
+        hit += at_clamp_or_floor(y, path)
+        # burn_in 0: iteration i + 1 emits its record and adapts nothing.
+        state = PgState(i, params, path, {pid: e.default_step(GEWEKE_PRIORS)
+                                          for pid, e in table.items()},
+                        {pid: [0, 0] for pid in table}, 0, 0)
+        config = SamplerConfig(n_iterations=i + 1, burn_in=0, m_per_regime=GEWEKE_M,
+                               seed=seed, mh_sweeps_per_iter=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a degenerate pass keeps x
+            ((rec,),) = run_pg(y, GEWEKE_PRIORS, [config], resume=[state])
+        params, path = rec.params, rec.path
+        values.append(geweke_stats(params, path.regimes))
+    return np.array(values), hit / n_steps
+
+
+def integrated_autocorrelation(x):
+    """1 + 2 * the sum of autocorrelations, over Geyer's (1992) initial
+    positive sequence of paired lags."""
+    x = x - x.mean()
+    n = len(x)
+    f = np.fft.rfft(x, 2 * n)
+    acf = np.fft.irfft(f * np.conj(f))[:n]
+    if acf[0] == 0:
+        return 1.0
+    acf /= acf[0]
+    tau = 1.0
+    for lag in range(1, n - 1, 2):
+        pair = acf[lag] + acf[lag + 1]
+        if pair < 0:
+            break
+        tau += 2 * pair
+    return tau
+
+
+def geweke_z(prior, chain):
+    """Per statistic, the difference of the two means over its standard
+    error; the chain's variance is scaled by its autocorrelation time."""
+    z = []
+    for j in range(prior.shape[1]):
+        se2 = (prior[:, j].var(ddof=1) / len(prior)
+               + chain[:, j].var(ddof=1) * integrated_autocorrelation(chain[:, j])
+               / len(chain))
+        z.append((prior[:, j].mean() - chain[:, j].mean()) / math.sqrt(se2))
+    return dict(zip(GEWEKE_STATS, np.round(z, 2)))
+
+
+class TestGeweke:
+    @pytest.mark.parametrize("n_steps", [
+        4000, pytest.param(12_000, marks=pytest.mark.slow)])
+    def test_whole_iteration_leaves_the_joint_law_invariant(self, geweke_prior_draws, n_steps):
+        prior, prior_hit = geweke_prior_draws
+        chain, chain_hit = successive_conditional(n_steps, seed=n_steps)
+        assert prior_hit < 0.01 and chain_hit < 0.01, (prior_hit, chain_hit)
+        z = geweke_z(prior, chain)
+        assert max(map(abs, z.values())) < GEWEKE_Z, z
+
+    def test_fails_without_the_state_transition_in_ancestor_weights(
+        self, geweke_prior_draws, monkeypatch
+    ):
+        monkeypatch.setattr(smc, "_ancestor_log_weights",
+                            lambda log_ref, conc, log_into, log_w: log_into + log_w)
+        z = geweke_z(geweke_prior_draws[0], successive_conditional(1000, seed=1000)[0])
+        assert max(map(abs, z.values())) > GEWEKE_Z, z
+
+    def test_fails_when_rows_ignore_the_path(self, geweke_prior_draws, monkeypatch):
+        exact = pg._draw_rows
+        monkeypatch.setattr(pg, "_draw_rows", lambda regimes, params, priors, g: exact(
+            regimes[:1], params, priors, g))
+        z = geweke_z(geweke_prior_draws[0], successive_conditional(4000, seed=4000)[0])
+        assert max(map(abs, z.values())) > GEWEKE_Z, z
 
 
 def fake_records(rates: dict, n=250, sweeps=4):
@@ -326,7 +465,7 @@ class TestRunPg:
     def test_acceptance_flags_recorded_for_every_parameter(self):
         y, _, priors, _ = make_data(horizon=25)
         (records,) = run_pg(y, priors, [small_config()])
-        ids = {"alpha", "beta", "gamma", "lambda", "kappa", "p", "f2", "rows"}
+        ids = {"alpha", "beta", "gamma", "lambda", "kappa", "p", "f2"}
         for rec in records:
             assert set(rec.mh_accepted) == ids
             assert all(len(f) == 2 for f in rec.mh_accepted.values())
@@ -442,9 +581,7 @@ class TestLockstepChains:
         regimes = np.zeros(25, dtype=int)
         regimes[3] = 1
         state.reference = LatentPath(state.reference.thetas, regimes)
-        state.params = param_table(2, 1)[ROW_ID].set(
-            state.params, np.array([[1.0, 0.0], [1.0, 0.0]])
-        )
+        state.params = replace(state.params, trans_matrix=[[1.0, 0.0], [1.0, 0.0]])
         message = (
             "iteration 6: all particle weights degenerate at time step 3 "
             r"\(ancestor-sampling weights all zero\); latent update skipped"
@@ -486,9 +623,7 @@ class TestLockstepChains:
                    small_config(seed=33, n_iterations=8, burn_in=2)]
         state = captured_states(y, priors, configs[0], {5})[5]
         state.reference = LatentPath(state.reference.thetas, np.r_[0, 0, 0, 1, [0] * 21])
-        state.params = param_table(2, 1)[ROW_ID].set(
-            state.params, np.array([[1.0, 0.0], [1.0, 0.0]])
-        )
+        state.params = replace(state.params, trans_matrix=[[1.0, 0.0], [1.0, 0.0]])
         sizes.clear()
         with pytest.warns(UserWarning, match="iteration 6: .* at time step 3"):
             run_pg(y, priors, configs, resume=[None, copy.deepcopy(state), None])
