@@ -9,23 +9,27 @@ scripts/bench_pairs.py makes them (make_copies): `git archive PARENT_REV`
 in DIR/parent and the working tree's tracked files, as they are on disk,
 in DIR/change.  In each tree's directory run/, so that every path the
 commands see or print is the same relative one, `python -m switchseir`
-of that tree runs, for each scenario SCN, seed S and regime counts KS of
-two-regime seeds 1, 2 and 3 with KS = 1,2 and three-regime seed 17 (a
-series on which all three regimes are identifiable) with KS = 2,3:
+of that tree runs, in a directory D for each scenario SCN, seed S and
+regime counts KS of two-regime seeds 1, 2 and 3 with KS = 1,2 (D = s1, s2,
+s3), three-regime seed 17 (a series on which all three regimes are
+identifiable) with KS = 2,3 (D = s17), and two-regime seed 1 again with
+two identification-rate segments (D = s1-p2):
 
-    simulate --scenario SCN --seed S --out sS
-    fit --config sS/short.json --chains 3 --jobs 1 --out sS/jobs1
-    fit --config sS/short.json --chains 3 --jobs 2 --out sS/jobs2
-    fit --config sS/long.json --chains 3 --jobs 1 --resume --out sS/jobs1
-    fit --config sS/long.json --chains 3 --jobs 2 --resume --out sS/jobs2
-    summarize sS/jobs1/chain_0.jsonl ... chain_2.jsonl --config sS/long.json --out sS/summary
-    diagnose sS/jobs1/chain_0.jsonl ... chain_2.jsonl --out sS/diagnose
-    select --config sS/short.json --K KS --out sS/select
+    simulate --scenario SCN --seed S --out D
+    fit --config D/short.json --chains 3 --jobs 1 --out D/jobs1
+    fit --config D/short.json --chains 3 --jobs 2 --out D/jobs2
+    fit --config D/long.json --chains 3 --jobs 1 --resume --out D/jobs1
+    fit --config D/long.json --chains 3 --jobs 2 --resume --out D/jobs2
+    summarize D/jobs1/chain_0.jsonl ... chain_2.jsonl --config D/long.json --out D/summary
+    diagnose D/jobs1/chain_0.jsonl ... chain_2.jsonl --out D/diagnose
+    select --config D/short.json --K KS --out D/select
 
 short.json is the starter config that simulate writes, set to 30
 iterations, burn-in 5, m_per_regime 5, 2 MH sweeps and
-output.dump_particles on; long.json is short.json at 45 iterations, so
-the resumed chains pool 3 x 40 records, above summarize's minimum of 100.
+output.dump_particles on; in s1-p2 it also has model.ident_change_times
+[1, 76], with the starter's ident prior for each segment, so the p1 and
+p2 moves run.  long.json is short.json at 45 iterations, so the resumed
+chains pool 3 x 40 records, above summarize's minimum of 100.
 
 It prints one line per command, `same` when both sides gave the same
 exit code and standard error and `DIFFERENT` otherwise (then each side's
@@ -49,28 +53,34 @@ from itertools import zip_longest
 
 from bench_pairs import SIDES, make_copies
 
-# (scenario, seed, select's --K list) of each simulated series.
-RUNS = (("two-regime", 1, "1,2"), ("two-regime", 2, "1,2"), ("two-regime", 3, "1,2"),
-        ("three-regime", 17, "2,3"))
+# (directory, scenario, seed, select's --K list, model.ident_change_times)
+# of each simulated series.
+RUNS = (("s1", "two-regime", 1, "1,2", [1]), ("s2", "two-regime", 2, "1,2", [1]),
+        ("s3", "two-regime", 3, "1,2", [1]), ("s17", "three-regime", 17, "2,3", [1]),
+        ("s1-p2", "two-regime", 1, "1,2", [1, 76]))
 SHORT = {"n_iterations": 30, "burn_in": 5, "m_per_regime": 5, "mh_sweeps_per_iter": 2}
 LONG_ITERATIONS = 45
 
 
-def _write_configs(run_dir: str, seed_dir: str) -> None:
-    """short.json and long.json beside the starter config of seed_dir."""
+def _write_configs(run_dir: str, seed_dir: str, change_times: list[int]) -> None:
+    """short.json and long.json beside the starter config of seed_dir,
+    with one starter ident prior per change time."""
     with open(os.path.join(run_dir, seed_dir, "config.json")) as fh:
         raw = json.load(fh)
     raw["sampler"].update(SHORT)
     raw["output"]["dump_particles"] = True
+    if change_times != [1]:
+        raw["model"]["ident_change_times"] = change_times
+        raw["priors"]["ident"] *= len(change_times)
     for name, iterations in (("short", SHORT["n_iterations"]), ("long", LONG_ITERATIONS)):
         raw["sampler"]["n_iterations"] = iterations
         with open(os.path.join(run_dir, seed_dir, f"{name}.json"), "w") as fh:
             json.dump(raw, fh, indent=1, sort_keys=True)
 
 
-def _commands(seed: int, k_list: str) -> list[list[str]]:
-    """The commands of one seed after simulate, in the order they run."""
-    d = f"s{seed}"
+def _commands(d: str, k_list: str) -> list[list[str]]:
+    """The commands of one series directory after simulate, in the order
+    they run."""
     chains = [f"{d}/jobs1/chain_{i}.jsonl" for i in range(3)]
     fits = [["fit", "--config", f"{d}/{cfg}.json", "--chains", "3", "--jobs", jobs,
              *extra, "--out", f"{d}/jobs{jobs}"]
@@ -119,14 +129,14 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = make_copies(args.parent_rev, args.workdir or tmp)
-        for scenario, seed, k_list in RUNS:
+        for d, scenario, seed, k_list, change_times in RUNS:
             commands = [["simulate", "--scenario", scenario, "--seed", str(seed),
-                         "--out", f"s{seed}"]] + _commands(seed, k_list)
+                         "--out", d]] + _commands(d, k_list)
             results = {}
             for side, root in roots.items():
                 os.makedirs(os.path.join(root, "run"), exist_ok=True)
                 results[side] = [_run(root, commands[0])]
-                _write_configs(os.path.join(root, "run"), f"s{seed}")
+                _write_configs(os.path.join(root, "run"), d, change_times)
                 results[side] += [_run(root, argv) for argv in commands[1:]]
             for argv, parent, change in zip(commands, results["parent"], results["change"]):
                 codes = (str(parent[0]) if parent[0] == change[0]

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class ParameterSet:
     def __post_init__(self):
         for entry in _RATE_ENTRIES:
             _check_positive(entry.id, entry.get(self))
+        if not all(isinstance(s, numbers.Integral) for _, s in self.ident_rates):
+            raise ValueError("identification-rate start indices must be integers")
         rates = tuple((float(p), int(s)) for p, s in self.ident_rates)
         object.__setattr__(self, "ident_rates", rates)
         if not rates or rates[0][1] != 0:
@@ -128,8 +130,8 @@ class ParameterSet:
 
 # Field rules shared by ParameterSet and the param_table setters.
 def _check_positive(pid: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{pid} must be strictly positive")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{pid} must be finite and strictly positive")
 
 
 def _check_ident_rate(p: float) -> None:
@@ -142,9 +144,9 @@ def _checked_trans_matrix(matrix) -> np.ndarray:
     pm = np.asarray(matrix, dtype=float)
     if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
         raise ValueError("trans_matrix must be square")
-    if np.any(pm < 0) or np.any(pm > 1):
+    if not np.all((pm >= 0) & (pm <= 1)):
         raise ValueError("transition probabilities must lie in [0, 1]")
-    if np.any(np.abs(pm.sum(axis=1) - 1.0) > 1e-9):
+    if not np.all(np.abs(pm.sum(axis=1) - 1.0) <= 1e-9):
         raise ValueError("transition matrix rows must sum to 1")
     pm.setflags(write=False)
     return pm
@@ -313,23 +315,21 @@ def initial_logdensity(theta1: np.ndarray, x1: int, priors: PriorSpec) -> float:
 
 @dataclass(frozen=True)
 class ParamEntry:
-    """One MH-updated entry of psi, as listed by param_table.
+    """One MH-updated scalar entry of psi, as listed by param_table.
 
     id is the MH id, the step-size key and the report label.  get and set
-    read and replace the entry.  propose(params, step, priors, rng) draws
-    a new value of the entry inside its support with proposal scale step
-    and returns (value, log_q_fwd, log_q_rev): the log proposal densities
-    of the move and of its reverse.  log_prior(params, priors) gives its
-    prior terms; default_step(priors) is its initial proposal scale;
-    factor names the likelihood factor of PosteriorTerms that a move
-    changes, obs or trans.
+    read and replace the entry.  support(priors) is the open interval
+    (lo, hi) the entry lives in, to which pg.mh_step truncates its random
+    walk.  log_prior(params, priors) is the entry's one prior term;
+    default_step(priors) is its initial proposal scale; factor names the
+    likelihood factor of PosteriorTerms that a move changes, obs or trans.
     """
 
     id: str
-    get: Callable[[ParameterSet], Any]
-    set: Callable[[ParameterSet, Any], ParameterSet]
-    propose: Callable[..., tuple[Any, float, float]]
-    log_prior: Callable[[ParameterSet, PriorSpec], tuple[float, ...]]
+    get: Callable[[ParameterSet], float]
+    set: Callable[[ParameterSet, float], ParameterSet]
+    support: Callable[[PriorSpec], tuple[float, float]]
+    log_prior: Callable[[ParameterSet, PriorSpec], float]
     default_step: Callable[[PriorSpec], float]
     factor: str
 
@@ -342,22 +342,6 @@ def _gamma_step(prior: GammaParams) -> float:
     return 0.5 * math.sqrt(prior.shape) / prior.rate
 
 
-def _random_walk(get, support):
-    """propose of a scalar entry read by get: a Normal random walk with
-    SD step, truncated to support(priors).  Truncation makes the walk
-    asymmetric, so both transition densities are returned."""
-
-    def propose(params, step, priors, rng):
-        cur = get(params)
-        lo, hi = support(priors)
-        fwd = TruncNormalParams(cur, step, lo, hi)
-        value = sample_trunc_normal(fwd, rng)
-        rev = TruncNormalParams(value, step, lo, hi)
-        return value, trunc_normal_logpdf(value, fwd), trunc_normal_logpdf(cur, rev)
-
-    return propose
-
-
 def _rate_entry(pid: str, name: str, logpdf, step, factor: str) -> ParamEntry:
     """A positive rate: ParameterSet field `name` with prior PriorSpec.`name`."""
 
@@ -365,15 +349,12 @@ def _rate_entry(pid: str, name: str, logpdf, step, factor: str) -> ParamEntry:
         _check_positive(pid, value)
         return _with_fields(params, **{name: value})
 
-    get = operator.attrgetter(name)
     return ParamEntry(
         pid,
-        get,
+        operator.attrgetter(name),
         set_,
-        propose=_random_walk(get, lambda priors: (0.0, math.inf)),
-        log_prior=lambda params, priors: (
-            logpdf(getattr(params, name), getattr(priors, name)),
-        ),
+        support=lambda priors: (0.0, math.inf),
+        log_prior=lambda params, priors: logpdf(getattr(params, name), getattr(priors, name)),
         default_step=lambda priors: step(getattr(priors, name)),
         factor=factor,
     )
@@ -395,10 +376,8 @@ def _ident_entry(j: int, pid: str) -> ParamEntry:
         pid,
         get,
         set_,
-        propose=_random_walk(get, lambda priors: (priors.ident[j].lower, priors.ident[j].upper)),
-        log_prior=lambda params, priors: (
-            trunc_normal_logpdf(get(params), priors.ident[j]),
-        ),
+        support=lambda priors: (priors.ident[j].lower, priors.ident[j].upper),
+        log_prior=lambda params, priors: trunc_normal_logpdf(get(params), priors.ident[j]),
         default_step=lambda priors: _trunc_normal_step(priors.ident[j]),
         factor="obs",
     )
@@ -422,25 +401,24 @@ def _modifier_entry(k: int, n_regimes: int) -> ParamEntry:
         f"f{k + 1}",
         get,
         set_,
-        propose=_random_walk(get, lambda priors: (lo, hi)),
-        log_prior=lambda params, priors: (uniform_logpdf(get(params), lo, hi),),
+        support=lambda priors: (lo, hi),
+        log_prior=lambda params, priors: uniform_logpdf(get(params), lo, hi),
         default_step=lambda priors: 0.1 * (hi - lo),
         factor="trans",
     )
 
 
 def _row_log_priors(params: ParameterSet, priors: PriorSpec) -> tuple[float, ...]:
-    """Dirichlet prior term of every transition-matrix row; -inf for a row
-    with an entry outside (0, 1)."""
-    terms = []
-    for k, conc in enumerate(priors.row_concentrations):
-        row = params.trans_matrix[k]
-        if np.any(row <= 0) or np.any(row >= 1):
-            terms.append(-math.inf)
-        else:
-            c = np.asarray(conc, dtype=float)
-            terms.append(float(_dirichlet_log_kernel(np.log(row), c)))
-    return tuple(terms)
+    """Dirichlet prior term of every transition-matrix row, from one
+    kernel call over the rows; -inf for a row with an entry outside
+    (0, 1).  Empty for a single-regime model."""
+    if not priors.row_concentrations:
+        return ()
+    pm = params.trans_matrix
+    inside = np.all((pm > 0) & (pm < 1), axis=1)
+    log_rows = np.log(np.where(inside[:, None], pm, 0.5))
+    terms = _dirichlet_log_kernel(log_rows, np.asarray(priors.row_concentrations, dtype=float))
+    return tuple(np.where(inside, terms, -math.inf).tolist())
 
 
 # Entries that exist for every (K, number of p segments), in sweep order.
@@ -459,7 +437,8 @@ def param_table(n_regimes: int, n_segments: int) -> Mapping[str, ParamEntry]:
 
     The ids are alpha, beta, gamma, lambda, kappa, the identification
     rates (p for a single segment, else p1..pJ) and the modifiers
-    f2..fK.  The transition matrix is not an entry: pg draws its rows
+    f2..fK.  Each entry is a scalar with one support interval and one
+    prior term.  The transition matrix is not an entry: pg draws its rows
     exactly from their full conditional given the regime path, and
     PosteriorTerms adds their prior terms after those of the table.
     Built once per (K, segment count).
@@ -484,10 +463,10 @@ class PosteriorTerms:
     """joint_log_posterior at (path, params), kept factor by factor.
 
     The factors are the observation, state-transition and regime
-    log-likelihoods, the initial-state prior, the prior terms of each
-    param_table entry and then the Dirichlet prior term of each
-    transition-matrix row (rows).  moved(which, params) recomputes only
-    the prior terms of entry `which` and the likelihood factor it moves,
+    log-likelihoods, the initial-state prior, the one prior term of each
+    param_table entry (prior, by id) and then the Dirichlet prior term of
+    each transition-matrix row (rows).  moved(which, params) recomputes
+    only the prior term of entry `which` and the likelihood factor it moves,
     then re-adds all terms in the fixed order of joint_log_posterior, so
     an MH target kept this way equals a full evaluation bit for bit.  Each
     likelihood factor keeps its fixed inputs: log_y and log1m_y, log y
@@ -504,7 +483,7 @@ class PosteriorTerms:
     trans: float
     regime: float
     initial: float
-    prior: dict[str, tuple[float, ...]]
+    prior: dict[str, float]
     rows: tuple[float, ...]
     log_y: np.ndarray = field(repr=False)
     log1m_y: np.ndarray = field(repr=False)
@@ -513,8 +492,7 @@ class PosteriorTerms:
     total: float = field(init=False)
 
     def __post_init__(self):
-        prior = _sum_in_order(
-            t for terms in (*self.prior.values(), self.rows) for t in terms)
+        prior = _sum_in_order((*self.prior.values(), *self.rows))
         parts = self.obs + self.trans + self.regime + self.initial + prior
         object.__setattr__(self, "total", parts if np.isfinite(parts) else -math.inf)
 
@@ -593,12 +571,8 @@ def draw_params(priors: PriorSpec, rng: np.random.Generator) -> ParameterSet:
     if k == 1:
         pm = np.ones((1, 1))
     else:
-        pm = np.stack(
-            [
-                sample_dirichlet(DirichletParams(np.asarray(c, dtype=float)), rng)
-                for c in priors.row_concentrations
-            ]
-        )
+        conc = np.asarray(priors.row_concentrations, dtype=float)
+        pm = sample_dirichlet(DirichletParams(conc), rng)
     mods = np.ones(k)
     for j in range(1, k):
         lo, hi = modifier_band(j, k)

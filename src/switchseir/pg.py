@@ -11,10 +11,11 @@ and n_jk counts the j -> k moves of the path (Chib 1996, J.
 Econometrics); the initial regime is uniform and adds no count.  Then
 several full MH sweeps run conditional on the reference.  A sweep visits
 the entries of model.param_table in order and moves each by mh_step, the
-one accept rule: the entry's own propose draws a truncated-Normal random
-walk with its forward and reverse densities.  The MH target is the joint
-log posterior kept as model.PosteriorTerms: a proposal recomputes only
-the likelihood factor and prior terms of the entry it moves.  Each
+one proposal and accept rule: it draws a Normal random walk inside the
+entry's support, entry.support(priors), with its forward and reverse
+densities; no entry carries a proposal of its own.  The MH target is the
+joint log posterior kept as model.PosteriorTerms: a proposal recomputes
+only the likelihood factor and the prior term of the entry it moves.  Each
 entry's proposal scale starts at its prior-scaled default_step and
 adapts toward TARGET_ACCEPT during burn-in; PgState, and so a
 checkpoint, carries the adapted scales.
@@ -45,7 +46,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DirichletParams, sample_dirichlet
+from .distributions import (
+    DirichletParams,
+    TruncNormalParams,
+    sample_dirichlet,
+    sample_trunc_normal,
+    trunc_normal_logpdf,
+)
 from .model import (
     LatentPath,
     ParamEntry,
@@ -136,13 +143,19 @@ def mh_step(
     """One Metropolis-Hastings update of a model.param_table entry.
 
     target is any object with params, total and moved(which, params)
-    (model.PosteriorTerms in run_pg).  The proposal comes from
-    entry.propose with scale step, then one uniform decides: a proposal
-    at a non-finite target is rejected, one from a non-finite target is
-    accepted, and otherwise the usual ratio with the proposal densities
-    applies.  Returns (target at the kept parameters,
-    accepted)."""
-    value, log_q_fwd, log_q_rev = entry.propose(target.params, step, priors, rng)
+    (model.PosteriorTerms in run_pg).  The proposal is a Normal random
+    walk of SD step from the entry's value, truncated to
+    entry.support(priors); truncation makes the walk asymmetric, so both
+    its forward and its reverse density enter the ratio.  Then one
+    uniform decides: a proposal at a non-finite target is rejected, one
+    from a non-finite target is accepted, and otherwise the usual ratio
+    applies.  Returns (target at the kept parameters, accepted)."""
+    cur = entry.get(target.params)
+    lo, hi = entry.support(priors)
+    fwd = TruncNormalParams(cur, step, lo, hi)
+    value = sample_trunc_normal(fwd, rng)
+    rev = TruncNormalParams(value, step, lo, hi)
+    log_q_fwd, log_q_rev = trunc_normal_logpdf(value, fwd), trunc_normal_logpdf(cur, rev)
     u = rng.random()
     proposal = target.moved(entry.id, entry.set(target.params, value))
     prop_lp, cur_lp = proposal.total, target.total

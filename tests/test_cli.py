@@ -414,6 +414,18 @@ def _drop_last_step(path: dict) -> None:
         path[key].pop()
 
 
+# Non-finite or malformed parameters, as json reads them from a checkpoint
+# or a chain record: an edit of the params dict and ParameterSet's message.
+BAD_PARAMS = {
+    **{f"{pid}-infinite": (lambda d, pid=pid: d.update({pid: math.inf}),
+                           f"{pid} must be finite and strictly positive")
+       for pid in ("alpha", "lambda", "kappa")},
+    "trans-matrix-nan": (lambda d: d.update(trans_matrix=[[math.nan, math.nan], [0.5, 0.5]]),
+                         "transition probabilities must lie in [0, 1]"),
+    "start-index-fraction": (lambda d: operator.setitem(d["ident_rates"][0], 1, 0.7),
+                             "identification-rate start indices must be integers"),
+}
+
 # Checkpoint defects: an edit of the checkpoint dict (None: the file is
 # not JSON) and the message that names it.
 BAD_CHECKPOINTS = {
@@ -434,14 +446,19 @@ BAD_CHECKPOINTS = {
     "iteration-a-string": (lambda ck: ck.update(iteration="8"), "must be integers >= 0"),
     "step-sizes-a-list": (lambda ck: ck.update(step_sizes=[0.1]),
                           "step_sizes and window_counts must map the MH ids"),
+    **{f"params-{case}": (lambda ck, edit=edit: edit(ck["params"]),
+                          f"invalid checkpoint: {message}")
+       for case, (edit, message) in BAD_PARAMS.items()},
 }
 
 # Chain-record defects: an edit of record 2's dict and what the message says.
 BAD_RECORDS = {
     "negative-alpha": (lambda rec: rec["params"].update(alpha=-1.0),
-                       "alpha must be strictly positive"),
+                       "alpha must be finite and strictly positive"),
     "one-step-short": (lambda rec: _drop_last_step(rec["path"]),
                        "reference has 149 steps, the series 150"),
+    **{f"params-{case}": (lambda rec, edit=edit: edit(rec["params"]), message)
+       for case, (edit, message) in BAD_PARAMS.items()},
 }
 
 # Config defects: an edit of the raw config and the key the message names.

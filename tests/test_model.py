@@ -9,7 +9,9 @@ from switchseir.distributions import (
     DirichletParams,
     GammaParams,
     TruncNormalParams,
+    _dirichlet_log_kernel,
     dirichlet_logpdf,
+    sample_trunc_normal,
 )
 from switchseir.model import (
     LatentPath,
@@ -17,6 +19,7 @@ from switchseir.model import (
     PosteriorTerms,
     PriorFieldError,
     PriorSpec,
+    _row_log_priors,
     draw_params,
     initial_logdensity,
     joint_log_posterior,
@@ -72,7 +75,7 @@ def log_prior(params, priors):
     table = table_for(params)
     rows = [dirichlet_logpdf(row, DirichletParams(np.asarray(c)))
             for row, c in zip(params.trans_matrix, priors.row_concentrations)]
-    return sum(t for e in table.values() for t in e.log_prior(params, priors)) + sum(rows)
+    return sum(e.log_prior(params, priors) for e in table.values()) + sum(rows)
 
 
 def obs_loglik_series(y, thetas, params):
@@ -135,6 +138,24 @@ class TestParameterSetValidation:
             two_regime_params(trans_matrix=np.array([[0.9, 0.2], [0.1, 0.9]]))
         with pytest.raises(ValueError):
             two_regime_params(trans_matrix=np.array([[1.1, -0.1], [0.1, 0.9]]))
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "lambda_", "kappa"])
+    def test_infinite_rate_refused(self, field):
+        with pytest.raises(ValueError, match="must be finite and strictly positive"):
+            two_regime_params(**{field: math.inf})
+
+    @pytest.mark.parametrize("matrix", [[[math.nan, math.nan], [0.5, 0.5]],
+                                        [[math.nan, 1.0], [0.1, 0.9]]])
+    def test_nan_transition_matrix_refused(self, matrix):
+        with pytest.raises(ValueError, match="transition probabilities must lie in"):
+            two_regime_params(trans_matrix=np.array(matrix))
+
+    @pytest.mark.parametrize("rates", [((0.25, 0.7),), ((0.2, 0), (0.3, 40.5)),
+                                       ((0.2, 0), (0.3, 40.0))])
+    def test_fractional_start_index_refused(self, rates):
+        # int() would truncate 0.7 to 0, a valid first segment.
+        with pytest.raises(ValueError, match="start indices must be integers"):
+            two_regime_params(ident_rates=rates)
 
     def test_ident_rate_structure(self):
         with pytest.raises(ValueError):
@@ -491,8 +512,8 @@ class TestJointLogPosterior:
 
 
 def three_regime_case():
-    """A 3-regime, 2-segment case, so every kind of MH id (p1, p2, f2, f3,
-    rows) occurs."""
+    """A 3-regime, 2-segment case, so every kind of MH id (p1, p2, f2, f3)
+    occurs."""
     params = ParameterSet(
         alpha=0.3,
         beta=0.45,
@@ -541,9 +562,10 @@ class TestPosteriorTerms:
         for _ in range(3):
             for which, entry in table_for(params).items():
                 cur = terms.params
-                step = entry.default_step(priors)
-                value, _, _ = entry.propose(cur, step, priors, g)
-                moved = entry.set(cur, value)
+                # A draw of mh_step's walk: Normal, truncated to the support.
+                walk = TruncNormalParams(entry.get(cur), entry.default_step(priors),
+                                         *entry.support(priors))
+                moved = entry.set(cur, sample_trunc_normal(walk, g))
                 terms = terms.moved(which, moved)
                 assert terms.total == joint_log_posterior(path, y, moved, priors), which
                 assert np.isfinite(terms.total)
@@ -566,6 +588,14 @@ class TestPosteriorTerms:
         # A zero transition probability: the row prior term and the total.
         zero = PosteriorTerms.build(path, y, zero_row, priors)
         assert zero.rows[0] == zero.total == -math.inf
+        # The rows' one kernel call gives -inf to that row alone, and each
+        # other row the bits of the kernel on that row by itself.
+        rows = _row_log_priors(zero_row, priors)
+        assert rows[0] == -math.inf
+        for k in (1, 2):
+            conc = np.asarray(priors.row_concentrations[k])
+            alone = _dirichlet_log_kernel(np.log(zero_row.trans_matrix[k]), conc)
+            assert rows[k] == float(alone), k
 
     def test_overflowing_transition_move_is_minus_inf_without_warning(self):
         # An alpha this far out overflows RK4: the transition means are NaN,

@@ -36,7 +36,12 @@ from switchseir.pg import (
     mh_step,
     run_pg,
 )
-from tests.test_model import log_prior, two_regime_params, two_regime_priors
+from tests.test_model import (
+    log_prior,
+    three_regime_case,
+    two_regime_params,
+    two_regime_priors,
+)
 from tests.test_smc import make_data
 
 
@@ -83,9 +88,27 @@ class TestMhStepScalar:
         # stays inside the rate's support (0, inf).
         _, params, priors, _ = make_data(horizon=4)
         alpha = entry(priors, "alpha")
+        proposed = []
+        target = CallableTarget(lambda ps: proposed.append(ps.alpha) or 0.0, params)
         g = rng(9)
-        values = [alpha.propose(params, 5.0, priors, g)[0] for _ in range(500)]
-        assert min(values) > 0.0
+        for _ in range(500):
+            target, _ = mh_step(target, alpha, 5.0, priors, g)
+        assert len(proposed) == 501 and min(proposed) > 0.0
+
+    @pytest.mark.parametrize("which", list(param_table(3, 2)))
+    def test_walk_stays_strictly_inside_the_support(self, which):
+        # A flat target at 20 times the default step: every proposal of
+        # every entry lies strictly inside entry.support(priors).
+        params, priors, _, _ = three_regime_case()
+        e = entry(priors, which)
+        lo, hi = e.support(priors)
+        proposed = []
+        target = CallableTarget(lambda ps: proposed.append(e.get(ps)) or 0.0, params)
+        g = rng(10)
+        for _ in range(500):
+            target, _ = mh_step(target, e, 20 * e.default_step(priors), priors, g)
+        assert len(proposed) == 501
+        assert all(lo < v < hi for v in proposed), (min(proposed), max(proposed))
 
     def test_identification_rate_proposals_respect_bounds(self):
         y, params, priors, path = make_data(horizon=10)
