@@ -31,6 +31,14 @@ output.dump_particles on; in s1-p2 it also has model.ident_change_times
 p2 moves run.  long.json is short.json at 45 iterations, so the resumed
 chains pool 3 x 40 records, above summarize's minimum of 100.
 
+Last, in D = s1-n200, two-regime seed 1 runs simulate and then
+
+    fit --config D/wide.json --chains 2 --jobs 1 --out D/fit
+
+wide.json is short.json at 3 iterations, burn-in 1 and m_per_regime
+100.  So N = 200 > 128: both passes store int16 ancestors, and the
+bootstrap passes resample with systematic_offspring at that size.
+
 It prints one line per command, `same` when both sides gave the same
 exit code and standard error and `DIFFERENT` otherwise (then each side's
 first line of standard error that differs, None where it ended early),
@@ -54,33 +62,39 @@ from itertools import zip_longest
 from bench_pairs import SIDES, make_copies
 
 # (directory, scenario, seed, select's --K list, model.ident_change_times)
-# of each simulated series.
+# of each simulated series; no --K list marks the run at N = 200.
 RUNS = (("s1", "two-regime", 1, "1,2", [1]), ("s2", "two-regime", 2, "1,2", [1]),
         ("s3", "two-regime", 3, "1,2", [1]), ("s17", "three-regime", 17, "2,3", [1]),
-        ("s1-p2", "two-regime", 1, "1,2", [1, 76]))
+        ("s1-p2", "two-regime", 1, "1,2", [1, 76]), ("s1-n200", "two-regime", 1, None, [1]))
 SHORT = {"n_iterations": 30, "burn_in": 5, "m_per_regime": 5, "mh_sweeps_per_iter": 2}
-LONG_ITERATIONS = 45
+LONG = {**SHORT, "n_iterations": 45}
+WIDE = {**SHORT, "n_iterations": 3, "burn_in": 1, "m_per_regime": 100}
 
 
-def _write_configs(run_dir: str, seed_dir: str, change_times: list[int]) -> None:
-    """short.json and long.json beside the starter config of seed_dir,
-    with one starter ident prior per change time."""
+def _write_configs(run_dir: str, seed_dir: str, change_times: list[int],
+                   k_list: str | None) -> None:
+    """short.json and long.json (wide.json when k_list is None) beside
+    the starter config of seed_dir, with one starter ident prior per
+    change time."""
     with open(os.path.join(run_dir, seed_dir, "config.json")) as fh:
         raw = json.load(fh)
-    raw["sampler"].update(SHORT)
     raw["output"]["dump_particles"] = True
     if change_times != [1]:
         raw["model"]["ident_change_times"] = change_times
         raw["priors"]["ident"] *= len(change_times)
-    for name, iterations in (("short", SHORT["n_iterations"]), ("long", LONG_ITERATIONS)):
-        raw["sampler"]["n_iterations"] = iterations
+    configs = {"wide": WIDE} if k_list is None else {"short": SHORT, "long": LONG}
+    for name, sampler in configs.items():
+        raw["sampler"].update(sampler)
         with open(os.path.join(run_dir, seed_dir, f"{name}.json"), "w") as fh:
             json.dump(raw, fh, indent=1, sort_keys=True)
 
 
-def _commands(d: str, k_list: str) -> list[list[str]]:
+def _commands(d: str, k_list: str | None) -> list[list[str]]:
     """The commands of one series directory after simulate, in the order
     they run."""
+    if k_list is None:
+        return [["fit", "--config", f"{d}/wide.json", "--chains", "2", "--jobs", "1",
+                 "--out", f"{d}/fit"]]
     chains = [f"{d}/jobs1/chain_{i}.jsonl" for i in range(3)]
     fits = [["fit", "--config", f"{d}/{cfg}.json", "--chains", "3", "--jobs", jobs,
              *extra, "--out", f"{d}/jobs{jobs}"]
@@ -136,7 +150,7 @@ def main(argv=None) -> int:
             for side, root in roots.items():
                 os.makedirs(os.path.join(root, "run"), exist_ok=True)
                 results[side] = [_run(root, commands[0])]
-                _write_configs(os.path.join(root, "run"), d, change_times)
+                _write_configs(os.path.join(root, "run"), d, change_times, k_list)
                 results[side] += [_run(root, argv) for argv in commands[1:]]
             for argv, parent, change in zip(commands, results["parent"], results["change"]):
                 codes = (str(parent[0]) if parent[0] == change[0]

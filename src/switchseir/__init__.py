@@ -14,7 +14,7 @@ from .smc import (
     DegenerateWeightsError,
     ParticleSystem,
     ReferenceTrajectory,
-    run_csmc_as_batch,
+    run_filter,
     run_smc,
     sample_reference,
 )
@@ -31,7 +31,7 @@ __all__ = [
     "ReferenceTrajectory",
     "SamplerConfig",
     "TruncNormalParams",
-    "run_csmc_as_batch",
+    "run_filter",
     "run_pg",
     "run_smc",
     "sample_reference",

@@ -327,6 +327,9 @@ def params_to_dict(params: ParameterSet) -> dict:
 
 
 def params_from_dict(d: dict) -> ParameterSet:
+    _check_types(d, {**dict.fromkeys(("alpha", "beta", "gamma", "lambda", "kappa"), _float),
+                     "ident_rates": _FLOAT_ROWS, "trans_matrix": _FLOAT_ROWS,
+                     "modifiers": _list_of(_float)})
     return ParameterSet(
         alpha=d["alpha"],
         beta=d["beta"],
@@ -347,6 +350,7 @@ def path_to_dict(path: LatentPath) -> dict:
 
 
 def path_from_dict(d: dict) -> LatentPath:
+    _check_types(d, {"thetas": _FLOAT_ROWS, "regimes": _list_of(_is_count)})
     return LatentPath(np.asarray(d["thetas"]), np.asarray(d["regimes"]))
 
 
@@ -652,6 +656,24 @@ def _fields(value, required: set, optional=frozenset()) -> bool:
 
 def _list_of(check):
     return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+def _float(value) -> bool:
+    """A value float() reads as it is: a float (NaN and the infinities too,
+    left to the checks of the class built from it) or _number's int."""
+    return type(value) is float or _number(value)
+
+
+_FLOAT_ROWS = _list_of(_list_of(_float))
+
+
+def _check_types(d: dict, checks: dict) -> None:
+    """Raise TypeError naming the first key of checks whose value in d
+    fails its check: a chain record's or checkpoint's string or bool
+    where a number belongs, which float() and numpy would convert."""
+    for key, check in checks.items():
+        if not check(d[key]):
+            raise TypeError(f"{key} holds a value of the wrong type")
 
 
 def _integer(least: int):

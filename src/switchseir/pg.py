@@ -2,9 +2,9 @@
 Metropolis-Hastings parameter updates.
 
 Each iteration runs conditional SMC with ancestor sampling
-(smc.run_csmc_as_batch, which proposes regimes and states from the
-model) against the previous reference trajectory and draws a fresh
-reference from its particle system.  Given the reference's regimes,
+(smc.run_filter given references, which proposes regimes and states
+from the model) against the previous reference trajectory and draws a
+fresh reference from its particle system.  Given the reference's regimes,
 every row j of the transition matrix is then drawn exactly from its full
 conditional Dir(c_j + n_j), where c_j is the row's prior concentration
 and n_jk counts the j -> k moves of the path (Chib 1996, J.
@@ -22,7 +22,7 @@ checkpoint, carries the adapted scales.
 
 run_pg drives a list of chains in lockstep: each round advances every
 unfinished chain by one iteration, its CSMC-AS pass shared with the
-others in one smc.run_csmc_as_batch call, and each chain at its own
+others in one smc.run_filter call, and each chain at its own
 iteration number (resumed chains may differ).  That pass is all or
 nothing: it raises when any chain's weights degenerate, and run_pg then
 reruns each chain's pass alone, so every chain still gets the result of
@@ -63,7 +63,7 @@ from .model import (
     param_table,
 )
 from .rng import TAG_CSMC, TAG_INIT, TAG_MH, TAG_REFERENCE, substream
-from .smc import DegenerateWeightsError, run_csmc_as_batch, run_smc, sample_reference
+from .smc import DegenerateWeightsError, run_filter, run_smc, sample_reference
 
 ADAPT_EVERY = 100
 TARGET_ACCEPT = 0.3
@@ -196,19 +196,20 @@ def run_pg(
     Chain c follows configs[c]; all chains share the series, the priors
     and m_per_regime, so every pass runs the same particle count.  For
     each chain, iteration 0 draws the parameters from their priors and
-    the reference trajectory from a plain SMC pass; each later iteration
-    refreshes the reference through CSMC-AS, draws the transition rows
-    given it and then applies the configured number of MH sweeps.  Step
-    sizes start at each entry's default_step, adapt toward a 30%
-    acceptance rate during burn-in and are frozen afterwards.
+    the reference trajectory from a bootstrap pass (run_smc); each later
+    iteration refreshes the reference through CSMC-AS (run_filter given
+    the references), draws the transition rows given it and then applies
+    the configured number of MH sweeps.  Step sizes start at each
+    entry's default_step, adapt toward a 30% acceptance rate during
+    burn-in and are frozen afterwards.
 
-    Every round runs one run_csmc_as_batch pass over the chains that have
-    iterations left, each at its own next iteration, then the rest of
-    each chain's iteration in chain order.  The pass is all or nothing:
-    when it raises, each chain's pass reruns alone (_csmc_round), and a
-    chain whose pass alone raises keeps its reference.  A chain's draws
-    come from its own streams, so its records do not depend on the other
-    chains.
+    Every round runs one conditional run_filter pass over the chains
+    that have iterations left, each at its own next iteration, then the
+    rest of each chain's iteration in chain order.  The pass is all or
+    nothing: when it raises, each chain's pass reruns alone
+    (_csmc_round), and a chain whose pass alone raises keeps its
+    reference.  A chain's draws come from its own streams, so its records
+    do not depend on the other chains.
 
     callbacks[c], when given and not None, is invoked with chain c's
     PgState after each of its iterations (state.record is set on
@@ -252,14 +253,15 @@ def run_pg(
 def _csmc_round(y, priors: PriorSpec, configs, states, live: list[int], n: int) -> list:
     """The CSMC-AS result of each live chain's next iteration: its
     ParticleSystem, or the DegenerateWeightsError its pass alone raises.
-    One run_csmc_as_batch pass serves every chain unless it raises; then
-    each chain's pass runs alone, on fresh copies of its generator.  A
-    pass of one chain raises that chain's own error, so it is not rerun."""
+    One run_filter pass, given each chain's reference, serves every
+    chain unless it raises; then each chain's pass runs alone, on fresh
+    copies of its generator.  A pass of one chain raises that chain's own
+    error, so it is not rerun."""
 
     def csmc_pass(chains):
-        return run_csmc_as_batch(
-            y, priors, [states[c].params for c in chains], [states[c].reference for c in chains],
-            n, [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in chains])
+        rngs = [substream(configs[c].seed, TAG_CSMC, states[c].iteration + 1) for c in chains]
+        return run_filter(y, priors, [states[c].params for c in chains], n, rngs,
+                          references=[states[c].reference for c in chains])
 
     try:
         return csmc_pass(live)

@@ -1,8 +1,8 @@
-"""Particle machinery: bootstrap SMC, conditional SMC with ancestor
-sampling (CSMC-AS) and reference-trajectory extraction.  Each pass also
-returns its marginal-likelihood estimate.
+"""Particle machinery: the particle filter (run_filter) and
+reference-trajectory extraction.  Each pass also returns its
+marginal-likelihood estimate.
 
-Both filters propose from the model: a particle's regime from its
+The filter proposes from the model: a particle's regime from its
 ancestor's row of the transition matrix (_propose_regimes), its state
 from the Dirichlet transition around the RK4 mean under that regime
 (seir.rk4_components on component-first particles, then _draw_states).
@@ -10,31 +10,36 @@ So every step weight is the observation density alone,
 model._obs_log_density, whose sum over a path is the observation factor
 of the MH target (model.PosteriorTerms).
 
-The bootstrap filter (run_smc) resamples systematically at every step
-(distributions.systematic_offspring): one uniform per step gives each
-particle N times its weight as offspring on average, so the likelihood
-estimate stays unbiased.  The scheme is not guaranteed to beat
-multinomial draws (Douc, Cappe & Moulines 2005), but on the stored
-three-regime series at N = 10^4 it cuts the variance of log Z about
-threefold.  Its draws depend on particle order.
+A reference per chain decides the resampling scheme and whether
+ancestors are sampled; the rest of the pass is the same code.
 
-The conditional filter (run_csmc_as_batch; Andrieu, Doucet & Holenstein
-2010; Lindsten, Jordan & Schon 2014) keeps the reference trajectory in
-the last particle slot.  The other N - 1 ancestors are multinomial draws
-from the previous weights; the reference's ancestor is drawn in
-proportion to each candidate's weight times its probability of moving to
-the reference pair.  It runs C chains in one pass, each with its own
-parameters, reference and generator, and one chain is the case C = 1.
-The particle work of all chains runs once per step on a chain axis.
-What makes a chain's result its own stays per chain, in the order a
-chain alone would take it: every draw from its generator, each CDF
-search, and the degeneracy check.  Each row sum has the bits of that row
-reduced alone (distributions.logsumexp_rows).  So each chain's result
-equals its pass alone bit for bit, whatever the other chains hold.  The
-pass is all or nothing: when any chain's weights degenerate it raises
-that chain's DegenerateWeightsError, as the chain's pass alone would, and
-returns no result; the caller (pg.run_pg) then reruns the chains one by
-one.
+- Without references it is the bootstrap filter (run_smc is its one-chain
+  call).  It resamples systematically at every step
+  (distributions.systematic_offspring): one uniform per step gives each
+  particle N times its weight as offspring on average, so the likelihood
+  estimate stays unbiased.  The scheme is not guaranteed to beat
+  multinomial draws (Douc, Cappe & Moulines 2005), but on the stored
+  three-regime series at N = 10^4 it cuts the variance of log Z about
+  threefold.  Its draws depend on particle order.
+- With references it is conditional SMC with ancestor sampling
+  (CSMC-AS; Andrieu, Doucet & Holenstein 2010; Lindsten, Jordan & Schon
+  2014), the bootstrap filter plus the reference trajectory kept in the
+  last particle slot.  The other N - 1 ancestors are multinomial draws
+  from the previous weights; the reference's ancestor is drawn in
+  proportion to each candidate's weight times its probability of moving
+  to the reference pair.
+
+A pass runs C chains, each with its own parameters, generator and, in a
+conditional pass, reference; one chain is the case C = 1.  The particle
+work of all chains runs once per step on a chain axis.  What makes a
+chain's result its own stays per chain, in the order a chain alone would
+take it: every draw from its generator, each CDF search, and the
+degeneracy check.  Each row sum has the bits of that row reduced alone
+(distributions.logsumexp_rows).  So each chain's result equals its pass
+alone bit for bit, whatever the other chains hold.  The pass is all or
+nothing: when any chain's weights degenerate it raises that chain's
+DegenerateWeightsError, as the chain's pass alone would, and returns no
+result; the caller (pg.run_pg) then reruns the chains one by one.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .distributions import (
     DirichletParams,
     _dirichlet_log_kernel,
     _normalize_gamma_draws,
-    logsumexp,
     logsumexp_rows,
     require_open_simplex,
     sample_categorical,
@@ -143,15 +147,6 @@ def _index_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(-n)
 
 
-def _normalize_step(log_w: np.ndarray, t: int) -> tuple[np.ndarray, float]:
-    """The bootstrap filter's step-t weights normalized, and the step's log
-    mean weight; raises DegenerateWeightsError when every weight vanishes."""
-    total = logsumexp(log_w)
-    if not np.isfinite(total):
-        raise DegenerateWeightsError(t)
-    return _normalize_rows(log_w[None], [total])[0], total - math.log(len(log_w))
-
-
 def _draw_initial_thetas(
     priors: PriorSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -159,19 +154,12 @@ def _draw_initial_thetas(
     return sample_dirichlet(DirichletParams(conc), rng)
 
 
-def _regime_cdf_cols(params: Sequence[ParameterSet]) -> np.ndarray:
-    """Columns 0..K-2 of every chain's transition-row CDFs, one contiguous
-    row each: entry [j, c * K + x] is column j of chain c's row x.  The
-    regime proposal takes the last column as 1.0."""
-    rows = np.concatenate([np.cumsum(p.trans_matrix, axis=1) for p in params])
-    return rows.T[:-1].copy()
-
-
 def _propose_regimes(u, rows, cdf_cols: np.ndarray, out: np.ndarray) -> None:
     """Draw regimes into out from the transition rows `rows` (indices into
-    the columns of _regime_cdf_cols), one uniform u per particle.  The
-    regime is the first j with u < cdf[j], last entry 1.0: the number of
-    columns j < K-1 with cdf[j] <= u, as those columns are nondecreasing.
+    the columns of cdf_cols, run_filter's layout), one uniform u per
+    particle.  The regime is the first j with u < cdf[j], last entry 1.0:
+    the number of columns j < K-1 with cdf[j] <= u, as those columns are
+    nondecreasing.
     """
     out[...] = 0
     for col in cdf_cols:
@@ -195,78 +183,44 @@ def run_smc(
     n_particles: int,
     rng: np.random.Generator,
 ) -> ParticleSystem:
-    """Bootstrap particle filter over the observation series.
-
-    Draws theta_1 from priors.theta1 and the first regime uniformly; at
-    each later step, a particle's regime from its ancestor's row of the
-    transition matrix and its state from the Dirichlet transition
-    (concentration kappa times the RK4 mean).  Its weight is the
-    observation density alone.  Resamples systematically at every step
-    (systematic_offspring): each particle's expected offspring count is N
-    times its weight, so exp(log_marginal) is unbiased for the
-    likelihood, and the draws depend on particle order.
-    """
-    y = np.asarray(y, dtype=float)
-    horizon, n = len(y), n_particles
-    if horizon < 1:
-        raise ValueError("need at least one observation")
-    _check_particle_count(n)
-    k = params.n_regimes
-
-    thetas = np.empty((horizon, n, 4))
-    regimes = np.empty((horizon, n), dtype=_index_dtype(k))
-    log_w = np.empty((horizon, n))
-    norm_w = np.empty((horizon, n))
-    ancestors = np.empty((max(horizon - 1, 0), n), dtype=_index_dtype(n))
-
-    p, lam = params.ident_series(horizon), params.lambda_
-    alpha, gamma, kappa = params.alpha, params.gamma, params.kappa
-    infect_rates = params.modifiers * params.beta
-    cdf_cols = _regime_cdf_cols([params])
-    log_y = [math.log(v) for v in y]
-    log1m_y = [math.log1p(-v) for v in y]
-    thetas[0] = _draw_initial_thetas(priors, n, rng)
-    regimes[0] = rng.integers(k, size=n)
-    x = np.ascontiguousarray(thetas[0].T)
-    log_w[0] = _obs_log_density(x[2], p[0], lam, log_y[0], log1m_y[0])
-    norm_w[0], log_marginal = _normalize_step(log_w[0], 0)
-
-    labels = np.arange(n, dtype=ancestors.dtype)
-    for t in range(1, horizon):
-        anc = np.repeat(labels, systematic_offspring(norm_w[t - 1], rng))
-        ancestors[t - 1] = anc
-        _propose_regimes(rng.random(n), regimes[t - 1].take(anc), cdf_cols, regimes[t])
-        eta = rk4_components(x.take(anc, axis=1), infect_rates.take(regimes[t]), alpha, gamma)
-        eta *= kappa
-        _draw_states(eta.T[None], [rng], thetas[t][None])
-        x = np.ascontiguousarray(thetas[t].T)
-        log_w[t] = _obs_log_density(x[2], p[t], lam, log_y[t], log1m_y[t])
-        norm_w[t], inc = _normalize_step(log_w[t], t)
-        log_marginal += inc
-
-    return ParticleSystem(thetas, regimes, log_w, norm_w, ancestors, log_marginal)
+    """The bootstrap filter of one chain: run_filter without a reference."""
+    return run_filter(y, priors, [params], n_particles, [rng])[0]
 
 
-def run_csmc_as_batch(
+def run_filter(
     y: np.ndarray,
     priors: PriorSpec,
     params: Sequence[ParameterSet],
-    references: Sequence[LatentPath],
     n_particles: int,
     rngs: Sequence[np.random.Generator],
+    references: Sequence[LatentPath] | None = None,
 ) -> list[ParticleSystem]:
-    """Conditional SMC with ancestor sampling, for C chains at once.
+    """The particle filter, for C chains at once: the bootstrap filter
+    without references, CSMC-AS with one reference per chain.
 
-    Chain c runs on params[c] against references[c] and draws from
-    rngs[c]; all chains share the series y, the priors, K and the N =
+    Chain c runs on params[c], against references[c] if given, and draws
+    from rngs[c]; all chains share the series y, the priors, K and the N =
     n_particles particles.  The pass is all or nothing: it returns each
     chain's ParticleSystem, or raises the DegenerateWeightsError of the
     first chain whose weights degenerate, with the step and detail that
     chain's pass alone raises.  The ancestor-sampling check raises before
     any state of its step is drawn.
 
-    Particle N-1 holds the reference pair at every step.  The others are
-    proposed as run_smc proposes them, from multinomial ancestors.  The
+    Step 0 draws theta_1 from priors.theta1 and the regime uniformly.
+    Each later step proposes a particle's regime from its ancestor's row
+    of the transition matrix and its state from the Dirichlet transition
+    (concentration kappa times the RK4 mean); its weight is the
+    observation density alone.
+
+    Without references all N particles are proposed, from ancestors
+    resampled systematically (systematic_offspring): each particle's
+    expected offspring count is N times its weight, so exp(log_marginal)
+    is unbiased for the likelihood, and the draws depend on particle
+    order.  Per step a chain draws the resampling uniform, N regime
+    uniforms and the Gamma variates of N states.
+
+    With references, particle N-1 holds chain c's reference pair at every
+    step and the other N - 1 ancestors are multinomial draws.  The
     reference's ancestor i is drawn with weight w_i * P(x_i -> x_ref) *
     Dir(theta_ref | kappa * eta(theta_i, x_ref)), so each step runs one
     RK4 over 2N - 1 rows: the resampled ancestors under their new
@@ -278,13 +232,16 @@ def run_csmc_as_batch(
     """
     y = np.asarray(y, dtype=float)
     horizon, n, c = len(y), n_particles, len(params)
+    if horizon < 1:
+        raise ValueError("need at least one observation")
     _check_particle_count(n)
-    if not c == len(references) == len(rngs) > 0:
-        raise ValueError("need one parameter set, reference and generator per chain")
+    conditional = references is not None
+    if not c == len(rngs) == (len(references) if conditional else c) > 0:
+        raise ValueError("need one parameter set, generator and, if any, reference per chain")
     k = params[0].n_regimes
-    for chain_params, reference in zip(params, references):
-        if chain_params.n_regimes != k:
-            raise ValueError("the chains of one pass must share the number of regimes")
+    if any(chain_params.n_regimes != k for chain_params in params):
+        raise ValueError("the chains of one pass must share the number of regimes")
+    for reference in references or ():
         check_reference(reference, horizon, k)
 
     log_y = [math.log(v) for v in y]
@@ -303,25 +260,22 @@ def run_csmc_as_batch(
     # c * K + x of the transition matrices; particle j of chain c is entry
     # c * N + j of a step's flattened particles.
     infect_rates = np.concatenate([p.modifiers * p.beta for p in params])
-    cdf_cols = _regime_cdf_cols(params)
+    # Columns 0..K-2 of every chain's transition-row CDFs, one contiguous
+    # row each: entry [j, c * K + x] is column j of chain c's row x.  The
+    # regime proposal takes the last column as 1.0.
+    row_cdfs = np.concatenate([np.cumsum(p.trans_matrix, axis=1) for p in params])
+    cdf_cols = row_cdfs.T[:-1].copy()
     row_base, chain_base = chain * k, chain * n
+    # A step proposes particles 0..m-1 of each chain; a reference holds N-1.
+    m = n - 1 if conditional else n
     # Flat indices of the particles one step propagates: the resampled
-    # ancestors (written per step), then every previous particle.
-    gather = np.empty((c, 2 * n - 1), dtype=np.intp)
-    gather[:, n - 1:] = np.arange(c * n).reshape(c, n)
-    # Work arrays of one step: uniforms, propagated rows, drawn states.
-    u = np.empty((c, 2 * n - 2))
-    conc = np.empty((c, 2 * n - 1, 4))
-    drawn = np.empty((c, n - 1, 4))
-    # log_into[(c * K + x) * K + j]: log probability, in chain c, of moving
-    # from regime j to regime x.
-    with np.errstate(divide="ignore"):
-        log_into = np.concatenate([np.log(p.trans_matrix.T).ravel() for p in params])
-    ref_regimes = np.stack([r.regimes for r in references], axis=1)
-    ref_thetas = np.stack([r.thetas for r in references], axis=1)
-    log_ref = np.log(ref_thetas)[:, :, None]
-    ref_row = np.broadcast_to(row_base + ref_regimes[..., None], (horizon, c, n))
-    into_base = (row_base + ref_regimes[..., None]) * k
+    # ancestors (written per step), then, against a reference, every
+    # previous particle.
+    gather = np.empty((c, m + n if conditional else m), dtype=np.intp)
+    # Work arrays of one step: regime uniforms, propagated rows, drawn states.
+    u = np.empty((c, m))
+    conc = np.empty(gather.shape + (4,))
+    drawn = np.empty((c, m, 4))
 
     # Particle storage in ParticleSystem's field order, chain axis second.
     thetas = np.empty((horizon, c, n, 4))
@@ -329,8 +283,19 @@ def run_csmc_as_batch(
     log_w = np.empty((horizon, c, n))
     norm_w = np.empty((horizon, c, n))
     ancestors = np.empty((max(horizon - 1, 0), c, n), dtype=_index_dtype(n))
-    thetas[:, :, -1] = ref_thetas
-    regimes[:, :, -1] = ref_regimes
+    if conditional:
+        gather[:, m:] = np.arange(c * n).reshape(c, n)
+        # log_into[(c * K + x) * K + j]: log probability, in chain c, of
+        # moving from regime j to regime x.
+        with np.errstate(divide="ignore"):
+            log_into = np.concatenate([np.log(p.trans_matrix.T).ravel() for p in params])
+        ref_regimes = np.stack([r.regimes for r in references], axis=1)
+        ref_thetas = np.stack([r.thetas for r in references], axis=1)
+        log_ref = np.log(ref_thetas)[:, :, None]
+        ref_row = np.broadcast_to(row_base + ref_regimes[..., None], (horizon, c, n))
+        into_base = (row_base + ref_regimes[..., None]) * k
+        thetas[:, :, -1] = ref_thetas
+        regimes[:, :, -1] = ref_regimes
 
     def weigh(t: int) -> list[float]:
         """Weigh and normalize every chain's step-t particles; return each
@@ -340,55 +305,67 @@ def run_csmc_as_batch(
         totals = logsumexp_rows(log_w[t])
         if -math.inf in totals:
             raise DegenerateWeightsError(t)
-        _normalize_rows(log_w[t], totals, out=norm_w[t])
+        # Each row's exps over their sum, shifted by its (finite) log-sum-exp.
+        w = np.exp(log_w[t] - np.array(totals)[:, None])
+        np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=norm_w[t])
         return [total - math.log(n) for total in totals]
 
     for i, g in enumerate(rngs):
-        thetas[0, i, :-1] = _draw_initial_thetas(priors, n - 1, g)
-        regimes[0, i, :-1] = g.integers(k, size=n - 1)
+        thetas[0, i, :m] = _draw_initial_thetas(priors, m, g)
+        regimes[0, i, :m] = g.integers(k, size=m)
     log_marginal = weigh(0)
 
+    labels = np.arange(n, dtype=ancestors.dtype)
     for t in range(1, horizon):
         x = np.ascontiguousarray(thetas[t - 1].transpose(2, 0, 1))
-        cdf = np.add.accumulate(norm_w[t - 1], axis=1)
-        cdf[:, -1] = 1.0
-        # N - 1 resampling uniforms, then N - 1 regime uniforms per chain.
-        # A uniform is below 1.0 = cdf[-1], so every index found is below N.
         anc = ancestors[t - 1]
+        if conditional:
+            cdf = np.add.accumulate(norm_w[t - 1], axis=1)
+            cdf[:, -1] = 1.0
+        # Per chain, its resampling draws, then its regime uniforms.
         for i, g in enumerate(rngs):
+            if conditional:
+                # A uniform is below 1.0 = cdf[-1], so every index is below N.
+                anc[i, :m] = cdf[i].searchsorted(g.random(m), side="right")
+            else:
+                anc[i] = np.repeat(labels, systematic_offspring(norm_w[t - 1, i], g))
             g.random(out=u[i])
-            anc[i, :-1] = cdf[i].searchsorted(u[i, :n - 1], side="right")
-        parents = np.add(anc[:, :-1], chain_base, out=gather[:, :n - 1])
-        new = regimes[t, :, :-1]
-        _propose_regimes(u[:, n - 1:], regimes[t - 1].take(parents) + row_base, cdf_cols, new)
+        parents = np.add(anc[:, :m], chain_base, out=gather[:, :m])
+        new = regimes[t, :, :m]
+        _propose_regimes(u, regimes[t - 1].take(parents) + row_base, cdf_cols, new)
 
-        # One propagation: the resampled ancestors under their new regimes,
-        # then every previous particle under the reference regime, written
-        # in row layout (C, 2N - 1, 4) for the Gamma draws and the density.
-        rows = np.concatenate([new + row_base, ref_row[t]], axis=1)
+        # One propagation of the gathered particles: the resampled ancestors
+        # under their new regimes, then, against a reference, every previous
+        # particle under the reference regime, written in row layout (C,
+        # rows, 4) for the Gamma draws and the density.
+        rows = new + row_base
+        if conditional:
+            rows = np.concatenate([rows, ref_row[t]], axis=1)
         rk4_components(
             x.reshape(4, -1).take(gather, axis=1), infect_rates.take(rows), alpha, gamma,
             out=conc.transpose(2, 0, 1),
         )
         conc *= kappa
-        log_as = _ancestor_log_weights(
-            log_ref[t], conc[:, n - 1:], log_into.take(regimes[t - 1] + into_base[t]),
-            log_w[t - 1],
-        )
-        peak = np.maximum.reduce(log_as, axis=1, keepdims=True)
-        if not np.isfinite(peak).all():
-            i = int(np.argmin(np.isfinite(peak[:, 0])))
-            detail = "not a number" if np.isnan(log_as[i]).any() else "all zero"
-            raise DegenerateWeightsError(t, f"ancestor-sampling weights {detail}")
-        # Inverse CDF of the unnormalized weights: the key is a uniform times
-        # the row total, which can round up to the total, hence the min.
-        as_cdf = np.add.accumulate(np.exp(log_as - peak), axis=1)
-        for i, g in enumerate(rngs):
-            key = g.random() * as_cdf[i, -1]
-            anc[i, -1] = min(as_cdf[i].searchsorted(key, side="right"), n - 1)
+        if conditional:
+            log_as = _ancestor_log_weights(
+                log_ref[t], conc[:, m:], log_into.take(regimes[t - 1] + into_base[t]),
+                log_w[t - 1],
+            )
+            peak = np.maximum.reduce(log_as, axis=1, keepdims=True)
+            if not np.isfinite(peak).all():
+                i = int(np.argmin(np.isfinite(peak[:, 0])))
+                detail = "not a number" if np.isnan(log_as[i]).any() else "all zero"
+                raise DegenerateWeightsError(t, f"ancestor-sampling weights {detail}")
+            # Inverse CDF of the unnormalized weights: the key is a uniform
+            # times the row total, which can round up to the total, hence
+            # the min.
+            as_cdf = np.add.accumulate(np.exp(log_as - peak), axis=1)
+            for i, g in enumerate(rngs):
+                key = g.random() * as_cdf[i, -1]
+                anc[i, -1] = min(as_cdf[i].searchsorted(key, side="right"), n - 1)
         # A contiguous array normalizes faster than the storage's view.
-        _draw_states(conc[:, :n - 1], rngs, drawn)
-        thetas[t, :, :-1] = drawn
+        _draw_states(conc[:, :m], rngs, drawn)
+        thetas[t, :, :m] = drawn
         log_marginal = [lm + inc for lm, inc in zip(log_marginal, weigh(t))]
 
     return [
@@ -396,13 +373,6 @@ def run_csmc_as_batch(
                        log_marginal[i])
         for i in range(c)
     ]
-
-
-def _normalize_rows(log_w: np.ndarray, totals: list[float], out=None) -> np.ndarray:
-    """Each row of exp(log_w) divided by its sum, given each row's
-    log-sum-exp (finite)."""
-    w = np.exp(log_w - np.array(totals)[:, None])
-    return np.divide(w, np.add.reduce(w, axis=1, keepdims=True), out=out)
 
 
 def _ancestor_log_weights(log_ref, conc, log_into, log_w) -> np.ndarray:

@@ -31,13 +31,16 @@ ALLOWED_DEFAULTS: dict[str, str] = {}
 # "module.attribute" of each perfbench/tracing.py hook that no longer
 # binds, with the reason; the traced run reads its span as zero.
 STALE_HOOKS = {
-    "switchseir.pg.run_csmc_as": "the CSMC pass is smc.run_csmc_as_batch",
+    "switchseir.pg.run_csmc_as": "the CSMC pass is smc.run_filter given "
+    "references",
     "switchseir.pg.joint_log_posterior": "run_pg keeps its MH target as "
     "model.PosteriorTerms",
     "switchseir.smc.transition_mean": "the filters propagate through "
     "seir.rk4_components",
     "switchseir.smc.dirichlet_logpdf": "the CSMC ancestor weights call "
     "distributions._dirichlet_log_kernel",
+    "switchseir.smc.logsumexp": "the filter sums each chain's weights with "
+    "distributions.logsumexp_rows, in both passes",
 }
 
 

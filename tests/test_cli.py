@@ -414,6 +414,12 @@ def _drop_last_step(path: dict) -> None:
         path[key].pop()
 
 
+def _typed(key: str) -> str:
+    """The message of a chain or checkpoint field that holds a string or a
+    bool where json wrote a number."""
+    return f"{key} holds a value of the wrong type"
+
+
 # Non-finite or malformed parameters, as json reads them from a checkpoint
 # or a chain record: an edit of the params dict and ParameterSet's message.
 BAD_PARAMS = {
@@ -424,6 +430,22 @@ BAD_PARAMS = {
                          "transition probabilities must lie in [0, 1]"),
     "start-index-fraction": (lambda d: operator.setitem(d["ident_rates"][0], 1, 0.7),
                              "identification-rate start indices must be integers"),
+    # A string or a bool where json wrote a number.
+    "ident-rate-quoted": (lambda d: d.update(ident_rates=[["0.25", 0]]), _typed("ident_rates")),
+    "trans-matrix-quoted": (lambda d: operator.setitem(d["trans_matrix"][1], 0, "0.1"),
+                            _typed("trans_matrix")),
+    "modifier-quoted": (lambda d: operator.setitem(d["modifiers"], 1, "0.4"), _typed("modifiers")),
+    "alpha-true": (lambda d: d.update(alpha=True), _typed("alpha")),
+    "kappa-quoted": (lambda d: d.update(kappa="5000"), _typed("kappa")),
+}
+
+# Latent-path defects where json wrote a number: an edit of the path dict
+# and the message.
+BAD_PATHS = {
+    "theta-quoted": (lambda p: operator.setitem(p["thetas"][3], 0, str(p["thetas"][3][0])),
+                     _typed("thetas")),
+    "regime-fraction": (lambda p: operator.setitem(p["regimes"], 0, 0.7), _typed("regimes")),
+    "regime-true": (lambda p: operator.setitem(p["regimes"], 1, True), _typed("regimes")),
 }
 
 # Checkpoint defects: an edit of the checkpoint dict (None: the file is
@@ -449,6 +471,9 @@ BAD_CHECKPOINTS = {
     **{f"params-{case}": (lambda ck, edit=edit: edit(ck["params"]),
                           f"invalid checkpoint: {message}")
        for case, (edit, message) in BAD_PARAMS.items()},
+    **{f"reference-{case}": (lambda ck, edit=edit: edit(ck["reference"]["path"]),
+                             f"invalid checkpoint: {message}")
+       for case, (edit, message) in BAD_PATHS.items()},
 }
 
 # Chain-record defects: an edit of record 2's dict and what the message says.
@@ -459,6 +484,8 @@ BAD_RECORDS = {
                        "reference has 149 steps, the series 150"),
     **{f"params-{case}": (lambda rec, edit=edit: edit(rec["params"]), message)
        for case, (edit, message) in BAD_PARAMS.items()},
+    **{f"path-{case}": (lambda rec, edit=edit: edit(rec["path"]), message)
+       for case, (edit, message) in BAD_PATHS.items()},
 }
 
 # Config defects: an edit of the raw config and the key the message names.

@@ -633,13 +633,13 @@ class TestLockstepChains:
 
         from switchseir import pg
 
-        sizes, original = [], pg.run_csmc_as_batch
+        sizes, original = [], pg.run_filter
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             sizes.append(len(args[2]))  # the chains of the pass
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(pg, "run_csmc_as_batch", counting)
+        monkeypatch.setattr(pg, "run_filter", counting)
         y, _, priors, _ = make_data(horizon=25)
         configs = [small_config(seed=31, n_iterations=8, burn_in=2),
                    small_config(seed=32, n_iterations=6, burn_in=2),

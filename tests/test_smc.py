@@ -11,7 +11,6 @@ from switchseir.distributions import (
     DirichletParams,
     _dirichlet_log_kernel,
     logsumexp,
-    logsumexp_rows,
     require_open_simplex,
     sample_dirichlet,
 )
@@ -24,9 +23,7 @@ from switchseir.smc import (
     _ancestor_log_weights,
     _check_particle_count,
     _draw_initial_thetas,
-    _normalize_rows,
-    _normalize_step,
-    run_csmc_as_batch,
+    run_filter,
     run_smc,
     sample_reference,
 )
@@ -169,8 +166,8 @@ class TestRunSmc:
             run_smc(y, params, priors, 1, rng(5))
 
     def test_particle_count_fits_int32_ancestors(self):
-        # Both filters check N with this before allocating their storage;
-        # calling them at N = 2^31 would try to allocate it if they did not.
+        # The filter checks N with this before allocating its storage;
+        # calling it at N = 2^31 would try to allocate it if it did not.
         _check_particle_count(2**31 - 1)
         with pytest.raises(ValueError, match="int32"):
             _check_particle_count(2**31)
@@ -311,18 +308,28 @@ class TestRunSmcMatchesPlainLoop:
 
 
 class TestEstimateLogMarginal:
-    """The per-step log-marginal increments the filters add up."""
+    """The per-step log-marginal increments the filter adds up."""
 
-    def test_unit_weights_give_zero(self):
-        increments = [_normalize_step(np.zeros(10), t)[1] for t in range(4)]
-        assert sum(increments) == 0.0
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_marginal_adds_each_step_log_mean_weight(self, conditional):
+        # log Z is the sum, in step order, of each step's log-sum-exp of
+        # the weights minus log N, bit for bit.
+        y, priors, params, refs = batch_inputs(2, n_chains=2)
+        systems = run_filter(y, priors, params, 10, [rng(1), rng(2)],
+                             refs if conditional else None)
+        for system in systems:
+            increments = [logsumexp(lw) - math.log(10) for lw in system.log_weights]
+            assert system.log_marginal == sum(increments)
 
-    def test_degenerate_step_raises(self):
-        # Never a silent -inf: an all-zero step aborts the pass.
-        lw = np.zeros(10)
-        lw[:] = -np.inf
-        with pytest.raises(DegenerateWeightsError):
-            _normalize_step(lw, 2)
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_degenerate_step_raises(self, conditional):
+        # Never a silent -inf: an all-zero step aborts the pass.  From step
+        # 2 on, chain 1's reporting rate 5e-324 times any infected share
+        # rounds to a Beta mean of 0, whose density is 0.
+        y, priors, params, refs = batch_inputs(2, n_chains=2)
+        params[1] = replace(params[1], ident_rates=((0.25, 0), (5e-324, 2)))
+        with pytest.raises(DegenerateWeightsError, match="time step 2$"):
+            run_filter(y, priors, params, 10, [rng(1), rng(2)], refs if conditional else None)
 
     def test_label_permutation_moves_marginal_by_rounding_only(self):
         # The step's sum of weights is numpy's pairwise sum, whose bits may
@@ -331,10 +338,11 @@ class TestEstimateLogMarginal:
         y, params, priors, _ = make_data(horizon=10)
         system = run_smc(y, params, priors, 100, rng(6))
         g = rng(7)
-        for t, lw in enumerate(system.log_weights):
+        for lw in system.log_weights:
             permuted = lw[g.permutation(100)]
-            want = _normalize_step(lw, t)[1]
-            assert _normalize_step(permuted, t)[1] == pytest.approx(want, rel=1e-15, abs=4e-15)
+            want = logsumexp(lw) - math.log(100)
+            got = logsumexp(permuted) - math.log(100)
+            assert got == pytest.approx(want, rel=1e-15, abs=4e-15)
 
 
 class TestSampleReference:
@@ -380,16 +388,17 @@ class TestSampleReference:
 
 
 def csmc(y, params, priors, ref, m, rng):
-    """One chain's CSMC-AS pass of K * m particles: run_csmc_as_batch
-    with C = 1."""
-    (result,) = run_csmc_as_batch(y, priors, [params], [ref], params.n_regimes * m, [rng])
+    """One chain's CSMC-AS pass of K * m particles: run_filter with C = 1
+    and a reference."""
+    (result,) = run_filter(y, priors, [params], params.n_regimes * m, [rng], [ref])
     return result
 
 
 def pass_result(y, priors, params, refs, n, rngs):
-    """run_csmc_as_batch's systems, or the DegenerateWeightsError it raised."""
+    """The systems of run_filter given refs, or the DegenerateWeightsError
+    it raised."""
     try:
-        return run_csmc_as_batch(y, priors, params, refs, n, rngs)
+        return run_filter(y, priors, params, n, rngs, refs)
     except DegenerateWeightsError as exc:
         return exc
 
@@ -399,8 +408,9 @@ def serial_csmc_as(y, params, priors, reference, m, rng):
     row layout, an argmax regime proposal, the RK4 step of plain_rk4_step
     with per-step rates, the ancestor-sampling weights from the
     transition matrix and the Dirichlet density, and plain log-sum-exp
-    normalizations: the reference for run_csmc_as_batch.  Returns the
-    ParticleSystem, or the DegenerateWeightsError the pass hit."""
+    normalizations: the reference for run_filter's conditional pass.
+    Returns the ParticleSystem, or the DegenerateWeightsError the pass
+    hit."""
     horizon, k = len(y), params.n_regimes
     ref = reference
     require_open_simplex(ref.thetas, "reference states")
@@ -496,8 +506,8 @@ class TestCsmcAs:
         log_as = _ancestor_log_weights(
             log_ref[None, None], conc[None], np.log(np.full((1, n), 0.5)), log_w[None]
         )
-        w = _normalize_rows(log_as, logsumexp_rows(log_as))
-        np.testing.assert_array_equal(w[0], point_mass)
+        w = np.exp(log_as[0] - logsumexp(log_as[0]))
+        np.testing.assert_array_equal(w, point_mass)
 
     @pytest.mark.parametrize("defect", ["zero component", "sum off by 1e-7"])
     def test_reference_checked_before_particle_work(self, defect):
@@ -563,21 +573,28 @@ def batch_inputs(k, horizon=12, n_chains=3):
 
 
 class TestBatchedPass:
+    @pytest.mark.parametrize("conditional", [True, False])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 5])
-    def test_each_chain_equals_its_pass_alone(self, k, m):
+    def test_each_chain_equals_its_pass_alone(self, k, m, conditional):
+        # Given references, each chain gets the bits of its CSMC-AS pass
+        # alone and of the serial loop; without, of run_smc alone and of
+        # the plain loop.
         y, priors, params, refs = batch_inputs(k)
         for seed in (1, 2):
-            got = run_csmc_as_batch(
-                y, priors, params, refs, k * m, [substream(seed, c) for c in range(3)]
-            )
+            got = run_filter(y, priors, params, k * m, [substream(seed, c) for c in range(3)],
+                             references=refs if conditional else None)
             for c in range(3):
-                (alone,) = run_csmc_as_batch(
-                    y, priors, [params[c]], [refs[c]], k * m, [substream(seed, c)]
-                )
+                if conditional:
+                    (alone,) = run_filter(y, priors, [params[c]], k * m, [substream(seed, c)],
+                                          references=[refs[c]])
+                    plain = serial_csmc_as(y, params[c], priors, refs[c], m, substream(seed, c))
+                else:
+                    alone = run_smc(y, params[c], priors, k * m, substream(seed, c))
+                    plain = ParticleSystem(
+                        *plain_run_smc(y, params[c], priors, k * m, substream(seed, c)))
                 assert_same_pass(got[c], alone)
-                assert_same_pass(got[c], serial_csmc_as(
-                    y, params[c], priors, refs[c], m, substream(seed, c)))
+                assert_same_pass(got[c], plain)
 
     @pytest.mark.parametrize("case", ["ancestor weights at step 5", "step-0 weights"])
     def test_degenerate_chain_raises_its_error_alone(self, case):
@@ -602,8 +619,8 @@ class TestBatchedPass:
         for c in range(3):
             alone = pass_result(y, priors, [params[c]], [refs[c]], 2 * 5, [substream(3, c)])
             assert_same_pass(alone if c == 1 else alone[0], want[c])
-        rest = run_csmc_as_batch(y, priors, [params[0], params[2]], [refs[0], refs[2]], 2 * 5,
-                                 [substream(3, 0), substream(3, 2)])
+        rest = run_filter(y, priors, [params[0], params[2]], 2 * 5,
+                          [substream(3, 0), substream(3, 2)], [refs[0], refs[2]])
         assert_same_pass(rest[0], want[0])
         assert_same_pass(rest[1], want[2])
 
@@ -618,7 +635,7 @@ class TestBatchedPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateWeightsError) as caught:
-                run_csmc_as_batch(y, priors, params, refs, 2 * 5, rngs)
+                run_filter(y, priors, params, 2 * 5, rngs, refs)
         return y, priors, params, refs, caught.value
 
     def test_nan_ancestor_weights_name_their_cause(self):
@@ -634,15 +651,14 @@ class TestBatchedPass:
         y, priors, params, refs, error = self.huge_kappa_batch()
         assert_same_pass(error, serial_csmc_as(y, params[0], priors, refs[0], 5,
                                                substream(4, 0)))
-        (alone,) = run_csmc_as_batch(y, priors, [params[1]], [refs[1]], 2 * 5,
-                                     [substream(4, 1)])
+        (alone,) = run_filter(y, priors, [params[1]], 2 * 5, [substream(4, 1)], [refs[1]])
         assert_same_pass(alone, serial_csmc_as(y, params[1], priors, refs[1], 5,
                                                substream(4, 1)))
 
     def test_compact_store(self):
         # int8 regimes and, for N = 12 <= 128, int8 ancestors.
         y, priors, params, refs = batch_inputs(3, n_chains=2)
-        got = run_csmc_as_batch(y, priors, params, refs, 3 * 4, [rng(1), rng(2)])
+        got = run_filter(y, priors, params, 3 * 4, [rng(1), rng(2)], refs)
         for system in got:
             assert system.regimes.dtype == np.int8
             assert system.regimes.shape == (len(y), 12)
@@ -659,15 +675,22 @@ class TestBatchedPass:
         for order, detail in (([0, 1], "not a number"), ([1, 0], "all zero")):
             with pytest.raises(DegenerateWeightsError,
                                match=rf"step 1 \(ancestor-sampling weights {detail}\)$"):
-                run_csmc_as_batch(y, priors, [params[c] for c in order],
-                                  [refs[c] for c in order], 2 * 3, [rng(1), rng(2)])
+                run_filter(y, priors, [params[c] for c in order], 2 * 3, [rng(1), rng(2)],
+                           [refs[c] for c in order])
+
+    def test_needs_a_generator_and_at_most_a_reference_per_chain(self):
+        y, priors, params, refs = batch_inputs(2, n_chains=2)
+        for rngs, references in (([rng(1)], None), ([rng(1)], refs), ([rng(1), rng(2)], refs[:1])):
+            with pytest.raises(ValueError, match="per chain"):
+                run_filter(y, priors, params, 6, rngs, references)
+        with pytest.raises(ValueError, match="at least one observation"):
+            run_filter(y[:0], priors, params, 6, [rng(1), rng(2)])
 
     def test_chains_must_share_the_regime_count(self):
         y, priors, params2, refs2 = batch_inputs(2, n_chains=1)
         _, _, params3, refs3 = batch_inputs(3, n_chains=1)
         with pytest.raises(ValueError, match="share the number of regimes"):
-            run_csmc_as_batch(y, priors, params2 + params3, refs2 + refs3, 6,
-                              [rng(1), rng(2)])
+            run_filter(y, priors, params2 + params3, 6, [rng(1), rng(2)], refs2 + refs3)
 
 
 # Particle counts at the edges of the ancestor type rule, and the type each
@@ -690,7 +713,7 @@ class TestAncestorType:
     @pytest.mark.parametrize("n, dtype", ANCESTOR_TYPES)
     def test_conditional_pass(self, n, dtype):
         y, priors, params, refs = batch_inputs(2, horizon=2, n_chains=2)
-        for system in run_csmc_as_batch(y, priors, params, refs, n, [rng(n), rng(n + 1)]):
+        for system in run_filter(y, priors, params, n, [rng(n), rng(n + 1)], refs):
             assert system.ancestors.dtype == dtype
             assert system.ancestors.shape == (1, n)
             assert 0 <= system.ancestors.min() and system.ancestors.max() < n
