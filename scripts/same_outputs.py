@@ -61,40 +61,15 @@ from itertools import zip_longest
 
 from bench_pairs import SIDES, make_copies
 
-# (directory, scenario, seed, select's --K list, model.ident_change_times)
-# of each simulated series; no --K list marks the run at N = 200.
-RUNS = (("s1", "two-regime", 1, "1,2", [1]), ("s2", "two-regime", 2, "1,2", [1]),
-        ("s3", "two-regime", 3, "1,2", [1]), ("s17", "three-regime", 17, "2,3", [1]),
-        ("s1-p2", "two-regime", 1, "1,2", [1, 76]), ("s1-n200", "two-regime", 1, None, [1]))
 SHORT = {"n_iterations": 30, "burn_in": 5, "m_per_regime": 5, "mh_sweeps_per_iter": 2}
-LONG = {**SHORT, "n_iterations": 45}
-WIDE = {**SHORT, "n_iterations": 3, "burn_in": 1, "m_per_regime": 100}
+# The sampler settings of each config a run writes, by file name.
+SHORT_LONG = {"short": SHORT, "long": {**SHORT, "n_iterations": 45}}
+WIDE = {"wide": {**SHORT, "n_iterations": 3, "burn_in": 1, "m_per_regime": 100}}
 
 
-def _write_configs(run_dir: str, seed_dir: str, change_times: list[int],
-                   k_list: str | None) -> None:
-    """short.json and long.json (wide.json when k_list is None) beside
-    the starter config of seed_dir, with one starter ident prior per
-    change time."""
-    with open(os.path.join(run_dir, seed_dir, "config.json")) as fh:
-        raw = json.load(fh)
-    raw["output"]["dump_particles"] = True
-    if change_times != [1]:
-        raw["model"]["ident_change_times"] = change_times
-        raw["priors"]["ident"] *= len(change_times)
-    configs = {"wide": WIDE} if k_list is None else {"short": SHORT, "long": LONG}
-    for name, sampler in configs.items():
-        raw["sampler"].update(sampler)
-        with open(os.path.join(run_dir, seed_dir, f"{name}.json"), "w") as fh:
-            json.dump(raw, fh, indent=1, sort_keys=True)
-
-
-def _commands(d: str, k_list: str | None) -> list[list[str]]:
-    """The commands of one series directory after simulate, in the order
-    they run."""
-    if k_list is None:
-        return [["fit", "--config", f"{d}/wide.json", "--chains", "2", "--jobs", "1",
-                 "--out", f"{d}/fit"]]
+def _short_long_commands(d: str, k_list: str) -> list[list[str]]:
+    """The commands of series directory d after simulate, in the order
+    they run, given short.json, long.json and select's --K list."""
     chains = [f"{d}/jobs1/chain_{i}.jsonl" for i in range(3)]
     fits = [["fit", "--config", f"{d}/{cfg}.json", "--chains", "3", "--jobs", jobs,
              *extra, "--out", f"{d}/jobs{jobs}"]
@@ -104,6 +79,35 @@ def _commands(d: str, k_list: str | None) -> list[list[str]]:
         ["diagnose", *chains, "--out", f"{d}/diagnose"],
         ["select", "--config", f"{d}/short.json", "--K", k_list, "--out", f"{d}/select"],
     ]
+
+
+# (directory, scenario, seed, model.ident_change_times, configs, commands
+# after simulate) of each simulated series.
+RUNS = tuple(
+    (d, scenario, seed, change_times, SHORT_LONG, _short_long_commands(d, k_list))
+    for d, scenario, seed, k_list, change_times in (
+        ("s1", "two-regime", 1, "1,2", [1]), ("s2", "two-regime", 2, "1,2", [1]),
+        ("s3", "two-regime", 3, "1,2", [1]), ("s17", "three-regime", 17, "2,3", [1]),
+        ("s1-p2", "two-regime", 1, "1,2", [1, 76]))
+) + (("s1-n200", "two-regime", 1, [1], WIDE,
+      [["fit", "--config", "s1-n200/wide.json", "--chains", "2", "--jobs", "1",
+        "--out", "s1-n200/fit"]]),)
+
+
+def _write_configs(run_dir: str, seed_dir: str, change_times: list[int],
+                   configs: dict[str, dict]) -> None:
+    """Each of configs, as NAME.json beside the starter config of
+    seed_dir, with one starter ident prior per change time."""
+    with open(os.path.join(run_dir, seed_dir, "config.json")) as fh:
+        raw = json.load(fh)
+    raw["output"]["dump_particles"] = True
+    if change_times != [1]:
+        raw["model"]["ident_change_times"] = change_times
+        raw["priors"]["ident"] *= len(change_times)
+    for name, sampler in configs.items():
+        raw["sampler"].update(sampler)
+        with open(os.path.join(run_dir, seed_dir, f"{name}.json"), "w") as fh:
+            json.dump(raw, fh, indent=1, sort_keys=True)
 
 
 def _run(root: str, argv: list[str]) -> tuple[int, str]:
@@ -143,14 +147,14 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = make_copies(args.parent_rev, args.workdir or tmp)
-        for d, scenario, seed, k_list, change_times in RUNS:
+        for d, scenario, seed, change_times, configs, after in RUNS:
             commands = [["simulate", "--scenario", scenario, "--seed", str(seed),
-                         "--out", d]] + _commands(d, k_list)
+                         "--out", d]] + after
             results = {}
             for side, root in roots.items():
                 os.makedirs(os.path.join(root, "run"), exist_ok=True)
                 results[side] = [_run(root, commands[0])]
-                _write_configs(os.path.join(root, "run"), d, change_times, k_list)
+                _write_configs(os.path.join(root, "run"), d, change_times, configs)
                 results[side] += [_run(root, argv) for argv in commands[1:]]
             for argv, parent, change in zip(commands, results["parent"], results["change"]):
                 codes = (str(parent[0]) if parent[0] == change[0]

@@ -39,8 +39,6 @@ STALE_HOOKS = {
     "seir.rk4_components",
     "switchseir.smc.dirichlet_logpdf": "the CSMC ancestor weights call "
     "distributions._dirichlet_log_kernel",
-    "switchseir.smc.logsumexp": "the filter sums each chain's weights with "
-    "distributions.logsumexp_rows, in both passes",
 }
 
 
